@@ -7,13 +7,11 @@
 //   singleton — each formula checked like a separate mrmcheck run: fresh
 //     ModelChecker, numeric::SharedOmegaCache cleared first (a new process
 //     has no warm cache), and both the per-state probabilities and the
-//     verdicts requested — which costs the direct front end two until
-//     solves per formula (path_probabilities and the verdict bounds are
-//     separate cache entries);
-//   batch — every formula through ONE compiled plan: the solve runs once
-//     per formula and serves probabilities and verdicts both, transforms
-//     are hoisted into the shared cache, and the Omega cache stays warm
-//     across the batch.
+//     verdicts requested. The checker serves both from one execution of a
+//     one-root plan, so each formula costs one until solve;
+//   batch — every formula through ONE compiled plan: one solve per formula
+//     as well, but transforms are hoisted into one shared cache and the
+//     Omega cache stays warm across the batch.
 //
 // Verdicts and probabilities must agree BITWISE between the lanes (checked
 // here; "bitwise_identical" lands in the JSON) — the speedup buys identical

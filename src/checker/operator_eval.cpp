@@ -12,15 +12,42 @@
 
 namespace csrlmrm::checker {
 
+namespace {
+
+/// True iff any state is set.
 bool any_state(const std::vector<bool>& mask) {
   return std::find(mask.begin(), mask.end(), true) != mask.end();
 }
 
+/// The optimistic operand set: UNKNOWN counts as satisfied.
 std::vector<bool> optimistic_mask(const SatSets& operand) {
   std::vector<bool> mask(operand.sat);
   for (std::size_t s = 0; s < mask.size(); ++s) mask[s] = mask[s] || operand.unknown[s];
   return mask;
 }
+
+/// Raw values of the operand-free R-operator queries: expected cumulative
+/// reward by the horizon, or the long-run rate.
+std::vector<double> operand_free_reward_values(const core::Mrm& model,
+                                               const logic::ExpectedRewardFormula& node,
+                                               const CheckerOptions& options) {
+  if (node.query == logic::RewardQuery::kLongRun) {
+    return long_run_reward_rate(model, options.solver);
+  }
+  // One occupation-time series per start state, all independent: fan out
+  // over the pool (inner series run serial when nested).
+  const std::size_t n = model.num_states();
+  std::vector<double> values(n, 0.0);
+  const unsigned threads = parallel::resolve_thread_count(options.threads);
+  parallel::parallel_for(n, threads, [&](std::size_t begin, std::size_t end) {
+    for (core::StateIndex s = begin; s < end; ++s) {
+      values[s] = expected_accumulated_reward(model, s, node.time_horizon, options.transient);
+    }
+  });
+  return values;
+}
+
+}  // namespace
 
 SatSets kleene_not(const SatSets& operand) {
   const std::size_t n = operand.sat.size();
@@ -139,36 +166,6 @@ UntilEvaluation evaluate_until_operator(const core::Mrm& model, const SatSets& l
   return result;
 }
 
-std::vector<double> expected_reward_values(const core::Mrm& model,
-                                           const logic::ExpectedRewardFormula& node,
-                                           const SatSets* operand,
-                                           const CheckerOptions& options) {
-  const std::size_t n = model.num_states();
-  switch (node.query) {
-    case logic::RewardQuery::kCumulative: {
-      // One occupation-time series per start state, all independent: fan
-      // out over the pool (inner series run serial when nested).
-      std::vector<double> values(n, 0.0);
-      const unsigned threads = parallel::resolve_thread_count(options.threads);
-      parallel::parallel_for(n, threads, [&](std::size_t begin, std::size_t end) {
-        for (core::StateIndex s = begin; s < end; ++s) {
-          values[s] =
-              expected_accumulated_reward(model, s, node.time_horizon, options.transient);
-        }
-      });
-      return values;
-    }
-    case logic::RewardQuery::kReachability:
-      if (operand == nullptr) {
-        throw std::invalid_argument("expected_reward_values: reachability needs operand sets");
-      }
-      return expected_reward_to_hit(model, operand->sat, options.solver);
-    case logic::RewardQuery::kLongRun:
-      return long_run_reward_rate(model, options.solver);
-  }
-  throw std::logic_error("expected_reward_values: unknown reward query");
-}
-
 RewardEvaluation evaluate_reward_operator(const core::Mrm& model,
                                           const logic::ExpectedRewardFormula& node,
                                           const SatSets* operand,
@@ -181,7 +178,7 @@ RewardEvaluation evaluate_reward_operator(const core::Mrm& model,
       // The occupation-time series truncates the Poisson sum, losing at most
       // epsilon * t of residence mass; each lost unit earns at most the
       // largest gain rate, so the truth lies in [v, v + eps * t * max gain].
-      result.values = expected_reward_values(model, node, operand, options);
+      result.values = operand_free_reward_values(model, node, options);
       const auto gain = per_state_gain_rates(model);
       const double max_gain = gain.empty() ? 0.0 : *std::max_element(gain.begin(), gain.end());
       const double slack = options.transient.epsilon * node.time_horizon * max_gain;
@@ -212,7 +209,7 @@ RewardEvaluation evaluate_reward_operator(const core::Mrm& model,
       return result;
     }
     case logic::RewardQuery::kLongRun: {
-      result.values = expected_reward_values(model, node, operand, options);
+      result.values = operand_free_reward_values(model, node, options);
       for (std::size_t s = 0; s < n; ++s) {
         result.bounds[s] = ProbabilityBound::point(result.values[s]);
       }

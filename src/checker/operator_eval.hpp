@@ -1,19 +1,18 @@
-// The per-operator evaluation core shared by the AST-walking ModelChecker
-// (checker/sat.hpp) and the plan executor (plan/executor.hpp).
+// The per-operator evaluation core behind the plan executor
+// (plan/executor.hpp), the checker's one evaluator.
 //
 // Every CSRL operator evaluation — the Kleene three-valued boolean
 // connectives, the widened two-mask runs of the numeric operators (S, P, R),
 // and the three-valued threshold comparison — lives here as a free function
-// of (model, operand sets, options). Both front ends call exactly these
-// functions, so a compiled plan's verdicts and value intervals are
-// bitwise-identical to the direct checker's by construction, not by
-// coincidence: there is one implementation to agree with.
+// of (model, operand sets, options). Each plan op calls exactly one of these
+// functions, so the plan passes (CSE, transform hoisting, engine pinning)
+// only decide how often and on which cached transforms they run, never what
+// they compute.
 //
 // The numeric operator evaluations return the pessimistic-run raw values
 // next to the widened per-state enclosures. The two are computed in one
-// engine run (the raw values ARE the lower run), which is what lets the plan
-// executor serve both the printed probabilities and the verdicts from a
-// single solve where the direct CLI path pays for two.
+// engine run (the raw values ARE the lower run), which is what lets one
+// solve serve both the printed probabilities and the verdicts.
 #pragma once
 
 #include <vector>
@@ -34,12 +33,6 @@ struct SatSets {
   std::vector<bool> sat;
   std::vector<bool> unknown;
 };
-
-/// True iff any state is set.
-bool any_state(const std::vector<bool>& mask);
-
-/// The optimistic operand set: UNKNOWN counts as satisfied.
-std::vector<bool> optimistic_mask(const SatSets& operand);
 
 // --- Kleene strong three-valued boolean connectives -----------------------
 
@@ -98,14 +91,6 @@ RewardEvaluation evaluate_reward_operator(const core::Mrm& model,
                                           const logic::ExpectedRewardFormula& node,
                                           const SatSets* operand,
                                           const CheckerOptions& options);
-
-/// Raw R-operator values only (what ModelChecker::expected_rewards reports):
-/// expected cumulative reward by the horizon, expected reward to hit the
-/// operand set, or the long-run rate.
-std::vector<double> expected_reward_values(const core::Mrm& model,
-                                           const logic::ExpectedRewardFormula& node,
-                                           const SatSets* operand,
-                                           const CheckerOptions& options);
 
 // --- Threshold comparison -------------------------------------------------
 

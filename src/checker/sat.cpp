@@ -2,35 +2,42 @@
 
 #include <stdexcept>
 
-#include "checker/operator_eval.hpp"
-#include "obs/stats.hpp"
+#include "plan/compiler.hpp"
 
 namespace csrlmrm::checker {
+
+namespace {
+
+logic::FormulaKind require_kind(const logic::FormulaPtr& formula) {
+  if (!formula) throw std::invalid_argument("ModelChecker: null formula");
+  return formula->kind;
+}
+
+}  // namespace
 
 ModelChecker::ModelChecker(const core::Mrm& model, CheckerOptions options)
     : model_(&model), options_(std::move(options)) {}
 
+const plan::FormulaResult& ModelChecker::result(const logic::FormulaPtr& formula) {
+  require_kind(formula);
+  const auto cached = results_.find(formula.get());
+  if (cached != results_.end()) return cached->second.result;
+  const plan::Plan compiled = plan::compile(*model_, {formula}, options_);
+  plan::PlanResult executed = plan::execute(compiled, *model_);
+  Entry entry{formula, std::move(executed.formulas.front())};
+  return results_.emplace(formula.get(), std::move(entry)).first->second.result;
+}
+
 const std::vector<bool>& ModelChecker::satisfaction_set(const logic::FormulaPtr& formula) {
-  if (!formula) throw std::invalid_argument("ModelChecker: null formula");
-  return evaluate(formula).sat;
+  return result(formula).sat;
 }
 
 const std::vector<bool>& ModelChecker::unknown_set(const logic::FormulaPtr& formula) {
-  if (!formula) throw std::invalid_argument("ModelChecker: null formula");
-  return evaluate(formula).unknown;
+  return result(formula).unknown;
 }
 
 std::vector<Verdict> ModelChecker::verdicts(const logic::FormulaPtr& formula) {
-  const SatResult& result = evaluate(formula);
-  std::vector<Verdict> out(result.sat.size(), Verdict::kUnsat);
-  for (std::size_t s = 0; s < result.sat.size(); ++s) {
-    if (result.sat[s]) {
-      out[s] = Verdict::kSat;
-    } else if (result.unknown[s]) {
-      out[s] = Verdict::kUnknown;
-    }
-  }
-  return out;
+  return result(formula).verdicts;
 }
 
 bool ModelChecker::satisfies(core::StateIndex state, const logic::FormulaPtr& formula) {
@@ -41,42 +48,21 @@ bool ModelChecker::satisfies(core::StateIndex state, const logic::FormulaPtr& fo
 }
 
 std::vector<UntilValue> ModelChecker::path_probabilities(const logic::FormulaPtr& formula) {
-  if (!formula) throw std::invalid_argument("ModelChecker: null formula");
-  switch (formula->kind) {
-    case logic::FormulaKind::kProbNext: {
-      const auto& node = static_cast<const logic::ProbNextFormula&>(*formula);
-      const auto probabilities = next_probabilities(*model_, evaluate(node.operand).sat,
-                                                    node.time_bound, node.reward_bound,
-                                                    options_.threads);
-      std::vector<UntilValue> values(probabilities.size());
-      for (std::size_t s = 0; s < probabilities.size(); ++s) {
-        values[s] = exact_until_value(probabilities[s]);
-      }
-      return values;
-    }
-    case logic::FormulaKind::kProbUntil: {
-      const auto& node = static_cast<const logic::ProbUntilFormula&>(*formula);
-      // Copy the first Sat set: evaluating the second operand can rehash the
-      // memoization table and would invalidate a reference into it.
-      const std::vector<bool> sat_lhs = evaluate(node.lhs).sat;
-      const std::vector<bool>& sat_rhs = evaluate(node.rhs).sat;
-      return until_probabilities(*model_, sat_lhs, sat_rhs, node.time_bound, node.reward_bound,
-                                 options_);
-    }
-    default:
-      throw std::invalid_argument(
-          "ModelChecker::path_probabilities: formula is not a P-operator node");
+  const logic::FormulaKind kind = require_kind(formula);
+  if (kind != logic::FormulaKind::kProbNext && kind != logic::FormulaKind::kProbUntil) {
+    throw std::invalid_argument(
+        "ModelChecker::path_probabilities: formula is not a P-operator node");
   }
+  return result(formula).probabilities;
 }
 
 std::vector<ProbabilityBound> ModelChecker::value_bounds(const logic::FormulaPtr& formula) {
-  if (!formula) throw std::invalid_argument("ModelChecker: null formula");
-  switch (formula->kind) {
+  switch (require_kind(formula)) {
     case logic::FormulaKind::kSteady:
     case logic::FormulaKind::kProbNext:
     case logic::FormulaKind::kProbUntil:
     case logic::FormulaKind::kExpectedReward:
-      return operator_bounds(formula);
+      return result(formula).bounds;
     default:
       throw std::invalid_argument(
           "ModelChecker::value_bounds: formula is not an S/P/R-operator node");
@@ -84,154 +70,19 @@ std::vector<ProbabilityBound> ModelChecker::value_bounds(const logic::FormulaPtr
 }
 
 std::vector<double> ModelChecker::steady_probabilities(const logic::FormulaPtr& formula) {
-  if (!formula) throw std::invalid_argument("ModelChecker: null formula");
-  if (formula->kind != logic::FormulaKind::kSteady) {
+  if (require_kind(formula) != logic::FormulaKind::kSteady) {
     throw std::invalid_argument(
         "ModelChecker::steady_probabilities: formula is not an S-operator node");
   }
-  const auto& node = static_cast<const logic::SteadyFormula&>(*formula);
-  return steady_state_probability_of_set(*model_, evaluate(node.operand).sat, options_.solver);
+  return result(formula).values;
 }
 
 std::vector<double> ModelChecker::expected_rewards(const logic::FormulaPtr& formula) {
-  if (!formula) throw std::invalid_argument("ModelChecker: null formula");
-  if (formula->kind != logic::FormulaKind::kExpectedReward) {
+  if (require_kind(formula) != logic::FormulaKind::kExpectedReward) {
     throw std::invalid_argument(
         "ModelChecker::expected_rewards: formula is not an R-operator node");
   }
-  const auto& node = static_cast<const logic::ExpectedRewardFormula&>(*formula);
-  if (node.query == logic::RewardQuery::kReachability) {
-    const SatResult operand = evaluate(node.operand);  // copy: see path_probabilities
-    return expected_reward_values(*model_, node, &operand, options_);
-  }
-  return expected_reward_values(*model_, node, nullptr, options_);
-}
-
-const std::vector<ProbabilityBound>& ModelChecker::operator_bounds(
-    const logic::FormulaPtr& formula) {
-  const auto cached = bounds_cache_.find(formula.get());
-  if (cached != bounds_cache_.end()) return cached->second;
-
-  std::vector<ProbabilityBound> bounds;
-  switch (formula->kind) {
-    case logic::FormulaKind::kSteady: {
-      const auto& node = static_cast<const logic::SteadyFormula&>(*formula);
-      const SatResult operand = evaluate(node.operand);  // copy: runs re-enter evaluate
-      bounds = evaluate_steady_operator(*model_, operand, options_).bounds;
-      break;
-    }
-    case logic::FormulaKind::kProbNext: {
-      const auto& node = static_cast<const logic::ProbNextFormula&>(*formula);
-      const SatResult operand = evaluate(node.operand);
-      bounds = evaluate_next_operator(*model_, operand, node.time_bound, node.reward_bound,
-                                      options_)
-                   .bounds;
-      break;
-    }
-    case logic::FormulaKind::kProbUntil: {
-      const auto& node = static_cast<const logic::ProbUntilFormula&>(*formula);
-      const SatResult lhs = evaluate(node.lhs);
-      const SatResult rhs = evaluate(node.rhs);
-      bounds = evaluate_until_operator(*model_, lhs, rhs, node.time_bound, node.reward_bound,
-                                       options_)
-                   .bounds;
-      break;
-    }
-    case logic::FormulaKind::kExpectedReward: {
-      const auto& node = static_cast<const logic::ExpectedRewardFormula&>(*formula);
-      if (node.query == logic::RewardQuery::kReachability) {
-        const SatResult operand = evaluate(node.operand);
-        bounds = evaluate_reward_operator(*model_, node, &operand, options_).bounds;
-      } else {
-        bounds = evaluate_reward_operator(*model_, node, nullptr, options_).bounds;
-      }
-      break;
-    }
-    default:
-      throw std::invalid_argument("operator_bounds: formula is not an operator node");
-  }
-  retained_.push_back(formula);
-  return bounds_cache_.emplace(formula.get(), std::move(bounds)).first->second;
-}
-
-const ModelChecker::SatResult& ModelChecker::evaluate(const logic::FormulaPtr& formula) {
-  const auto cached = cache_.find(formula.get());
-  if (cached != cache_.end()) return cached->second;
-
-  obs::ScopedTimer timer("checker.evaluate");
-  obs::counter_add("checker.evaluate.subformulas");
-  const std::size_t n = model_->num_states();
-  SatResult result;
-  result.sat.assign(n, false);
-  result.unknown.assign(n, false);
-  switch (formula->kind) {
-    case logic::FormulaKind::kTrue:
-      result.sat.assign(n, true);
-      break;
-    case logic::FormulaKind::kFalse:
-      break;
-    case logic::FormulaKind::kAtomic:
-      result.sat =
-          model_->labels().states_with(static_cast<const logic::AtomicFormula&>(*formula).name);
-      break;
-    case logic::FormulaKind::kNot: {
-      const SatResult inner = evaluate(static_cast<const logic::NotFormula&>(*formula).operand);
-      result = kleene_not(inner);
-      break;
-    }
-    case logic::FormulaKind::kOr: {
-      const auto& node = static_cast<const logic::OrFormula&>(*formula);
-      const SatResult lhs = evaluate(node.lhs);  // copy: rhs evaluation may rehash cache_
-      const SatResult& rhs = evaluate(node.rhs);
-      result = kleene_or(lhs, rhs);
-      break;
-    }
-    case logic::FormulaKind::kAnd: {
-      const auto& node = static_cast<const logic::AndFormula&>(*formula);
-      const SatResult lhs = evaluate(node.lhs);
-      const SatResult& rhs = evaluate(node.rhs);
-      result = kleene_and(lhs, rhs);
-      break;
-    }
-    case logic::FormulaKind::kSteady:
-    case logic::FormulaKind::kProbNext:
-    case logic::FormulaKind::kProbUntil:
-    case logic::FormulaKind::kExpectedReward: {
-      const auto& bounds = operator_bounds(formula);
-      logic::Comparison op;
-      double threshold;
-      switch (formula->kind) {
-        case logic::FormulaKind::kSteady: {
-          const auto& node = static_cast<const logic::SteadyFormula&>(*formula);
-          op = node.op;
-          threshold = node.bound;
-          break;
-        }
-        case logic::FormulaKind::kProbNext: {
-          const auto& node = static_cast<const logic::ProbNextFormula&>(*formula);
-          op = node.op;
-          threshold = node.bound;
-          break;
-        }
-        case logic::FormulaKind::kProbUntil: {
-          const auto& node = static_cast<const logic::ProbUntilFormula&>(*formula);
-          op = node.op;
-          threshold = node.bound;
-          break;
-        }
-        default: {
-          const auto& node = static_cast<const logic::ExpectedRewardFormula&>(*formula);
-          op = node.op;
-          threshold = node.bound;
-          break;
-        }
-      }
-      result = compare_operator_bounds(bounds, op, threshold);
-      break;
-    }
-  }
-  retained_.push_back(formula);
-  return cache_.emplace(formula.get(), std::move(result)).first->second;
+  return result(formula).values;
 }
 
 }  // namespace csrlmrm::checker

@@ -1,34 +1,35 @@
 // The model-checking front end: SatisfyStateFormula (Algorithm 4.1),
 // error-aware.
 //
-// A ModelChecker evaluates CSRL state formulas bottom-up over one MRM,
-// memoizing per formula node a *three-valued* satisfaction result: each
-// state is SAT, UNSAT, or UNKNOWN. Numeric operators (S, P, R) produce a
-// rigorous value interval per state (see checker/verdict.hpp for the error
-// sources) and compare it against their threshold three-valued; the boolean
-// connectives propagate UNKNOWN by Kleene's strong three-valued logic
-// (T || U = T, F && U = F, otherwise U). When a sub-formula is UNKNOWN at
-// some states, the numeric operator above it is evaluated twice — once with
-// the pessimistic operand set (UNKNOWN counts as false) and once with the
-// optimistic one (UNKNOWN counts as true); since every operator's value is
-// monotone in its operand sets, the hull of the two runs encloses the truth.
+// A ModelChecker evaluates CSRL state formulas bottom-up over one MRM with a
+// *three-valued* satisfaction result: each state is SAT, UNSAT, or UNKNOWN.
+// Numeric operators (S, P, R) produce a rigorous value interval per state
+// (see checker/verdict.hpp for the error sources) and compare it against
+// their threshold three-valued; the boolean connectives propagate UNKNOWN by
+// Kleene's strong three-valued logic (T || U = T, F && U = F, otherwise U).
+// When a sub-formula is UNKNOWN at some states, the numeric operator above
+// it is evaluated twice — once with the pessimistic operand set (UNKNOWN
+// counts as false) and once with the optimistic one (UNKNOWN counts as
+// true); since every operator's value is monotone in its operand sets, the
+// hull of the two runs encloses the truth.
 //
-// Besides the boolean Sat sets the checker exposes the underlying numeric
-// values (probabilities per state, with their intervals), which is what the
-// benchmark harness and the examples report.
+// The plan pipeline realizes this: the first query about a formula compiles
+// it into a one-root plan (plan/compiler.hpp), whose topologically ordered
+// ops are the bottom-up recursion, and executes it (plan/executor.hpp). The
+// plan's FormulaResult is memoized per root node, so every accessor below
+// on the same node — verdicts, value intervals and the raw numeric values —
+// is served by one execution.
 #pragma once
 
 #include <unordered_map>
 #include <vector>
 
-#include "checker/next.hpp"
-#include "checker/operator_eval.hpp"
 #include "checker/options.hpp"
-#include "checker/steady.hpp"
 #include "checker/until.hpp"
 #include "checker/verdict.hpp"
 #include "core/mrm.hpp"
 #include "logic/ast.hpp"
+#include "plan/executor.hpp"
 
 namespace csrlmrm::checker {
 
@@ -56,8 +57,8 @@ class ModelChecker {
   /// The per-state probabilities behind a P-operator node (next or until),
   /// i.e. P(s, phi) before comparison with the bound, with each value's
   /// rigorous interval. Computed against the provable operand Sat sets
-  /// (operand UNKNOWN states count as false); evaluate()/verdicts() widen
-  /// for operand uncertainty, these raw values do not.
+  /// (operand UNKNOWN states count as false); verdicts() and value_bounds()
+  /// widen for operand uncertainty, these raw values do not.
   std::vector<UntilValue> path_probabilities(const logic::FormulaPtr& formula);
 
   /// The per-state value intervals behind the outermost S/P/R operator node,
@@ -77,24 +78,20 @@ class ModelChecker {
   const CheckerOptions& options() const { return options_; }
 
  private:
-  /// Three-valued satisfaction per state; the per-operator math lives in
-  /// checker/operator_eval.hpp, shared with the plan executor.
-  using SatResult = SatSets;
+  /// The executed one-root plan of `formula`; throws std::invalid_argument
+  /// for a null formula.
+  const plan::FormulaResult& result(const logic::FormulaPtr& formula);
 
-  const SatResult& evaluate(const logic::FormulaPtr& formula);
-
-  /// Value intervals of one numeric operator node, widened over the operand
-  /// uncertainty (two monotone mask runs when the operand has UNKNOWN
-  /// states). Caches into bounds_cache_.
-  const std::vector<ProbabilityBound>& operator_bounds(const logic::FormulaPtr& formula);
+  /// One memo entry. `formula` owns the node the entry is keyed by, so the
+  /// key stays valid even if the caller drops its FormulaPtr.
+  struct Entry {
+    logic::FormulaPtr formula;
+    plan::FormulaResult result;
+  };
 
   const core::Mrm* model_;
   CheckerOptions options_;
-  std::unordered_map<const logic::Formula*, SatResult> cache_;
-  std::unordered_map<const logic::Formula*, std::vector<ProbabilityBound>> bounds_cache_;
-  // Keeps every formula we evaluated alive so cache keys stay valid even if
-  // the caller drops its FormulaPtr.
-  std::vector<logic::FormulaPtr> retained_;
+  std::unordered_map<const logic::Formula*, Entry> results_;
 };
 
 }  // namespace csrlmrm::checker

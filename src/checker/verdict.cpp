@@ -1,6 +1,7 @@
 #include "checker/verdict.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -34,6 +35,9 @@ std::string to_string(Verdict verdict) {
 }
 
 Verdict compare_bound(const ProbabilityBound& value, logic::Comparison op, double bound) {
+  // A NaN endpoint compares false on both sides, which would read as UNSAT;
+  // an interval with a NaN end encloses nothing, so it decides nothing.
+  if (std::isnan(value.lower) || std::isnan(value.upper)) return Verdict::kUnknown;
   const bool lower_sat = logic::compare(value.lower, op, bound);
   const bool upper_sat = logic::compare(value.upper, op, bound);
   // The satisfying set of every comparison operator is a half-line, so the

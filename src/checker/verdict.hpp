@@ -17,7 +17,7 @@
 //   kUnknown  the interval straddles the threshold — the configured
 //             accuracy cannot decide the formula
 //
-// ModelChecker propagates kUnknown through the boolean connectives by
+// The checker propagates kUnknown through the boolean connectives by
 // Kleene's strong three-valued logic, and mrmcheck surfaces UNKNOWN states
 // (exit status 3 under --strict).
 #pragma once
@@ -67,7 +67,9 @@ std::string to_string(Verdict verdict);
 
 /// Compares a value interval against `op bound` three-valued: kSat/kUnsat
 /// when every/no value in the interval satisfies the comparison, kUnknown
-/// when the interval straddles the threshold.
+/// when the interval straddles the threshold or either endpoint is NaN.
+/// Infinite endpoints compare as ordinary values (an expected reward to
+/// reach an unreachable set is +infinity).
 Verdict compare_bound(const ProbabilityBound& value, logic::Comparison op, double bound);
 
 }  // namespace csrlmrm::checker

@@ -10,6 +10,7 @@
 #include "logic/parser.hpp"
 #include "logic/printer.hpp"
 #include "obs/stats.hpp"
+#include "plan/compiler.hpp"
 #include "plan/executor.hpp"
 
 namespace csrlmrm::daemon {
@@ -244,7 +245,7 @@ void CheckService::serve_group(std::vector<Pending>& group) {
   }
 
   if (!runnable.empty()) {
-    plan::PlanOptions plan_options = options_.plan;
+    plan::PlanOptions plan_options;
     plan_options.shared_transforms = resident->transforms;
     std::vector<logic::FormulaPtr> formulas;
     formulas.reserve(runnable.size());
@@ -259,8 +260,8 @@ void CheckService::serve_group(std::vector<Pending>& group) {
       // One formula poisoned the shared execution (e.g. an unsupported bound
       // shape surfacing at solve time). Re-run each alone so only the
       // offender fails; per-formula results are bitwise-identical to the
-      // batched run (plan executions are differential-tested against direct
-      // checks at every batch composition). The batch-level error is not
+      // batched run (plan executions are differential-tested at every batch
+      // composition). The batch-level error is not
       // swallowed: it is counted and attached to every reply of the group as
       // batch_error so the isolation rerun is observable.
       obs::counter_add("daemon.batch_poisoned");

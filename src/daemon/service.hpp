@@ -2,13 +2,14 @@
 // dispatcher thread that batches same-model requests into shared plan
 // executions.
 //
-// Why batching preserves correctness: plan execution is differential-tested
-// bitwise-identical to a direct per-formula ModelChecker run regardless of
-// batch composition (tests/test_plan_differential.cpp), and every numeric
-// engine underneath is deterministic at any thread count. So combining N
-// clients' formulas into one compiled plan — deduplicating shared solves and
-// absorbing transforms across *clients*, not just within one request —
-// returns exactly the answers each client would have gotten alone.
+// Why batching preserves correctness: a batched plan's answers are
+// differential-tested bitwise-identical to one passes-off plan per formula,
+// at any batch composition and thread count
+// (tests/test_plan_differential.cpp), and ModelChecker runs the same
+// pipeline on one-root plans. So combining N clients' formulas into one
+// compiled plan — deduplicating shared solves and absorbing transforms
+// across *clients*, not just within one request — returns exactly the
+// answers each client would have gotten alone.
 //
 // Admission control, in order:
 //   1. Queue bound: submit() on a full queue resolves the future immediately
@@ -39,7 +40,6 @@
 #include "checker/options.hpp"
 #include "daemon/model_registry.hpp"
 #include "daemon/protocol.hpp"
-#include "plan/compiler.hpp"
 
 namespace csrlmrm::daemon {
 
@@ -48,8 +48,6 @@ struct ServiceOptions {
   std::size_t max_queue = 64;
   /// Base CheckerOptions; per-request overrides apply on top.
   checker::CheckerOptions checker;
-  /// Base plan passes (shared_transforms is set per model internally).
-  plan::PlanOptions plan;
 };
 
 class CheckService {

@@ -1,6 +1,8 @@
 #include "logic/parser.hpp"
 
 #include <limits>
+#include <string>
+
 #include "core/approx.hpp"
 
 namespace csrlmrm::logic {
@@ -43,21 +45,47 @@ class Parser {
     return peek(ahead).kind == TokenKind::kIdentifier && peek(ahead).text == word;
   }
 
+  /// Throws once the formula outgrows kMaxFormulaDepth at the current token.
+  /// Every parser recursion passes through parse_unary, which holds one
+  /// nesting level while it runs; a chain `a || b || c` nests its left
+  /// operands one level per connective without recursing, so connectives
+  /// count for the rest of the parse. Their sum bounds the AST height.
+  void check_depth() const {
+    if (nesting_ + connectives_ > kMaxFormulaDepth) {
+      throw ParseError("formula nests deeper than " + std::to_string(kMaxFormulaDepth) +
+                           " levels",
+                       peek().column);
+    }
+  }
+
   FormulaPtr parse_or() {
     FormulaPtr lhs = parse_and();
-    while (match(TokenKind::kOrOr)) lhs = make_or(std::move(lhs), parse_and());
+    while (peek().kind == TokenKind::kOrOr) {
+      ++connectives_;
+      check_depth();
+      advance();
+      lhs = make_or(std::move(lhs), parse_and());
+    }
     return lhs;
   }
 
   FormulaPtr parse_and() {
     FormulaPtr lhs = parse_unary();
-    while (match(TokenKind::kAndAnd)) lhs = make_and(std::move(lhs), parse_unary());
+    while (peek().kind == TokenKind::kAndAnd) {
+      ++connectives_;
+      check_depth();
+      advance();
+      lhs = make_and(std::move(lhs), parse_unary());
+    }
     return lhs;
   }
 
   FormulaPtr parse_unary() {
-    if (match(TokenKind::kBang)) return make_not(parse_unary());
-    return parse_primary();
+    ++nesting_;
+    check_depth();
+    FormulaPtr formula = match(TokenKind::kBang) ? make_not(parse_unary()) : parse_primary();
+    --nesting_;
+    return formula;
   }
 
   FormulaPtr parse_primary() {
@@ -242,6 +270,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::size_t nesting_ = 0;
+  std::size_t connectives_ = 0;
 };
 
 }  // namespace

@@ -19,6 +19,7 @@
 // or "Up" parse as plain identifiers.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "logic/ast.hpp"
@@ -26,7 +27,15 @@
 
 namespace csrlmrm::logic {
 
-/// Parses a CSRL state formula; throws ParseError with a column on failure.
+/// The deepest formula the parser accepts, counted as nested operators plus
+/// the binary connectives of the whole formula (an upper bound on the AST
+/// height). The parser, the plan lowerer, the printer and the AST destructor
+/// all recurse once per level, so this cap is what keeps a hostile input
+/// such as 100k `!` from overflowing the stack.
+inline constexpr std::size_t kMaxFormulaDepth = 1000;
+
+/// Parses a CSRL state formula; throws ParseError with a column on failure,
+/// including at the token where the formula exceeds kMaxFormulaDepth.
 FormulaPtr parse_formula(const std::string& input);
 
 }  // namespace csrlmrm::logic

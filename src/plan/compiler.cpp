@@ -9,7 +9,6 @@
 
 #include "checker/operator_eval.hpp"
 #include "core/approx.hpp"
-#include "core/lumping.hpp"
 #include "core/transform.hpp"
 #include "logic/number_format.hpp"
 #include "obs/stats.hpp"
@@ -84,11 +83,7 @@ std::vector<bool> transform_mask(TransformShape shape, const checker::SatSets& p
 class Lowerer {
  public:
   Lowerer(const core::Mrm& model, const PlanOptions& plan_options, Plan& plan)
-      : model_(model), plan_options_(plan_options), plan_(plan) {
-    if (plan_options_.adaptive_cost_model) {
-      history_ = CostModelHistory::from_global_stats();
-    }
-  }
+      : model_(model), plan_options_(plan_options), plan_(plan) {}
 
   OpId lower(const logic::FormulaPtr& formula) {
     if (!formula) throw std::invalid_argument("plan::compile: null formula");
@@ -245,13 +240,13 @@ class Lowerer {
     op.reward_bound = node.reward_bound;
     op.until_class = classify_until(node.time_bound, node.reward_bound);
 
-    // Pass 3: the hoisted transform op (and cache prewarm when computable).
+    // Pass 2: the hoisted transform op (and cache prewarm when computable).
     const auto shape = primary_transform(op.until_class);
     if (plan_options_.hoist_transforms && shape) {
       op.transform = transform_op(*shape, lhs, rhs);
     }
 
-    // Pass 4: compile-time engine resolution. Only legal when the operand
+    // Pass 3: compile-time engine resolution. Only legal when the operand
     // sets are fully known here (unknown operand states trigger a second
     // optimistic-mask run on a *different* transformed model at execution
     // time, which a single pinned prediction cannot speak for — known sets
@@ -268,11 +263,9 @@ class Lowerer {
               ? plan_.transforms->absorbing(model_, absorb)
               : std::make_shared<const core::Mrm>(core::make_absorbing(model_, absorb));
       const EnginePrediction prediction =
-          predict_until_engine(*transformed, node.time_bound.upper(), plan_.options,
-                               history_, plan_options_.adaptive_cost_model);
+          predict_until_engine(*transformed, node.time_bound.upper(), plan_.options);
       op.engine_known = true;
       op.engine_choice = prediction.choice;
-      op.engine_history_adjusted = prediction.history_adjusted;
       op.predicted_live = prediction.live_states;
       op.predicted_levels = prediction.poisson_levels;
       ++plan_.engines_pinned;
@@ -308,7 +301,7 @@ class Lowerer {
   /// The shared kTransform op for (shape, phi, psi), prewarming the plan's
   /// TransformCache when the masks are compile-time computable. Reuse beyond
   /// the first reference is a hoisting win (counted even with CSE off — the
-  /// transform memo is what pass 3 IS).
+  /// transform memo is what pass 2 IS).
   OpId transform_op(TransformShape shape, OpId phi, OpId psi) {
     std::string key = "xform(";
     key += to_string(shape);
@@ -348,7 +341,6 @@ class Lowerer {
   /// Parallel to plan_.ops: the compile-time satisfaction result, when the
   /// op has one (see intern()).
   std::vector<std::optional<checker::SatSets>> known_;
-  CostModelHistory history_;
 };
 
 }  // namespace
@@ -361,34 +353,15 @@ Plan compile(const core::Mrm& model, const std::vector<logic::FormulaPtr>& formu
   Plan plan;
   plan.options = options;
   plan.formulas = formulas;
-  plan.original_states = model.num_states();
-
-  // Pass 1 (opt-in): lump, and compile everything downstream against the
-  // quotient.
-  const core::Mrm* target = &model;
-  if (plan_options.lumping) {
-    const core::Lumping lumping = core::compute_lumping(model);
-    if (lumping.num_blocks < model.num_states()) {
-      plan.lumped = true;
-      plan.quotient =
-          std::make_shared<const core::Mrm>(core::build_quotient(model, lumping));
-      plan.block_of = lumping.block_of;
-      target = plan.quotient.get();
-      obs::counter_add("plan.lumping.applied");
-    }
-  }
-  plan.num_states = target->num_states();
+  plan.num_states = model.num_states();
 
   if (plan_options.hoist_transforms) {
-    // A lumped plan compiles against the quotient, whose transforms must not
-    // mix with the original model's in a caller-shared cache (the cache keys
-    // by mask alone); reuse only applies to the unlumped path.
-    plan.transforms = (plan_options.shared_transforms && !plan.lumped)
+    plan.transforms = plan_options.shared_transforms
                           ? plan_options.shared_transforms
                           : std::make_shared<core::TransformCache>();
   }
 
-  Lowerer lowerer(*target, plan_options, plan);
+  Lowerer lowerer(model, plan_options, plan);
   plan.roots.reserve(formulas.size());
   for (const auto& formula : formulas) {
     plan.roots.push_back(lowerer.lower(formula));

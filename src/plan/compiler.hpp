@@ -1,17 +1,15 @@
 // The plan compiler: lowers a CSRL formula batch into the plan IR through a
 // fixed pass pipeline.
 //
-//   1. (opt-in) lumping minimization — quotient the model by ordinary MRM
-//      lumpability (core/lumping.hpp) and compile against the quotient;
-//   2. lowering with common-subformula dedup — every structurally equal
+//   1. lowering with common-subformula dedup — every structurally equal
 //      subformula (logic::equal) becomes one op, and numeric solves are
 //      keyed *without* their threshold, so P(>0.1)[phi] and P(>0.5)[phi]
 //      share the entire solve and differ only in their compare op;
-//   3. transform hoisting — the absorbing transforms behind the until
+//   2. transform hoisting — the absorbing transforms behind the until
 //      classes (M[!Phi v Psi], M[!Phi], M[!Phi && !Psi]) become shared
 //      kTransform ops, prewarmed into the plan's TransformCache when the
 //      operand sets are compile-time computable;
-//   4. engine selection — P2-class until ops with compile-time-known
+//   3. engine selection — P2-class until ops with compile-time-known
 //      operands and --until-engine=auto get their engine resolved now by
 //      the cost model (plan/cost_model.hpp), so the executor can pin the
 //      choice and --explain can report it.
@@ -30,26 +28,19 @@
 
 namespace csrlmrm::plan {
 
-/// Pass toggles. The defaults are what `mrmcheck --formulas` uses; tests
-/// switch passes off individually to pin each one's effect.
+/// Pass toggles. The defaults are what every front end uses; tests switch
+/// the passes off to get the reference plan the passes must reproduce
+/// bitwise (tests/test_plan_differential.cpp).
 struct PlanOptions {
-  /// Common-subformula dedup across the batch (pass 2). Off: every
+  /// Common-subformula dedup across the batch (pass 1). Off: every
   /// subformula occurrence lowers to its own op.
   bool cse = true;
-  /// Shared absorbing-transform ops + compile-time prewarming (pass 3).
+  /// Shared absorbing-transform ops + compile-time prewarming (pass 2).
   /// Off: the plan carries no TransformCache and every until query rebuilds
-  /// its transforms, like a direct check.
+  /// its transforms.
   bool hoist_transforms = true;
-  /// Lumping minimization (pass 1). Off by default: the quotient preserves
-  /// every CSRL formula but its numerics are not bitwise-identical to the
-  /// original model's.
-  bool lumping = false;
-  /// Compile-time engine resolution for eligible until ops (pass 4).
+  /// Compile-time engine resolution for eligible until ops (pass 3).
   bool engine_selection = true;
-  /// Let recorded engine counters (CostModelHistory::from_global_stats)
-  /// adjust the static engine choice. Off by default: a history-adjusted pin
-  /// may differ from what a direct check would pick.
-  bool adaptive_cost_model = false;
   /// When set (and hoist_transforms is on), the compiled plan uses this
   /// TransformCache instead of a fresh one, so transforms built by earlier
   /// compilations of the SAME model stay warm — mrmcheckd binds one cache per
@@ -59,8 +50,8 @@ struct PlanOptions {
 };
 
 /// Compiles `formulas` against `model` under `options`. The returned plan
-/// holds shared_ptr state (transforms, quotient) and the input formulas; the
-/// model itself is NOT retained — pass the same model to execute().
+/// holds shared_ptr state (transforms) and the input formulas; the model
+/// itself is NOT retained — pass the same model to execute().
 Plan compile(const core::Mrm& model, const std::vector<logic::FormulaPtr>& formulas,
              const checker::CheckerOptions& options, const PlanOptions& plan_options = {});
 

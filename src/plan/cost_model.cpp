@@ -1,28 +1,14 @@
 #include "plan/cost_model.hpp"
 
 #include "numeric/poisson.hpp"
-#include "obs/stats.hpp"
 
 namespace csrlmrm::plan {
 
-CostModelHistory CostModelHistory::from_global_stats() {
-  const auto& stats = obs::StatsRegistry::global();
-  CostModelHistory history;
-  history.auto_classdp = stats.counter("engine.auto_choice.classdp");
-  history.auto_dfpg = stats.counter("engine.auto_choice.dfpg");
-  history.auto_discretization = stats.counter("engine.auto_choice.discretization");
-  history.classdp_fallbacks = stats.counter("classdp.fallbacks");
-  history.uniformization_fallbacks = stats.counter("uniformization.fallbacks");
-  history.uniformization_widenings = stats.counter("uniformization.widenings");
-  return history;
-}
-
 EnginePrediction predict_until_engine(const core::Mrm& transformed, double t,
-                                      const checker::CheckerOptions& options,
-                                      const CostModelHistory& history, bool adaptive) {
+                                      const checker::CheckerOptions& options) {
   EnginePrediction prediction;
   // The decision itself comes from the run-time rule — never re-derive it
-  // here, or plan and direct check could disagree.
+  // here, or a pinned op could run a different engine than auto would.
   prediction.choice = checker::choose_until_engine(transformed, t, options);
 
   // Replicate the rule's inputs for the printer.
@@ -43,28 +29,10 @@ EnginePrediction predict_until_engine(const core::Mrm& transformed, double t,
                            std::to_string(options.uniformization.max_nodes);
   if (prediction.choice.method == checker::UntilMethod::kDiscretization) {
     prediction.rationale = "discretization: uniformization over budget (" + work + ")";
-    return prediction;
-  }
-  if (prediction.choice.engine == checker::UntilEngine::kDfpg) {
+  } else if (prediction.choice.engine == checker::UntilEngine::kDfpg) {
     prediction.rationale = "dfpg: aggregate_signatures disabled";
   } else {
     prediction.rationale = "classdp+hybrid: within budget (" + work + ")";
-  }
-
-  // Adaptive demotion: when at least 4 class-DP runs were recorded and at
-  // least half exhausted their class budget and fell back, this workload's
-  // frontiers evidently do not merge — start the next batch on DFPG and skip
-  // the doomed sweeps. The thresholds are deliberately coarse; the knob is
-  // off by default and the pinned-decision regression tests cover both sides.
-  if (adaptive && prediction.choice.engine == checker::UntilEngine::kClassDp &&
-      history.auto_classdp >= 4 &&
-      history.classdp_fallbacks * 2 >= history.auto_classdp) {
-    prediction.choice.engine = checker::UntilEngine::kDfpg;
-    prediction.choice.adaptive_hybrid = false;
-    prediction.history_adjusted = true;
-    prediction.rationale = "dfpg: history shows " + std::to_string(history.classdp_fallbacks) +
-                           "/" + std::to_string(history.auto_classdp) +
-                           " classdp runs fell back";
   }
   return prediction;
 }

@@ -1,19 +1,11 @@
 // The engine-selection pass's cost model.
 //
-// The static part delegates to checker::choose_until_engine — the single
-// source of truth for what --until-engine=auto does at run time — and only
-// adds the diagnostics the plan printer reports (live states, Poisson
-// levels). The adaptive part (opt-in, PlanOptions::adaptive_cost_model)
-// additionally consults the recorded `classdp.*` / `uniformization.*` /
-// `engine.auto_choice.*` counters of earlier runs in this process: a
-// fallback-heavy class-DP history demotes the static class-DP pick to DFPG,
-// on the theory that this workload's frontiers do not merge. History-adjusted
-// pins can differ from what a direct check would choose, so the executor only
-// applies them when the caller opted in.
+// The decision delegates to checker::choose_until_engine — the single source
+// of truth for what --until-engine=auto does at run time — and only adds the
+// diagnostics the plan printer reports (live states, Poisson levels).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "checker/options.hpp"
@@ -22,21 +14,6 @@
 
 namespace csrlmrm::plan {
 
-/// Snapshot of the engine-behavior counters the adaptive cost model reads.
-/// Plain data so tests can fabricate histories without touching the global
-/// registry.
-struct CostModelHistory {
-  std::uint64_t auto_classdp = 0;        // engine.auto_choice.classdp
-  std::uint64_t auto_dfpg = 0;           // engine.auto_choice.dfpg
-  std::uint64_t auto_discretization = 0; // engine.auto_choice.discretization
-  std::uint64_t classdp_fallbacks = 0;   // classdp.fallbacks
-  std::uint64_t uniformization_fallbacks = 0;  // uniformization.fallbacks
-  std::uint64_t uniformization_widenings = 0;  // uniformization.widenings
-
-  /// Reads the counters above from obs::StatsRegistry::global().
-  static CostModelHistory from_global_stats();
-};
-
 /// One until op's compile-time engine resolution.
 struct EnginePrediction {
   checker::AutoEngineChoice choice;
@@ -44,19 +21,14 @@ struct EnginePrediction {
   std::size_t live_states = 0;
   /// Poisson truncation depth at the op's horizon (cost-model input).
   std::size_t poisson_levels = 0;
-  /// True when history demoted the static choice (adaptive mode only).
-  bool history_adjusted = false;
-  /// One-line printable justification ("classdp: live*levels=120 <= budget",
-  /// "dfpg: history shows 3/4 classdp runs fell back", ...).
+  /// One-line printable justification ("classdp+hybrid: within budget
+  /// (120x42 nodes vs budget ...)", ...).
   std::string rationale;
 };
 
 /// Resolves the engine for one P2-class until query on `transformed` with
 /// horizon `t` exactly as the run-time auto path would, plus diagnostics.
-/// When `adaptive` is set, `history` may override the static pick as
-/// described above; pass CostModelHistory{} (all zero) to disable.
 EnginePrediction predict_until_engine(const core::Mrm& transformed, double t,
-                                      const checker::CheckerOptions& options,
-                                      const CostModelHistory& history, bool adaptive);
+                                      const checker::CheckerOptions& options);
 
 }  // namespace csrlmrm::plan

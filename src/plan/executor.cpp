@@ -6,31 +6,15 @@
 
 namespace csrlmrm::plan {
 
-namespace {
-
-/// Expands a per-quotient-state vector to the original states (identity when
-/// block_of is empty, i.e. the plan is not lumped).
-template <typename T>
-std::vector<T> maybe_expand(std::vector<T> values, const Plan& plan) {
-  if (!plan.lumped) return values;
-  std::vector<T> out(plan.block_of.size());
-  for (std::size_t s = 0; s < plan.block_of.size(); ++s) out[s] = values[plan.block_of[s]];
-  return out;
-}
-
-}  // namespace
-
-PlanResult execute(const Plan& plan, const core::Mrm& model, const ExecutionOptions& exec) {
+PlanResult execute(const Plan& plan, const core::Mrm& model) {
   obs::ScopedTimer timer("plan.execute");
   obs::counter_add("plan.execute.calls");
-  if (model.num_states() != plan.original_states) {
+  if (model.num_states() != plan.num_states) {
     throw std::invalid_argument(
         "plan::execute: model has a different state count than the plan was compiled for");
   }
-  const core::Mrm& target = plan.lumped ? *plan.quotient : model;
-  const std::size_t n = target.num_states();
-  checker::CheckerOptions options = plan.options;
-  if (exec.threads != 0) options.threads = exec.threads;
+  const std::size_t n = model.num_states();
+  const checker::CheckerOptions& options = plan.options;
   core::TransformCache* transforms = plan.transforms.get();
 
   // Per-op result slots (only the slot matching the op's kind is filled).
@@ -52,7 +36,7 @@ PlanResult execute(const Plan& plan, const core::Mrm& model, const ExecutionOpti
         sets[id].unknown.assign(n, false);
         break;
       case OpKind::kLabelSet:
-        sets[id].sat = target.labels().states_with(op.label);
+        sets[id].sat = model.labels().states_with(op.label);
         sets[id].unknown.assign(n, false);
         break;
       case OpKind::kNot:
@@ -71,14 +55,14 @@ PlanResult execute(const Plan& plan, const core::Mrm& model, const ExecutionOpti
         break;
       case OpKind::kSteadySolve: {
         auto evaluation =
-            checker::evaluate_steady_operator(target, sets[op.inputs[0]], options);
+            checker::evaluate_steady_operator(model, sets[op.inputs[0]], options);
         solve_values[id] = std::move(evaluation.values);
         solve_bounds[id] = std::move(evaluation.bounds);
         break;
       }
       case OpKind::kNextSolve: {
         auto evaluation = checker::evaluate_next_operator(
-            target, sets[op.inputs[0]], op.time_bound, op.reward_bound, options);
+            model, sets[op.inputs[0]], op.time_bound, op.reward_bound, options);
         solve_values[id] = std::move(evaluation.probabilities);
         solve_bounds[id] = std::move(evaluation.bounds);
         break;
@@ -86,10 +70,12 @@ PlanResult execute(const Plan& plan, const core::Mrm& model, const ExecutionOpti
       case OpKind::kUntilSolve: {
         // Apply the compile-time engine pin. Sound because the prediction ran
         // checker::choose_until_engine on the identical transformed model, so
-        // this skips a re-derivation, never changes the outcome. A predicted
-        // kDiscretization is deliberately NOT pinned: the runtime auto path
-        // also adapts the step (adapted_discretization_options), and pinning
-        // the method alone would skip that adaptation and diverge.
+        // this skips a re-derivation, never changes the outcome; the pinned
+        // run records the auto choice it stands for, like an unpinned run
+        // does. A predicted kDiscretization is deliberately NOT pinned: the
+        // runtime auto path also adapts the step
+        // (adapted_discretization_options), and pinning the method alone
+        // would skip that adaptation and diverge.
         checker::CheckerOptions until_options = options;
         if (op.engine_known &&
             op.engine_choice.method == checker::UntilMethod::kUniformization) {
@@ -98,9 +84,12 @@ PlanResult execute(const Plan& plan, const core::Mrm& model, const ExecutionOpti
             until_options.uniformization.adaptive_hybrid = true;
           }
           obs::counter_add("plan.execute.pins_applied");
+          obs::counter_add(op.engine_choice.engine == checker::UntilEngine::kClassDp
+                               ? "engine.auto_choice.classdp"
+                               : "engine.auto_choice.dfpg");
         }
         auto evaluation = checker::evaluate_until_operator(
-            target, sets[op.inputs[0]], sets[op.inputs[1]], op.time_bound, op.reward_bound,
+            model, sets[op.inputs[0]], sets[op.inputs[1]], op.time_bound, op.reward_bound,
             until_options, transforms);
         solve_untils[id] = std::move(evaluation.values);
         solve_bounds[id] = std::move(evaluation.bounds);
@@ -111,7 +100,7 @@ PlanResult execute(const Plan& plan, const core::Mrm& model, const ExecutionOpti
             static_cast<const logic::ExpectedRewardFormula&>(*op.reward_node);
         const checker::SatSets* operand =
             op.inputs.empty() ? nullptr : &sets[op.inputs[0]];
-        auto evaluation = checker::evaluate_reward_operator(target, node, operand, options);
+        auto evaluation = checker::evaluate_reward_operator(model, node, operand, options);
         solve_values[id] = std::move(evaluation.values);
         solve_bounds[id] = std::move(evaluation.bounds);
         break;
@@ -128,8 +117,8 @@ PlanResult execute(const Plan& plan, const core::Mrm& model, const ExecutionOpti
   for (const OpId root : plan.roots) {
     const PlanOp& root_op = plan.ops[root];
     FormulaResult formula;
-    formula.sat = maybe_expand(sets[root].sat, plan);
-    formula.unknown = maybe_expand(sets[root].unknown, plan);
+    formula.sat = sets[root].sat;
+    formula.unknown = sets[root].unknown;
     formula.verdicts.assign(formula.sat.size(), checker::Verdict::kUnsat);
     for (std::size_t s = 0; s < formula.sat.size(); ++s) {
       if (formula.sat[s]) {
@@ -138,30 +127,28 @@ PlanResult execute(const Plan& plan, const core::Mrm& model, const ExecutionOpti
         formula.verdicts[s] = checker::Verdict::kUnknown;
       }
     }
-    if (exec.collect_values && root_op.kind == OpKind::kCompare) {
+    if (root_op.kind == OpKind::kCompare) {
       const OpId solve = root_op.inputs[0];
       formula.has_bounds = true;
-      formula.bounds = maybe_expand(solve_bounds[solve], plan);
+      formula.bounds = solve_bounds[solve];
       switch (plan.ops[solve].kind) {
         case OpKind::kUntilSolve:
           formula.has_probabilities = true;
-          formula.probabilities = maybe_expand(solve_untils[solve], plan);
+          formula.probabilities = solve_untils[solve];
           break;
-        case OpKind::kNextSolve: {
-          // Next probabilities are exact; the direct checker reports them as
-          // point-interval UntilValues and so does the plan.
-          std::vector<checker::UntilValue> values(solve_values[solve].size());
-          for (std::size_t s = 0; s < values.size(); ++s) {
-            values[s] = checker::exact_until_value(solve_values[solve][s]);
-          }
+        case OpKind::kNextSolve:
+          // Next probabilities are exact: report them as point-interval
+          // UntilValues.
           formula.has_probabilities = true;
-          formula.probabilities = maybe_expand(std::move(values), plan);
+          formula.probabilities.resize(solve_values[solve].size());
+          for (std::size_t s = 0; s < formula.probabilities.size(); ++s) {
+            formula.probabilities[s] = checker::exact_until_value(solve_values[solve][s]);
+          }
           break;
-        }
         case OpKind::kSteadySolve:
         case OpKind::kRewardSolve:
           formula.has_values = true;
-          formula.values = maybe_expand(solve_values[solve], plan);
+          formula.values = solve_values[solve];
           break;
         default:
           break;

@@ -1,14 +1,17 @@
-// The plan executor: one forward walk over a compiled plan's ops.
+// The plan executor: one forward walk over a compiled plan's ops. This is
+// the checker's only evaluator of Algorithm 4.1: checker::ModelChecker runs
+// one-root plans through it, mrmcheck --formulas and mrmcheckd whole
+// batches.
 //
-// Every numeric op calls the same checker/operator_eval.hpp function the
-// direct ModelChecker would, against the same model and options, so verdicts
-// and value enclosures are bitwise-identical to a per-formula direct check
-// (tests/test_plan_differential.cpp asserts this at 1/2/8 threads). What the
-// plan buys is work shared across the batch:
+// Every numeric op calls a checker/operator_eval.hpp function against the
+// plan's model and options, and the passes never change a bit of output:
+// tests/test_plan_differential.cpp checks a passes-on batch at 1/2/8 threads
+// against one passes-off plan per formula. What the passes buy is work
+// shared across the batch:
 //
 //   - each deduplicated solve runs ONCE for every formula referencing it,
 //     and serves both the printed probabilities and the verdicts from that
-//     one run (the direct CLI path solves twice for the same output);
+//     one run;
 //   - absorbing transforms are served from the plan's prewarmed
 //     TransformCache instead of rebuilt per until query;
 //   - Omega/Poisson setup behind the uniformization engines is shared via
@@ -16,7 +19,7 @@
 //     model reach with identical keys.
 //
 // Execution is serial over ops (each numeric op parallelizes internally over
-// start states, exactly like the direct checker). The TransformCache locks
+// start states, at CheckerOptions::threads). The TransformCache locks
 // internally, so concurrent executions of plans sharing one cache (the
 // mrmcheckd per-model resident cache) are safe; a single PlanResult is still
 // built by one thread.
@@ -32,31 +35,19 @@
 
 namespace csrlmrm::plan {
 
-struct ExecutionOptions {
-  /// Copy each root's underlying numeric results (probabilities, expected
-  /// rewards, value enclosures) into the FormulaResult. Off skips the
-  /// copies when only verdicts are needed.
-  bool collect_values = true;
-  /// Overrides the plan's CheckerOptions::threads when non-zero (the solves
-  /// are identical at any thread count; this exists so one compiled plan can
-  /// be executed at several counts).
-  unsigned threads = 0;
-};
-
-/// Per-formula results, all sized to the ORIGINAL model's states (lumped
-/// plans expand through block_of before returning).
+/// Per-formula results, sized to the model's states.
 struct FormulaResult {
   std::vector<bool> sat;
   std::vector<bool> unknown;
   std::vector<checker::Verdict> verdicts;
 
   /// Widened per-state value enclosures of the root operator, when the root
-  /// is an S/P/R node (ModelChecker::value_bounds equivalent).
+  /// is an S/P/R node (what ModelChecker::value_bounds returns).
   bool has_bounds = false;
   std::vector<checker::ProbabilityBound> bounds;
 
   /// Raw path probabilities, when the root is a P node
-  /// (ModelChecker::path_probabilities equivalent).
+  /// (what ModelChecker::path_probabilities returns).
   bool has_probabilities = false;
   std::vector<checker::UntilValue> probabilities;
 
@@ -73,8 +64,7 @@ struct PlanResult {
 
 /// Executes `plan` against `model` — the same model it was compiled for
 /// (checked by state count). Throws checker::UnsupportedFormulaError for
-/// kUnsupported until ops, exactly like the direct checker would.
-PlanResult execute(const Plan& plan, const core::Mrm& model,
-                   const ExecutionOptions& exec = {});
+/// kUnsupported until ops.
+PlanResult execute(const Plan& plan, const core::Mrm& model);
 
 }  // namespace csrlmrm::plan

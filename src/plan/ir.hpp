@@ -1,16 +1,15 @@
 // The plan IR: a CSRL formula batch lowered to a DAG of typed ops.
 //
 // A Plan is the compiled form of a batch of state formulas against one MRM
-// and one CheckerOptions configuration (ROADMAP item 2, the prerequisite for
-// a resident mrmcheckd service that caches compiled plans across requests).
-// Ops come in three families:
+// and one CheckerOptions configuration. It is the checker's only evaluation
+// path: checker::ModelChecker compiles one-root plans, mrmcheck --formulas
+// and mrmcheckd compile whole batches. Ops come in three families:
 //
 //   set ops      const tt/ff, label-set eval, Kleene !/&&/|| — produce a
 //                three-valued SatSets per state
 //   numeric ops  steady-/next-/until-/reward-solve — produce the widened
 //                per-state value enclosures (and the raw pessimistic values)
-//                by calling the same checker/operator_eval.hpp functions the
-//                direct ModelChecker uses
+//                by calling the checker/operator_eval.hpp functions
 //   compare ops  threshold comparison of a solve op's enclosures — produce
 //                a SatSets again
 //
@@ -116,10 +115,6 @@ struct PlanOp {
   /// identical transformed model.
   bool engine_known = false;
   checker::AutoEngineChoice engine_choice;
-  /// True when recorded history (PlanOptions::adaptive_cost_model) overrode
-  /// the static heuristic; such a pin may diverge from what a direct check
-  /// would pick, which is why the knob is opt-in.
-  bool engine_history_adjusted = false;
   /// Cost-model inputs, for the printer: non-absorbing states of the
   /// transformed model and the Poisson truncation depth at the op's horizon.
   std::size_t predicted_live = 0;
@@ -143,19 +138,8 @@ struct Plan {
   /// execution at a time). Null when hoisting is disabled.
   std::shared_ptr<core::TransformCache> transforms;
 
-  // --- lumping pass (optional, off by default) ---
-  /// When true the ops run on `quotient` and results are expanded through
-  /// `block_of`. CSRL-preserving by the lumpability criterion of
-  /// core/lumping.hpp, but the quotient's numerics are not bitwise-identical
-  /// to the original model's, so the pass is opt-in.
-  bool lumped = false;
-  std::shared_ptr<const core::Mrm> quotient;
-  std::vector<std::size_t> block_of;  // original state -> quotient state
-
-  /// States the ops run on (quotient size when lumped).
+  /// States of the model the plan was compiled against.
   std::size_t num_states = 0;
-  /// Original model size (== num_states unless lumped).
-  std::size_t original_states = 0;
 
   // --- pass summary (deterministic; pinned by the pass-level tests) ---
   /// Lowering requests answered by an already-interned op (the CSE pass).

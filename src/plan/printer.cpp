@@ -34,7 +34,6 @@ void append_engine(std::string& line, const PlanOp& op) {
   }
   append(line, " (live=", std::to_string(op.predicted_live),
          " levels=", std::to_string(op.predicted_levels), ")");
-  if (op.engine_history_adjusted) line += " {history-adjusted}";
 }
 
 std::string op_line(OpId id, const PlanOp& op) {
@@ -108,11 +107,7 @@ std::string print_plan(const Plan& plan) {
   std::string out;
   append(out, "plan: ", std::to_string(plan.formulas.size()), " formulas, ",
          std::to_string(plan.ops.size()), " ops, states=",
-         std::to_string(plan.num_states));
-  if (plan.lumped) {
-    append(out, " (lumped from ", std::to_string(plan.original_states), ")");
-  }
-  out += "\n";
+         std::to_string(plan.num_states), "\n");
   append(out, "passes: cse_hits=", std::to_string(plan.cse_hits),
          " transforms_hoisted=", std::to_string(plan.transforms_hoisted),
          " engines_pinned=", std::to_string(plan.engines_pinned), "\n");

@@ -26,7 +26,7 @@ namespace csrlmrm::plan {
 ///   root[0] = %4  ; P(>= 0.3) [(up) U[0,5][0,3] (!up)]
 ///
 /// (each op on one line; the until line above is wrapped for this comment
-/// only). Lumped plans report "states=K (lumped from N)".
+/// only).
 std::string print_plan(const Plan& plan);
 
 }  // namespace csrlmrm::plan

@@ -196,6 +196,39 @@ class MrmcheckCli : public ::testing::Test {
     return WEXITSTATUS(status);
   }
 
+  /// Like run(), but captures standard output into `output`.
+  int run_capturing(const std::string& arguments, std::string& output) const {
+    const std::filesystem::path stdout_file = directory_ / "stdout.txt";
+    const std::string command = std::string("'") + MRMCHECK_BINARY + "' " + arguments +
+                                " >'" + stdout_file.string() + "' 2>/dev/null";
+    const int status = std::system(command.c_str());
+    std::ifstream in(stdout_file);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    output = buffer.str();
+    if (status == -1 || !WIFEXITED(status)) return -1;
+    return WEXITSTATUS(status);
+  }
+
+  /// Writes `text` into the temp directory; returns the quoted path.
+  std::string write_file(const char* name, const std::string& text) const {
+    std::ofstream out(directory_ / name);
+    out << text;
+    return "'" + (directory_ / name).string() + "'";
+  }
+
+  /// One counter of a --stats JSON file, 0 when the run never bumped it.
+  static double stats_counter(const std::string& stats_file, const char* name) {
+    std::ifstream in(stats_file);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    const obs::JsonValue stats = obs::parse_json(buffer.str());
+    const obs::JsonValue* counters = stats.find("counters");
+    if (counters == nullptr) return -1.0;
+    const obs::JsonValue* value = counters->find(name);
+    return value == nullptr ? 0.0 : value->as_number();
+  }
+
   /// Writes a three-state cycle (a -> a -> b -> a, unit rates, integer state
   /// rewards, no impulses) into the temp directory and returns its
   /// quoted .tra/.lab/.rewr argument string. Integer rewards keep the
@@ -338,6 +371,43 @@ TEST_F(MrmcheckCli, FormulasBatchIsolatesPerFormulaFailures) {
   // --explain on a mixed batch also reports the failures via exit 4 while
   // still printing the plan of the good formulas.
   EXPECT_EQ(run(model_args_ + " NP --explain --formulas=" + mixed), 4);
+}
+
+// A formula nested past the parser's depth cap is one more malformed batch
+// line: reported in its slot while the formulas around it are answered.
+TEST_F(MrmcheckCli, FormulasBatchReportsOverDeepFormulaAsPerFormulaError) {
+  const std::string batch = write_file("deep.csrl", "S(<0.9) allUp\n" +
+                                                        std::string(100000, '!') + "TT\n" +
+                                                        "P(>0.1)[Sup U[0,50][0,3000] failed]\n");
+  std::string output;
+  EXPECT_EQ(run_capturing(model_args_ + " NP --formulas=" + batch, output), 4);
+  EXPECT_NE(output.find("nests deeper than"), std::string::npos);
+  std::size_t answered = 0;
+  for (std::size_t at = output.find("satisfying states"); at != std::string::npos;
+       at = output.find("satisfying states", at + 1)) {
+    ++answered;
+  }
+  EXPECT_EQ(answered, 2u);
+}
+
+// Printing the probabilities and then the verdicts of one P formula asks the
+// checker about the same node twice; both answers come from one plan
+// execution, so the until solve runs exactly as often as in a --formulas run.
+TEST_F(MrmcheckCli, SingleFormulaRunsOneUntilSolve) {
+  const std::string query = "P(>0.1)[Sup U[0,50][0,3000] failed]";
+  const std::string single_stats = (directory_ / "single.json").string();
+  ASSERT_EQ(run(model_args_ + " --stats='" + single_stats + "' '" + query + "'"), 0);
+  const std::string batch_stats = (directory_ / "batch.json").string();
+  const std::string batch = write_file("one.csrl", query + "\n");
+  ASSERT_EQ(run(model_args_ + " --stats='" + batch_stats + "' --formulas=" + batch), 0);
+
+  EXPECT_EQ(stats_counter(single_stats, "plan.execute.calls"), 1.0);
+  for (const char* name : {"checker.until.calls", "classdp.calls",
+                           "engine.auto_choice.classdp"}) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(stats_counter(single_stats, name), 1.0);
+    EXPECT_EQ(stats_counter(single_stats, name), stats_counter(batch_stats, name));
+  }
 }
 
 TEST_F(MrmcheckCli, StatsToUnwritablePathFailsBeforeChecking) {

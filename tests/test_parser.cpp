@@ -155,6 +155,55 @@ TEST(Parser, RejectsMalformedInput) {
   EXPECT_THROW(parse_formula("a b"), ParseError);                // trailing junk
 }
 
+/// The column parse_formula reports for `input`, or 0 when it parses.
+std::size_t parse_error_column(const std::string& input) {
+  try {
+    parse_formula(input);
+  } catch (const ParseError& error) {
+    return error.column();
+  }
+  return 0;
+}
+
+// 100k nested negations used to recurse once per '!' and overflow the
+// stack. The parser now stops at the first token past the cap.
+TEST(Parser, DeepNegationIsRejectedAtTheCap) {
+  const std::string input = std::string(100000, '!') + "TT";
+  EXPECT_EQ(parse_error_column(input), kMaxFormulaDepth + 1);
+}
+
+TEST(Parser, DeepParenthesesAreRejectedAtTheCap) {
+  const std::string input = std::string(100000, '(') + "a" + std::string(100000, ')');
+  EXPECT_EQ(parse_error_column(input), kMaxFormulaDepth + 1);
+}
+
+// Operator chains nest without a '!' or '(' of their own: S(..) S(..) ...
+// recurses through the S operand, and a || b || ... nests left operands.
+TEST(Parser, DeepOperatorChainsAreRejected) {
+  std::string steady;
+  for (int i = 0; i < 100000; ++i) steady += "S(>0.5) ";
+  EXPECT_GT(parse_error_column(steady + "a"), 0u);
+
+  std::string chain = "a";
+  for (int i = 0; i < 100000; ++i) chain += "||a";
+  // Connective k sits at column 3k - 1 and its right operand at 3k + 1; the
+  // operand of connective kMaxFormulaDepth would be the first leaf below
+  // the cap.
+  EXPECT_EQ(parse_error_column(chain), 3 * kMaxFormulaDepth + 1);
+}
+
+TEST(Parser, DeepNestingUpToTheCapParses) {
+  const auto formula = parse_formula(std::string(kMaxFormulaDepth - 1, '!') + "TT");
+  std::size_t height = 0;
+  for (const Formula* node = formula.get(); node->kind == FormulaKind::kNot;
+       node = static_cast<const NotFormula&>(*node).operand.get()) {
+    ++height;
+  }
+  EXPECT_EQ(height, kMaxFormulaDepth - 1);
+  EXPECT_EQ(parse_error_column(std::string(kMaxFormulaDepth, '!') + "TT"),
+            kMaxFormulaDepth + 1);
+}
+
 TEST(Parser, ComparisonOperatorsAllParse) {
   EXPECT_EQ(static_cast<const SteadyFormula&>(*parse_formula("S(<0.5) a")).op,
             Comparison::kLess);

@@ -1,13 +1,17 @@
-// Differential test of the plan pipeline against the direct checker: for
-// random MRMs and random formula batches, compile+execute must reproduce the
-// direct ModelChecker's verdicts, value enclosures, and path probabilities
-// BITWISE — both front ends call the same checker/operator_eval.hpp
-// functions, and this suite is the proof that the plan passes (CSE, transform
-// hoisting, engine pinning) never change a single bit of output. Exercised at
-// 1/2/8 worker threads (plan and direct always compared at the SAME count).
+// Differential test of the plan passes. For random MRMs and random formula
+// batches, the batch compiled with every pass on (CSE, transform hoisting,
+// engine pinning) and executed at 1/2/8 worker threads must reproduce the
+// reference BITWISE: one passes-off plan per formula at one thread, i.e.
+// Algorithm 4.1 evaluated node by node with nothing shared between formulas
+// and no cached transform or pinned engine. The passes only decide how often,
+// and on which cached transforms, the checker/operator_eval.hpp functions
+// run; this suite is the proof that they never change a bit of verdicts,
+// value enclosures or raw values. A second test pins every accessor of the
+// ModelChecker facade to the same reference.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "checker/sat.hpp"
@@ -36,10 +40,70 @@ std::vector<logic::FormulaPtr> make_batch(std::uint32_t seed) {
           models::make_random_formula(seed * 7 + 900)};
 }
 
-void expect_bitwise_equal(const checker::ProbabilityBound& direct,
-                          const checker::ProbabilityBound& planned, std::size_t state) {
-  EXPECT_EQ(direct.lower, planned.lower) << "state " << state;
-  EXPECT_EQ(direct.upper, planned.upper) << "state " << state;
+checker::CheckerOptions base_options() {
+  checker::CheckerOptions options;
+  options.uniformization.truncation_probability = 1e-9;
+  return options;
+}
+
+/// The reference: `formula` alone in a passes-off plan, at one thread.
+plan::FormulaResult reference(const core::Mrm& model, const logic::FormulaPtr& formula) {
+  checker::CheckerOptions options = base_options();
+  options.threads = 1;
+  plan::PlanOptions passes_off;
+  passes_off.cse = false;
+  passes_off.hoist_transforms = false;
+  passes_off.engine_selection = false;
+  const plan::Plan compiled = plan::compile(model, {formula}, options, passes_off);
+  return plan::execute(compiled, model).formulas.front();
+}
+
+void expect_bitwise_equal(const checker::ProbabilityBound& expected,
+                          const checker::ProbabilityBound& actual, std::size_t state) {
+  EXPECT_EQ(expected.lower, actual.lower) << "state " << state;
+  EXPECT_EQ(expected.upper, actual.upper) << "state " << state;
+}
+
+void expect_bitwise_equal(const std::vector<checker::ProbabilityBound>& expected,
+                          const std::vector<checker::ProbabilityBound>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t s = 0; s < expected.size(); ++s) {
+    expect_bitwise_equal(expected[s], actual[s], s);
+  }
+}
+
+void expect_bitwise_equal(const std::vector<checker::UntilValue>& expected,
+                          const std::vector<checker::UntilValue>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t s = 0; s < expected.size(); ++s) {
+    EXPECT_EQ(expected[s].probability, actual[s].probability) << "state " << s;
+    EXPECT_EQ(expected[s].error_bound, actual[s].error_bound) << "state " << s;
+    expect_bitwise_equal(expected[s].bound, actual[s].bound, s);
+  }
+}
+
+void expect_bitwise_equal(const std::vector<double>& expected,
+                          const std::vector<double>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t s = 0; s < expected.size(); ++s) {
+    EXPECT_EQ(expected[s], actual[s]) << "state " << s;
+  }
+}
+
+void expect_bitwise_equal(const plan::FormulaResult& expected,
+                          const plan::FormulaResult& actual) {
+  EXPECT_EQ(expected.sat, actual.sat);
+  EXPECT_EQ(expected.unknown, actual.unknown);
+  ASSERT_EQ(expected.verdicts.size(), actual.verdicts.size());
+  for (std::size_t s = 0; s < expected.verdicts.size(); ++s) {
+    EXPECT_EQ(expected.verdicts[s], actual.verdicts[s]) << "state " << s;
+  }
+  ASSERT_EQ(expected.has_bounds, actual.has_bounds);
+  expect_bitwise_equal(expected.bounds, actual.bounds);
+  ASSERT_EQ(expected.has_probabilities, actual.has_probabilities);
+  expect_bitwise_equal(expected.probabilities, actual.probabilities);
+  ASSERT_EQ(expected.has_values, actual.has_values);
+  expect_bitwise_equal(expected.values, actual.values);
 }
 
 class PlanDifferentialSuite : public ::testing::TestWithParam<std::uint32_t> {};
@@ -49,80 +113,48 @@ TEST_P(PlanDifferentialSuite, BatchMatchesDirectCheckerBitwiseAtEveryThreadCount
   const core::Mrm model = models::make_random_mrm(seed * 11 + 2, calm_model());
   const std::vector<logic::FormulaPtr> batch = make_batch(seed);
 
-  checker::CheckerOptions options;
-  options.uniformization.truncation_probability = 1e-9;
-  const plan::Plan compiled = plan::compile(model, batch, options);
+  std::vector<plan::FormulaResult> expected;
+  for (const auto& formula : batch) expected.push_back(reference(model, formula));
 
   for (const unsigned threads : {1u, 2u, 8u}) {
-    plan::ExecutionOptions exec;
-    exec.threads = threads;
-    const plan::PlanResult planned = plan::execute(compiled, model, exec);
-
-    checker::CheckerOptions direct_options = options;
-    direct_options.threads = threads;
+    checker::CheckerOptions options = base_options();
+    options.threads = threads;
+    const plan::Plan compiled = plan::compile(model, batch, options);
+    const plan::PlanResult planned = plan::execute(compiled, model);
+    ASSERT_EQ(planned.formulas.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " formula[" + std::to_string(i) +
                    "]=" + logic::to_string(batch[i]));
-      // A fresh checker per formula, like the single-formula CLI lane.
-      checker::ModelChecker direct(model, direct_options);
-      const auto verdicts = direct.verdicts(batch[i]);
-      ASSERT_EQ(verdicts.size(), planned.formulas[i].verdicts.size());
-      for (std::size_t s = 0; s < verdicts.size(); ++s) {
-        EXPECT_EQ(verdicts[s], planned.formulas[i].verdicts[s]) << "state " << s;
-      }
-
-      const logic::FormulaKind kind = batch[i]->kind;
-      const bool is_operator = kind == logic::FormulaKind::kSteady ||
-                               kind == logic::FormulaKind::kProbNext ||
-                               kind == logic::FormulaKind::kProbUntil ||
-                               kind == logic::FormulaKind::kExpectedReward;
-      if (is_operator) {
-        ASSERT_TRUE(planned.formulas[i].has_bounds);
-        const auto bounds = direct.value_bounds(batch[i]);
-        ASSERT_EQ(bounds.size(), planned.formulas[i].bounds.size());
-        for (std::size_t s = 0; s < bounds.size(); ++s) {
-          expect_bitwise_equal(bounds[s], planned.formulas[i].bounds[s], s);
-        }
-      }
-      if (kind == logic::FormulaKind::kProbUntil || kind == logic::FormulaKind::kProbNext) {
-        ASSERT_TRUE(planned.formulas[i].has_probabilities);
-        const auto values = direct.path_probabilities(batch[i]);
-        ASSERT_EQ(values.size(), planned.formulas[i].probabilities.size());
-        for (std::size_t s = 0; s < values.size(); ++s) {
-          const auto& planned_value = planned.formulas[i].probabilities[s];
-          EXPECT_EQ(values[s].probability, planned_value.probability) << "state " << s;
-          EXPECT_EQ(values[s].error_bound, planned_value.error_bound) << "state " << s;
-          expect_bitwise_equal(values[s].bound, planned_value.bound, s);
-        }
-      }
+      expect_bitwise_equal(expected[i], planned.formulas[i]);
     }
   }
 }
 
+// The ModelChecker facade (default passes, one checker per formula like the
+// single-formula CLI) must hand out the reference through every accessor.
 TEST_P(PlanDifferentialSuite, PassesOffStillMatchesDirectChecker) {
-  // Every pass disabled: the naive one-op-per-occurrence plan must also be
-  // bitwise-faithful (isolates the shared operator_eval layer from the
-  // passes; a mismatch HERE would point at lowering itself).
   const std::uint32_t seed = GetParam();
-  if (seed % 10 != 3) GTEST_SKIP() << "pass-off lane sampled at 1 in 10 seeds";
   const core::Mrm model = models::make_random_mrm(seed * 11 + 2, calm_model());
-  const std::vector<logic::FormulaPtr> batch = make_batch(seed);
-
-  checker::CheckerOptions options;
-  options.uniformization.truncation_probability = 1e-9;
-  plan::PlanOptions passes_off;
-  passes_off.cse = false;
-  passes_off.hoist_transforms = false;
-  passes_off.engine_selection = false;
-  const plan::Plan compiled = plan::compile(model, batch, options, passes_off);
-  const plan::PlanResult planned = plan::execute(compiled, model);
-
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    SCOPED_TRACE(logic::to_string(batch[i]));
-    checker::ModelChecker direct(model, options);
-    const auto verdicts = direct.verdicts(batch[i]);
+  for (const auto& formula : make_batch(seed)) {
+    SCOPED_TRACE(logic::to_string(formula));
+    const plan::FormulaResult expected = reference(model, formula);
+    checker::ModelChecker direct(model, base_options());
+    EXPECT_EQ(direct.satisfaction_set(formula), expected.sat);
+    EXPECT_EQ(direct.unknown_set(formula), expected.unknown);
+    const auto verdicts = direct.verdicts(formula);
+    ASSERT_EQ(verdicts.size(), expected.verdicts.size());
     for (std::size_t s = 0; s < verdicts.size(); ++s) {
-      EXPECT_EQ(verdicts[s], planned.formulas[i].verdicts[s]) << "state " << s;
+      EXPECT_EQ(verdicts[s], expected.verdicts[s]) << "state " << s;
+    }
+    if (expected.has_bounds) expect_bitwise_equal(expected.bounds, direct.value_bounds(formula));
+    if (expected.has_probabilities) {
+      expect_bitwise_equal(expected.probabilities, direct.path_probabilities(formula));
+    }
+    if (formula->kind == logic::FormulaKind::kSteady) {
+      expect_bitwise_equal(expected.values, direct.steady_probabilities(formula));
+    }
+    if (formula->kind == logic::FormulaKind::kExpectedReward) {
+      expect_bitwise_equal(expected.values, direct.expected_rewards(formula));
     }
   }
 }

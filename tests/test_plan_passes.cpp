@@ -10,7 +10,6 @@
 
 #include "checker/sat.hpp"
 #include "logic/parser.hpp"
-#include "models/explicit_nmr.hpp"
 #include "models/random_mrm.hpp"
 #include "models/tmr.hpp"
 #include "numeric/conditional.hpp"
@@ -180,7 +179,6 @@ TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnTmr) {
   EXPECT_EQ(until->engine_choice.method, checker::UntilMethod::kUniformization);
   EXPECT_EQ(until->engine_choice.engine, checker::UntilEngine::kClassDp);
   EXPECT_TRUE(until->engine_choice.adaptive_hybrid);
-  EXPECT_FALSE(until->engine_history_adjusted);
 
   obs::StatsRegistry::global().reset();
   checker::ModelChecker direct(model, options);
@@ -224,10 +222,8 @@ TEST_F(PlanPasses, CostModelPredictsDiscretizationWhenOverBudget) {
   checker::CheckerOptions options;
   options.uniformization.max_nodes = 1;  // guaranteed over budget
   options.on_budget_exhausted = checker::BudgetPolicy::kFallbackToDiscretization;
-  const plan::EnginePrediction prediction =
-      plan::predict_until_engine(model, 10.0, options, plan::CostModelHistory{}, false);
+  const plan::EnginePrediction prediction = plan::predict_until_engine(model, 10.0, options);
   EXPECT_EQ(prediction.choice.method, checker::UntilMethod::kDiscretization);
-  EXPECT_FALSE(prediction.history_adjusted);
   EXPECT_EQ(prediction.choice.method, checker::choose_until_engine(model, 10.0, options).method);
 }
 
@@ -236,114 +232,9 @@ TEST_F(PlanPasses, CostModelFollowsSignatureAblationToDfpg) {
   const core::Mrm model = models::make_tmr();
   checker::CheckerOptions options;
   options.uniformization.aggregate_signatures = false;
-  const plan::EnginePrediction prediction =
-      plan::predict_until_engine(model, 100.0, options, plan::CostModelHistory{}, false);
+  const plan::EnginePrediction prediction = plan::predict_until_engine(model, 100.0, options);
   EXPECT_EQ(prediction.choice.method, checker::UntilMethod::kUniformization);
   EXPECT_EQ(prediction.choice.engine, checker::UntilEngine::kDfpg);
-}
-
-// Adaptive mode: a fallback-heavy class-DP history demotes the static pick
-// to DFPG; a clean or thin history leaves it alone; static mode ignores the
-// history entirely.
-TEST_F(PlanPasses, AdaptiveHistoryDemotesFallbackHeavyClassDp) {
-  const core::Mrm model = models::make_tmr();
-  checker::CheckerOptions options;
-
-  plan::CostModelHistory bad;
-  bad.auto_classdp = 4;
-  bad.classdp_fallbacks = 2;  // half the runs fell back
-  const auto demoted = plan::predict_until_engine(model, 100.0, options, bad, true);
-  EXPECT_EQ(demoted.choice.engine, checker::UntilEngine::kDfpg);
-  EXPECT_TRUE(demoted.history_adjusted);
-  EXPECT_NE(demoted.rationale.find("history"), std::string::npos);
-
-  plan::CostModelHistory thin;
-  thin.auto_classdp = 3;  // below the 4-run confidence floor
-  thin.classdp_fallbacks = 3;
-  const auto kept_thin = plan::predict_until_engine(model, 100.0, options, thin, true);
-  EXPECT_EQ(kept_thin.choice.engine, checker::UntilEngine::kClassDp);
-  EXPECT_FALSE(kept_thin.history_adjusted);
-
-  plan::CostModelHistory clean;
-  clean.auto_classdp = 100;
-  clean.classdp_fallbacks = 1;
-  const auto kept_clean = plan::predict_until_engine(model, 100.0, options, clean, true);
-  EXPECT_EQ(kept_clean.choice.engine, checker::UntilEngine::kClassDp);
-  EXPECT_FALSE(kept_clean.history_adjusted);
-
-  const auto static_pick = plan::predict_until_engine(model, 100.0, options, bad, false);
-  EXPECT_EQ(static_pick.choice.engine, checker::UntilEngine::kClassDp);
-  EXPECT_FALSE(static_pick.history_adjusted);
-}
-
-// History-adjusted pins reach the plan only under the opt-in flag.
-TEST_F(PlanPasses, AdaptiveCostModelIsOptInAtCompileTime) {
-  const core::Mrm model = models::make_tmr();
-  const auto batch = parse_batch({"P(>0.1)[Sup U[0,100][0,3000] failed]"});
-  checker::CheckerOptions options;
-
-  // Seed the registry with the fallback-heavy history the adaptive pass reads.
-  obs::counter_add("engine.auto_choice.classdp", 4);
-  obs::counter_add("classdp.fallbacks", 2);
-  const plan::CostModelHistory history = plan::CostModelHistory::from_global_stats();
-  EXPECT_EQ(history.auto_classdp, 4u);
-  EXPECT_EQ(history.classdp_fallbacks, 2u);
-
-  plan::PlanOptions adaptive;
-  adaptive.adaptive_cost_model = true;
-  const plan::Plan adjusted = plan::compile(model, batch, options, adaptive);
-  const plan::Plan untouched = plan::compile(model, batch, options);
-  bool saw_adjusted = false;
-  for (const auto& op : adjusted.ops) {
-    if (op.kind == plan::OpKind::kUntilSolve) {
-      EXPECT_EQ(op.engine_choice.engine, checker::UntilEngine::kDfpg);
-      saw_adjusted = op.engine_history_adjusted;
-    }
-  }
-  EXPECT_TRUE(saw_adjusted);
-  for (const auto& op : untouched.ops) {
-    if (op.kind == plan::OpKind::kUntilSolve) {
-      EXPECT_EQ(op.engine_choice.engine, checker::UntilEngine::kClassDp);
-      EXPECT_FALSE(op.engine_history_adjusted);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Lumping pass
-// ---------------------------------------------------------------------------
-
-// The explicit-state NMR collapses from 2^(N+1) states to the N+2 counter
-// abstraction; the lumped plan's verdicts must equal the direct checker's on
-// the full model (verdict-level, not bitwise — the quotient's numerics
-// differ in the last ulps, which is exactly why the pass is opt-in).
-TEST_F(PlanPasses, LumpingQuotientPreservesVerdicts) {
-  models::TmrConfig config;
-  config.num_modules = 4;
-  config.variable_failure_rate = true;
-  const core::Mrm model = models::make_explicit_nmr(config);
-  const auto batch = parse_batch({"S(>0.5) Sup", "P(>0.1)[Sup U[0,10][0,200] failed]",
-                                  "R(>=1)[C[0,10]]"});
-  checker::CheckerOptions options;
-  plan::PlanOptions with_lumping;
-  with_lumping.lumping = true;
-  const plan::Plan compiled = plan::compile(model, batch, options, with_lumping);
-  ASSERT_TRUE(compiled.lumped);
-  EXPECT_EQ(compiled.num_states, config.num_modules + 2u);
-  EXPECT_EQ(compiled.original_states, model.num_states());
-  ASSERT_EQ(compiled.block_of.size(), model.num_states());
-  EXPECT_EQ(obs::StatsRegistry::global().counter("plan.lumping.applied"), 1u);
-
-  const plan::PlanResult planned = plan::execute(compiled, model);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    SCOPED_TRACE("formula " + std::to_string(i));
-    checker::ModelChecker direct(model, options);
-    const auto verdicts = direct.verdicts(batch[i]);
-    ASSERT_EQ(planned.formulas[i].verdicts.size(), verdicts.size());
-    for (std::size_t s = 0; s < verdicts.size(); ++s) {
-      EXPECT_EQ(verdicts[s], planned.formulas[i].verdicts[s]) << "state " << s;
-    }
-  }
 }
 
 }  // namespace

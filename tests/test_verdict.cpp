@@ -97,6 +97,25 @@ TEST(CompareBound, InfiniteRewardValuesCompare) {
             Verdict::kSat);
   EXPECT_EQ(compare_bound(ProbabilityBound{3.0, inf}, logic::Comparison::kLess, 10.0),
             Verdict::kUnknown);
+  // Unlike NaN, an infinite value is decided both ways.
+  EXPECT_EQ(compare_bound(ProbabilityBound::point(inf), logic::Comparison::kLess, 1e12),
+            Verdict::kUnsat);
+}
+
+// A NaN endpoint compares false on both sides of every comparison; read
+// naively that is "no value satisfies it", i.e. UNSAT. The interval encloses
+// nothing, so the verdict must be UNKNOWN under all four comparisons.
+TEST(CompareBound, NanEndpointIsUnknown) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const ProbabilityBound nan_lower{nan, 0.2};
+  const ProbabilityBound nan_upper{0.2, nan};
+  const ProbabilityBound nan_both{nan, nan};
+  for (const auto op : {logic::Comparison::kLess, logic::Comparison::kLessEqual,
+                        logic::Comparison::kGreater, logic::Comparison::kGreaterEqual}) {
+    EXPECT_EQ(compare_bound(nan_lower, op, 0.5), Verdict::kUnknown) << logic::to_string(op);
+    EXPECT_EQ(compare_bound(nan_upper, op, 0.5), Verdict::kUnknown) << logic::to_string(op);
+    EXPECT_EQ(compare_bound(nan_both, op, 0.5), Verdict::kUnknown) << logic::to_string(op);
+  }
 }
 
 TEST(Verdict, PrintableForms) {
