@@ -16,7 +16,7 @@
 #include <sstream>
 #include <string>
 
-#include "checker/sat.hpp"
+#include "checker/options.hpp"
 #include "io/model_files.hpp"
 #include "models/generator.hpp"
 #include "lang/builder.hpp"
@@ -161,15 +161,14 @@ std::vector<std::string> load_formula_lines(const std::string& path) {
   return lines;
 }
 
-/// Prints one batch formula's results in the single-formula output format
-/// (per-state values, satisfying states, UNKNOWN warnings). Returns whether
-/// any state's verdict is UNKNOWN.
+/// Prints one formula's results below its `formula:` line (per-state values,
+/// satisfying states, UNKNOWN warnings); the single-formula and the batch
+/// output share this format. Returns whether any state's verdict is UNKNOWN.
 bool report_plan_formula(const csrlmrm::core::Mrm& model,
                          const csrlmrm::logic::FormulaPtr& formula,
                          const csrlmrm::plan::FormulaResult& result,
                          bool print_probabilities) {
   using namespace csrlmrm;
-  std::printf("formula: %s\n", logic::to_string(formula).c_str());
   if (print_probabilities && result.has_probabilities) {
     for (core::StateIndex s = 0; s < model.num_states(); ++s) {
       std::printf("  P(state %zu) = %.17g", s + 1, result.probabilities[s].probability);
@@ -219,6 +218,25 @@ bool report_plan_formula(const csrlmrm::core::Mrm& model,
     }
   }
   return any_unknown;
+}
+
+/// The --stats report: the registry as JSON on stdout, or written to
+/// `stats_path` when one was given. Returns false (after the diagnostic)
+/// when the file cannot be written.
+bool write_stats(const std::string& stats_path) {
+  const std::string json = csrlmrm::obs::StatsRegistry::global().to_json();
+  if (stats_path.empty()) {
+    std::printf("stats:\n%s", json.c_str());
+    return true;
+  }
+  std::ofstream out(stats_path);
+  out << json;
+  if (!out) {
+    std::fprintf(stderr, "mrmcheck: failed writing stats file '%s'\n", stats_path.c_str());
+    return false;
+  }
+  std::printf("stats: written to %s\n", stats_path.c_str());
+  return true;
 }
 
 }  // namespace
@@ -491,6 +509,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < texts.size(); ++i) {
         std::printf("[%zu/%zu] ", i + 1, texts.size());
         if (results_by_index[i] != nullptr) {
+          std::printf("formula: %s\n", logic::to_string(formulas[i]).c_str());
           const bool unknown = report_plan_formula(model, formulas[i], *results_by_index[i],
                                                    print_probabilities);
           batch_unknown = batch_unknown || unknown;
@@ -503,21 +522,7 @@ int main(int argc, char** argv) {
           any_failed = true;
         }
       }
-      if (stats_requested) {
-        const std::string json = obs::StatsRegistry::global().to_json();
-        if (stats_path.empty()) {
-          std::printf("stats:\n%s", json.c_str());
-        } else {
-          std::ofstream out(stats_path);
-          out << json;
-          if (!out) {
-            std::fprintf(stderr, "mrmcheck: failed writing stats file '%s'\n",
-                         stats_path.c_str());
-            return 1;
-          }
-          std::printf("stats: written to %s\n", stats_path.c_str());
-        }
-      }
+      if (stats_requested && !write_stats(stats_path)) return 1;
       if (strict && batch_unknown) {
         std::fprintf(stderr, "mrmcheck: --strict: UNKNOWN verdicts present\n");
         if (!any_failed) return 3;
@@ -532,89 +537,11 @@ int main(int argc, char** argv) {
     const logic::FormulaPtr formula = logic::parse_formula(formula_text);
     std::printf("formula: %s\n", logic::to_string(formula).c_str());
 
-    checker::ModelChecker checker(model, options);
-
-    if (print_probabilities &&
-        (formula->kind == logic::FormulaKind::kProbUntil ||
-         formula->kind == logic::FormulaKind::kProbNext)) {
-      const auto values = checker.path_probabilities(formula);
-      for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-        std::printf("  P(state %zu) = %.17g", s + 1, values[s].probability);
-        if (values[s].bound.width() > 0.0) {
-          std::printf("  (in %s)", values[s].bound.to_string().c_str());
-        }
-        std::printf("\n");
-      }
-    }
-    if (print_probabilities && formula->kind == logic::FormulaKind::kSteady) {
-      const auto values = checker.steady_probabilities(formula);
-      for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-        std::printf("  pi(state %zu) = %.17g\n", s + 1, values[s]);
-      }
-    }
-    if (print_probabilities && formula->kind == logic::FormulaKind::kExpectedReward) {
-      const auto values = checker.expected_rewards(formula);
-      for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-        std::printf("  E(state %zu) = %.17g\n", s + 1, values[s]);
-      }
-    }
-
-    const auto verdicts = checker.verdicts(formula);
-    std::printf("satisfying states (1-based):");
-    bool any = false;
-    bool any_unknown = false;
-    for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-      if (verdicts[s] == checker::Verdict::kSat) {
-        std::printf(" %zu", s + 1);
-        any = true;
-      } else if (verdicts[s] == checker::Verdict::kUnknown) {
-        any_unknown = true;
-      }
-    }
-    std::printf("%s\n", any ? "" : " (none)");
-
-    if (any_unknown) {
-      const bool is_operator = formula->kind == logic::FormulaKind::kSteady ||
-                               formula->kind == logic::FormulaKind::kProbNext ||
-                               formula->kind == logic::FormulaKind::kProbUntil ||
-                               formula->kind == logic::FormulaKind::kExpectedReward;
-      std::vector<checker::ProbabilityBound> bounds;
-      if (is_operator) bounds = checker.value_bounds(formula);
-      std::printf("UNKNOWN states (1-based):");
-      for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-        if (verdicts[s] == checker::Verdict::kUnknown) std::printf(" %zu", s + 1);
-      }
-      std::printf("\n");
-      for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-        if (verdicts[s] != checker::Verdict::kUnknown) continue;
-        if (is_operator) {
-          std::fprintf(stderr,
-                       "mrmcheck: warning: state %zu is UNKNOWN — value interval %s straddles "
-                       "the threshold; tighten w/epsilon/d or use --strict to fail\n",
-                       s + 1, bounds[s].to_string().c_str());
-        } else {
-          std::fprintf(stderr,
-                       "mrmcheck: warning: state %zu is UNKNOWN — a sub-formula's value "
-                       "interval straddles its threshold at the configured accuracy\n",
-                       s + 1);
-        }
-      }
-    }
-
-    if (stats_requested) {
-      const std::string json = obs::StatsRegistry::global().to_json();
-      if (stats_path.empty()) {
-        std::printf("stats:\n%s", json.c_str());
-      } else {
-        std::ofstream out(stats_path);
-        out << json;
-        if (!out) {
-          std::fprintf(stderr, "mrmcheck: failed writing stats file '%s'\n", stats_path.c_str());
-          return 1;
-        }
-        std::printf("stats: written to %s\n", stats_path.c_str());
-      }
-    }
+    // The formula line comes first, so a check that fails still names it.
+    const plan::PlanResult checked = plan::execute(plan::compile(model, {formula}, options), model);
+    const bool any_unknown =
+        report_plan_formula(model, formula, checked.formulas.front(), print_probabilities);
+    if (stats_requested && !write_stats(stats_path)) return 1;
     if (strict && any_unknown) {
       std::fprintf(stderr, "mrmcheck: --strict: UNKNOWN verdicts present\n");
       return 3;

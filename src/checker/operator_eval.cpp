@@ -8,7 +8,6 @@
 #include "checker/performability.hpp"
 #include "checker/steady.hpp"
 #include "obs/stats.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace csrlmrm::checker {
 
@@ -24,27 +23,6 @@ std::vector<bool> optimistic_mask(const SatSets& operand) {
   std::vector<bool> mask(operand.sat);
   for (std::size_t s = 0; s < mask.size(); ++s) mask[s] = mask[s] || operand.unknown[s];
   return mask;
-}
-
-/// Raw values of the operand-free R-operator queries: expected cumulative
-/// reward by the horizon, or the long-run rate.
-std::vector<double> operand_free_reward_values(const core::Mrm& model,
-                                               const logic::ExpectedRewardFormula& node,
-                                               const CheckerOptions& options) {
-  if (node.query == logic::RewardQuery::kLongRun) {
-    return long_run_reward_rate(model, options.solver);
-  }
-  // One occupation-time series per start state, all independent: fan out
-  // over the pool (inner series run serial when nested).
-  const std::size_t n = model.num_states();
-  std::vector<double> values(n, 0.0);
-  const unsigned threads = parallel::resolve_thread_count(options.threads);
-  parallel::parallel_for(n, threads, [&](std::size_t begin, std::size_t end) {
-    for (core::StateIndex s = begin; s < end; ++s) {
-      values[s] = expected_accumulated_reward(model, s, node.time_horizon, options.transient);
-    }
-  });
-  return values;
 }
 
 }  // namespace
@@ -178,7 +156,8 @@ RewardEvaluation evaluate_reward_operator(const core::Mrm& model,
       // The occupation-time series truncates the Poisson sum, losing at most
       // epsilon * t of residence mass; each lost unit earns at most the
       // largest gain rate, so the truth lies in [v, v + eps * t * max gain].
-      result.values = operand_free_reward_values(model, node, options);
+      result.values = expected_accumulated_rewards(
+          model, node.time_horizon, with_inherited_threads(options).transient);
       const auto gain = per_state_gain_rates(model);
       const double max_gain = gain.empty() ? 0.0 : *std::max_element(gain.begin(), gain.end());
       const double slack = options.transient.epsilon * node.time_horizon * max_gain;
@@ -209,7 +188,7 @@ RewardEvaluation evaluate_reward_operator(const core::Mrm& model,
       return result;
     }
     case logic::RewardQuery::kLongRun: {
-      result.values = operand_free_reward_values(model, node, options);
+      result.values = long_run_reward_rate(model, options.solver);
       for (std::size_t s = 0; s < n; ++s) {
         result.bounds[s] = ProbabilityBound::point(result.values[s]);
       }

@@ -65,36 +65,24 @@ std::vector<PerformabilityValue> performability_cdf(const core::Mrm& model,
   return values;
 }
 
-double expected_accumulated_reward(const core::Mrm& model, core::StateIndex start, double t,
-                                   const numeric::TransientOptions& options) {
+std::vector<double> expected_accumulated_rewards(const core::Mrm& model, double t,
+                                                 const numeric::TransientOptions& options) {
   obs::ScopedTimer timer("checker.expected_reward");
   obs::counter_add("checker.expected_reward.calls");
+  return numeric::occupation_backward(model.rates(), per_state_gain_rates(model), t, options);
+}
+
+double expected_accumulated_reward(const core::Mrm& model, core::StateIndex start, double t,
+                                   const numeric::TransientOptions& options) {
   if (start >= model.num_states()) {
     throw std::invalid_argument("expected_accumulated_reward: start state out of range");
   }
-  std::vector<double> initial(model.num_states(), 0.0);
-  initial[start] = 1.0;
-  const auto occupation =
-      numeric::expected_occupation_times(model.rates(), initial, t, options);
-  const auto gain = per_state_gain_rates(model);
-  double expected = 0.0;
-  for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-    expected += occupation[s] * gain[s];
-  }
-  return expected;
+  return expected_accumulated_rewards(model, t, options)[start];
 }
 
 std::vector<double> long_run_reward_rate(const core::Mrm& model,
                                          const linalg::IterativeOptions& solver) {
-  const auto gain = per_state_gain_rates(model);
-  std::vector<double> rates(model.num_states(), 0.0);
-  for (core::StateIndex start = 0; start < model.num_states(); ++start) {
-    const auto pi = steady_state_distribution(model, start, solver);
-    double rate = 0.0;
-    for (core::StateIndex s = 0; s < model.num_states(); ++s) rate += pi[s] * gain[s];
-    rates[start] = rate;
-  }
-  return rates;
+  return steady_state_expectation(model, per_state_gain_rates(model), solver);
 }
 
 }  // namespace csrlmrm::checker

@@ -11,7 +11,10 @@
 // (each unit of expected residence in s earns rho(s) directly and triggers
 // transitions s -> s' at rate R(s,s'), each paying its impulse), and the
 // long-run reward rate substitutes the steady-state distribution for the
-// occupation-time profile.
+// occupation-time profile. Both are computed for every start state at once:
+// E[Y(t)] by one backward occupation series over the gain rates
+// (numeric::occupation_backward), the long-run rate by one BSCC analysis
+// weighing the gain rates (steady_state_expectation).
 #pragma once
 
 #include <vector>
@@ -46,14 +49,20 @@ std::vector<PerformabilityValue> performability_cdf(const core::Mrm& model,
                                                     const std::vector<double>& reward_bounds,
                                                     const CheckerOptions& options = {});
 
-/// E[Y(t)]: expected reward accumulated during [0, t] from `start`,
-/// including impulse rewards.
+/// E[Y(t)] for every start state: expected reward accumulated during [0, t],
+/// including impulse rewards, from one backward occupation series. The
+/// series loses at most epsilon * t of residence time, so each value
+/// underestimates by at most epsilon * t * (largest gain rate).
+std::vector<double> expected_accumulated_rewards(const core::Mrm& model, double t,
+                                                 const numeric::TransientOptions& options = {});
+
+/// E[Y(t)] from `start`: its entry of expected_accumulated_rewards.
 double expected_accumulated_reward(const core::Mrm& model, core::StateIndex start, double t,
                                    const numeric::TransientOptions& options = {});
 
 /// The long-run reward rate lim_{t->inf} E[Y(t)] / t for every starting
 /// state (steady-state weighted gain rate; rates differ across states only
-/// when the chain has multiple BSCCs).
+/// when the chain has multiple BSCCs), from one BSCC analysis.
 std::vector<double> long_run_reward_rate(const core::Mrm& model,
                                          const linalg::IterativeOptions& solver = {});
 

@@ -77,27 +77,42 @@ SteadyAnalysis analyze(const core::Mrm& model, const linalg::IterativeOptions& s
 
 }  // namespace
 
-std::vector<double> steady_state_probability_of_set(const core::Mrm& model,
-                                                    const std::vector<bool>& target,
-                                                    const linalg::IterativeOptions& solver) {
-  if (target.size() != model.num_states()) {
-    throw std::invalid_argument("steady_state_probability_of_set: mask size mismatch");
+std::vector<double> steady_state_expectation(const core::Mrm& model,
+                                             const std::vector<double>& value,
+                                             const linalg::IterativeOptions& solver) {
+  if (value.size() != model.num_states()) {
+    throw std::invalid_argument("steady_state_expectation: value size mismatch");
   }
   const SteadyAnalysis analysis = analyze(model, solver);
   const std::size_t n = model.num_states();
 
   std::vector<double> result(n, 0.0);
   for (std::size_t b = 0; b < analysis.bsccs.size(); ++b) {
-    double mass_in_target = 0.0;
+    double within = 0.0;  // sum_{s' in B} pi^B(s') value(s')
     for (std::size_t i = 0; i < analysis.bsccs[b].size(); ++i) {
-      if (target[analysis.bsccs[b][i]]) mass_in_target += analysis.steady_within[b][i];
+      within += analysis.steady_within[b][i] * value[analysis.bsccs[b][i]];
     }
-    if (core::exactly_zero(mass_in_target)) continue;
+    if (core::exactly_zero(within)) continue;
     for (core::StateIndex s = 0; s < n; ++s) {
-      result[s] += analysis.reach_probability[b][s] * mass_in_target;
+      result[s] += analysis.reach_probability[b][s] * within;
     }
   }
   return result;
+}
+
+std::vector<double> steady_state_probability_of_set(const core::Mrm& model,
+                                                    const std::vector<bool>& target,
+                                                    const linalg::IterativeOptions& solver) {
+  if (target.size() != model.num_states()) {
+    throw std::invalid_argument("steady_state_probability_of_set: mask size mismatch");
+  }
+  // pi * 1.0 == pi and x + pi * 0.0 == x exactly, so the indicator case sums
+  // the same terms in the same order as a sum over B ∩ target alone.
+  std::vector<double> indicator(target.size(), 0.0);
+  for (std::size_t s = 0; s < target.size(); ++s) {
+    if (target[s]) indicator[s] = 1.0;
+  }
+  return steady_state_expectation(model, indicator, solver);
 }
 
 std::vector<double> steady_state_distribution(const core::Mrm& model, core::StateIndex start,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "core/transform.hpp"
@@ -20,13 +19,6 @@
 namespace csrlmrm::checker {
 
 namespace {
-
-/// Model size from which the P1 class switches from the per-start forward
-/// fan-out to one backward column series (numeric::transient_hit_probabilities).
-/// The backward sum associates the same series differently, so results differ
-/// in the last ulps; the threshold keeps every small-model expectation (and
-/// all cross-engine pinned tests) on the historical forward path.
-constexpr std::size_t kBackwardUntilMinStates = 4096;
 
 void require_masks(const core::Mrm& model, const std::vector<bool>& sat_phi,
                    const std::vector<bool>& sat_psi) {
@@ -369,36 +361,37 @@ std::vector<UntilValue> until_probabilities(const core::Mrm& model,
                                               logic::Interval(0.0, t2 - t1),
                                               logic::Interval{}, options, transforms);
 
-    // Phase-one distributions for every Phi-state at once: the uniformized
-    // matrix and Fox-Glynn window are built once, the start states fan out
-    // over the thread pool.
-    std::vector<core::StateIndex> phi_states;
-    for (core::StateIndex s = 0; s < n; ++s) {
-      if (sat_phi[s]) phi_states.push_back(s);
-    }
-    const auto at_t1_rows = numeric::transient_distributions_from_states(
-        phase_one.rates(), phi_states, t1, options.transient);
-
-    std::vector<UntilValue> values(n);
-    for (std::size_t i = 0; i < phi_states.size(); ++i) {
-      const auto& at_t1 = at_t1_rows[i];
-      double probability = 0.0;
-      double error = options.transient.epsilon;
-      // Interval arithmetic over the convex combination: the phase-one
-      // weights underestimate by at most epsilon of total mass (Fox-Glynn
-      // truncation only loses terms), and each residual contributes its own
-      // enclosure, so [sum w * lo, sum w * hi + epsilon] contains the truth.
-      double lower = 0.0;
-      double upper = options.transient.epsilon;
+    // Phase one runs backward: for a field f of the residual values, one
+    // series over M[!Phi] gives sum_mid Pr{X(t1) = mid | X(0) = s} f(mid)
+    // for every start s at once, where a !Phi-state reached before t1 is
+    // absorbed and contributes nothing.
+    const auto phase_one_series = [&](auto field) {
+      std::vector<double> u0(n, 0.0);
       for (core::StateIndex mid = 0; mid < n; ++mid) {
-        if (!sat_phi[mid] || core::exactly_zero(at_t1[mid])) continue;
-        probability += at_t1[mid] * residual[mid].probability;
-        error += at_t1[mid] * residual[mid].error_bound;
-        lower += at_t1[mid] * residual[mid].bound.lower;
-        upper += at_t1[mid] * residual[mid].bound.upper;
+        if (sat_phi[mid]) u0[mid] = field(residual[mid]);
       }
-      values[phi_states[i]] = {probability, error,
-                               ProbabilityBound{std::max(0.0, lower), std::min(1.0, upper)}};
+      return numeric::transient_backward(phase_one.rates(), std::move(u0), t1,
+                                         options.transient);
+    };
+    const auto probability = phase_one_series([](const UntilValue& v) { return v.probability; });
+    const auto error = phase_one_series([](const UntilValue& v) { return v.error_bound; });
+    const auto lower = phase_one_series([](const UntilValue& v) { return v.bound.lower; });
+    const auto upper = phase_one_series([](const UntilValue& v) { return v.bound.upper; });
+
+    // Interval arithmetic over the convex combination: the phase-one weights
+    // underestimate by at most epsilon of total mass (Fox-Glynn truncation
+    // only loses terms), each residual contributes its own enclosure, and a
+    // steady-state fold moves each series by at most its steady_error, so
+    // [P lo - steady, P hi + epsilon + steady] contains the truth.
+    const double epsilon = options.transient.epsilon;
+    std::vector<UntilValue> values(n);
+    for (core::StateIndex s = 0; s < n; ++s) {
+      if (!sat_phi[s]) continue;
+      values[s] = {probability.values[s],
+                   epsilon + error.values[s] + error.steady_error + probability.steady_error,
+                   ProbabilityBound{
+                       std::max(0.0, lower.values[s] - lower.steady_error),
+                       std::min(1.0, upper.values[s] + epsilon + upper.steady_error)}};
     }
     return values;
   }
@@ -420,46 +413,27 @@ std::vector<UntilValue> until_probabilities(const core::Mrm& model,
     for (core::StateIndex s = 0; s < n; ++s) absorb[s] = !sat_phi[s] || sat_psi[s];
     const auto transformed_ptr = absorbing_model(model, absorb, transforms);
     const core::Mrm& transformed = *transformed_ptr;
+    // One backward column series u_{k+1} = P u_k from the Psi indicator
+    // answers every start state at once: Psi is absorbing in M[!Phi v Psi],
+    // so the probability of sitting in Psi at t is the until probability.
+    std::vector<double> psi_indicator(n, 0.0);
+    for (core::StateIndex s = 0; s < n; ++s) {
+      if (sat_psi[s]) psi_indicator[s] = 1.0;
+    }
+    const auto hit = numeric::transient_backward(
+        transformed.rates(), std::move(psi_indicator), time_bound.upper(), options.transient);
+    const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
+    const double steady = hit.steady_error;         // two-sided fold error
     std::vector<UntilValue> values(n);
-    std::vector<core::StateIndex> starts;
     for (core::StateIndex s = 0; s < n; ++s) {
       if (sat_psi[s]) {
         values[s] = exact_until_value(1.0);  // absorbed Psi start: case 1 of eq. (3.6)
-      } else {
-        starts.push_back(s);
+        continue;
       }
-    }
-    if (n >= kBackwardUntilMinStates) {
-      // One backward column series u_{k+1} = P u_k answers every start state
-      // at once in O(nnz * terms), where the per-start fan-out below costs a
-      // full series per start — quadratic at a million states. Since Psi is
-      // absorbing in M[!Phi v Psi], the hit probability at t equals the
-      // until probability. The backward sum is a numerically different
-      // (equally valid) association of the same series, so it only engages
-      // above a size where no pinned small-model expectation can change.
-      const auto hit = numeric::transient_hit_probabilities(
-          transformed.rates(), sat_psi, time_bound.upper(), options.transient);
-      const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
-      const double steady = hit.steady_error;         // two-sided fold error
-      for (const core::StateIndex s : starts) {
-        const double p = hit.values[s];
-        // True value lies in [p - steady, p + lost + steady]; with detection
-        // off (steady == 0) this is the usual truncation enclosure.
-        values[s] = {p, lost + steady,
-                     ProbabilityBound::from_point_error(p, steady, lost + steady)};
-      }
-      return values;
-    }
-    const auto distributions = numeric::transient_distributions_from_states(
-        transformed.rates(), starts, time_bound.upper(), options.transient);
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      double p = 0.0;
-      for (core::StateIndex s2 = 0; s2 < n; ++s2) {
-        if (sat_psi[s2]) p += distributions[i][s2];
-      }
-      // Fox-Glynn truncation only loses Poisson mass: the true value lies in
-      // [p, p + epsilon].
-      values[starts[i]] = truncated_until_value(p, options.transient.epsilon);
+      const double p = hit.values[s];
+      // True value lies in [p - steady, p + lost + steady]; with detection
+      // off (steady == 0) this is the usual truncation enclosure.
+      values[s] = {p, lost + steady, ProbabilityBound::from_point_error(p, steady, lost + steady)};
     }
     return values;
   }

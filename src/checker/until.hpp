@@ -3,11 +3,16 @@
 // Dispatches on the bound shapes the thesis distinguishes:
 //   P0: Phi U Psi                — least solution of a linear system (3.8)
 //   P1: Phi U^[0,t] Psi          — transient analysis of M[!Phi v Psi]
-//                                  (Theorem 4.1 + standard uniformization)
-//   P1': Phi U^[t1,t2] Psi       — the two-phase reduction of [Bai03]
-//                                  (transient analysis of M[!Phi] to t1,
-//                                  then the [0, t2-t1] problem from every
-//                                  Phi-state); reward bound must be trivial
+//                                  (Theorem 4.1): one backward
+//                                  uniformization series from the Psi
+//                                  indicator answers every start state
+//   P1': Phi U^[t1,t2] Psi       — the two-phase reduction of [Bai03]: the
+//                                  P1 problem on [0, t2-t1] gives residual
+//                                  values, then backward series over
+//                                  M[!Phi] to t1, started from the residual
+//                                  value, error and enclosure vectors, carry
+//                                  them to every start state; reward bound
+//                                  must be trivial
 //   P2: Phi U^[0,t]_[0,r] Psi    — uniformization/DFPG or discretization on
 //                                  M[!Phi v Psi] (Theorems 4.1 + 4.3)
 //   point-interval variant Phi U^[t,t]_[0,r] Psi with Psi => Phi

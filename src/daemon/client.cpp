@@ -35,7 +35,10 @@ Client::~Client() {
 }
 
 obs::JsonValue Client::roundtrip(const obs::JsonValue& request) {
-  const std::string line = frame(request);
+  return roundtrip_line(frame(request));
+}
+
+obs::JsonValue Client::roundtrip_line(const std::string& line) {
   std::size_t written = 0;
   while (written < line.size()) {
     // MSG_NOSIGNAL: a daemon that hung up turns into an exception, not SIGPIPE.

@@ -24,6 +24,11 @@ class Client {
   /// time); use one Client per thread for concurrency.
   obs::JsonValue roundtrip(const obs::JsonValue& request);
 
+  /// Sends one already-framed line (it must end in '\n') as is and blocks
+  /// for the reply line — how a test speaks malformed or hostile input the
+  /// JsonValue writer would never produce.
+  obs::JsonValue roundtrip_line(const std::string& line);
+
  private:
   /// Reads up to the next newline (buffering any overshoot).
   std::string read_line();

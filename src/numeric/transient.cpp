@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/approx.hpp"
 #include "core/simd.hpp"
@@ -38,6 +39,13 @@ void require_distribution(const core::RateMatrix& rates, const std::vector<doubl
   }
 }
 
+void require_column(const core::RateMatrix& rates, const std::vector<double>& column,
+                    const char* caller) {
+  if (column.size() != rates.num_states()) {
+    throw std::invalid_argument(std::string(caller) + ": vector size mismatch");
+  }
+}
+
 void require_time(double t) {
   if (!(t >= 0.0) || !std::isfinite(t)) {
     throw std::invalid_argument("transient: t must be finite and >= 0");
@@ -66,6 +74,23 @@ struct SeriesAdvance {
     term.swap(scratch);
   }
 };
+
+/// The operator of a backward series u_{k+1} = P u_k: a gather over P itself,
+/// so no transpose is ever materialized, repacked into the blocked layout on
+/// large models. `terms` sizes the work for the thread-count choice.
+SeriesAdvance backward_advance(const linalg::CsrMatrix& P, std::size_t terms,
+                               unsigned requested_threads,
+                               std::optional<linalg::BlockedCsrMatrix>& blocked) {
+  SeriesAdvance advance;
+  advance.threads = parallel::choose_thread_count(requested_threads, P.non_zeros() * terms);
+  if (P.rows() >= kBlockedSpmvMinStates) {
+    blocked.emplace(P);
+    advance.blocked = &*blocked;
+  } else {
+    advance.gather = &P;
+  }
+  return advance;
+}
 
 /// Norm the steady-state criterion contracts in: the forward (row-vector)
 /// iteration is non-expansive in the 1-norm, the backward (column-vector)
@@ -209,111 +234,39 @@ std::vector<double> transient_distribution_from(const core::RateMatrix& rates,
   return transient_distribution(rates, initial, t, options);
 }
 
-std::vector<std::vector<double>> transient_distributions_from_states(
-    const core::RateMatrix& rates, const std::vector<core::StateIndex>& starts, double t,
-    const TransientOptions& options) {
-  obs::ScopedTimer timer("transient.distributions_from_states");
-  obs::counter_add("transient.calls", starts.size());
-  require_time(t);
-  const std::size_t n = rates.num_states();
-  for (const core::StateIndex start : starts) {
-    if (start >= n) {
-      throw std::invalid_argument("transient_distributions_from_states: start out of range");
-    }
-  }
-  std::vector<std::vector<double>> results(starts.size());
-  if (starts.empty()) return results;
-
-  if (core::exactly_zero(t) || core::exactly_zero(rates.max_exit_rate())) {
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      results[i].assign(n, 0.0);
-      results[i][starts[i]] = 1.0;
-    }
-    return results;
-  }
-
-  double lambda = 0.0;
-  const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
-  const auto window = fox_glynn(lambda * t, options.epsilon);
-
-  // This fan-out returns bare vectors with no error accounting beyond the
-  // Fox-Glynn epsilon, so the steady-state cut (whose extra error callers
-  // could not see) is forced off for every row.
-  TransientOptions row_options = options;
-  row_options.detect_steady_state = false;
-  SeriesAdvance serial;
-  serial.scatter = &P;
-
-  // Fan out over start states; every state runs the serial series (nested
-  // regions stay inline), so chunking cannot change any row's result.
-  const unsigned threads = parallel::choose_thread_count(
-      options.threads, starts.size() * P.non_zeros() * (window.right + 1));
-  parallel::parallel_for(starts.size(), threads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      std::vector<double> initial(n, 0.0);
-      initial[starts[i]] = 1.0;
-      results[i] =
-          accumulate_series(serial, window, std::move(initial), row_options, SteadyNorm::kL1)
-              .values;
-    }
-  });
-  return results;
-}
-
-TransientResult transient_hit_probabilities(const core::RateMatrix& rates,
-                                            const std::vector<bool>& target, double t,
-                                            const TransientOptions& options) {
-  obs::ScopedTimer timer("transient.hit_probabilities");
+TransientResult transient_backward(const core::RateMatrix& rates, std::vector<double> u0,
+                                   double t, const TransientOptions& options) {
+  obs::ScopedTimer timer("transient.backward");
   obs::counter_add("transient.hit_calls");
-  const std::size_t n = rates.num_states();
-  if (target.size() != n) {
-    throw std::invalid_argument("transient_hit_probabilities: target mask size mismatch");
-  }
+  require_column(rates, u0, "transient_backward");
   require_time(t);
-
-  std::vector<double> indicator(n, 0.0);
-  for (std::size_t s = 0; s < n; ++s) {
-    if (target[s]) indicator[s] = 1.0;
-  }
   TransientResult out;
   if (core::exactly_zero(t) || core::exactly_zero(rates.max_exit_rate())) {
-    out.values = std::move(indicator);  // the chain never leaves its start
+    out.values = std::move(u0);  // the chain never leaves its start
     return out;
   }
 
   double lambda = 0.0;
   const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
   const auto window = fox_glynn(lambda * t, options.epsilon);
-
-  // The backward series gathers over P itself (u_{k+1} = P u_k): no
-  // transpose is ever materialized.
-  const unsigned threads =
-      parallel::choose_thread_count(options.threads, P.non_zeros() * (window.right + 1));
   std::optional<linalg::BlockedCsrMatrix> blocked;
-  SeriesAdvance advance;
-  advance.threads = threads;
-  if (n >= kBlockedSpmvMinStates) {
-    blocked.emplace(P);
-    advance.blocked = &*blocked;
-  } else {
-    advance.gather = &P;
-  }
-  return accumulate_series(advance, window, std::move(indicator), options, SteadyNorm::kMax);
+  const SeriesAdvance advance = backward_advance(P, window.right + 1, options.threads, blocked);
+  return accumulate_series(advance, window, std::move(u0), options, SteadyNorm::kMax);
 }
 
-std::vector<double> expected_occupation_times(const core::RateMatrix& rates,
-                                              const std::vector<double>& initial, double t,
-                                              const TransientOptions& options) {
-  obs::ScopedTimer timer("transient.expected_occupation_times");
+std::vector<double> occupation_backward(const core::RateMatrix& rates,
+                                        const std::vector<double>& g, double t,
+                                        const TransientOptions& options) {
+  obs::ScopedTimer timer("transient.occupation");
   obs::counter_add("transient.occupation_calls");
-  require_distribution(rates, initial);
+  require_column(rates, g, "occupation_backward");
   require_time(t);
   const std::size_t n = rates.num_states();
-  if (core::exactly_zero(t)) return std::vector<double>(n, 0.0);
+  std::vector<double> result(n, 0.0);
+  if (core::exactly_zero(t)) return result;
   if (core::exactly_zero(rates.max_exit_rate())) {
-    // Nothing moves: all time is spent where the chain starts.
-    std::vector<double> result(n, 0.0);
-    for (std::size_t s = 0; s < n; ++s) result[s] = initial[s] * t;
+    // Nothing moves: the chain earns its start state's value all along.
+    for (std::size_t s = 0; s < n; ++s) result[s] = g[s] * t;
     return result;
   }
 
@@ -321,36 +274,17 @@ std::vector<double> expected_occupation_times(const core::RateMatrix& rates,
   const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
   const double mean = lambda * t;
 
-  // E[L_s(t)] = (1/Lambda) sum_{k>=0} Pr{N_t >= k+1} (p0 P^k)_s. The tail
-  // weights sum to E[N_t] = Lambda t; truncate once the remaining tail mass
-  // contributes less than epsilon * t.
+  // (1/Lambda) sum_{k>=0} Pr{N_t >= k+1} (P^k g)(s). The tail weights sum to
+  // E[N_t] = Lambda t; truncate once the remaining tail mass contributes
+  // less than epsilon * t.
   PoissonCdfTable tail_table(mean);
   const std::size_t hard_cap =
       poisson_truncation_point(mean, options.epsilon / (mean + 1.0)) + 1;
-
-  const unsigned threads =
-      parallel::choose_thread_count(options.threads, P.non_zeros() * hard_cap);
-  std::optional<linalg::CsrMatrix> transpose;
   std::optional<linalg::BlockedCsrMatrix> blocked;
-  SeriesAdvance advance;
-  advance.threads = threads;
-  const bool parallel_gather = threads > 1 && !parallel::in_parallel_region();
-  const bool large = n >= kBlockedSpmvMinStates;
-  if (parallel_gather || large) {
-    transpose = P.transposed();
-    if (large) {
-      blocked.emplace(*transpose);
-      advance.blocked = &*blocked;
-    } else {
-      advance.gather = &*transpose;
-    }
-  } else {
-    advance.scatter = &P;
-  }
+  const SeriesAdvance advance = backward_advance(P, hard_cap, options.threads, blocked);
 
-  std::vector<double> term = initial;
+  std::vector<double> term = g;
   std::vector<double> scratch(n, 0.0);
-  std::vector<double> result(n, 0.0);
   std::size_t terms = 0;
   for (std::size_t k = 0; k <= hard_cap; ++k) {
     const double weight = tail_table.tail(k + 1) / lambda;

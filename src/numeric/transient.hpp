@@ -1,17 +1,22 @@
-// Standard transient analysis of a CTMC by uniformization (eq. 2.2):
+// Transient analysis of a CTMC by uniformization (eq. 2.2), with
+// P = I + Q/Lambda the uniformized one-step matrix and the Poisson series
+// truncated at the point capturing mass 1 - epsilon.
 //
-//   p(t) = sum_{i>=0} PoissonPmf(i; Lambda t) * p(0) * P^i
+// The checker labels every state, so its measures run the *backward* series:
+// one column-vector iteration u_{k+1} = P u_k answers every start state at
+// once in O(nnz * terms).
+//   transient_backward  — E[ u0(X(t)) | X(0) = s ] for every s: P1 until
+//                         (u0 = the Psi indicator on M[!Phi v Psi],
+//                         Theorem 4.1 + [Bai03]) and the P1' phase one;
+//   occupation_backward — E[ int_0^t g(X(u)) du | X(0) = s ] for every s:
+//                         the R[C] cumulative reward (g = gain rates).
+// The forward row-vector series p(t) = p(0) * sum_i PoissonPmf(i) P^i is
+// kept as the per-distribution oracle tests and benchmarks compare against.
 //
-// truncated at the Poisson point capturing mass 1 - epsilon. This is the
-// workhorse for the P1 class of until formulas (time bound, no reward bound,
-// Theorem 4.1 + [Bai03]) and the reference oracle several property tests
-// compare the reward engines against.
-//
-// The Poisson series ping-pongs two preallocated buffers (no per-term
-// allocation). With threads > 1 the vector-matrix product runs row-parallel
-// over P^T (the gather form accumulates every output entry in the same
-// ascending-source order as the serial scatter, so parallel results are
-// bitwise-identical to serial ones).
+// Every series ping-pongs two preallocated buffers (no per-term
+// allocation). With threads > 1 the products run row-parallel as gathers
+// that accumulate every output entry in the same ascending-source order as
+// the serial code, so parallel results are bitwise-identical to serial ones.
 #pragma once
 
 #include <vector>
@@ -25,9 +30,8 @@ namespace csrlmrm::numeric {
 struct TransientOptions {
   /// Total truncation error budget for the Poisson sum.
   double epsilon = 1e-12;
-  /// Worker threads for the series' matrix-vector products and for batched
-  /// per-start-state fan-out; 0 = the process default (CSRLMRM_THREADS or
-  /// hardware concurrency).
+  /// Worker threads for the series' matrix-vector products; 0 = the process
+  /// default (CSRLMRM_THREADS or hardware concurrency).
   unsigned threads = 0;
   /// Steady-state detection (Malhotra '94 / Reibman-Trivedi '88 style): once
   /// successive series terms differ by delta with
@@ -46,8 +50,8 @@ struct TransientOptions {
 
 /// A transient solve plus the accounting a sound interval verdict needs.
 struct TransientResult {
-  /// The per-state result vector (a distribution for the forward series, hit
-  /// probabilities for the backward series).
+  /// The per-state result vector (a distribution for the forward series, the
+  /// per-start expectations for the backward series).
   std::vector<double> values;
   /// Bound on the additional two-sided per-state error introduced by the
   /// steady-state fold; 0.0 when detection is off or never fired. The
@@ -60,9 +64,9 @@ struct TransientResult {
   std::size_t series_terms = 0;
 };
 
-/// State occupation probabilities at time t >= 0 starting from distribution
-/// `initial` (must have one entry per state, sum 1 within 1e-6). Throws
-/// std::invalid_argument on bad inputs.
+/// Forward series: state occupation probabilities at time t >= 0 starting
+/// from distribution `initial` (must have one entry per state, sum 1 within
+/// 1e-6). Throws std::invalid_argument on bad inputs.
 std::vector<double> transient_distribution(const core::RateMatrix& rates,
                                            const std::vector<double>& initial, double t,
                                            const TransientOptions& options = {});
@@ -75,33 +79,10 @@ TransientResult transient_distribution_checked(const core::RateMatrix& rates,
                                                const std::vector<double>& initial, double t,
                                                const TransientOptions& options = {});
 
-/// Backward uniformization: values[s] = Pr{ X(t) is in `target` | X(0) = s }
-/// for EVERY state s, from one column-vector series u_{k+1} = P u_k started
-/// at the indicator of `target` — O(nnz * terms) total, where the forward
-/// route costs one full series per start state. For an absorbing target set
-/// (the P1 until transform M[!Phi v Psi]) this is the probability of
-/// reaching `target` within t. The per-state truncation error is bounded by
-/// options.epsilon (one-sided, lost mass) plus the reported steady_error
-/// (two-sided) when detection fires; the backward iteration contracts in the
-/// max norm, which makes the steady-state criterion sound here.
-TransientResult transient_hit_probabilities(const core::RateMatrix& rates,
-                                            const std::vector<bool>& target, double t,
-                                            const TransientOptions& options = {});
-
 /// Convenience: transient distribution started from a single state.
 std::vector<double> transient_distribution_from(const core::RateMatrix& rates,
                                                 core::StateIndex start, double t,
                                                 const TransientOptions& options = {});
-
-/// Transient distributions from many start states at the same horizon t:
-/// result[i] is the distribution started from starts[i]. The uniformized
-/// matrix and Fox-Glynn window are computed once and shared; the start
-/// states fan out over the thread pool (options.threads), each running the
-/// serial series, so every row is bitwise-identical to the corresponding
-/// transient_distribution_from call.
-std::vector<std::vector<double>> transient_distributions_from_states(
-    const core::RateMatrix& rates, const std::vector<core::StateIndex>& starts, double t,
-    const TransientOptions& options = {});
 
 /// The uniformized one-step matrix P = I + Q/Lambda with Lambda = max exit
 /// rate (1 for an all-absorbing chain); `lambda_out` receives Lambda. Shared
@@ -109,12 +90,27 @@ std::vector<std::vector<double>> transient_distributions_from_states(
 linalg::CsrMatrix uniformized_transition_matrix(const core::RateMatrix& rates,
                                                 double& lambda_out);
 
-/// Expected occupation times E[L_s(t)] = E[ time spent in s during [0,t] ]
-/// for every state, started from `initial`; computed by uniformization via
-/// int_0^t PoissonPmf(k; Lambda u) du = Pr{N_t >= k+1} / Lambda. The entries
-/// sum to t.
-std::vector<double> expected_occupation_times(const core::RateMatrix& rates,
-                                              const std::vector<double>& initial, double t,
-                                              const TransientOptions& options = {});
+/// Backward uniformization: values[s] = E[ u0(X(t)) | X(0) = s ] for EVERY
+/// state s, from one column-vector series u_{k+1} = P u_k started at `u0`
+/// (one entry per state). With u0 the indicator of a target set that is
+/// absorbing (the P1 until transform M[!Phi v Psi]) this is the probability
+/// of reaching the target within t. For u0 with entries in [0, 1] the lost
+/// Fox-Glynn mass is at most options.epsilon per state (one-sided); the
+/// reported steady_error (two-sided) adds to it when detection fires — the
+/// backward iteration contracts in the max norm, which makes the
+/// steady-state criterion sound for any u0.
+TransientResult transient_backward(const core::RateMatrix& rates, std::vector<double> u0,
+                                   double t, const TransientOptions& options = {});
+
+/// Backward occupation series: values[s] = E[ int_0^t g(X(u)) du | X(0) = s ]
+/// for every state s, in one pass, by
+/// int_0^t PoissonPmf(k; Lambda u) du = Pr{N_t >= k+1} / Lambda. The series is
+/// cut once the remaining tail weight is below epsilon / (Lambda t + 1), so
+/// at most epsilon * t of residence time is lost per state: the result
+/// underestimates by at most epsilon * t * max(g) for g >= 0. With g = e_j
+/// (the indicator of j) this is the expected time spent in j during [0, t].
+std::vector<double> occupation_backward(const core::RateMatrix& rates,
+                                        const std::vector<double>& g, double t,
+                                        const TransientOptions& options = {});
 
 }  // namespace csrlmrm::numeric

@@ -127,7 +127,24 @@ class Parser {
     }
   }
 
+  /// Enters one array/object level for the lifetime of the guard.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxJsonDepth) {
+        parser_.fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+      }
+    }
+    ~DepthGuard() { --parser_.depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   JsonValue parse_object() {
+    const DepthGuard guard(*this);
     expect('{');
     JsonValue object = JsonValue::object();
     skip_whitespace();
@@ -150,6 +167,7 @@ class Parser {
   }
 
   JsonValue parse_array() {
+    const DepthGuard guard(*this);
     expect('[');
     JsonValue array = JsonValue::array();
     skip_whitespace();
@@ -241,6 +259,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
 
 void write_value(const JsonValue& value, std::string& out, int depth) {

@@ -19,6 +19,12 @@
 
 namespace csrlmrm::obs {
 
+/// Deepest array/object nesting parse_json accepts. The parser recurses once
+/// per level, so this cap is what keeps a hostile input such as a 200 KB line
+/// of `[` (one NDJSON request to mrmcheckd) from overflowing the stack; every
+/// document the tools and the wire protocol exchange nests a few levels.
+inline constexpr std::size_t kMaxJsonDepth = 512;
+
 /// Raised by parse_json on malformed input; carries the byte offset.
 class JsonParseError : public std::runtime_error {
  public:
@@ -87,7 +93,8 @@ class JsonValue {
 };
 
 /// Parses one JSON document (trailing whitespace allowed, trailing garbage
-/// rejected). Throws JsonParseError on malformed input.
+/// rejected). Throws JsonParseError on malformed input, including at the
+/// bracket that opens a level deeper than kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
 
 /// Serializes with 2-space indentation and keys in stored order. Numbers use

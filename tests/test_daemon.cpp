@@ -457,6 +457,36 @@ TEST(DaemonServer, HandleLineSpeaksTheProtocol) {
   EXPECT_NE(pong.find("\"id\":\"42\""), std::string::npos);
 }
 
+TEST(DaemonServer, DeeplyNestedLineGetsAnErrorAndTheServerKeepsAnswering) {
+  // A 200 000-byte line of '[' used to overflow the JSON parser's stack and
+  // kill the daemon for every client. It must get an error reply, and the
+  // same connection must still be served afterwards.
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       (std::string("mrmcheckd_deep_") + std::to_string(::getpid()) + ".sock"))
+          .string();
+  daemon::ServerOptions options;
+  options.socket_path = socket_path;
+  daemon::DaemonServer server(options);
+  server.start();
+  {
+    daemon::Client client(socket_path);
+    const obs::JsonValue rejected = client.roundtrip_line(std::string(200000, '[') + "\n");
+    EXPECT_FALSE(rejected.at("ok").as_bool());
+    EXPECT_NE(rejected.at("error").as_string().find("nesting deeper than"), std::string::npos)
+        << rejected.at("error").as_string();
+
+    obs::JsonValue ping = obs::JsonValue::object();
+    ping.set("op", obs::JsonValue(std::string("ping")));
+    ping.set("id", obs::JsonValue(std::string("after")));
+    const obs::JsonValue pong = client.roundtrip(ping);
+    EXPECT_TRUE(pong.at("ok").as_bool());
+    EXPECT_EQ(pong.at("id").as_string(), "after");
+  }
+  server.stop();
+  EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
 TEST(DaemonServer, SocketRoundTripLoadCheckStatsShutdown) {
   const std::string socket_path =
       (std::filesystem::temp_directory_path() /

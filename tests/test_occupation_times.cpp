@@ -1,12 +1,29 @@
-// Expected occupation times E[L_s(t)] by uniformization.
+// Expected occupation times E[L_j(t)] by the backward occupation series:
+// E[L_j(t)] from start s is occupation_backward's value at s for g = e_j.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "numeric/transient.hpp"
 
 namespace csrlmrm::numeric {
 namespace {
+
+/// E[L_j(t)] for every state j, started from `initial`: one backward series
+/// per indicator e_j, weighed by the initial distribution.
+std::vector<double> expected_occupation_times(const core::RateMatrix& rates,
+                                              const std::vector<double>& initial, double t) {
+  const std::size_t n = rates.num_states();
+  std::vector<double> occupation(n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    std::vector<double> indicator(n, 0.0);
+    indicator[j] = 1.0;
+    const auto from = occupation_backward(rates, indicator, t);
+    for (std::size_t s = 0; s < n; ++s) occupation[j] += initial[s] * from[s];
+  }
+  return occupation;
+}
 
 TEST(OccupationTimes, SumToTheHorizon) {
   core::RateMatrixBuilder rates(3);
@@ -61,13 +78,25 @@ TEST(OccupationTimes, AllAbsorbingSplitsByInitialDistribution) {
   EXPECT_DOUBLE_EQ(occupation[1], 6.0);
 }
 
+TEST(OccupationTimes, ConstantRewardAccumulatesTheHorizonFromEveryStart) {
+  core::RateMatrixBuilder rates(3);
+  rates.add(0, 1, 1.0);
+  rates.add(1, 2, 0.5);
+  rates.add(2, 0, 2.0);
+  const auto values = occupation_backward(rates.build(), {2.0, 2.0, 2.0}, 3.0);
+  for (const double v : values) EXPECT_NEAR(v, 6.0, 1e-8);
+}
+
 TEST(OccupationTimes, RejectsBadInput) {
+  // g is any per-state function (gain rates, indicators), so only its size
+  // and the horizon are validated.
   core::RateMatrixBuilder rates(2);
   rates.add(0, 1, 1.0);
   const auto matrix = rates.build();
-  EXPECT_THROW(expected_occupation_times(matrix, {1.0}, 1.0), std::invalid_argument);
-  EXPECT_THROW(expected_occupation_times(matrix, {0.7, 0.7}, 1.0), std::invalid_argument);
-  EXPECT_THROW(expected_occupation_times(matrix, {1.0, 0.0}, -1.0), std::invalid_argument);
+  EXPECT_THROW(occupation_backward(matrix, {1.0}, 1.0), std::invalid_argument);
+  EXPECT_THROW(occupation_backward(matrix, {1.0, 0.0}, -1.0), std::invalid_argument);
+  EXPECT_THROW(occupation_backward(matrix, {1.0, 0.0}, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
 TEST(UniformizedTransitionMatrix, IsSharedAndStochastic) {

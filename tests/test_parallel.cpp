@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -186,39 +185,47 @@ TEST(ParallelTransient, DistributionMatchesSerialOnRandomMrms) {
 TEST(ParallelTransient, OccupationTimesMatchSerial) {
   for (std::uint32_t seed = 0; seed < 10; ++seed) {
     const core::Mrm model = models::make_random_mrm(seed, small_config());
-    std::vector<double> initial(model.num_states(), 0.0);
-    initial[0] = 1.0;
+    std::vector<double> g(model.num_states(), 0.0);
+    for (std::size_t s = 0; s < g.size(); ++s) g[s] = model.state_reward(s);
     numeric::TransientOptions serial;
     serial.threads = 1;
-    const auto reference =
-        numeric::expected_occupation_times(model.rates(), initial, 2.0, serial);
+    const auto reference = numeric::occupation_backward(model.rates(), g, 2.0, serial);
     numeric::TransientOptions options;
     options.threads = 8;
-    const auto result = numeric::expected_occupation_times(model.rates(), initial, 2.0, options);
+    const auto result = numeric::occupation_backward(model.rates(), g, 2.0, options);
+    ASSERT_EQ(result.size(), reference.size());
     for (std::size_t s = 0; s < result.size(); ++s) {
-      EXPECT_NEAR(result[s], reference[s], 1e-12) << "seed=" << seed << " s=" << s;
+      EXPECT_EQ(result[s], reference[s]) << "seed=" << seed << " s=" << s;
     }
   }
 }
 
-TEST(ParallelTransient, BatchedStartStatesMatchSingleRuns) {
+TEST(ParallelTransient, BackwardSeriesMatchesSingleForwardRuns) {
+  // Column j of the backward series (u0 = e_j) holds Pr{X(t) = j | X(0) = s}
+  // for every start s: the forward distributions, read transposed. Every
+  // thread count reproduces the serial backward values bitwise.
   const core::Mrm model = models::make_random_mrm(3, small_config());
-  std::vector<core::StateIndex> starts(model.num_states());
-  std::iota(starts.begin(), starts.end(), 0);
+  const std::size_t n = model.num_states();
+  numeric::TransientOptions serial;
+  serial.threads = 1;
+  std::vector<std::vector<double>> forward(n);
+  for (core::StateIndex s = 0; s < n; ++s) {
+    forward[s] = numeric::transient_distribution_from(model.rates(), s, 1.5, serial);
+  }
+  std::vector<std::vector<double>> reference(n);
   for (const unsigned threads : kThreadCounts) {
     numeric::TransientOptions options;
     options.threads = threads;
-    const auto rows =
-        numeric::transient_distributions_from_states(model.rates(), starts, 1.5, options);
-    ASSERT_EQ(rows.size(), starts.size());
-    numeric::TransientOptions serial;
-    serial.threads = 1;
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      const auto single =
-          numeric::transient_distribution_from(model.rates(), starts[i], 1.5, serial);
-      for (std::size_t s = 0; s < single.size(); ++s) {
-        EXPECT_NEAR(rows[i][s], single[s], 1e-12)
-            << "threads=" << threads << " start=" << starts[i] << " s=" << s;
+    for (std::size_t j = 0; j < n; ++j) {
+      std::vector<double> indicator(n, 0.0);
+      indicator[j] = 1.0;
+      const auto column =
+          numeric::transient_backward(model.rates(), std::move(indicator), 1.5, options).values;
+      if (threads == 1) reference[j] = column;
+      for (core::StateIndex s = 0; s < n; ++s) {
+        EXPECT_NEAR(column[s], forward[s][j], 1e-12)
+            << "threads=" << threads << " start=" << s << " j=" << j;
+        EXPECT_EQ(column[s], reference[j][s]) << "threads=" << threads << " start=" << s;
       }
     }
   }

@@ -92,6 +92,45 @@ TEST_F(StatsJson, RejectsMalformedInput) {
   }
 }
 
+/// Expects parse_json(text) to fail with the depth-cap error at `offset`.
+void expect_depth_error_at(const std::string& text, std::size_t offset) {
+  try {
+    obs::parse_json(text);
+    FAIL() << "expected JsonParseError";
+  } catch (const obs::JsonParseError& error) {
+    EXPECT_EQ(error.offset(), offset);
+    EXPECT_NE(std::string(error.what()).find("nesting deeper than"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST_F(StatsJson, DeepArrayNestingIsAParseErrorNotAStackOverflow) {
+  // One 200 000-byte line of '[' (a hostile mrmcheckd request): the parser
+  // stops at the first bracket past the cap instead of recursing 200k deep.
+  expect_depth_error_at(std::string(200000, '['), obs::kMaxJsonDepth);
+}
+
+TEST_F(StatsJson, DeepObjectNestingIsAParseErrorNotAStackOverflow) {
+  std::string text;
+  for (int i = 0; i < 100000; ++i) text += "{\"a\":";
+  // Level k's '{' sits at byte 5 * (k - 1).
+  expect_depth_error_at(text, 5 * obs::kMaxJsonDepth);
+}
+
+TEST_F(StatsJson, NestingAtTheDepthCapParses) {
+  const std::string text =
+      std::string(obs::kMaxJsonDepth, '[') + std::string(obs::kMaxJsonDepth, ']');
+  const obs::JsonValue parsed = obs::parse_json(text);
+  const obs::JsonValue* level = &parsed;
+  std::size_t depth = 1;
+  while (!level->items().empty()) {
+    level = &level->items().front();
+    ++depth;
+  }
+  EXPECT_EQ(depth, obs::kMaxJsonDepth);
+  expect_depth_error_at("[" + text + "]", obs::kMaxJsonDepth);
+}
+
 TEST_F(StatsJson, NonFiniteNumbersSerializeAsNull) {
   obs::JsonValue array = obs::JsonValue::array();
   array.push_back(obs::JsonValue(std::nan("")));

@@ -82,7 +82,7 @@ TEST_P(StatsInvariants, FoxGlynnWindowIsOrdered) {
   std::vector<bool> psi(model.num_states(), false);
   psi[GetParam() % model.num_states()] = true;
 
-  // Time-bounded until without a reward bound runs the P1 transient path,
+  // Time-bounded until without a reward bound runs the P1 backward series,
   // which selects its Poisson window with Fox-Glynn.
   const auto values = checker::until_probabilities(model, phi, psi, logic::up_to(2.0),
                                                    logic::Interval{});
@@ -94,7 +94,7 @@ TEST_P(StatsInvariants, FoxGlynnWindowIsOrdered) {
   const double right = registry.gauge("fox_glynn.right");
   EXPECT_GE(left, 0.0);
   EXPECT_GE(right, left);
-  ASSERT_GE(registry.counter("transient.calls"), 1u);
+  ASSERT_GE(registry.counter("transient.hit_calls"), 1u);
   // Each series ran one term per Poisson index in [0, right].
   EXPECT_GE(registry.counter("transient.series_terms"), right);
 }

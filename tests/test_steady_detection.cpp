@@ -1,11 +1,11 @@
 // Steady-state detection in the uniformization series (transient.hpp) and
-// the backward hit-probability series behind the large-model P1 until path.
+// the backward series behind the P1 until path.
 //
 // The contract under test: with detection OFF the checked entry points are
 // bitwise identical to the historical solver; with detection ON on a stiff
 // model the series is cut early and the folded result stays within the
 // reported steady_error of the full series; and the backward series agrees
-// with the forward per-start fan-out it replaces.
+// with forward per-start runs.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -20,6 +20,16 @@
 
 namespace csrlmrm {
 namespace {
+
+/// The indicator vector of `target`: the backward series' start vector for a
+/// hit probability.
+std::vector<double> indicator_of(const std::vector<bool>& target) {
+  std::vector<double> indicator(target.size(), 0.0);
+  for (std::size_t s = 0; s < target.size(); ++s) {
+    if (target[s]) indicator[s] = 1.0;
+  }
+  return indicator;
+}
 
 bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
@@ -88,7 +98,7 @@ TEST(SteadyDetection, BackwardHitProbabilitiesMatchForwardFanout) {
   const core::Mrm model = models::make_mm1k();
   const std::vector<bool> target = model.labels().states_with("full");
   const double t = 2.0;
-  const auto hit = numeric::transient_hit_probabilities(model.rates(), target, t);
+  const auto hit = numeric::transient_backward(model.rates(), indicator_of(target), t);
   ASSERT_EQ(hit.values.size(), model.num_states());
   for (core::StateIndex s = 0; s < model.num_states(); ++s) {
     const auto forward = numeric::transient_distribution_from(model.rates(), s, t);
@@ -106,11 +116,11 @@ TEST(SteadyDetection, BackwardSeriesSteadyDetectionBoundsError) {
   const double t = 500.0;
 
   numeric::TransientOptions off;
-  const auto full = numeric::transient_hit_probabilities(model.rates(), target, t, off);
+  const auto full = numeric::transient_backward(model.rates(), indicator_of(target), t, off);
   numeric::TransientOptions on;
   on.detect_steady_state = true;
   on.steady_epsilon = 1e-10;
-  const auto cut = numeric::transient_hit_probabilities(model.rates(), target, t, on);
+  const auto cut = numeric::transient_backward(model.rates(), indicator_of(target), t, on);
 
   EXPECT_TRUE(cut.steady_state_detected);
   EXPECT_LT(cut.series_terms, full.series_terms);
@@ -124,8 +134,8 @@ TEST(SteadyDetection, BackwardSeriesSteadyDetectionBoundsError) {
 }
 
 TEST(SteadyDetection, LargeUntilBackwardPathAgreesWithForwardSeries) {
-  // 70x70 = 4900 states crosses the backward-until threshold (4096), so the
-  // P1 query below runs the one-shot backward series. The grid sink is
+  // 70x70 = 4900 states: a large P1 query, whose one-shot backward series
+  // runs the blocked SpMV (every P1 query runs that series). The grid sink is
   // already absorbing, so Pr{ true U^[0,t] delivered } equals the plain
   // transient membership of the sink — computable independently through the
   // forward series for a cross-check of the two routes.
