@@ -63,11 +63,10 @@ UntilExperiment::Result UntilExperiment::uniformization(core::StateIndex start, 
 
 std::vector<UntilExperiment::Result> UntilExperiment::classdp_batch(
     const std::vector<core::StateIndex>& starts, double t, double r, double w,
-    unsigned threads, bool adaptive_hybrid) const {
+    unsigned threads) const {
   numeric::PathExplorerOptions options;
   options.truncation_probability = w;
   options.threads = threads;
-  options.adaptive_hybrid = adaptive_hybrid;
   const auto begin = std::chrono::steady_clock::now();
   const auto batch = class_engine_.compute_batch(starts, t, r, options);
   const double seconds = elapsed_seconds(begin);

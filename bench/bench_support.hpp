@@ -28,7 +28,8 @@ class UntilExperiment {
     std::size_t nodes_expanded = 0;
   };
 
-  /// Uniformization/DFPG with truncation probability w (section 4.6).
+  /// Uniformization/DFPG with truncation probability w (section 4.6): the
+  /// thesis-faithful reference engine, one DFS per start state.
   Result uniformization(core::StateIndex start, double t, double r, double w,
                         bool aggregate_signatures = true) const;
 
@@ -36,13 +37,11 @@ class UntilExperiment {
   Result discretization(core::StateIndex start, double t, double r, double d) const;
 
   /// Signature-class DP over a batch of start states (one frontier sweep for
-  /// the whole batch, see class_explorer.hpp). Every returned Result carries
-  /// the batch's total wall-clock seconds and the shared diagnostic counts.
-  /// `adaptive_hybrid` arms the coarsen/DFS-hand-off escalation — the classdp
-  /// configuration the checker's --until-engine=auto runs.
+  /// the whole batch, see class_explorer.hpp) — the engine and configuration
+  /// the checker runs. Every returned Result carries the batch's total
+  /// wall-clock seconds and the shared diagnostic counts.
   std::vector<Result> classdp_batch(const std::vector<core::StateIndex>& starts, double t,
-                                    double r, double w, unsigned threads = 0,
-                                    bool adaptive_hybrid = false) const;
+                                    double r, double w, unsigned threads = 0) const;
 
   const core::Mrm& transformed_model() const { return transformed_; }
   const std::vector<bool>& psi_mask() const { return psi_; }

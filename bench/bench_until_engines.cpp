@@ -1,18 +1,17 @@
-// DFPG-vs-classdp-vs-auto engine comparison on the chapter-5 until
-// workloads, written to BENCH_until_engines.json (CWD, or the path given as
-// argv[1]).
+// The checker's P2 engine against the thesis's reference engine on the
+// chapter-5 until workloads, written to BENCH_until_engines.json (CWD, or the
+// path given as argv[1]).
 //
 // For each workload the checker-style fan-out (every live non-Psi state of
-// the transformed MRM is a start state) is evaluated three times at equal
+// the transformed MRM is a start state) is evaluated twice at equal
 // truncation probability w:
 //
 //   dfpg     one depth-first path generation per start state (the thesis
-//            appendix's Algorithm 4.7, path_explorer.hpp);
-//   classdp  ONE signature-class DP frontier sweep answering every start
-//            (class_explorer.hpp, multi-start batching), no escalation;
-//   auto     whatever checker::choose_until_engine picks for the workload —
-//            in practice the class DP with the adaptive coarsen/DFS-hand-off
-//            hybrid armed, the --until-engine=auto default.
+//            appendix's Algorithm 4.7, path_explorer.hpp) — the reference;
+//   checker  ONE signature-class DP frontier sweep answering every start
+//            (class_explorer.hpp, multi-start batching) with the adaptive
+//            coarsen/DFS-hand-off escalation armed — what the checker runs
+//            for every P2 query that is not provably over its node budget.
 //
 // All engine inputs (model construction, formula satisfaction sets, the
 // absorbing transform, engine construction with its signature classification)
@@ -21,18 +20,17 @@
 // so timings measure engines, not setup. (The models are built
 // programmatically — no file parsing happens anywhere in this binary.)
 //
-// Recorded per workload: wall-clock of all three lanes (best of g_repeats,
-// lanes interleaved within each repetition so host clock drift cancels),
-// wall_clock_speedup = best(dfpg, classdp) / auto (the "auto never loses"
-// headline), which engine auto picked, omega.evaluations (the
+// Recorded per workload: wall-clock of both lanes (best of g_repeats, lanes
+// interleaved within each repetition so host clock drift cancels),
+// wall_clock_speedup = dfpg / checker, omega.evaluations (the
 // conditional-probability calls of eq. 4.9 — the quantity the
 // signature-class merge and the (k, r') grouping are designed to shrink),
-// the classdp frontier/merge/escalation counters, the maximum cross-engine
-// disagreement in excess of the combined error bounds (expected 0: the
-// engines bracket the same exact value), and the maximum deviation of the
-// classdp and auto lanes across 1/2/8 worker threads (expected 0: the
-// per-level expansion and the chunked DFS continuation are bitwise
-// deterministic by construction).
+// the checker lane's frontier/merge/escalation counters, the maximum
+// cross-engine disagreement in excess of the combined error bounds (expected
+// 0: the engines bracket the same exact value), and the maximum deviation of
+// the checker lane across 1/2/8 worker threads (expected 0: the per-level
+// expansion and the chunked DFS continuation are bitwise deterministic by
+// construction).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -42,7 +40,6 @@
 #include <vector>
 
 #include "bench_support.hpp"
-#include "checker/until.hpp"
 #include "models/tmr.hpp"
 #include "obs/stats.hpp"
 
@@ -95,16 +92,14 @@ struct Record {
   std::string description;
   std::size_t num_starts = 0;
   double dfpg_ms = 0.0;
-  double classdp_ms = 0.0;
-  double auto_ms = 0.0;
-  std::string auto_choice;  // what checker::choose_until_engine picked
+  double checker_ms = 0.0;
   double omega_dfpg = 0.0;
-  double omega_classdp = 0.0;
-  double trivial_classdp = 0.0;
+  double omega_checker = 0.0;
+  double trivial_checker = 0.0;
   double nodes_dfpg = 0.0;
-  double nodes_classdp = 0.0;
-  double coarsenings_auto = 0.0;
-  double handoffs_auto = 0.0;
+  double nodes_checker = 0.0;
+  double coarsenings = 0.0;
+  double handoffs = 0.0;
   double agreement_excess = 0.0;  // max(|p_d - p_c| - (e_d + e_c), 0) over starts
   double thread_determinism_diff = 0.0;
 };
@@ -126,98 +121,54 @@ Record run_workload(const Workload& workload) {
   record.description = workload.description;
   record.num_starts = starts.size();
 
-  // The checker's --until-engine=auto cost model, resolved for this workload.
-  checker::CheckerOptions checker_options;
-  checker_options.uniformization.truncation_probability = workload.w;
-  const checker::AutoEngineChoice choice =
-      checker::choose_until_engine(experiment.transformed_model(), workload.t, checker_options);
-  record.auto_choice = choice.method == checker::UntilMethod::kDiscretization
-                           ? "discretization"
-                       : choice.engine == checker::UntilEngine::kDfpg
-                           ? "dfpg"
-                           : (choice.adaptive_hybrid ? "classdp+hybrid" : "classdp");
-
   const auto run_dfpg = [&] {
     for (const core::StateIndex s : starts) {
       experiment.uniformization(s, workload.t, workload.r, workload.w);
     }
   };
-  const auto run_classdp = [&] {
+  const auto run_checker = [&] {
     experiment.classdp_batch(starts, workload.t, workload.r, workload.w);
   };
-  // The auto lane runs whatever the cost model picked (on these workloads:
-  // the class DP with the hybrid escalation armed).
-  const auto run_auto = [&] {
-    if (choice.method == checker::UntilMethod::kUniformization &&
-        choice.engine == checker::UntilEngine::kDfpg) {
-      run_dfpg();
-    } else {
-      experiment.classdp_batch(starts, workload.t, workload.r, workload.w, 0,
-                               choice.adaptive_hybrid);
-    }
-  };
 
-  // Interleaved best-of-g_repeats: each repetition times all three lanes back
-  // to back, so slow clock/frequency drift on the host hits every lane equally
-  // instead of biasing whichever lane happens to be measured last. (The lanes
-  // differ by ~1 ms on the TMR workloads; sequential per-lane loops let drift
-  // of that size masquerade as an engine difference.)
-  record.dfpg_ms = record.classdp_ms = record.auto_ms = 1e300;
+  // Interleaved best-of-g_repeats: each repetition times both lanes back to
+  // back, so slow clock/frequency drift on the host hits every lane equally
+  // instead of biasing whichever lane happens to be measured last.
+  record.dfpg_ms = record.checker_ms = 1e300;
   for (int repeat = 0; repeat < g_repeats; ++repeat) {
     record.dfpg_ms = std::min(record.dfpg_ms, time_once(run_dfpg));
-    record.classdp_ms = std::min(record.classdp_ms, time_once(run_classdp));
-    record.auto_ms = std::min(record.auto_ms, time_once(run_auto));
+    record.checker_ms = std::min(record.checker_ms, time_once(run_checker));
   }
   record.omega_dfpg = counter_of(run_dfpg, "omega.evaluations");
-  record.omega_classdp = counter_of(run_classdp, "omega.evaluations");
-  record.trivial_classdp = counter_of(run_classdp, "classdp.trivial_folds");
+  record.omega_checker = counter_of(run_checker, "omega.evaluations");
+  record.trivial_checker = counter_of(run_checker, "classdp.trivial_folds");
   record.nodes_dfpg = counter_of(run_dfpg, "uniformization.nodes_expanded");
-  record.nodes_classdp = counter_of(run_classdp, "classdp.nodes_expanded");
-  record.coarsenings_auto = counter_of(run_auto, "classdp.coarsenings");
-  record.handoffs_auto = counter_of(run_auto, "classdp.hybrid_handoffs");
+  record.nodes_checker = counter_of(run_checker, "classdp.nodes_expanded");
+  record.coarsenings = counter_of(run_checker, "classdp.coarsenings");
+  record.handoffs = counter_of(run_checker, "classdp.hybrid_handoffs");
 
-  // Cross-engine agreement: every engine reports p with p <= p_exact <=
-  // p + error_bound, so the probabilities must agree pairwise within the
-  // summed bounds — including the hybrid's, whose coarsening/hand-off only
-  // reroutes work inside the same accounting.
-  std::vector<benchsupport::UntilExperiment::Result> dfpg;
-  dfpg.reserve(starts.size());
-  for (const core::StateIndex s : starts) {
-    dfpg.push_back(experiment.uniformization(s, workload.t, workload.r, workload.w));
-  }
-  const auto classdp =
-      experiment.classdp_batch(starts, workload.t, workload.r, workload.w);
-  const auto hybrid =
-      experiment.classdp_batch(starts, workload.t, workload.r, workload.w, 0, true);
+  // Cross-engine agreement: both engines report p with p <= p_exact <=
+  // p + error_bound, so the probabilities must agree within the summed
+  // bounds — the hybrid's coarsening/hand-off only reroutes work inside the
+  // same accounting.
+  const auto batch = experiment.classdp_batch(starts, workload.t, workload.r, workload.w, 1);
   for (std::size_t i = 0; i < starts.size(); ++i) {
-    const double pure_gap = std::abs(dfpg[i].probability - classdp[i].probability) -
-                            (dfpg[i].error_bound + classdp[i].error_bound);
-    const double hybrid_gap = std::abs(dfpg[i].probability - hybrid[i].probability) -
-                              (dfpg[i].error_bound + hybrid[i].error_bound);
+    const auto dfpg = experiment.uniformization(starts[i], workload.t, workload.r, workload.w);
     record.agreement_excess =
-        std::max(record.agreement_excess, std::max(pure_gap, hybrid_gap));
+        std::max(record.agreement_excess,
+                 std::abs(dfpg.probability - batch[i].probability) -
+                     (dfpg.error_bound + batch[i].error_bound));
   }
 
-  // Thread determinism: identical bits at every worker count, for the pure
-  // frontier sweep and for the hybrid's chunked DFS continuation alike.
+  // Thread determinism: identical bits at every worker count, for the
+  // frontier sweep and the hybrid's chunked DFS continuation alike.
   for (const unsigned threads : {2u, 8u}) {
     const auto other =
         experiment.classdp_batch(starts, workload.t, workload.r, workload.w, threads);
-    const auto other_hybrid = experiment.classdp_batch(starts, workload.t, workload.r,
-                                                       workload.w, threads, true);
     for (std::size_t i = 0; i < starts.size(); ++i) {
       record.thread_determinism_diff =
-          std::max(record.thread_determinism_diff,
-                   std::abs(other[i].probability - classdp[i].probability));
-      record.thread_determinism_diff =
-          std::max(record.thread_determinism_diff,
-                   std::abs(other[i].error_bound - classdp[i].error_bound));
-      record.thread_determinism_diff =
-          std::max(record.thread_determinism_diff,
-                   std::abs(other_hybrid[i].probability - hybrid[i].probability));
-      record.thread_determinism_diff =
-          std::max(record.thread_determinism_diff,
-                   std::abs(other_hybrid[i].error_bound - hybrid[i].error_bound));
+          std::max({record.thread_determinism_diff,
+                    std::abs(other[i].probability - batch[i].probability),
+                    std::abs(other[i].error_bound - batch[i].error_bound)});
     }
   }
   return record;
@@ -228,26 +179,24 @@ void print_record(std::FILE* out, const Record& record, bool last) {
   std::fprintf(out, "      \"workload\": \"%s\",\n", record.description.c_str());
   std::fprintf(out, "      \"num_starts\": %zu,\n", record.num_starts);
   std::fprintf(out, "      \"dfpg_ms\": %.3f,\n", record.dfpg_ms);
-  std::fprintf(out, "      \"classdp_ms\": %.3f,\n", record.classdp_ms);
-  std::fprintf(out, "      \"auto_ms\": %.3f,\n", record.auto_ms);
-  std::fprintf(out, "      \"auto_choice\": \"%s\",\n", record.auto_choice.c_str());
-  std::fprintf(out, "      \"wall_clock_speedup\": %.2f,\n",
-               std::min(record.dfpg_ms, record.classdp_ms) / record.auto_ms);
+  std::fprintf(out, "      \"checker_ms\": %.3f,\n", record.checker_ms);
+  std::fprintf(out, "      \"wall_clock_speedup\": %.2f,\n", record.dfpg_ms / record.checker_ms);
   std::fprintf(out, "      \"omega_evaluations_dfpg\": %.0f,\n", record.omega_dfpg);
-  std::fprintf(out, "      \"omega_evaluations_classdp\": %.0f,\n", record.omega_classdp);
-  // classdp can fold EVERY class through the trivial Omega base cases (zero
-  // evaluator calls); JSON has no infinity, so emit null for the ratio then.
-  if (record.omega_classdp > 0.0) {
+  std::fprintf(out, "      \"omega_evaluations_checker\": %.0f,\n", record.omega_checker);
+  // The checker can fold EVERY class through the trivial Omega base cases
+  // (zero evaluator calls); JSON has no infinity, so emit null for the ratio
+  // then.
+  if (record.omega_checker > 0.0) {
     std::fprintf(out, "      \"omega_evaluation_ratio\": %.2f,\n",
-                 record.omega_dfpg / record.omega_classdp);
+                 record.omega_dfpg / record.omega_checker);
   } else {
     std::fprintf(out, "      \"omega_evaluation_ratio\": null,\n");
   }
-  std::fprintf(out, "      \"classdp_trivial_omega_folds\": %.0f,\n", record.trivial_classdp);
+  std::fprintf(out, "      \"checker_trivial_omega_folds\": %.0f,\n", record.trivial_checker);
   std::fprintf(out, "      \"dfs_nodes_expanded\": %.0f,\n", record.nodes_dfpg);
-  std::fprintf(out, "      \"classdp_frontier_classes\": %.0f,\n", record.nodes_classdp);
-  std::fprintf(out, "      \"auto_coarsenings\": %.0f,\n", record.coarsenings_auto);
-  std::fprintf(out, "      \"auto_hybrid_handoffs\": %.0f,\n", record.handoffs_auto);
+  std::fprintf(out, "      \"checker_nodes_expanded\": %.0f,\n", record.nodes_checker);
+  std::fprintf(out, "      \"checker_coarsenings\": %.0f,\n", record.coarsenings);
+  std::fprintf(out, "      \"checker_hybrid_handoffs\": %.0f,\n", record.handoffs);
   std::fprintf(out, "      \"agreement_excess_over_error_bounds\": %.3e,\n",
                record.agreement_excess);
   std::fprintf(out, "      \"max_diff_across_1_2_8_threads\": %.3e\n    }%s\n",
@@ -270,8 +219,8 @@ int main(int argc, char** argv) {
   std::vector<Workload> workloads;
   if (smoke) {
     // bench-smoke lane: one tiny TMR query, single repetition — checks every
-    // lane (dfpg, classdp, auto, agreement, thread determinism) end to end
-    // without meaningful timings.
+    // lane (dfpg, checker, agreement, thread determinism) end to end without
+    // meaningful timings.
     g_repeats = 1;
     workloads.push_back({"smoke_tmr",
                          "3-module TMR smoke run, P[Sup U[0,10][0,100] failed], w=1e-6",
@@ -305,13 +254,11 @@ int main(int argc, char** argv) {
     records.push_back(run_workload(workload));
     const Record& record = records.back();
     std::printf(
-        "%s: dfpg %.1f ms / classdp %.1f ms / auto[%s] %.1f ms "
-        "(auto speedup vs best %.2fx), omega evals %.0f -> %.0f, "
+        "%s: dfpg %.1f ms / checker %.1f ms (speedup %.2fx), omega evals %.0f -> %.0f, "
         "agreement excess %.1e, thread diff %.1e\n",
-        record.name.c_str(), record.dfpg_ms, record.classdp_ms, record.auto_choice.c_str(),
-        record.auto_ms, std::min(record.dfpg_ms, record.classdp_ms) / record.auto_ms,
-        record.omega_dfpg, record.omega_classdp, record.agreement_excess,
-        record.thread_determinism_diff);
+        record.name.c_str(), record.dfpg_ms, record.checker_ms,
+        record.dfpg_ms / record.checker_ms, record.omega_dfpg, record.omega_checker,
+        record.agreement_excess, record.thread_determinism_diff);
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -326,11 +273,11 @@ int main(int argc, char** argv) {
                "repetition) over engine queries only "
                "(model build, satisfaction sets, absorbing transform and engine "
                "construction are hoisted out of the timed loops; the models are built "
-               "programmatically, no file IO); dfpg runs one DFS per start state, classdp "
-               "answers all starts in one batched frontier sweep at the same truncation "
-               "probability w, auto runs what checker::choose_until_engine picked "
-               "(auto_choice); wall_clock_speedup = best(dfpg_ms, classdp_ms) / auto_ms; "
-               "omega_evaluation_ratio null means classdp folded every class through the "
+               "programmatically, no file IO); dfpg runs the reference engine, one DFS per "
+               "start state; checker runs the checker's P2 engine, one batched signature-class "
+               "frontier sweep for all starts with the coarsen/hand-off escalation armed, at "
+               "the same truncation probability w; wall_clock_speedup = dfpg_ms / checker_ms; "
+               "omega_evaluation_ratio null means the checker folded every class through the "
                "trivial Omega base cases and needed zero evaluator calls\",\n",
                g_repeats);
   std::fprintf(out, "  \"workloads\": [\n");

@@ -48,7 +48,10 @@ void usage() {
                "            iterate is steady within eps (default 1e-12); the cut's\n"
                "            error is accounted into the reported value intervals\n"
                "  u=<w>     until formulas by uniformization, truncation probability w\n"
-               "            (default: u=1e-8)\n"
+               "            (default: u=1e-8). Reward-bounded queries run the\n"
+               "            signature-class DP engine; one that is provably over the\n"
+               "            node budget runs discretization instead (recorded in the\n"
+               "            engine.auto_choice.* stats counters)\n"
                "  d=<step>  until formulas by discretization with the given step\n"
                "  --threads N  worker threads for the numeric engines and the\n"
                "            per-state fan-out (default: CSRLMRM_THREADS env var,\n"
@@ -62,19 +65,10 @@ void usage() {
                "            only warns and lists the offending intervals\n"
                "  --fallback=<policy>  what to do when the uniformization engine\n"
                "            exhausts its node budget: 'discretize' (default: redo\n"
-               "            that state with the discretization engine), 'widen-w'\n"
-               "            (retry with coarser truncation), or 'throw' (fail)\n"
-               "  --until-engine=<e>  uniformization engine variant: 'auto' (default:\n"
-               "            an up-front cost model picks per query between the class\n"
-               "            DP with its adaptive coarsen/hand-off hybrid, the DFS\n"
-               "            generator, and discretization; recorded in the\n"
-               "            engine.auto_choice.* stats counters), 'classdp'\n"
-               "            (signature-class dynamic programming, all start states\n"
-               "            batched through one frontier sweep) or 'dfpg'\n"
-               "            (depth-first path generation, one DFS per start state —\n"
-               "            the thesis appendix's algorithm)\n"
-               "  --max-nodes=N  node budget for the uniformization engines (DFS\n"
-               "            node expansions / DP frontier classes, default 500000000)\n"
+               "            the query's start states with the discretization engine)\n"
+               "            or 'throw' (fail)\n"
+               "  --max-nodes=N  node budget for the uniformization engine (frontier\n"
+               "            classes processed, default 500000000)\n"
                "  --formulas=<file>  check a batch of formulas (one per line; blank\n"
                "            lines and '#' comments skipped) through one compiled plan\n"
                "            that deduplicates shared subformulas, solves, and\n"
@@ -83,7 +77,7 @@ void usage() {
                "            formula fails alone (its error printed in its slot), the\n"
                "            rest of the batch still runs, and the exit status is 4\n"
                "  --explain  compile the formula (or --formulas batch) into a plan,\n"
-               "            print it — ops, sharing, chosen until engines — and exit\n"
+               "            print it — ops, sharing, hoisted transforms — and exit\n"
                "            without checking anything\n"
                "  NP        do not print per-state probabilities\n"
                "\n"
@@ -348,28 +342,10 @@ int main(int argc, char** argv) {
           options.on_budget_exhausted = checker::BudgetPolicy::kThrow;
         } else if (policy == "discretize") {
           options.on_budget_exhausted = checker::BudgetPolicy::kFallbackToDiscretization;
-        } else if (policy == "widen-w") {
-          options.on_budget_exhausted = checker::BudgetPolicy::kWidenW;
         } else {
           std::fprintf(stderr,
-                       "mrmcheck: --fallback= expects 'throw', 'discretize' or 'widen-w', "
-                       "got '%s'\n",
+                       "mrmcheck: --fallback= expects 'throw' or 'discretize', got '%s'\n",
                        policy.c_str());
-          return 2;
-        }
-      } else if (token.rfind("--until-engine=", 0) == 0) {
-        const std::string engine = token.substr(15);
-        if (engine == "auto") {
-          options.until_engine = checker::UntilEngine::kAuto;
-        } else if (engine == "classdp") {
-          options.until_engine = checker::UntilEngine::kClassDp;
-        } else if (engine == "dfpg") {
-          options.until_engine = checker::UntilEngine::kDfpg;
-        } else {
-          std::fprintf(stderr,
-                       "mrmcheck: --until-engine= expects 'auto', 'classdp' or 'dfpg', "
-                       "got '%s'\n",
-                       engine.c_str());
           return 2;
         }
       } else if (token.rfind("--max-nodes=", 0) == 0) {

@@ -3,7 +3,7 @@
 //   mrmcheckc --socket=<path> ping
 //   mrmcheckc --socket=<path> load <name> <model.spec | prefix>
 //   mrmcheckc --socket=<path> check <model> [w=<w>] [--max-nodes=N]
-//             [--deadline-ms=D] [--until-engine=e] [--fallback=p]
+//             [--deadline-ms=D] [--fallback=p]
 //             "<formula>" ["<formula>" ...]
 //   mrmcheckc --socket=<path> stats
 //   mrmcheckc --socket=<path> shutdown
@@ -13,7 +13,9 @@
 // .rewr[/.rewi]) and prints its content fingerprint. `check` prints each
 // formula's verdict string ('Y'/'N'/'?' per state, 1-based) and numeric
 // values, mirroring mrmcheck's output. Exit codes: 0 ok, 1 daemon-side or
-// connection error, 2 usage, 4 batch completed but some formulas failed.
+// connection error, 2 usage (checked before connecting, so an unknown
+// option or fallback name fails the same with or without a daemon), 4 batch
+// completed but some formulas failed.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -30,8 +32,7 @@ void usage() {
                "  ping\n"
                "  load <name> <model.spec | file-prefix>\n"
                "  check <model> [w=<w>] [--max-nodes=N] [--deadline-ms=D]\n"
-               "        [--until-engine=auto|classdp|dfpg]\n"
-               "        [--fallback=throw|discretize|widen-w]\n"
+               "        [--fallback=throw|discretize]\n"
                "        \"<formula>\" [\"<formula>\" ...]\n"
                "  stats\n"
                "  shutdown\n");
@@ -40,6 +41,37 @@ void usage() {
 bool ends_with(const std::string& text, const char* suffix) {
   const std::string s(suffix);
   return text.size() >= s.size() && text.compare(text.size() - s.size(), s.size(), s) == 0;
+}
+
+/// Parses `check <model> [options] <formula>...` into `check`; false (after
+/// a diagnostic) on a usage error.
+bool parse_check(const std::vector<std::string>& args, csrlmrm::daemon::CheckRequest& check) {
+  if (args.size() < 3) return false;
+  check.model = args[1];
+  for (std::size_t i = 2; i < args.size(); ++i) {
+    const std::string& token = args[i];
+    if (token.rfind("w=", 0) == 0) {
+      check.options.w = std::stod(token.substr(2));
+    } else if (token.rfind("--max-nodes=", 0) == 0) {
+      check.options.max_nodes = static_cast<std::size_t>(std::stoull(token.substr(12)));
+    } else if (token.rfind("--deadline-ms=", 0) == 0) {
+      check.options.deadline_ms = std::stod(token.substr(14));
+    } else if (token.rfind("--fallback=", 0) == 0) {
+      check.options.fallback = token.substr(11);
+      if (*check.options.fallback != "throw" && *check.options.fallback != "discretize") {
+        std::fprintf(stderr,
+                     "mrmcheckc: --fallback= expects 'throw' or 'discretize', got '%s'\n",
+                     check.options.fallback->c_str());
+        return false;
+      }
+    } else if (token.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "mrmcheckc: unknown check option '%s'\n", token.c_str());
+      return false;
+    } else {
+      check.formulas.push_back(token);
+    }
+  }
+  return !check.formulas.empty();
 }
 
 int print_check_reply(const csrlmrm::daemon::CheckReply& reply) {
@@ -100,8 +132,13 @@ int main(int argc, char** argv) {
   }
 
   try {
-    daemon::Client client(socket_path);
     const std::string& op = args[0];
+    daemon::CheckRequest check;
+    if (op == "check" && !parse_check(args, check)) {
+      usage();
+      return 2;
+    }
+    daemon::Client client(socket_path);
 
     if (op == "ping" || op == "stats" || op == "shutdown") {
       JsonValue request = JsonValue::object();
@@ -133,32 +170,6 @@ int main(int argc, char** argv) {
     }
 
     if (op == "check") {
-      if (args.size() < 3) {
-        usage();
-        return 2;
-      }
-      daemon::CheckRequest check;
-      check.model = args[1];
-      for (std::size_t i = 2; i < args.size(); ++i) {
-        const std::string& token = args[i];
-        if (token.rfind("w=", 0) == 0) {
-          check.options.w = std::stod(token.substr(2));
-        } else if (token.rfind("--max-nodes=", 0) == 0) {
-          check.options.max_nodes = static_cast<std::size_t>(std::stoull(token.substr(12)));
-        } else if (token.rfind("--deadline-ms=", 0) == 0) {
-          check.options.deadline_ms = std::stod(token.substr(14));
-        } else if (token.rfind("--until-engine=", 0) == 0) {
-          check.options.until_engine = token.substr(15);
-        } else if (token.rfind("--fallback=", 0) == 0) {
-          check.options.fallback = token.substr(11);
-        } else {
-          check.formulas.push_back(token);
-        }
-      }
-      if (check.formulas.empty()) {
-        usage();
-        return 2;
-      }
       const JsonValue reply = client.roundtrip(daemon::check_request_to_json(check));
       return print_check_reply(daemon::check_reply_from_json(reply));
     }

@@ -5,7 +5,7 @@
 // connectives, the widened two-mask runs of the numeric operators (S, P, R),
 // and the three-valued threshold comparison — lives here as a free function
 // of (model, operand sets, options). Each plan op calls exactly one of these
-// functions, so the plan passes (CSE, transform hoisting, engine pinning)
+// functions, so the plan passes (CSE, transform hoisting)
 // only decide how often and on which cached transforms they run, never what
 // they compute.
 //

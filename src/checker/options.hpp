@@ -13,62 +13,35 @@ namespace csrlmrm::checker {
 
 /// Numerical method used for time- and reward-bounded until formulas (P2).
 enum class UntilMethod {
-  /// Uniformization with depth-first path generation (section 4.6) — the
-  /// default, matching the tool described in the appendix.
+  /// Uniformization (section 4.6), evaluated by the signature-class DP
+  /// engine (numeric/class_explorer.hpp) with its coarsen/hand-off
+  /// escalation armed — the default, with w = 1e-8 like the tool described
+  /// in the appendix. A query that is provably over the node budget before
+  /// exploring anything runs discretization instead (see
+  /// checker::choose_until_engine).
   kUniformization,
   /// Discretization (section 4.5). Requires (scalable-to-)integer state
   /// rewards and impulse rewards divisible by the step.
   kDiscretization,
 };
 
-/// Which uniformization engine evaluates a P2-class until formula (only
-/// consulted when until_method == kUniformization).
-enum class UntilEngine {
-  /// Cost-model choice per query (the default): an up-front structural pass
-  /// over the transformed model picks kClassDp (with the adaptive hybrid
-  /// coarsen/hand-off escalation enabled), kDfpg, or — when uniformization
-  /// is provably over its node budget and the model has no impulse rewards —
-  /// the discretization method. The resolved choice is recorded in the
-  /// `engine.auto_choice.*` stats counters; see checker::choose_until_engine
-  /// for the exact rules.
-  kAuto,
-  /// Signature-class dynamic programming with multi-start batching
-  /// (class_explorer.hpp): one frontier sweep answers every queried start
-  /// state and each conditional probability is evaluated once per signature
-  /// class. Falls back to kDfpg per BudgetPolicy when its class budget is
-  /// exhausted.
-  kClassDp,
-  /// Depth-first path generation (Algorithm 4.7, path_explorer.hpp), one
-  /// exploration per start state — the engine described in the thesis
-  /// appendix; kept as the reference implementation and ablation baseline.
-  kDfpg,
-};
-
-/// What the checker does when the DFPG explorer exhausts its node budget
-/// (PathExplorerOptions::max_nodes): uniformization is only practical for
-/// small Lambda*t, and a production checker must degrade gracefully instead
-/// of dying mid-formula.
+/// What the checker does when the uniformization engine exhausts its node
+/// budget (PathExplorerOptions::max_nodes): uniformization is only practical
+/// for small Lambda*t, and a production checker must degrade gracefully
+/// instead of dying mid-formula.
 enum class BudgetPolicy {
-  /// Propagate numeric::NodeBudgetError to the caller (the pre-existing
-  /// behavior).
+  /// Propagate numeric::NodeBudgetError to the caller.
   kThrow,
   /// Re-evaluate the affected start states with the discretization engine
-  /// (recorded in the `uniformization.fallbacks` stats counter); the
-  /// returned interval is the discretization one.
+  /// at an adapted step (each recorded in the `uniformization.fallbacks`
+  /// stats counter); the returned interval is the discretization one.
   kFallbackToDiscretization,
-  /// Retry with the truncation probability w widened by 1000x (up to 1e-2,
-  /// recorded in `uniformization.widenings`), trading accuracy — visible in
-  /// the returned interval — for a smaller search tree; falls back to
-  /// discretization if even the widest w exhausts the budget.
-  kWidenW,
 };
 
 /// All knobs of the checker, with the defaults of the thesis's tool
 /// (uniformization with truncation probability w = 1e-8).
 struct CheckerOptions {
   UntilMethod until_method = UntilMethod::kUniformization;
-  /// Uniformization engine variant (see UntilEngine).
-  UntilEngine until_engine = UntilEngine::kAuto;
   /// Degradation policy on node-budget exhaustion (see BudgetPolicy).
   BudgetPolicy on_budget_exhausted = BudgetPolicy::kFallbackToDiscretization;
   /// Options for the uniformization path explorer (w lives here).

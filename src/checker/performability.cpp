@@ -4,7 +4,7 @@
 
 #include "checker/steady.hpp"
 #include "numeric/discretization.hpp"
-#include "numeric/path_explorer.hpp"
+#include "numeric/class_explorer.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
 
@@ -21,19 +21,32 @@ std::vector<double> per_state_gain_rates(const core::Mrm& model) {
   return gain;
 }
 
+namespace {
+
+/// Pr{ Y(t) <= r } is the P2 probability with Psi = everything and no dead
+/// state: the signature-class DP on the untransformed model.
+numeric::SignatureClassUntilEngine performability_engine(const core::Mrm& model) {
+  return numeric::SignatureClassUntilEngine(model, std::vector<bool>(model.num_states(), true),
+                                            std::vector<bool>(model.num_states(), false));
+}
+
+PerformabilityValue truncated_performability(const numeric::UntilUniformizationResult& result) {
+  // Truncation only loses mass: the truth lies in [p, p + error].
+  return {result.probability, result.error_bound,
+          ProbabilityBound::from_point_error(result.probability, 0.0, result.error_bound)};
+}
+
+}  // namespace
+
 PerformabilityValue performability(const core::Mrm& model, core::StateIndex start, double t,
                                    double r, const CheckerOptions& options) {
   obs::ScopedTimer timer("checker.performability");
   obs::counter_add("checker.performability.calls");
-  const std::vector<bool> everything(model.num_states(), true);
-  const std::vector<bool> nothing(model.num_states(), false);
   if (options.until_method == UntilMethod::kUniformization) {
-    numeric::UniformizationUntilEngine engine(model, everything, nothing);
-    const auto result = engine.compute(start, t, r, options.uniformization);
-    // Truncation only loses mass: the truth lies in [p, p + error].
-    return {result.probability, result.error_bound,
-            ProbabilityBound::from_point_error(result.probability, 0.0, result.error_bound)};
+    return truncated_performability(
+        performability_engine(model).compute(start, t, r, options.uniformization));
   }
+  const std::vector<bool> everything(model.num_states(), true);
   const auto result = numeric::until_probability_discretization(model, everything, start, t, r,
                                                                 options.discretization);
   return {result.probability, result.error_bound,
@@ -48,16 +61,12 @@ std::vector<PerformabilityValue> performability_cdf(const core::Mrm& model,
   std::vector<PerformabilityValue> values;
   values.reserve(reward_bounds.size());
   if (options.until_method == UntilMethod::kUniformization) {
-    // Build the engine once; each bound re-walks the (truncated) path set
+    // Build the engine once; each bound re-sweeps the (truncated) frontier
     // but shares the uniformization preprocessing.
-    const std::vector<bool> everything(model.num_states(), true);
-    const std::vector<bool> nothing(model.num_states(), false);
-    numeric::UniformizationUntilEngine engine(model, everything, nothing);
+    const numeric::SignatureClassUntilEngine engine = performability_engine(model);
     for (const double r : reward_bounds) {
-      const auto result = engine.compute(start, t, r, options.uniformization);
-      values.push_back(
-          {result.probability, result.error_bound,
-           ProbabilityBound::from_point_error(result.probability, 0.0, result.error_bound)});
+      values.push_back(truncated_performability(
+          engine.compute(start, t, r, options.uniformization)));
     }
     return values;
   }

@@ -26,7 +26,7 @@
 namespace csrlmrm::checker {
 
 /// A performability value with the error bound of the engine that produced
-/// it (DFPG truncation mass, or the derived O(d) discretization band) and
+/// it (uniformization truncation mass, or the derived O(d) discretization band) and
 /// the rigorous interval containing the true value.
 struct PerformabilityValue {
   double probability = 0.0;
@@ -35,15 +35,15 @@ struct PerformabilityValue {
 };
 
 /// Perf(<= r) = Pr{ Y(t) <= r } from `start` over the utilization interval
-/// [0, t]. Uses the engine selected in `options` (uniformization by
-/// default). Requires t, r finite and >= 0.
+/// [0, t]. Uses the method selected in `options` (uniformization by the
+/// signature-class DP engine by default). Requires t, r finite and >= 0.
 PerformabilityValue performability(const core::Mrm& model, core::StateIndex start, double t,
                                    double r, const CheckerOptions& options = {});
 
 /// The distribution function r -> Pr{ Y(t) <= r } evaluated at each bound in
-/// `reward_bounds` (one engine pass per entry; the uniformization engine
-/// shares its path exploration across entries only through signature reuse,
-/// so prefer modest sweep sizes).
+/// `reward_bounds` (one engine pass per entry; the uniformization passes
+/// share one engine and its signature preprocessing, so prefer modest sweep
+/// sizes).
 std::vector<PerformabilityValue> performability_cdf(const core::Mrm& model,
                                                     core::StateIndex start, double t,
                                                     const std::vector<double>& reward_bounds,

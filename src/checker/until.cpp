@@ -9,7 +9,6 @@
 #include "linalg/gauss_seidel.hpp"
 #include "numeric/class_explorer.hpp"
 #include "numeric/discretization.hpp"
-#include "numeric/path_explorer.hpp"
 #include "numeric/poisson.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
@@ -99,51 +98,43 @@ std::vector<double> unbounded_until_probabilities(const core::Mrm& model,
   return result;
 }
 
-AutoEngineChoice choose_until_engine(const core::Mrm& transformed, double t,
-                                     const CheckerOptions& options) {
-  AutoEngineChoice choice;
+UntilMethod choose_until_engine(const core::Mrm& transformed, double t,
+                                const CheckerOptions& options) {
   const std::size_t n = transformed.num_states();
   std::size_t live = 0;
   for (core::StateIndex s = 0; s < n; ++s) {
     if (transformed.rates().exit_rate(s) > 0.0) ++live;
   }
   const double mean = transformed.rates().max_exit_rate() * t;
-  // Pr{N > levels} <= w: no uniformization engine looks past this epoch, and
-  // even a perfectly merging frontier processes at least one class per live
-  // state per level, so live * levels lower-bounds any engine's node count.
+  // Pr{N > levels} <= w: the engine never looks past this epoch, and even a
+  // perfectly merging frontier processes at least one class per live state
+  // per level, so live * levels lower-bounds the engine's node count.
   const std::size_t levels =
       mean > 0.0 ? numeric::poisson_truncation_point(
                        mean, options.uniformization.truncation_probability)
                  : 0;
+  // Uniformization provably over budget before exploring anything, and
+  // without impulse rewards a valid discretization step always exists — skip
+  // straight to the engine the budget fallback would end up in. (Under
+  // kThrow every degradation is disabled, so the checker must not switch
+  // methods behind the user's back either: run uniformization and fail
+  // loudly.)
   if (options.on_budget_exhausted != BudgetPolicy::kThrow &&
       !transformed.has_impulse_rewards() &&
       static_cast<double>(live) * static_cast<double>(levels) >
           static_cast<double>(options.uniformization.max_nodes)) {
-    // Uniformization is provably over budget before exploring anything, and
-    // without impulse rewards a valid discretization step always exists —
-    // skip straight to the engine the BudgetPolicy chain would end up in.
-    // (Under kThrow every degradation is disabled, so auto must not switch
-    // methods behind the user's back either: run uniformization and fail
-    // loudly.)
-    choice.method = UntilMethod::kDiscretization;
-    return choice;
+    return UntilMethod::kDiscretization;
   }
-  if (!options.uniformization.aggregate_signatures) {
-    // The per-path Omega-evaluation ablation only the DFS engine implements.
-    choice.engine = UntilEngine::kDfpg;
-    return choice;
-  }
-  choice.engine = UntilEngine::kClassDp;
-  choice.adaptive_hybrid = true;
-  return choice;
+  return UntilMethod::kUniformization;
 }
 
 namespace {
 
 /// Discretization options usable as an automatic *fallback* for a query the
-/// path explorer abandoned: the configured step is adapted so it satisfies
-/// d * E_max < 1 and divides t (explicit discretization runs keep the user's
-/// step untouched and fail loudly instead).
+/// uniformization engine abandoned or was never given: the configured step is
+/// adapted so it satisfies d * E_max < 1 and divides t (explicit
+/// discretization runs keep the user's step untouched and fail loudly
+/// instead).
 numeric::DiscretizationOptions adapted_discretization_options(
     const core::Mrm& transformed, double t, numeric::DiscretizationOptions base) {
   const double max_exit = transformed.rates().max_exit_rate();
@@ -154,55 +145,24 @@ numeric::DiscretizationOptions adapted_discretization_options(
   return base;
 }
 
-/// One uniformization query with the configured degradation policy applied
-/// on node-budget exhaustion (see BudgetPolicy). Runs inside the per-state
-/// fan-out, so a budget-exhausting start state degrades alone while the
-/// cheap ones keep their DFPG answer.
-UntilValue uniformization_value_with_degradation(
-    const numeric::UniformizationUntilEngine& engine, const core::Mrm& transformed,
-    const std::vector<bool>& sat_psi, core::StateIndex s, double t, double r,
-    const CheckerOptions& options) {
-  try {
-    const auto result = engine.compute(s, t, r, options.uniformization);
-    return truncated_until_value(result.probability, result.error_bound);
-  } catch (const numeric::NodeBudgetError& budget_error) {
-    if (options.on_budget_exhausted == BudgetPolicy::kThrow) throw;
-    if (options.on_budget_exhausted == BudgetPolicy::kWidenW) {
-      numeric::PathExplorerOptions widened = options.uniformization;
-      double w = widened.truncation_probability;
-      while (w < 1e-2) {
-        w = std::min(w * 1e3, 1e-2);
-        widened.truncation_probability = w;
-        try {
-          const auto result = engine.compute(s, t, r, widened);
-          obs::counter_add("uniformization.widenings");
-          return truncated_until_value(result.probability, result.error_bound);
-        } catch (const numeric::NodeBudgetError&) {
-          // still too large; widen further, or fall through to discretization
-        }
-      }
+/// The discretization engine from every state in `starts`, written into
+/// `values`. Every start is an independent query on the one shared
+/// transformed MRM, so the starts fan out over the thread pool.
+void discretize_starts(const core::Mrm& transformed, const std::vector<bool>& sat_psi,
+                       const std::vector<core::StateIndex>& starts, double t, double r,
+                       const numeric::DiscretizationOptions& discretization, unsigned threads,
+                       std::vector<UntilValue>& values) {
+  parallel::parallel_for(starts.size(), threads, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto result = numeric::until_probability_discretization(
+          transformed, sat_psi, starts[i], t, r, discretization);
+      values[starts[i]] = two_sided_until_value(result.probability, result.error_bound);
     }
-    const auto fallback =
-        adapted_discretization_options(transformed, t, options.discretization);
-    try {
-      const auto result =
-          numeric::until_probability_discretization(transformed, sat_psi, s, t, r, fallback);
-      obs::counter_add("uniformization.fallbacks");
-      return two_sided_until_value(result.probability, result.error_bound);
-    } catch (const std::invalid_argument& fallback_error) {
-      // The degradation path is itself infeasible (e.g. impulse rewards not
-      // commensurable with any reasonable step). Re-raise the budget error
-      // with both diagnoses so the user can pick a remedy.
-      throw numeric::NodeBudgetError(std::string(budget_error.what()) +
-                                     "; fallback to discretization also failed: " +
-                                     fallback_error.what() +
-                                     " (raise max_nodes, widen w, or adjust rewards)");
-    }
-  }
+  });
 }
 
 /// Shared P2 evaluation: Pr{ Y(t) <= r, X(t) |= Psi } on `transformed` for
-/// every state, by the configured engine. `dead` marks !Phi && !Psi states.
+/// every state, by the configured method. `dead` marks !Phi && !Psi states.
 /// When `psi_absorbed` is set (the [0,t] reduction, where Psi-states were
 /// made absorbing with zero rewards), Psi starting states score exactly 1 —
 /// case 1 of eq. (3.6) — without burning engine time on them.
@@ -212,96 +172,71 @@ std::vector<UntilValue> bounded_time_reward(const core::Mrm& transformed,
                                             const CheckerOptions& caller_options,
                                             bool psi_absorbed) {
   CheckerOptions options = caller_options;
-  if (options.until_method == UntilMethod::kUniformization &&
-      options.until_engine == UntilEngine::kAuto) {
-    const AutoEngineChoice choice = choose_until_engine(transformed, t, options);
-    options.until_method = choice.method;
-    options.until_engine = choice.engine;
-    if (choice.adaptive_hybrid) options.uniformization.adaptive_hybrid = true;
-    if (choice.method == UntilMethod::kDiscretization) {
-      // The auto path adapts the step like the budget-exhaustion fallback
+  if (options.until_method == UntilMethod::kUniformization) {
+    options.until_method = choose_until_engine(transformed, t, options);
+    if (options.until_method == UntilMethod::kDiscretization) {
+      // The chooser adapts the step like the budget-exhaustion fallback
       // does; only an *explicit* d=step run keeps the user's step untouched.
       options.discretization =
           adapted_discretization_options(transformed, t, options.discretization);
       obs::counter_add("engine.auto_choice.discretization");
-    } else if (choice.engine == UntilEngine::kClassDp) {
-      obs::counter_add("engine.auto_choice.classdp");
     } else {
-      obs::counter_add("engine.auto_choice.dfpg");
+      obs::counter_add("engine.auto_choice.classdp");
     }
   }
-  obs::ScopedTimer timer(options.until_method == UntilMethod::kUniformization
-                             ? "checker.until.bounded.uniformization"
-                             : "checker.until.bounded.discretization");
+  const bool uniformization = options.until_method == UntilMethod::kUniformization;
+  obs::ScopedTimer timer(uniformization ? "checker.until.bounded.uniformization"
+                                        : "checker.until.bounded.discretization");
   const std::size_t n = transformed.num_states();
   std::vector<UntilValue> values(n);
-  // Every start state is an independent engine query on the one shared
-  // transformed MRM (and, for uniformization, the one shared engine — its
-  // compute() is const and touches only per-call state), so the start states
-  // fan out over the thread pool. When the fan-out runs parallel, nested
-  // engine-level regions stay inline; when it runs serial (threads == 1),
-  // the engines are free to use their own thread options.
+  // Trivial starts are scored directly: absorbed Psi-states exactly 1 (case 1
+  // of eq. 3.6) and, for uniformization, dead states exactly 0. The rest are
+  // the engine's starts.
+  std::vector<core::StateIndex> starts;
+  for (core::StateIndex s = 0; s < n; ++s) {
+    if (psi_absorbed && sat_psi[s]) {
+      values[s] = exact_until_value(1.0);
+    } else if (uniformization && dead[s]) {
+      values[s] = truncated_until_value(0.0, 0.0);
+    } else {
+      starts.push_back(s);
+    }
+  }
+  if (starts.empty()) return values;
   const unsigned threads = parallel::resolve_thread_count(options.threads);
-  if (options.until_method == UntilMethod::kUniformization &&
-      options.until_engine == UntilEngine::kClassDp) {
-    // Signature-class DP: every non-trivial start state rides one batched
-    // frontier sweep (one engine run, one conditional-probability evaluation
-    // per signature class for the whole fan-out). Trivial starts are scored
-    // directly: absorbed Psi-states exactly 1 (case 1 of eq. 3.6), dead
-    // states exactly 0 — matching what the DFPG per-state loop produces.
-    std::vector<core::StateIndex> starts;
-    for (core::StateIndex s = 0; s < n; ++s) {
-      if (psi_absorbed && sat_psi[s]) {
-        values[s] = exact_until_value(1.0);
-      } else if (dead[s]) {
-        values[s] = truncated_until_value(0.0, 0.0);
-      } else {
-        starts.push_back(s);
-      }
+  if (!uniformization) {
+    discretize_starts(transformed, sat_psi, starts, t, r, options.discretization, threads,
+                      values);
+    return values;
+  }
+  // Signature-class DP: every start rides one batched frontier sweep (one
+  // engine run, one conditional-probability evaluation per signature class
+  // for the whole fan-out).
+  const numeric::SignatureClassUntilEngine engine(transformed, sat_psi, dead);
+  try {
+    const auto batch = engine.compute_batch(starts, t, r, options.uniformization);
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      values[starts[i]] = truncated_until_value(batch[i].probability, batch[i].error_bound);
     }
-    if (starts.empty()) return values;
-    const numeric::SignatureClassUntilEngine engine(transformed, sat_psi, dead);
+    return values;
+  } catch (const numeric::NodeBudgetError& budget_error) {
+    if (options.on_budget_exhausted == BudgetPolicy::kThrow) throw;
     try {
-      const auto batch = engine.compute_batch(starts, t, r, options.uniformization);
-      for (std::size_t i = 0; i < starts.size(); ++i) {
-        values[starts[i]] =
-            truncated_until_value(batch[i].probability, batch[i].error_bound);
-      }
-      return values;
-    } catch (const numeric::NodeBudgetError&) {
-      if (options.on_budget_exhausted == BudgetPolicy::kThrow) throw;
-      // The whole-batch class budget is exhausted: degrade to the per-state
-      // DFPG fan-out below, whose own degradation chain (widening /
-      // discretization, see BudgetPolicy) handles each start individually.
-      obs::counter_add("classdp.fallbacks");
+      discretize_starts(transformed, sat_psi, starts, t, r,
+                        adapted_discretization_options(transformed, t, options.discretization),
+                        threads, values);
+    } catch (const std::invalid_argument& fallback_error) {
+      // The degradation path is itself infeasible (e.g. impulse rewards not
+      // commensurable with any reasonable step). Re-raise the budget error
+      // with both diagnoses so the user can pick a remedy.
+      throw numeric::NodeBudgetError(std::string(budget_error.what()) +
+                                     "; fallback to discretization also failed: " +
+                                     fallback_error.what() +
+                                     " (raise max_nodes, widen w, or adjust rewards)");
     }
+    obs::counter_add("uniformization.fallbacks", starts.size());
+    return values;
   }
-  if (options.until_method == UntilMethod::kUniformization) {
-    const numeric::UniformizationUntilEngine engine(transformed, sat_psi, dead);
-    parallel::parallel_for(n, threads, [&](std::size_t begin, std::size_t end) {
-      for (core::StateIndex s = begin; s < end; ++s) {
-        if (psi_absorbed && sat_psi[s]) {
-          values[s] = exact_until_value(1.0);
-          continue;
-        }
-        values[s] = uniformization_value_with_degradation(engine, transformed, sat_psi, s, t,
-                                                          r, options);
-      }
-    });
-  } else {
-    parallel::parallel_for(n, threads, [&](std::size_t begin, std::size_t end) {
-      for (core::StateIndex s = begin; s < end; ++s) {
-        if (psi_absorbed && sat_psi[s]) {
-          values[s] = exact_until_value(1.0);
-          continue;
-        }
-        const auto result = numeric::until_probability_discretization(
-            transformed, sat_psi, s, t, r, options.discretization);
-        values[s] = two_sided_until_value(result.probability, result.error_bound);
-      }
-    });
-  }
-  return values;
 }
 
 }  // namespace

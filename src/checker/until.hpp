@@ -13,8 +13,9 @@
 //                                  value, error and enclosure vectors, carry
 //                                  them to every start state; reward bound
 //                                  must be trivial
-//   P2: Phi U^[0,t]_[0,r] Psi    — uniformization/DFPG or discretization on
-//                                  M[!Phi v Psi] (Theorems 4.1 + 4.3)
+//   P2: Phi U^[0,t]_[0,r] Psi    — uniformization (signature-class DP) or
+//                                  discretization on M[!Phi v Psi]
+//                                  (Theorems 4.1 + 4.3)
 //   point-interval variant Phi U^[t,t]_[0,r] Psi with Psi => Phi
 //                                — same engines on M[!Phi && !Psi]
 //                                  (Theorems 4.2 + 4.3)
@@ -36,7 +37,7 @@ namespace csrlmrm::checker {
 struct UntilValue {
   double probability = 0.0;
   /// A-priori bound on the one-sided error: for the truncating engines
-  /// (Fox-Glynn transient, DFPG uniformization) the probability mass lost
+  /// (Fox-Glynn transient, uniformization) the probability mass lost
   /// below the reported value; for discretization the half-width of the
   /// derived O(d) error band. 0 for exact graph/linear-algebra methods.
   double error_bound = 0.0;
@@ -62,39 +63,19 @@ inline UntilValue two_sided_until_value(double p, double half_width) {
   return {p, half_width, ProbabilityBound::from_point_error(p, half_width, half_width)};
 }
 
-/// Resolution of UntilEngine::kAuto for one P2-class query: the method and
-/// engine the up-front cost model picked, and whether the class-DP adaptive
-/// hybrid escalation (PathExplorerOptions::adaptive_hybrid) is switched on.
-struct AutoEngineChoice {
-  /// kDiscretization only when uniformization is provably over budget (see
-  /// choose_until_engine); kUniformization otherwise.
-  UntilMethod method = UntilMethod::kUniformization;
-  /// kClassDp or kDfpg — never kAuto; not consulted when method is
-  /// kDiscretization.
-  UntilEngine engine = UntilEngine::kClassDp;
-  /// True iff engine == kClassDp: auto always arms the hybrid escalation so
-  /// merge-hostile instances hand off mid-query instead of losing to DFPG.
-  bool adaptive_hybrid = false;
-};
-
-/// The up-front cost model behind --until-engine=auto, resolved per P2 query
-/// on the *transformed* model M[!Phi v Psi] with time bound t:
-///   1. discretization — when even a perfectly merging frontier is over the
-///      node budget (live states x Poisson levels > max_nodes, a lower bound
-///      on any uniformization engine's work), the model has no impulse
-///      rewards (so a discretization step always exists), and the budget
-///      policy is not kThrow (which forbids degrading behind the user's
-///      back — there auto runs uniformization and fails loudly);
-///   2. dfpg — when aggregate_signatures is off: that ablation knob requests
-///      per-path Omega evaluation, which only the DFS engine implements;
-///   3. classdp with adaptive_hybrid otherwise (the common case): batched
-///      merging where it pays, coarsening/DFS hand-off where it does not.
-/// Deterministic, O(states), and exported so benchmarks can record the
-/// choice the checker would make. The decision lands in the
-/// `engine.auto_choice.{classdp,dfpg,discretization}` counters when the
-/// checker applies it.
-AutoEngineChoice choose_until_engine(const core::Mrm& transformed, double t,
-                                     const CheckerOptions& options);
+/// The method a uniformization-configured P2-class query actually runs,
+/// resolved on the *transformed* model M[!Phi v Psi] with time bound t:
+/// kDiscretization when even a perfectly merging frontier is over the node
+/// budget (live states x Poisson levels > max_nodes, a lower bound on the
+/// signature-class DP's work), the model has no impulse rewards (so a
+/// discretization step always exists), and the budget policy is not kThrow
+/// (which forbids degrading behind the user's back — the query then runs
+/// uniformization and fails loudly); kUniformization otherwise.
+/// Deterministic and O(states). The decision lands in the
+/// `engine.auto_choice.{classdp,discretization}` counters when the checker
+/// applies it.
+UntilMethod choose_until_engine(const core::Mrm& transformed, double t,
+                                const CheckerOptions& options);
 
 /// P(s, Phi U Psi) for every state s: the unbounded-until probabilities of
 /// eq. (3.8), computed by graph precomputation (states that cannot reach Psi

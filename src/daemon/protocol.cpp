@@ -56,26 +56,12 @@ checker::CheckerOptions apply_overrides(checker::CheckerOptions base,
     }
     base.uniformization.max_nodes = *overrides.max_nodes;
   }
-  if (overrides.until_engine) {
-    const std::string& engine = *overrides.until_engine;
-    if (engine == "auto") {
-      base.until_engine = checker::UntilEngine::kAuto;
-    } else if (engine == "classdp") {
-      base.until_engine = checker::UntilEngine::kClassDp;
-    } else if (engine == "dfpg") {
-      base.until_engine = checker::UntilEngine::kDfpg;
-    } else {
-      throw std::invalid_argument("unknown until_engine '" + engine + "'");
-    }
-  }
   if (overrides.fallback) {
     const std::string& policy = *overrides.fallback;
     if (policy == "throw") {
       base.on_budget_exhausted = checker::BudgetPolicy::kThrow;
     } else if (policy == "discretize") {
       base.on_budget_exhausted = checker::BudgetPolicy::kFallbackToDiscretization;
-    } else if (policy == "widen-w") {
-      base.on_budget_exhausted = checker::BudgetPolicy::kWidenW;
     } else {
       throw std::invalid_argument("unknown fallback '" + policy + "'");
     }
@@ -93,8 +79,6 @@ std::string batch_key(const CheckRequest& request) {
   }
   key += '\x1f';
   if (request.options.max_nodes) key += "n=" + std::to_string(*request.options.max_nodes);
-  key += '\x1f';
-  if (request.options.until_engine) key += *request.options.until_engine;
   key += '\x1f';
   if (request.options.fallback) key += *request.options.fallback;
   return key;
@@ -115,9 +99,6 @@ JsonValue check_request_to_json(const CheckRequest& request) {
   if (request.options.deadline_ms) {
     options.set("deadline_ms", JsonValue(*request.options.deadline_ms));
   }
-  if (request.options.until_engine) {
-    options.set("until_engine", JsonValue(*request.options.until_engine));
-  }
   if (request.options.fallback) options.set("fallback", JsonValue(*request.options.fallback));
   if (!options.members().empty()) object.set("options", std::move(options));
   return object;
@@ -136,15 +117,18 @@ CheckRequest check_request_from_json(const JsonValue& value) {
   for (const JsonValue& item : formulas->items()) request.formulas.push_back(item.as_string());
   if (const JsonValue* options = optional_member(value, "options")) {
     if (!options->is_object()) throw std::invalid_argument("'options' must be an object");
+    for (const auto& [key, member] : options->members()) {
+      if (key != "w" && key != "max_nodes" && key != "deadline_ms" && key != "fallback") {
+        throw std::invalid_argument("unknown check option '" + key +
+                                    "' (expected w, max_nodes, deadline_ms or fallback)");
+      }
+    }
     if (const JsonValue* w = optional_member(*options, "w")) request.options.w = w->as_number();
     if (const JsonValue* nodes = optional_member(*options, "max_nodes")) {
       request.options.max_nodes = as_size(*nodes, "max_nodes");
     }
     if (const JsonValue* deadline = optional_member(*options, "deadline_ms")) {
       request.options.deadline_ms = deadline->as_number();
-    }
-    if (const JsonValue* engine = optional_member(*options, "until_engine")) {
-      request.options.until_engine = engine->as_string();
     }
     if (const JsonValue* fallback = optional_member(*options, "fallback")) {
       request.options.fallback = fallback->as_string();

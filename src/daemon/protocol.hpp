@@ -17,8 +17,9 @@
 // Check options override the daemon's base CheckerOptions per request:
 // "w" (uniformization truncation probability), "max_nodes" (node budget),
 // "deadline_ms" (admission deadline: a request still queued when it expires
-// is answered degraded instead of checked), "until_engine"
-// ("auto"|"classdp"|"dfpg") and "fallback" ("throw"|"discretize"|"widen-w").
+// is answered degraded instead of checked) and "fallback"
+// ("throw"|"discretize"). Any other key is rejected with an error reply that
+// names it, so a typo never runs silently with the base options.
 //
 // A CheckReply carries per-formula results (verdict string with one
 // 'Y'/'N'/'?' per state, plus the numeric values the CLI would print), the
@@ -47,7 +48,6 @@ struct CheckOverrides {
   std::optional<double> w;
   std::optional<std::size_t> max_nodes;
   std::optional<double> deadline_ms;
-  std::optional<std::string> until_engine;
   std::optional<std::string> fallback;
 };
 
@@ -95,7 +95,7 @@ struct CheckReply {
 };
 
 /// `base` with the request's overrides applied. Throws std::invalid_argument
-/// on an unknown until_engine/fallback name or a non-positive w/max_nodes.
+/// on an unknown fallback name or a non-positive w/max_nodes.
 checker::CheckerOptions apply_overrides(checker::CheckerOptions base,
                                         const CheckOverrides& overrides);
 
@@ -105,7 +105,9 @@ checker::CheckerOptions apply_overrides(checker::CheckerOptions base,
 std::string batch_key(const CheckRequest& request);
 
 obs::JsonValue check_request_to_json(const CheckRequest& request);
-/// Throws std::invalid_argument on a structurally invalid request object.
+/// Throws std::invalid_argument on a structurally invalid request object,
+/// including an `options` key other than w, max_nodes, deadline_ms and
+/// fallback.
 CheckRequest check_request_from_json(const obs::JsonValue& value);
 
 obs::JsonValue check_reply_to_json(const CheckReply& reply);

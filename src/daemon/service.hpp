@@ -19,8 +19,8 @@
 //   2. Deadline: a request whose deadline_ms elapsed while queued is
 //      answered degraded at dispatch time, before any numeric work.
 //   3. Node budget: per-request max_nodes/w overrides ride the existing
-//      checker::BudgetPolicy degradation (widen-w / discretize fallback), so
-//      a too-expensive query inside its deadline still returns a widened
+//      checker::BudgetPolicy degradation (discretize fallback), so a
+//      too-expensive query inside its deadline still returns a wider
 //      enclosure rather than running unbounded.
 //
 // Execution is serial across batches on the dispatcher thread (the numeric

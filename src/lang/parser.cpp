@@ -283,11 +283,36 @@ class Parser {
   }
 
   // Precedence: ?: < || < && < (= !=) < (< <= > >=) < (+ -) < (* /) < unary.
-  ExprPtr expression() { return conditional(); }
+  ExprPtr expression() {
+    // A fresh top-level expression (not one nested inside parentheses)
+    // starts its own operator-chain count.
+    if (nesting_ == 0) chained_ = 0;
+    return conditional();
+  }
+
+  /// Throws once the expression outgrows kMaxExpressionDepth at the current
+  /// token. Every parser recursion passes through unary(), which holds one
+  /// nesting level while it runs; a chain `a + b + c` nests its left
+  /// operands one level per operator without recursing (and `?:` nests its
+  /// else branches), so chained operators count for the rest of the
+  /// expression. Their sum bounds the tree height.
+  void check_depth() const {
+    if (nesting_ + chained_ > kMaxExpressionDepth) {
+      fail("expression nests deeper than " + std::to_string(kMaxExpressionDepth) + " levels",
+           peek().line);
+    }
+  }
+
+  /// Counts one chained operator at the current token.
+  void chain() {
+    ++chained_;
+    check_depth();
+  }
 
   ExprPtr conditional() {
     ExprPtr condition = logical_or();
     if (!is_symbol("?")) return condition;
+    chain();
     advance();
     ExprPtr then_branch = conditional();
     expect_symbol(":");
@@ -303,6 +328,7 @@ class Parser {
   ExprPtr logical_or() {
     ExprPtr lhs = logical_and();
     while (is_symbol("||")) {
+      chain();
       advance();
       lhs = binary(Op::kOr, std::move(lhs), logical_and());
     }
@@ -312,6 +338,7 @@ class Parser {
   ExprPtr logical_and() {
     ExprPtr lhs = equality();
     while (is_symbol("&&")) {
+      chain();
       advance();
       lhs = binary(Op::kAnd, std::move(lhs), equality());
     }
@@ -322,6 +349,7 @@ class Parser {
     ExprPtr lhs = relational();
     while (is_symbol("=") || is_symbol("!=")) {
       const Op op = is_symbol("=") ? Op::kEq : Op::kNeq;
+      chain();
       advance();
       lhs = binary(op, std::move(lhs), relational());
     }
@@ -335,6 +363,7 @@ class Parser {
       if (is_symbol("<=")) op = Op::kLe;
       if (is_symbol(">")) op = Op::kGt;
       if (is_symbol(">=")) op = Op::kGe;
+      chain();
       advance();
       lhs = binary(op, std::move(lhs), additive());
     }
@@ -345,6 +374,7 @@ class Parser {
     ExprPtr lhs = multiplicative();
     while (is_symbol("+") || is_symbol("-")) {
       const Op op = is_symbol("+") ? Op::kAdd : Op::kSub;
+      chain();
       advance();
       lhs = binary(op, std::move(lhs), multiplicative());
     }
@@ -355,6 +385,7 @@ class Parser {
     ExprPtr lhs = unary();
     while (is_symbol("*") || is_symbol("/")) {
       const Op op = is_symbol("*") ? Op::kMul : Op::kDiv;
+      chain();
       advance();
       lhs = binary(op, std::move(lhs), unary());
     }
@@ -362,6 +393,14 @@ class Parser {
   }
 
   ExprPtr unary() {
+    ++nesting_;
+    check_depth();
+    ExprPtr expr = unary_operand();
+    --nesting_;
+    return expr;
+  }
+
+  ExprPtr unary_operand() {
     if (is_symbol("!")) {
       advance();
       Expr node;
@@ -420,6 +459,10 @@ class Parser {
 
   std::vector<Tok> tokens_;
   std::size_t position_ = 0;
+  /// unary() frames currently open (see check_depth()).
+  std::size_t nesting_ = 0;
+  /// Chained operators of the current top-level expression.
+  std::size_t chained_ = 0;
 };
 
 }  // namespace

@@ -1,10 +1,7 @@
 #include "numeric/class_explorer.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
@@ -26,7 +23,7 @@ namespace {
 /// keeps the truncation rule conservative).
 constexpr double kMaxPrefixCount = 1e300;
 
-/// Adaptive-hybrid trigger (PathExplorerOptions::adaptive_hybrid). A level is
+/// Adaptive-hybrid trigger (always armed, see class_explorer.hpp). A level is
 /// "ineffective" when the fold kept >= 7/10 of the raw successor rows AND the
 /// raw count is at least kAdaptMinRawRows — the absolute floor matters:
 /// workloads with tiny frontiers (e.g. TMR-deep, < 500 rows/level at fold
@@ -309,7 +306,8 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   };
 
   std::vector<std::size_t> offsets;
-  const bool trace = std::getenv("CSRLMRM_CLASSDP_TRACE") != nullptr;
+  std::size_t raw_rows = 0;
+  std::size_t folded_rows = 0;
 
   for (std::size_t level = 0; !frontier.empty(); ++level) {
     ++levels;
@@ -411,17 +409,14 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     });
     classes_merged += sort_and_fold(scratch_raw, scratch_merged, sig_len, slots, order);
     frontier.swap(scratch_merged);
-    // Calibration aid (how kAdaptMinRawRows / kAdaptStreak were chosen):
-    // per-level raw row count and fold ratio on stderr.
-    if (trace) {
-      std::fprintf(stderr, "level=%zu raw=%zu folded=%zu ratio=%.3f%s\n", level, total,
-                   frontier.size(), total ? double(frontier.size()) / double(total) : 0.0,
-                   coarse ? " coarse" : "");
-    }
+    // The fold ratio folded_rows / raw_rows is what the trigger below
+    // watches (and how kAdaptMinRawRows / kAdaptStreak were calibrated).
+    raw_rows += total;
+    folded_rows += frontier.size();
 
     // Adaptive escalation: ratio and row counts are thread-invariant, so the
     // trigger fires at the same level for every thread count.
-    if (options.adaptive_hybrid && !frontier.empty()) {
+    if (!frontier.empty()) {
       const bool ineffective =
           total >= kAdaptMinRawRows && frontier.size() * kAdaptRatioDen >= total * kAdaptRatioNum;
       ineffective_streak = ineffective ? ineffective_streak + 1 : 0;
@@ -453,9 +448,6 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
           ++coarsenings;
           classes_merged += sort_and_fold(scratch_raw, scratch_merged, sig_len, slots, order);
           frontier.swap(scratch_merged);
-          if (trace) {
-            std::fprintf(stderr, "level=%zu coarsened folded=%zu\n", level, frontier.size());
-          }
           // One more ineffective level (not a fresh streak) escalates again.
           ineffective_streak = kAdaptStreak - 1;
         } else {
@@ -487,7 +479,6 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   // results stay bitwise identical at every thread count.
   if (handoff) {
     ++handoffs;
-    const auto handoff_start = std::chrono::steady_clock::now();
     const std::size_t roots = frontier.size();
     // Poisson pmf per level over the tail table's range (bitwise the same
     // values as the sweep's per-level poisson_pmf calls); the rare deeper
@@ -670,13 +661,9 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
       harvest_mass.insert(harvest_mass.end(), cs.harvest_mass.begin(), cs.harvest_mass.end());
       for (std::size_t i = 0; i < slots; ++i) results[i].error_bound += cs.error[i];
     }
-    if (trace) {
-      std::fprintf(stderr, "handoff level=%zu roots=%zu nodes=%zu ms=%.1f\n", handoff_level,
-                   roots, nodes - base_nodes,
-                   std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                            handoff_start)
-                       .count());
-    }
+    obs::counter_add("classdp.handoff_roots", roots);
+    obs::counter_add("classdp.handoff_nodes", nodes - base_nodes);
+    obs::gauge_max("classdp.handoff_level", static_cast<double>(handoff_level));
   }
 
   // Fold the harvested rows: stable-sort by the uniform (k, r'-bits) key and
@@ -758,6 +745,8 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   obs::counter_add("classdp.trivial_folds", trivial);
   obs::counter_add("classdp.coarsenings", coarsenings);
   obs::counter_add("classdp.hybrid_handoffs", handoffs);
+  obs::counter_add("classdp.raw_rows", raw_rows);
+  obs::counter_add("classdp.folded_rows", folded_rows);
   obs::gauge_max("classdp.frontier_peak", static_cast<double>(frontier_peak));
   return results;
 }

@@ -1,6 +1,7 @@
 // Signature-class dynamic-programming engine for uniformization-based until
-// checking — the layered alternative to the depth-first path generator of
-// path_explorer.hpp.
+// checking — the checker's uniformization engine for P2-class until and
+// performability queries. The depth-first path generator of
+// path_explorer.hpp (the thesis's Algorithm 4.7) is its reference oracle.
 //
 // The DFS engine enumerates uniformized paths one by one and only merges
 // their probabilities after harvesting, so its cost grows with the number of
@@ -35,17 +36,18 @@
 // classes reached from several starts are stored once and each conditional
 // probability is evaluated once for the whole batch. Slots are fully
 // independent (pruning, error, harvest are per-slot), so a batch run is
-// bitwise identical to the corresponding single-start runs.
+// bitwise identical to the corresponding single-start runs as long as the
+// hybrid escalation below does not fire.
 //
 // Parallelism: per-level frontier expansion is data-parallel (each class
 // writes its successors into a precomputed disjoint slice), and merging
 // sorts the successor array before folding adjacent equal keys, so results
 // are bitwise identical at every thread count.
 //
-// Adaptive hybrid mode (PathExplorerOptions::adaptive_hybrid): merging is
-// only worth the per-level sort when classes actually collide. The engine
-// tracks the fold ratio per level and, after two consecutive large levels
-// where folding kept >= 3/4 of the raw rows, escalates in two steps:
+// Adaptive hybrid escalation (always armed): merging is only worth the
+// per-level sort when classes actually collide. The engine tracks the fold
+// ratio per level and, after two consecutive levels with at least 4096 raw
+// successor rows where folding kept >= 7/10 of them, escalates in two steps:
 //   1. coarsen — replace the per-class impulse counts j by the 40-bit-snapped
 //      impulse total sum_i i_i j_i (the conditional probability of eq. 4.9
 //      depends on j only through that total via the threshold r'; snapping
@@ -55,11 +57,13 @@
 //      continuation (identical prune/budget/error/harvest semantics, no
 //      further merge attempts), run once for the whole batch.
 // Both escalations preserve thread-count determinism (the trigger sees
-// thread-invariant row counts; the continuation is serial in deterministic
-// order), but batch runs are no longer bitwise equal to per-start single
-// runs, so the mode defaults to off and is enabled by the checker's
-// --until-engine=auto path. Observability: "classdp.coarsenings",
-// "classdp.hybrid_handoffs".
+// thread-invariant row counts; the continuation's chunking is fixed), but a
+// batch whose trigger fires is not bitwise equal to per-start single
+// runs (the trigger sees different frontier sizes). Observability:
+// "classdp.raw_rows" / "classdp.folded_rows" (summed over levels; their
+// quotient is the fold ratio), "classdp.coarsenings",
+// "classdp.hybrid_handoffs", "classdp.handoff_roots",
+// "classdp.handoff_nodes" and the "classdp.handoff_level" gauge.
 #pragma once
 
 #include <cstddef>

@@ -14,6 +14,11 @@
 // distinct-impulse class. Probabilities of same-signature paths are summed
 // before the conditional probability (an Omega evaluation) is applied — the
 // recomputation-avoidance the thesis describes at the end of 4.4.2.
+//
+// The checker evaluates these formulas with the signature-class DP engine
+// (class_explorer.hpp); this engine is kept as the thesis-faithful reference
+// it is tested and benchmarked against, and is called only from tests and
+// benches.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +33,7 @@
 
 namespace csrlmrm::numeric {
 
-/// Thrown when the DFS exceeds PathExplorerOptions::max_nodes. Typed so the
+/// Thrown when an engine exceeds PathExplorerOptions::max_nodes. Typed so the
 /// checker can distinguish "model too large for path enumeration" (and apply
 /// its degradation policy, see checker::BudgetPolicy) from genuine input
 /// errors.
@@ -47,9 +52,10 @@ struct PathExplorerOptions {
   /// disables it (pure path truncation, eq. 4.4/4.5 — the thesis's
   /// preferred mode). Both truncations may be combined.
   std::size_t depth_truncation = 0;
-  /// Sum probabilities per (k, j) signature before calling Omega (the
-  /// paper's optimization). Off = one Omega evaluation per stored path;
-  /// results are identical, only cost differs (ablation knob).
+  /// DFS engine only: sum probabilities per (k, j) signature before calling
+  /// Omega (the paper's optimization). Off = one Omega evaluation per stored
+  /// path; results are identical, only cost differs (ablation knob for
+  /// bench_ablation; the signature-class DP merges by signature inherently).
   bool aggregate_signatures = true;
   /// Safety valve: abort (std::runtime_error) after this many DFS node
   /// expansions (or, for the signature-class DP engine, frontier classes
@@ -61,18 +67,6 @@ struct PathExplorerOptions {
   /// and ignores this. 0 = the process default (CSRLMRM_THREADS or hardware
   /// concurrency).
   unsigned threads = 0;
-  /// Adaptive hybrid mode for the signature-class DP engine: watch the
-  /// per-level merge effectiveness and, once folding stops paying for itself
-  /// on a large frontier, first coarsen the impulse half of the signature
-  /// (40-bit-snapped impulse totals instead of per-class counts, see
-  /// canonical_threshold) and then hand the remaining frontier to a
-  /// depth-first continuation that expands without further merge attempts.
-  /// Results stay deterministic for a fixed start set and are bitwise
-  /// identical across thread counts, but compute_batch is no longer
-  /// guaranteed bitwise equal to per-start single runs (the trigger sees
-  /// different frontier sizes). Off by default; the checker switches it on
-  /// when --until-engine=auto selects the class DP engine.
-  bool adaptive_hybrid = false;
 };
 
 /// Result of one until evaluation.
@@ -95,8 +89,9 @@ struct UntilUniformizationResult {
   std::size_t max_depth = 0;
 };
 
-/// Uniformization engine for P2-class until formulas on one transformed MRM.
-/// Construct once per formula; query per starting state / bound.
+/// Depth-first uniformization engine for P2-class until formulas on one
+/// transformed MRM (the reference oracle, see above). Construct once per
+/// formula; query per starting state / bound.
 class UniformizationUntilEngine {
  public:
   /// `transformed` is M[!Phi v Psi] (taken by value: the engine keeps its own

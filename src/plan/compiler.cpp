@@ -12,7 +12,6 @@
 #include "core/transform.hpp"
 #include "logic/number_format.hpp"
 #include "obs/stats.hpp"
-#include "plan/cost_model.hpp"
 
 namespace csrlmrm::plan {
 
@@ -224,8 +223,8 @@ class Lowerer {
     const std::string key = "until(" + std::to_string(lhs) + "," + std::to_string(rhs) + "," +
                             node.time_bound.to_string() + "," +
                             node.reward_bound.to_string() + ")";
-    // Probe the memo before running the transform/prediction side effects: a
-    // duplicate until solve must not count a second hoist or pin.
+    // Probe the memo before running the transform side effects: a duplicate
+    // until solve must not count a second hoist.
     if (plan_options_.cse) {
       const auto found = memo_.find(key);
       if (found != memo_.end()) {
@@ -246,30 +245,6 @@ class Lowerer {
       op.transform = transform_op(*shape, lhs, rhs);
     }
 
-    // Pass 3: compile-time engine resolution. Only legal when the operand
-    // sets are fully known here (unknown operand states trigger a second
-    // optimistic-mask run on a *different* transformed model at execution
-    // time, which a single pinned prediction cannot speak for — known sets
-    // have empty unknown masks, so the one prediction covers the one run).
-    const bool reward_class = op.until_class == UntilClass::kTimeReward ||
-                              op.until_class == UntilClass::kPointTimeReward;
-    if (plan_options_.engine_selection && reward_class &&
-        plan_.options.until_method == checker::UntilMethod::kUniformization &&
-        plan_.options.until_engine == checker::UntilEngine::kAuto && known_[lhs] &&
-        known_[rhs]) {
-      const auto absorb = transform_mask(*shape, *known_[lhs], *known_[rhs]);
-      const std::shared_ptr<const core::Mrm> transformed =
-          plan_.transforms
-              ? plan_.transforms->absorbing(model_, absorb)
-              : std::make_shared<const core::Mrm>(core::make_absorbing(model_, absorb));
-      const EnginePrediction prediction =
-          predict_until_engine(*transformed, node.time_bound.upper(), plan_.options);
-      op.engine_known = true;
-      op.engine_choice = prediction.choice;
-      op.predicted_live = prediction.live_states;
-      op.predicted_levels = prediction.poisson_levels;
-      ++plan_.engines_pinned;
-    }
     return intern(key, std::move(op), std::nullopt);
   }
 
@@ -376,7 +351,6 @@ Plan compile(const core::Mrm& model, const std::vector<logic::FormulaPtr>& formu
   obs::counter_add("plan.ops", plan.ops.size());
   obs::counter_add("plan.cse.hits", plan.cse_hits);
   obs::counter_add("plan.transforms.hoisted", plan.transforms_hoisted);
-  obs::counter_add("plan.engines.pinned", plan.engines_pinned);
   return plan;
 }
 

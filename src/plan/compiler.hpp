@@ -8,11 +8,7 @@
 //   2. transform hoisting — the absorbing transforms behind the until
 //      classes (M[!Phi v Psi], M[!Phi], M[!Phi && !Psi]) become shared
 //      kTransform ops, prewarmed into the plan's TransformCache when the
-//      operand sets are compile-time computable;
-//   3. engine selection — P2-class until ops with compile-time-known
-//      operands and --until-engine=auto get their engine resolved now by
-//      the cost model (plan/cost_model.hpp), so the executor can pin the
-//      choice and --explain can report it.
+//      operand sets are compile-time computable.
 //
 // Compilation runs no numeric solves; it is O(batch size + transforms).
 #pragma once
@@ -39,8 +35,6 @@ struct PlanOptions {
   /// Off: the plan carries no TransformCache and every until query rebuilds
   /// its transforms.
   bool hoist_transforms = true;
-  /// Compile-time engine resolution for eligible until ops (pass 3).
-  bool engine_selection = true;
   /// When set (and hoist_transforms is on), the compiled plan uses this
   /// TransformCache instead of a fresh one, so transforms built by earlier
   /// compilations of the SAME model stay warm — mrmcheckd binds one cache per

@@ -68,29 +68,9 @@ PlanResult execute(const Plan& plan, const core::Mrm& model) {
         break;
       }
       case OpKind::kUntilSolve: {
-        // Apply the compile-time engine pin. Sound because the prediction ran
-        // checker::choose_until_engine on the identical transformed model, so
-        // this skips a re-derivation, never changes the outcome; the pinned
-        // run records the auto choice it stands for, like an unpinned run
-        // does. A predicted kDiscretization is deliberately NOT pinned: the
-        // runtime auto path also adapts the step
-        // (adapted_discretization_options), and pinning the method alone
-        // would skip that adaptation and diverge.
-        checker::CheckerOptions until_options = options;
-        if (op.engine_known &&
-            op.engine_choice.method == checker::UntilMethod::kUniformization) {
-          until_options.until_engine = op.engine_choice.engine;
-          if (op.engine_choice.adaptive_hybrid) {
-            until_options.uniformization.adaptive_hybrid = true;
-          }
-          obs::counter_add("plan.execute.pins_applied");
-          obs::counter_add(op.engine_choice.engine == checker::UntilEngine::kClassDp
-                               ? "engine.auto_choice.classdp"
-                               : "engine.auto_choice.dfpg");
-        }
         auto evaluation = checker::evaluate_until_operator(
             model, sets[op.inputs[0]], sets[op.inputs[1]], op.time_bound, op.reward_bound,
-            until_options, transforms);
+            options, transforms);
         solve_untils[id] = std::move(evaluation.values);
         solve_bounds[id] = std::move(evaluation.bounds);
         break;

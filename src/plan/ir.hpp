@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "checker/options.hpp"
-#include "checker/until.hpp"
 #include "core/mrm.hpp"
 #include "core/transform.hpp"
 #include "logic/ast.hpp"
@@ -106,19 +105,6 @@ struct PlanOp {
   /// Number of consumers in the DAG (other ops' inputs/transform references);
   /// the printer reports transforms and solves shared by more than one.
   std::size_t uses = 0;
-
-  // --- engine-selection pass annotations (kUntilSolve, P2 classes only) ---
-  /// True when the cost model resolved the engine at compile time (operand
-  /// sets were compile-time known and the options ask for kAuto). The
-  /// executor then pins the choice instead of re-deriving it per run —
-  /// sound because the prediction runs checker::choose_until_engine on the
-  /// identical transformed model.
-  bool engine_known = false;
-  checker::AutoEngineChoice engine_choice;
-  /// Cost-model inputs, for the printer: non-absorbing states of the
-  /// transformed model and the Poisson truncation depth at the op's horizon.
-  std::size_t predicted_live = 0;
-  std::size_t predicted_levels = 0;
 };
 
 /// A compiled batch. Bound to the model and options it was compiled against;
@@ -146,8 +132,6 @@ struct Plan {
   std::size_t cse_hits = 0;
   /// Transform-op references beyond each transform's first (hoisting wins).
   std::size_t transforms_hoisted = 0;
-  /// Until ops whose engine the cost model resolved at compile time.
-  std::size_t engines_pinned = 0;
 };
 
 }  // namespace csrlmrm::plan

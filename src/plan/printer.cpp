@@ -23,19 +23,6 @@ std::string op_ref(OpId id) {
   return out;
 }
 
-void append_engine(std::string& line, const PlanOp& op) {
-  line += " engine=";
-  if (op.engine_choice.method == checker::UntilMethod::kDiscretization) {
-    line += "discretization(adapted-step)";
-  } else if (op.engine_choice.engine == checker::UntilEngine::kClassDp) {
-    line += op.engine_choice.adaptive_hybrid ? "classdp+hybrid" : "classdp";
-  } else {
-    line += "dfpg";
-  }
-  append(line, " (live=", std::to_string(op.predicted_live),
-         " levels=", std::to_string(op.predicted_levels), ")");
-}
-
 std::string op_line(OpId id, const PlanOp& op) {
   std::string line;
   append(line, op_ref(id), " = ", to_string(op.kind));
@@ -65,7 +52,6 @@ std::string op_line(OpId id, const PlanOp& op) {
              " time=", op.time_bound.to_string(), " reward=", op.reward_bound.to_string(),
              " class=", to_string(op.until_class));
       if (op.transform != kNoOp) append(line, " transform=", op_ref(op.transform));
-      if (op.engine_known) append_engine(line, op);
       break;
     case OpKind::kRewardSolve: {
       const auto& node =
@@ -109,8 +95,7 @@ std::string print_plan(const Plan& plan) {
          std::to_string(plan.ops.size()), " ops, states=",
          std::to_string(plan.num_states), "\n");
   append(out, "passes: cse_hits=", std::to_string(plan.cse_hits),
-         " transforms_hoisted=", std::to_string(plan.transforms_hoisted),
-         " engines_pinned=", std::to_string(plan.engines_pinned), "\n");
+         " transforms_hoisted=", std::to_string(plan.transforms_hoisted), "\n");
   for (OpId id = 0; id < plan.ops.size(); ++id) {
     append(out, op_line(id, plan.ops[id]), "\n");
   }

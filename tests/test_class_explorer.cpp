@@ -1,21 +1,26 @@
 // Property-based validation of the signature-class DP until engine
-// (class_explorer.hpp) against the DFS path generator it replaces
-// (path_explorer.hpp, Algorithm 4.7). Both engines compute a lower
+// (class_explorer.hpp), the checker's uniformization engine, against the DFS
+// path generator of the thesis (path_explorer.hpp, Algorithm 4.7), kept as
+// its reference oracle. Both engines compute a lower
 // approximation p with p <= p_exact <= p + error_bound, so on every model
 // they must agree within the sum of their reported bounds — checked here
 // over 50 seeded random impulse-reward MRMs rather than hand-picked
 // examples. The DP additionally promises bitwise determinism across worker
-// thread counts and batch-vs-single-start equivalence; both are asserted
-// exactly (==), not within a tolerance.
+// thread counts and, while its hybrid escalation does not fire,
+// batch-vs-single-start equivalence; both are asserted exactly (==), not
+// within a tolerance.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "checker/options.hpp"
 #include "checker/until.hpp"
 #include "core/transform.hpp"
 #include "models/random_mrm.hpp"
+#include "models/tmr.hpp"
 #include "numeric/class_explorer.hpp"
 #include "numeric/path_explorer.hpp"
 #include "obs/stats.hpp"
@@ -29,18 +34,28 @@ struct UntilSetup {
   std::vector<bool> dead;
 };
 
-/// The checker's until preprocessing (phi from label "a" padded with the even
-/// states, psi from label "b" with a seeded fallback) applied to one random
-/// model — the same recipe as test_property_cross_validation.cpp, so the two
-/// property suites exercise comparable formula shapes.
-UntilSetup make_setup(const core::Mrm& model, std::uint32_t seed) {
+/// Phi from label "a" padded with the even states, psi from label "b" with a
+/// seeded fallback — the same recipe as test_property_cross_validation.cpp,
+/// so the two property suites exercise comparable formula shapes.
+struct UntilMasks {
+  std::vector<bool> phi;
+  std::vector<bool> psi;
+};
+
+UntilMasks make_masks(const core::Mrm& model, std::uint32_t seed) {
   std::vector<bool> phi = model.labels().states_with("a");
   std::vector<bool> psi = model.labels().states_with("b");
   bool any_psi = false;
   for (const auto value : psi) any_psi = any_psi || value;
   if (!any_psi) psi[seed % model.num_states()] = true;
   for (std::size_t s = 0; s < phi.size(); ++s) phi[s] = phi[s] || (s % 2 == 0);
+  return {std::move(phi), std::move(psi)};
+}
 
+/// The checker's until preprocessing applied to make_masks on one random
+/// model.
+UntilSetup make_setup(const core::Mrm& model, std::uint32_t seed) {
+  auto [phi, psi] = make_masks(model, seed);
   std::vector<bool> absorb(model.num_states());
   std::vector<bool> dead(model.num_states());
   for (std::size_t s = 0; s < model.num_states(); ++s) {
@@ -115,7 +130,18 @@ TEST_P(ClassExplorerBatch, BatchIsBitwiseEqualToSingleStartRuns) {
   numeric::PathExplorerOptions options;
   options.truncation_probability = 1e-10;
 
+  // Batch == single holds only while the hybrid escalation cannot fire:
+  // these 6-state models never reach the trigger's 4096 raw successor rows
+  // on a level, which the raw-row total bounds.
+  obs::set_stats_enabled(true);
+  obs::StatsRegistry::global().reset();
   const auto batch = engine.compute_batch(all_states(model), t, r, options);
+  const auto& registry = obs::StatsRegistry::global();
+  EXPECT_LT(registry.counter("classdp.raw_rows"), 4096u);
+  EXPECT_EQ(registry.counter("classdp.coarsenings"), 0u);
+  EXPECT_EQ(registry.counter("classdp.hybrid_handoffs"), 0u);
+  obs::StatsRegistry::global().reset();
+  obs::set_stats_enabled(false);
   for (core::StateIndex start = 0; start < model.num_states(); ++start) {
     const auto single = engine.compute(start, t, r, options);
     EXPECT_EQ(batch[start].probability, single.probability) << "start=" << start;  // bitwise
@@ -214,34 +240,94 @@ TEST(ClassExplorerEdgeCases, RejectsInvalidArguments) {
   EXPECT_THROW(engine.compute(0, 1.0, 1.0, options), std::invalid_argument);
 }
 
+TEST(ClassExplorerHybrid, HandOffRecordsFoldAndHandOffCountersAtEveryThreadCount) {
+  // The 11-module NMR calibration model (Table 5.5) defeats class merging
+  // at t = 100: the fold ratio stays high on large levels, so the engine
+  // coarsens and then hands the frontier to its depth-first continuation.
+  // The level fold ratio and the hand-off land in the stats registry, and
+  // every one of those counters is thread-invariant.
+  const core::Mrm model = models::make_tmr(models::chapter5_nmr_config(false));
+  const std::vector<bool> psi = model.labels().states_with("allUp");
+  const std::vector<bool> dead(model.num_states(), false);
+  const numeric::SignatureClassUntilEngine engine(core::make_absorbing(model, psi), psi, dead);
+  std::vector<core::StateIndex> starts;
+  for (core::StateIndex s = 0; s < model.num_states(); ++s) {
+    if (!psi[s]) starts.push_back(s);
+  }
+  numeric::PathExplorerOptions options;
+  options.truncation_probability = 1e-8;
+
+  obs::set_stats_enabled(true);
+  std::map<std::string, std::uint64_t> reference;
+  double reference_level = 0.0;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    obs::StatsRegistry::global().reset();
+    options.threads = threads;
+    engine.compute_batch(starts, 100.0, 2000.0, options);
+    const auto& registry = obs::StatsRegistry::global();
+    std::map<std::string, std::uint64_t> counters;
+    for (const char* name : {"classdp.raw_rows", "classdp.folded_rows", "classdp.coarsenings",
+                             "classdp.hybrid_handoffs", "classdp.handoff_roots",
+                             "classdp.handoff_nodes", "classdp.nodes_expanded"}) {
+      counters[name] = registry.counter(name);
+    }
+    const double level = registry.gauge("classdp.handoff_level");
+    EXPECT_EQ(counters["classdp.hybrid_handoffs"], 1u) << "threads=" << threads;
+    EXPECT_EQ(counters["classdp.coarsenings"], 1u) << "threads=" << threads;
+    EXPECT_GT(counters["classdp.folded_rows"], 0u);
+    EXPECT_LE(counters["classdp.folded_rows"], counters["classdp.raw_rows"]);
+    EXPECT_GT(counters["classdp.handoff_roots"], 0u);
+    EXPECT_GT(counters["classdp.handoff_nodes"], 0u);
+    EXPECT_LT(counters["classdp.handoff_nodes"], counters["classdp.nodes_expanded"]);
+    EXPECT_GT(level, 0.0);
+    if (threads == 1) {
+      reference = counters;
+      reference_level = level;
+    } else {
+      EXPECT_EQ(counters, reference) << "threads=" << threads;
+      EXPECT_EQ(level, reference_level) << "threads=" << threads;
+    }
+  }
+  obs::StatsRegistry::global().reset();
+  obs::set_stats_enabled(false);
+}
+
 class ClassDpCheckerAgreement : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(ClassDpCheckerAgreement, CheckerLevelResultsMatchDfpgEngine) {
+  // The default checker (class-DP with the hybrid armed) against the DFPG
+  // reference engine called directly on the same transformed model: both
+  // bracket the exact value from below, so they agree within their summed
+  // error bounds.
   const std::uint32_t seed = GetParam();
   const core::Mrm model = make_model(seed);
-  std::vector<bool> phi = model.labels().states_with("a");
-  std::vector<bool> psi = model.labels().states_with("b");
-  bool any_psi = false;
-  for (const auto value : psi) any_psi = any_psi || value;
-  if (!any_psi) psi[seed % model.num_states()] = true;
-  for (std::size_t s = 0; s < phi.size(); ++s) phi[s] = phi[s] || (s % 2 == 0);
-
+  const UntilMasks masks = make_masks(model, seed);
+  const UntilSetup setup = make_setup(model, seed);
   const double t = time_bound_of(seed);
   const double r = reward_bound_of(seed);
-  checker::CheckerOptions classdp;
-  classdp.until_engine = checker::UntilEngine::kClassDp;
-  checker::CheckerOptions dfpg;
-  dfpg.until_engine = checker::UntilEngine::kDfpg;
 
-  const auto lhs = checker::until_probabilities(model, phi, psi, logic::up_to(t),
-                                                logic::up_to(r), classdp);
-  const auto rhs = checker::until_probabilities(model, phi, psi, logic::up_to(t),
-                                                logic::up_to(r), dfpg);
-  ASSERT_EQ(lhs.size(), rhs.size());
-  for (std::size_t s = 0; s < lhs.size(); ++s) {
-    EXPECT_NEAR(lhs[s].probability, rhs[s].probability,
-                lhs[s].error_bound + rhs[s].error_bound + 1e-12)
+  const auto checked = checker::until_probabilities(model, masks.phi, masks.psi,
+                                                    logic::up_to(t), logic::up_to(r));
+  const numeric::UniformizationUntilEngine dfpg(setup.transformed, setup.psi, setup.dead);
+  ASSERT_EQ(checked.size(), model.num_states());
+  for (core::StateIndex s = 0; s < model.num_states(); ++s) {
+    const auto oracle = dfpg.compute(s, t, r);
+    EXPECT_NEAR(checked[s].probability, oracle.probability,
+                checked[s].error_bound + oracle.error_bound + 1e-12)
         << "seed=" << seed << " state=" << s;
+  }
+
+  // And the checker's values are exactly the engine's batch over the
+  // non-trivial starts (Psi starts score 1, dead starts 0 up front).
+  std::vector<core::StateIndex> starts;
+  for (core::StateIndex s = 0; s < model.num_states(); ++s) {
+    if (!setup.psi[s] && !setup.dead[s]) starts.push_back(s);
+  }
+  const numeric::SignatureClassUntilEngine classdp(setup.transformed, setup.psi, setup.dead);
+  const auto batch = classdp.compute_batch(starts, t, r);
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    EXPECT_EQ(checked[starts[i]].probability, batch[i].probability) << "state=" << starts[i];
+    EXPECT_EQ(checked[starts[i]].error_bound, batch[i].error_bound) << "state=" << starts[i];
   }
 }
 
@@ -260,7 +346,6 @@ TEST(ClassDpCheckerFallback, TinyNodeBudgetDegradesGracefully) {
   if (!any_psi) psi[0] = true;
 
   checker::CheckerOptions options;
-  options.until_engine = checker::UntilEngine::kClassDp;
   options.uniformization.max_nodes = 3;
   std::vector<checker::UntilValue> values;
   ASSERT_NO_THROW(values = checker::until_probabilities(model, phi, psi, logic::up_to(1.5),
@@ -271,80 +356,48 @@ TEST(ClassDpCheckerFallback, TinyNodeBudgetDegradesGracefully) {
   }
 }
 
-TEST(ClassDpCheckerFallback, BudgetExhaustionHandsOffToDfpgBitwise) {
-  // Regression pin for the classdp -> dfpg hand-off: when the batched DP
-  // exhausts max_nodes mid-flight the checker degrades to the per-state DFPG
-  // fan-out, and — because every individual DFS fits the same budget — must
-  // return exactly the verdict a direct kDfpg run produces, while recording
-  // the hand-off in classdp.fallbacks (and nothing further down the chain).
+TEST(ClassDpCheckerFallback, BudgetExhaustionDegradesToDiscretizationAroundTheDfpgOracle) {
+  // When the batched DP exhausts max_nodes mid-flight the checker redoes
+  // every non-trivial start with the discretization engine at the adapted
+  // step, counting each once in uniformization.fallbacks, and each degraded
+  // interval contains the DFPG oracle's value.
   obs::set_stats_enabled(true);
   obs::StatsRegistry::global().reset();
 
-  // Seed and bounds picked for a wide calibration window: here the batched
-  // DP expands ~3x the frontier classes of the widest single DFS start.
   const std::uint32_t seed = 1;
   const core::Mrm model = make_model(seed);
+  ASSERT_TRUE(model.has_impulse_rewards());  // the chooser keeps uniformization
+  const UntilMasks masks = make_masks(model, seed);
   const UntilSetup setup = make_setup(model, seed);
   const double t = 3.0;
   const double r = 8.0;
 
-  // Calibrate the budget window from the engines' own node counts: the
-  // non-trivial starts are exactly the states the checker batches (Psi
-  // starts score 1 up front, dead starts 0).
+  // The non-trivial starts are exactly the states the checker batches (Psi
+  // starts score 1 up front, dead starts 0); a budget one class short of
+  // their sweep exhausts it.
   std::vector<core::StateIndex> starts;
   for (core::StateIndex s = 0; s < model.num_states(); ++s) {
     if (!setup.psi[s] && !setup.dead[s]) starts.push_back(s);
   }
   ASSERT_FALSE(starts.empty());
-  numeric::SignatureClassUntilEngine classdp_engine(setup.transformed, setup.psi, setup.dead);
-  numeric::UniformizationUntilEngine dfpg_engine(setup.transformed, setup.psi, setup.dead);
-  const numeric::PathExplorerOptions probe;  // the checker's default w
-  const auto probe_batch = classdp_engine.compute_batch(starts, t, r, probe);
-  std::size_t batch_nodes = 0;
-  for (const auto& slot : probe_batch) {
-    batch_nodes = std::max(batch_nodes, slot.nodes_expanded);
-  }
-  std::size_t dfs_max = 0;
-  for (const auto s : starts) {
-    dfs_max = std::max(dfs_max, dfpg_engine.compute(s, t, r, probe).nodes_expanded);
-  }
-  // The impulse-heavy random model defeats class merging, so the whole-batch
-  // DP does strictly more work than any one DFS start — the window where the
-  // hand-off both triggers and succeeds.
-  ASSERT_LT(dfs_max, batch_nodes) << "seed " << seed << " gives no budget window";
-
-  std::vector<bool> phi = model.labels().states_with("a");
-  std::vector<bool> psi = model.labels().states_with("b");
-  bool any_psi = false;
-  for (const auto value : psi) any_psi = any_psi || value;
-  if (!any_psi) psi[seed % model.num_states()] = true;
-  for (std::size_t s = 0; s < phi.size(); ++s) phi[s] = phi[s] || (s % 2 == 0);
+  const numeric::SignatureClassUntilEngine classdp(setup.transformed, setup.psi, setup.dead);
+  const std::size_t batch_nodes = classdp.compute_batch(starts, t, r).front().nodes_expanded;
+  ASSERT_GT(batch_nodes, 1u);
 
   checker::CheckerOptions starved;
-  starved.until_engine = checker::UntilEngine::kClassDp;
-  starved.uniformization.max_nodes = dfs_max;
-  const auto fell_back = checker::until_probabilities(model, phi, psi, logic::up_to(t),
-                                                      logic::up_to(r), starved);
+  starved.uniformization.max_nodes = batch_nodes - 1;
+  obs::StatsRegistry::global().reset();
+  const auto degraded = checker::until_probabilities(model, masks.phi, masks.psi,
+                                                     logic::up_to(t), logic::up_to(r), starved);
+  EXPECT_EQ(obs::StatsRegistry::global().counter("uniformization.fallbacks"), starts.size());
 
-  checker::CheckerOptions direct;
-  direct.until_engine = checker::UntilEngine::kDfpg;
-  direct.uniformization.max_nodes = dfs_max;
-  const auto reference = checker::until_probabilities(model, phi, psi, logic::up_to(t),
-                                                      logic::up_to(r), direct);
-
-  const auto& registry = obs::StatsRegistry::global();
-  EXPECT_GE(registry.counter("classdp.fallbacks"), 1u);
-  // Every per-start DFS fit the budget, so the deeper degradation stages
-  // (widening, discretization) must have stayed untouched in both runs.
-  EXPECT_EQ(registry.counter("uniformization.widenings"), 0u);
-  EXPECT_EQ(registry.counter("uniformization.fallbacks"), 0u);
-
-  ASSERT_EQ(fell_back.size(), reference.size());
-  for (std::size_t s = 0; s < fell_back.size(); ++s) {
-    EXPECT_EQ(fell_back[s].probability, reference[s].probability) << "state " << s;  // bitwise
-    EXPECT_EQ(fell_back[s].error_bound, reference[s].error_bound) << "state " << s;
-    EXPECT_EQ(fell_back[s].bound.lower, reference[s].bound.lower) << "state " << s;
-    EXPECT_EQ(fell_back[s].bound.upper, reference[s].bound.upper) << "state " << s;
+  const numeric::UniformizationUntilEngine dfpg(setup.transformed, setup.psi, setup.dead);
+  ASSERT_EQ(degraded.size(), model.num_states());
+  for (const core::StateIndex s : starts) {
+    const auto oracle = dfpg.compute(s, t, r);
+    EXPECT_TRUE(degraded[s].bound.contains(oracle.probability))
+        << "state " << s << ": " << degraded[s].bound.to_string() << " vs DFPG "
+        << oracle.probability;
   }
 
   obs::StatsRegistry::global().reset();

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,8 +38,7 @@ TEST(DaemonProtocol, CheckRequestRoundTrips) {
   request.options.w = 1e-6;
   request.options.max_nodes = 1000;
   request.options.deadline_ms = 250.0;
-  request.options.until_engine = "classdp";
-  request.options.fallback = "widen-w";
+  request.options.fallback = "discretize";
 
   const daemon::CheckRequest back =
       daemon::check_request_from_json(daemon::check_request_to_json(request));
@@ -47,7 +47,6 @@ TEST(DaemonProtocol, CheckRequestRoundTrips) {
   ASSERT_TRUE(back.options.w.has_value());
   EXPECT_TRUE(core::exactly_equal(*back.options.w, 1e-6));
   EXPECT_EQ(back.options.max_nodes, request.options.max_nodes);
-  EXPECT_EQ(back.options.until_engine, request.options.until_engine);
   EXPECT_EQ(back.options.fallback, request.options.fallback);
 }
 
@@ -99,14 +98,37 @@ TEST(DaemonProtocol, BatchErrorIsOmittedWhenEmpty) {
 TEST(DaemonProtocol, ApplyOverridesRejectsBadNames) {
   checker::CheckerOptions base;
   daemon::CheckOverrides overrides;
-  overrides.until_engine = "warp-drive";
-  EXPECT_THROW(daemon::apply_overrides(base, overrides), std::invalid_argument);
-  overrides.until_engine.reset();
   overrides.fallback = "ignore";
+  EXPECT_THROW(daemon::apply_overrides(base, overrides), std::invalid_argument);
+  overrides.fallback = "widen-w";  // there is no widening policy
   EXPECT_THROW(daemon::apply_overrides(base, overrides), std::invalid_argument);
   overrides.fallback.reset();
   overrides.w = -1.0;
   EXPECT_THROW(daemon::apply_overrides(base, overrides), std::invalid_argument);
+}
+
+TEST(DaemonProtocol, UnknownCheckOptionIsRejectedByName) {
+  // A typo, or an option the protocol does not have, must not run silently
+  // with the base options: the request fails and the error names the key.
+  for (const char* key : {"max_node", "until_engine"}) {
+    obs::JsonValue options = obs::JsonValue::object();
+    options.set(key, obs::JsonValue(std::string("classdp")));
+    obs::JsonValue formulas = obs::JsonValue::array();
+    formulas.push_back(obs::JsonValue(std::string("TT")));
+    obs::JsonValue request = obs::JsonValue::object();
+    request.set("op", obs::JsonValue(std::string("check")));
+    request.set("model", obs::JsonValue(std::string("tmr")));
+    request.set("formulas", std::move(formulas));
+    request.set("options", std::move(options));
+    try {
+      daemon::check_request_from_json(request);
+      ADD_FAILURE() << "options key '" << key << "' was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(DaemonProtocol, BatchKeySeparatesNumericOptionsOnly) {
@@ -485,6 +507,44 @@ TEST(DaemonServer, DeeplyNestedLineGetsAnErrorAndTheServerKeepsAnswering) {
   }
   server.stop();
   EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+TEST(DaemonServer, DeepSpecLoadGetsAnErrorAndTheServerKeepsAnswering) {
+  // A .spec whose constant nests 200 000 parentheses used to overflow the
+  // spec parser's stack inside the daemon. The load must get an error reply,
+  // and the same connection must still be served afterwards.
+  const std::filesystem::path directory =
+      std::filesystem::temp_directory_path() /
+      (std::string("mrmcheckd_deep_spec_") + std::to_string(::getpid()));
+  std::filesystem::create_directories(directory);
+  const std::string spec_path = (directory / "deep.spec").string();
+  {
+    std::ofstream out(spec_path);
+    out << "const double c = " << std::string(200000, '(') << "1" << std::string(200000, ')')
+        << ";\n";
+  }
+  const std::string socket_path = (directory / "server.sock").string();
+  daemon::ServerOptions options;
+  options.socket_path = socket_path;
+  daemon::DaemonServer server(options);
+  server.start();
+  {
+    daemon::Client client(socket_path);
+    obs::JsonValue load = obs::JsonValue::object();
+    load.set("op", obs::JsonValue(std::string("load")));
+    load.set("name", obs::JsonValue(std::string("deep")));
+    load.set("spec", obs::JsonValue(spec_path));
+    const obs::JsonValue rejected = client.roundtrip(load);
+    EXPECT_FALSE(rejected.at("ok").as_bool());
+    EXPECT_NE(rejected.at("error").as_string().find("nests deeper than"), std::string::npos)
+        << rejected.at("error").as_string();
+
+    obs::JsonValue ping = obs::JsonValue::object();
+    ping.set("op", obs::JsonValue(std::string("ping")));
+    EXPECT_TRUE(client.roundtrip(ping).at("ok").as_bool());
+  }
+  server.stop();
+  std::filesystem::remove_all(directory);
 }
 
 TEST(DaemonServer, SocketRoundTripLoadCheckStatsShutdown) {

@@ -1,5 +1,5 @@
 // Graceful degradation of the P2 uniformization engine and engine-agnostic
-// three-valued verdicts: exhausting the DFS node budget must not abort the
+// three-valued verdicts: exhausting the engine's node budget must not abort the
 // whole check when a fallback policy is configured, the returned interval
 // must still contain the truth, and a threshold inside the error band must
 // yield UNKNOWN (not an engine-dependent SAT/UNSAT flip).
@@ -31,16 +31,22 @@ core::Mrm make_cycle() {
   return core::Mrm(core::Ctmc(rates.build(), std::move(labels)), {1.0, 2.0, 1.0});
 }
 
+/// The same cycle with an integer impulse reward on 0 -> 1. With impulse
+/// rewards present the chooser never discretizes up front (a valid step need
+/// not exist), so a starved budget is hit mid-flight by the uniformization
+/// engine; the integer impulse keeps the discretization fallback feasible.
+core::Mrm make_impulse_cycle() {
+  const core::Mrm cycle = make_cycle();
+  core::ImpulseRewardsBuilder impulses(3);
+  impulses.add(0, 1, 1.0);
+  return core::Mrm(cycle.ctmc(), cycle.state_rewards(), impulses.build());
+}
+
 const std::vector<bool> kPhi{true, true, false};
 const std::vector<bool> kPsi{false, false, true};
 
 CheckerOptions starved(BudgetPolicy policy) {
   CheckerOptions options;
-  // Pin the engine: these tests exercise the mid-flight degradation chain,
-  // which requires a uniformization engine to actually hit its budget. The
-  // default auto cost model would see the starved budget up front and pick
-  // discretization directly (covered by the AutoEngine tests below).
-  options.until_engine = UntilEngine::kClassDp;
   options.uniformization.truncation_probability = 1e-12;
   options.uniformization.max_nodes = 5;  // guaranteed exhaustion
   options.on_budget_exhausted = policy;
@@ -67,7 +73,9 @@ TEST_F(EngineFallback, ThrowPolicyRaisesTypedBudgetError) {
 }
 
 TEST_F(EngineFallback, FallbackPolicyDegradesToDiscretizationWithoutThrowing) {
-  const core::Mrm model = make_cycle();
+  // Impulse rewards keep the chooser on uniformization, so the starved
+  // budget is exhausted mid-flight and every start degrades.
+  const core::Mrm model = make_impulse_cycle();
 
   // Reference 1: the accurate uniformization value (ample budget).
   CheckerOptions accurate;
@@ -86,7 +94,8 @@ TEST_F(EngineFallback, FallbackPolicyDegradesToDiscretizationWithoutThrowing) {
       until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0),
                           starved(BudgetPolicy::kFallbackToDiscretization));
 
-  EXPECT_GE(obs::StatsRegistry::global().counter("uniformization.fallbacks"), 1u);
+  // One count per degraded start: the two non-absorbed states 0 and 1.
+  EXPECT_EQ(obs::StatsRegistry::global().counter("uniformization.fallbacks"), 2u);
   for (core::StateIndex s = 0; s < model.num_states(); ++s) {
     // The degraded interval still encloses both references' truths.
     EXPECT_TRUE(degraded[s].bound.contains(by_disc[s].probability))
@@ -100,34 +109,12 @@ TEST_F(EngineFallback, FallbackPolicyDegradesToDiscretizationWithoutThrowing) {
   }
 }
 
-TEST_F(EngineFallback, WidenWPolicyDoesNotThrowAndKeepsTheTruthEnclosed) {
-  const core::Mrm model = make_cycle();
-  CheckerOptions accurate;
-  accurate.uniformization.truncation_probability = 1e-12;
-  const auto exact =
-      until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0), accurate);
-
-  const auto widened = until_probabilities(model, kPhi, kPsi, logic::up_to(1.0),
-                                           logic::up_to(10.0), starved(BudgetPolicy::kWidenW));
-  // Either a coarser w fit the budget or the engine fell through to
-  // discretization; both are recorded and both keep a rigorous interval.
-  const auto& registry = obs::StatsRegistry::global();
-  EXPECT_GE(registry.counter("uniformization.widenings") +
-                registry.counter("uniformization.fallbacks"),
-            1u);
-  for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-    EXPECT_TRUE(widened[s].bound.overlaps(exact[s].bound)) << "state " << s;
-  }
-}
-
 TEST_F(EngineFallback, AutoStarvedRunDiscretizesUpFrontWithoutThrowing) {
-  // The default auto cost model sees live * levels > max_nodes before
-  // exploring anything and goes straight to discretization (no impulse
-  // rewards, degradation allowed) — no NodeBudgetError is ever raised and
-  // the choice is recorded.
+  // The chooser sees live * levels > max_nodes before exploring anything
+  // and goes straight to discretization (no impulse rewards, degradation
+  // allowed) — no NodeBudgetError is ever raised and the choice is recorded.
   const core::Mrm model = make_cycle();
-  CheckerOptions options = starved(BudgetPolicy::kFallbackToDiscretization);
-  options.until_engine = UntilEngine::kAuto;
+  const CheckerOptions options = starved(BudgetPolicy::kFallbackToDiscretization);
   const auto values =
       until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0), options);
   EXPECT_GE(obs::StatsRegistry::global().counter("engine.auto_choice.discretization"), 1u);
@@ -143,46 +130,36 @@ TEST_F(EngineFallback, AutoStarvedRunDiscretizesUpFrontWithoutThrowing) {
 }
 
 TEST_F(EngineFallback, AutoUnderThrowPolicyFailsLoudlyInsteadOfDegrading) {
-  // kThrow disables every degradation, including auto's up-front method
-  // switch: the starved run must still raise the typed budget error.
+  // kThrow disables every degradation, including the chooser's up-front
+  // method switch: the starved run must still raise the typed budget error.
   const core::Mrm model = make_cycle();
-  CheckerOptions options = starved(BudgetPolicy::kThrow);
-  options.until_engine = UntilEngine::kAuto;
+  const CheckerOptions options = starved(BudgetPolicy::kThrow);
   EXPECT_THROW(
       until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0), options),
       numeric::NodeBudgetError);
 }
 
 TEST(AutoEngineChooser, AmpleBudgetPicksClassDpWithTheHybridArmed) {
+  // kUniformization means the signature-class DP with the hybrid escalation
+  // armed: the checker has no other uniformization engine.
   const core::Mrm model = make_cycle();
   const CheckerOptions options;  // defaults: generous budget
-  const AutoEngineChoice choice = choose_until_engine(model, 1.0, options);
-  EXPECT_EQ(choice.method, UntilMethod::kUniformization);
-  EXPECT_EQ(choice.engine, UntilEngine::kClassDp);
-  EXPECT_TRUE(choice.adaptive_hybrid);
-}
-
-TEST(AutoEngineChooser, PerPathAblationKnobRoutesToTheDfsEngine) {
-  const core::Mrm model = make_cycle();
-  CheckerOptions options;
-  options.uniformization.aggregate_signatures = false;
-  const AutoEngineChoice choice = choose_until_engine(model, 1.0, options);
-  EXPECT_EQ(choice.method, UntilMethod::kUniformization);
-  EXPECT_EQ(choice.engine, UntilEngine::kDfpg);
-  EXPECT_FALSE(choice.adaptive_hybrid);
+  EXPECT_EQ(choose_until_engine(model, 1.0, options), UntilMethod::kUniformization);
 }
 
 TEST(AutoEngineChooser, ProvablyOverBudgetPicksDiscretizationUnlessThrowing) {
   const core::Mrm model = make_cycle();
   CheckerOptions options;
   options.uniformization.max_nodes = 5;
-  const AutoEngineChoice degrading = choose_until_engine(model, 1.0, options);
-  EXPECT_EQ(degrading.method, UntilMethod::kDiscretization);
+  EXPECT_EQ(choose_until_engine(model, 1.0, options), UntilMethod::kDiscretization);
 
   options.on_budget_exhausted = BudgetPolicy::kThrow;
-  const AutoEngineChoice throwing = choose_until_engine(model, 1.0, options);
-  EXPECT_EQ(throwing.method, UntilMethod::kUniformization);
-  EXPECT_EQ(throwing.engine, UntilEngine::kClassDp);
+  EXPECT_EQ(choose_until_engine(model, 1.0, options), UntilMethod::kUniformization);
+
+  // Impulse rewards may admit no discretization step: never switch up front.
+  options.on_budget_exhausted = BudgetPolicy::kFallbackToDiscretization;
+  EXPECT_EQ(choose_until_engine(make_impulse_cycle(), 1.0, options),
+            UntilMethod::kUniformization);
 }
 
 TEST(EngineBoundaries, ZeroTimeHorizonIsTheIndicatorOfPsiOnBothEngines) {

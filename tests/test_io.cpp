@@ -286,13 +286,21 @@ TEST_F(MrmcheckCli, RejectsMalformedFallbackPolicyAndNodeBudget) {
   EXPECT_EQ(run(model_args_ + " --max-nodes=abc 'TT'"), 2);
 }
 
+TEST_F(MrmcheckCli, RejectsEngineSelectorAndWidenWAsUsageErrors) {
+  // There is one uniformization engine and no widening fallback: naming an
+  // engine selector or widen-w is a usage error.
+  EXPECT_EQ(run(model_args_ + " --until-engine=dfpg 'TT'"), 2);
+  EXPECT_EQ(run(model_args_ + " --until-engine=auto 'TT'"), 2);
+  EXPECT_EQ(run(model_args_ + " --fallback=widen-w 'TT'"), 2);
+}
+
 TEST_F(MrmcheckCli, StrictExitsThreeWhenTheIntervalStraddlesTheThreshold) {
   const std::string cycle = write_cycle_model();
   const std::string query = " NP 'P(>=0.26)[a U[0,1][0,10] b]'";
   // Coarse discretization: the O(d) band around ~0.2584 contains 0.26.
   EXPECT_EQ(run(cycle + " d=0.125 --strict" + query), 3);
   // Same verdict from the other engine: coarse truncation widens the
-  // one-sided DFPG interval across the threshold. UNKNOWN must never
+  // one-sided uniformization interval across the threshold. UNKNOWN must never
   // degenerate into an engine-dependent SAT/UNSAT flip.
   EXPECT_EQ(run(cycle + " u=0.2 --strict" + query), 3);
   // Without --strict the run warns but succeeds.
@@ -304,12 +312,16 @@ TEST_F(MrmcheckCli, StrictExitsThreeWhenTheIntervalStraddlesTheThreshold) {
 TEST_F(MrmcheckCli, NodeBudgetExhaustionFallsBackInsteadOfFailing) {
   const std::string cycle = write_cycle_model();
   const std::string stats_file = (directory_ / "fallback_stats.json").string();
-  // Budget of 5 nodes cannot explore the cycle: with the engine pinned (the
-  // default auto cost model would sidestep the exhaustion up front, see
-  // below) the checker must fall back to discretization per start state,
-  // still exit 0, and record the degradation in the stats JSON.
-  ASSERT_EQ(run(cycle + " u=1e-12 --max-nodes=5 --until-engine=classdp --stats='" +
-                stats_file + "' NP 'P(>=0.5)[a U[0,1][0,10] b]'"),
+  // Budget of 5 nodes cannot explore the cycle. With an integer impulse on
+  // 1 -> 2 the chooser keeps uniformization (impulse rewards may admit no
+  // discretization step, so it never switches up front); the engine then
+  // exhausts its budget mid-flight and the checker must fall back to
+  // discretization for the query's starts, still exit 0, and record the
+  // degradation in the stats JSON.
+  const std::string impulse_cycle =
+      cycle + " " + write_file("cycle.rewi", "TRANSITIONS 1\n1 2 1\n");
+  ASSERT_EQ(run(impulse_cycle + " u=1e-12 --max-nodes=5 --stats='" + stats_file +
+                "' NP 'P(>=0.5)[a U[0,1][0,10] b]'"),
             0);
   std::ifstream in(stats_file);
   ASSERT_TRUE(in.is_open());
@@ -321,7 +333,7 @@ TEST_F(MrmcheckCli, NodeBudgetExhaustionFallsBackInsteadOfFailing) {
   const obs::JsonValue* fallbacks = counters->find("uniformization.fallbacks");
   ASSERT_NE(fallbacks, nullptr);
   EXPECT_GE(fallbacks->as_number(), 1.0);
-  // The default auto engine sees the starved budget before exploring
+  // Without impulses the chooser sees the starved budget before exploring
   // anything, goes straight to discretization, and records that choice.
   const std::string auto_stats_file = (directory_ / "auto_stats.json").string();
   ASSERT_EQ(run(cycle + " u=1e-12 --max-nodes=5 --stats='" + auto_stats_file +
@@ -337,8 +349,8 @@ TEST_F(MrmcheckCli, NodeBudgetExhaustionFallsBackInsteadOfFailing) {
   const obs::JsonValue* chose = auto_counters->find("engine.auto_choice.discretization");
   ASSERT_NE(chose, nullptr);
   EXPECT_GE(chose->as_number(), 1.0);
-  // With the throw policy the same starved run fails loudly instead — auto
-  // never degrades behind a kThrow user's back.
+  // With the throw policy the same starved run fails loudly instead — the
+  // checker never degrades behind a kThrow user's back.
   EXPECT_EQ(run(cycle + " u=1e-12 --max-nodes=5 --fallback=throw NP "
                         "'P(>=0.5)[a U[0,1][0,10] b]'"),
             1);

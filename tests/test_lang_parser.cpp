@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "lang/parser.hpp"
 
@@ -126,6 +127,69 @@ TEST(LangParser, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_expression("1 +"), SpecError);
   EXPECT_THROW(parse_expression("(1"), SpecError);
   EXPECT_THROW(parse_expression("1 2"), SpecError);
+}
+
+/// The SpecError message of parsing `text`, or "" when it parses.
+std::string spec_error(const std::string& text) {
+  try {
+    parse_spec(text);
+  } catch (const SpecError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+/// `depth` nested parentheses around 1.
+std::string nested(std::size_t depth) {
+  return std::string(depth, '(') + "1" + std::string(depth, ')');
+}
+
+TEST(LangParser, DeepParenthesesRaiseSpecErrorWithTheLine) {
+  // 200 000 open parentheses used to overflow the recursive-descent stack.
+  const std::string error =
+      spec_error("// deep constant\nconst double c = " + nested(200000) + ";\n");
+  EXPECT_NE(error.find("nests deeper than " + std::to_string(kMaxExpressionDepth)),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("(line 2)"), std::string::npos) << error;
+}
+
+TEST(LangParser, DeepOperatorChainRaisesSpecError) {
+  // A flat 300 000-term chain parses in a loop, but the left-deep tree it
+  // builds is then walked (and destroyed) recursively.
+  std::string chain = "1";
+  for (int i = 1; i < 300000; ++i) chain += "+1";
+  const std::string error = spec_error("const double c = " + chain + ";\n");
+  EXPECT_NE(error.find("nests deeper than"), std::string::npos) << error;
+  EXPECT_NE(error.find("(line 1)"), std::string::npos) << error;
+  // The same for a right-nested ?: chain, which recurses in the parser.
+  std::string conditional;
+  for (int i = 0; i < 300000; ++i) conditional += "true ? 1 : ";
+  EXPECT_NE(spec_error("const double c = " + conditional + "1;\n").find("nests deeper than"),
+            std::string::npos);
+}
+
+TEST(LangParser, DeepExpressionAtTheCapParsesAndEvaluates) {
+  // Each parenthesis opens one level on top of the outermost operand's.
+  MapEnvironment env({});
+  EXPECT_DOUBLE_EQ(
+      evaluate_number(parse_expression(nested(kMaxExpressionDepth - 1)), env), 1.0);
+  EXPECT_THROW(parse_expression(nested(kMaxExpressionDepth)), SpecError);
+  std::string chain = "1";
+  for (std::size_t i = 1; i < kMaxExpressionDepth; ++i) chain += "+1";
+  EXPECT_DOUBLE_EQ(evaluate_number(parse_expression(chain), env),
+                   static_cast<double>(kMaxExpressionDepth));
+}
+
+TEST(LangParser, DeepChainCountRestartsPerExpression) {
+  // The cap bounds one expression's tree, not the whole file: many short
+  // chains side by side stay legal.
+  std::string text;
+  for (std::size_t i = 0; i < 2 * kMaxExpressionDepth; ++i) {
+    text += "const int c" + std::to_string(i) + " = 1 + 1 + 1;\n";
+  }
+  text += "module m\n  x : [0 .. 1];\n  [] x < 1 -> 1 : (x' = x + 1);\nendmodule\n";
+  EXPECT_EQ(spec_error(text), "");
 }
 
 TEST(LangParser, CommentsAndWhitespaceAreIgnored)

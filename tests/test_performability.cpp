@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "models/mm1k.hpp"
+#include "numeric/path_explorer.hpp"
 #include "models/wavelan.hpp"
 #include "sim/simulator.hpp"
 
@@ -79,6 +81,46 @@ TEST(Performability, CdfIsMonotoneAndReachesOne) {
     prev = cdf[i].probability;
   }
   EXPECT_NEAR(cdf.back().probability, 1.0, 1e-6);
+}
+
+/// Perf(<= r) from every start and bound through the checker (class-DP)
+/// against the DFPG reference engine called directly: both bracket the
+/// exact value from below, so their enclosures overlap and the point values
+/// agree within the summed error bounds. The CDF entry point must reproduce
+/// the single-bound values bitwise.
+void expect_matches_dfpg_oracle(const core::Mrm& model, double t,
+                                const std::vector<double>& bounds, double w) {
+  const numeric::UniformizationUntilEngine oracle(
+      model, std::vector<bool>(model.num_states(), true),
+      std::vector<bool>(model.num_states(), false));
+  numeric::PathExplorerOptions oracle_options;
+  oracle_options.truncation_probability = w;
+  for (core::StateIndex start = 0; start < model.num_states(); ++start) {
+    const auto cdf = performability_cdf(model, start, t, bounds, tight(w));
+    ASSERT_EQ(cdf.size(), bounds.size());
+    for (std::size_t i = 0; i < bounds.size(); ++i) {
+      const double r = bounds[i];
+      const auto value = performability(model, start, t, r, tight(w));
+      const auto reference = oracle.compute(start, t, r, oracle_options);
+      EXPECT_NEAR(value.probability, reference.probability,
+                  value.error_bound + reference.error_bound + 1e-12)
+          << "start=" << start << " r=" << r;
+      EXPECT_TRUE(value.bound.overlaps(ProbabilityBound::from_point_error(
+          reference.probability, 0.0, reference.error_bound)))
+          << "start=" << start << " r=" << r << ": " << value.bound.to_string();
+      EXPECT_EQ(cdf[i].probability, value.probability) << "start=" << start << " r=" << r;
+      EXPECT_EQ(cdf[i].error_bound, value.error_bound) << "start=" << start << " r=" << r;
+    }
+  }
+}
+
+TEST(Performability, ClassDpMatchesTheDfpgOracleOnWavelan) {
+  expect_matches_dfpg_oracle(models::make_wavelan(), 0.25, {25.0, 100.0, 200.0, 400.0}, 1e-10);
+}
+
+TEST(Performability, ClassDpMatchesTheDfpgOracleOnTheQueue) {
+  expect_matches_dfpg_oracle(models::make_mm1k({4, 0.5, 1.0, 1.0, 3.0, 1.0}), 3.0,
+                             {1.0, 4.0, 8.0, 20.0}, 1e-10);
 }
 
 TEST(ExpectedReward, SingleStateIsRateTimesTime) {

@@ -1,9 +1,9 @@
 // Differential test of the plan passes. For random MRMs and random formula
-// batches, the batch compiled with every pass on (CSE, transform hoisting,
-// engine pinning) and executed at 1/2/8 worker threads must reproduce the
-// reference BITWISE: one passes-off plan per formula at one thread, i.e.
-// Algorithm 4.1 evaluated node by node with nothing shared between formulas
-// and no cached transform or pinned engine. The passes only decide how often,
+// batches, the batch compiled with every pass on (CSE, transform hoisting)
+// and executed at 1/2/8 worker threads must reproduce the reference
+// BITWISE: one passes-off plan per formula at one thread, i.e. Algorithm 4.1
+// evaluated node by node with nothing shared between formulas and no cached
+// transform. The passes only decide how often,
 // and on which cached transforms, the checker/operator_eval.hpp functions
 // run; this suite is the proof that they never change a bit of verdicts,
 // value enclosures or raw values. A second test pins every accessor of the
@@ -53,7 +53,6 @@ plan::FormulaResult reference(const core::Mrm& model, const logic::FormulaPtr& f
   plan::PlanOptions passes_off;
   passes_off.cse = false;
   passes_off.hoist_transforms = false;
-  passes_off.engine_selection = false;
   const plan::Plan compiled = plan::compile(model, {formula}, options, passes_off);
   return plan::execute(compiled, model).formulas.front();
 }

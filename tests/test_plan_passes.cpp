@@ -10,12 +10,10 @@
 
 #include "checker/sat.hpp"
 #include "logic/parser.hpp"
-#include "models/random_mrm.hpp"
 #include "models/tmr.hpp"
 #include "numeric/conditional.hpp"
 #include "obs/stats.hpp"
 #include "plan/compiler.hpp"
-#include "plan/cost_model.hpp"
 #include "plan/executor.hpp"
 
 namespace csrlmrm {
@@ -65,16 +63,12 @@ TEST_F(PlanPasses, CseDedupCountsPinnedOnTmrBatch) {
   // re-finds the two label sets.
   EXPECT_EQ(compiled.cse_hits, 5u);
   EXPECT_EQ(compiled.transforms_hoisted, 1u);  // second until reuses the transform
-  // Only the P2-class (time-reward) until is engine-eligible; the time-only
-  // variant runs the fixed P1 uniformization path with no engine choice.
-  EXPECT_EQ(compiled.engines_pinned, 1u);
 
   // The same numbers flow into the global counters (what `--stats` reports).
   const auto& registry = obs::StatsRegistry::global();
   EXPECT_EQ(registry.counter("plan.cse.hits"), compiled.cse_hits);
   EXPECT_EQ(registry.counter("plan.ops"), compiled.ops.size());
   EXPECT_EQ(registry.counter("plan.transforms.hoisted"), compiled.transforms_hoisted);
-  EXPECT_EQ(registry.counter("plan.engines.pinned"), compiled.engines_pinned);
   EXPECT_EQ(registry.counter("plan.compile.calls"), 1u);
 
   // The shared until solve is referenced by both compare ops.
@@ -155,86 +149,6 @@ TEST_F(PlanPasses, HoistedTransformSharesOmegaEvaluatorsAcrossSolves) {
 
   EXPECT_LT(batch_misses, singleton_misses);
   EXPECT_GT(batch_hits, singleton_hits);
-}
-
-// ---------------------------------------------------------------------------
-// Engine-selection pass (cost model)
-// ---------------------------------------------------------------------------
-
-// The compile-time pin must be the decision the runtime auto path records:
-// on the TMR bench model the auto cost model picks class-DP with the hybrid
-// armed, and a direct check bumps exactly that counter.
-TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnTmr) {
-  const core::Mrm model = models::make_tmr();
-  const auto batch = parse_batch({"P(>0.1)[Sup U[0,100][0,3000] failed]"});
-  checker::CheckerOptions options;
-  const plan::Plan compiled = plan::compile(model, batch, options);
-
-  const plan::PlanOp* until = nullptr;
-  for (const auto& op : compiled.ops) {
-    if (op.kind == plan::OpKind::kUntilSolve) until = &op;
-  }
-  ASSERT_NE(until, nullptr);
-  ASSERT_TRUE(until->engine_known);
-  EXPECT_EQ(until->engine_choice.method, checker::UntilMethod::kUniformization);
-  EXPECT_EQ(until->engine_choice.engine, checker::UntilEngine::kClassDp);
-  EXPECT_TRUE(until->engine_choice.adaptive_hybrid);
-
-  obs::StatsRegistry::global().reset();
-  checker::ModelChecker direct(model, options);
-  direct.verdicts(batch[0]);
-  const auto& registry = obs::StatsRegistry::global();
-  EXPECT_EQ(registry.counter("engine.auto_choice.classdp"), 1u);
-  EXPECT_EQ(registry.counter("engine.auto_choice.dfpg"), 0u);
-  EXPECT_EQ(registry.counter("engine.auto_choice.discretization"), 0u);
-}
-
-// Same regression on the 11-module NMR calibration (Tables 5.5/5.7): more
-// states, same verdict — class-DP stays within budget at the table horizons.
-TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnNmr) {
-  const core::Mrm model = models::make_tmr(models::chapter5_nmr_config());
-  const auto batch = parse_batch({"P(>0.1)[Sup U[0,100][0,3000] failed]"});
-  checker::CheckerOptions options;
-  const plan::Plan compiled = plan::compile(model, batch, options);
-  const plan::PlanOp* until = nullptr;
-  for (const auto& op : compiled.ops) {
-    if (op.kind == plan::OpKind::kUntilSolve) until = &op;
-  }
-  ASSERT_NE(until, nullptr);
-  ASSERT_TRUE(until->engine_known);
-  EXPECT_EQ(until->engine_choice.engine, checker::UntilEngine::kClassDp);
-  EXPECT_GT(until->predicted_live, 0u);
-  EXPECT_GT(until->predicted_levels, 0u);
-
-  obs::StatsRegistry::global().reset();
-  checker::ModelChecker direct(model, options);
-  direct.verdicts(batch[0]);
-  EXPECT_EQ(obs::StatsRegistry::global().counter("engine.auto_choice.classdp"), 1u);
-}
-
-// An impulse-free model with a starved node budget under a degrading policy:
-// auto provably skips to discretization, and the prediction must agree.
-TEST_F(PlanPasses, CostModelPredictsDiscretizationWhenOverBudget) {
-  models::RandomMrmConfig config;
-  config.num_states = 6;
-  config.impulse_probability = 0.0;
-  const core::Mrm model = models::make_random_mrm(7, config);
-  checker::CheckerOptions options;
-  options.uniformization.max_nodes = 1;  // guaranteed over budget
-  options.on_budget_exhausted = checker::BudgetPolicy::kFallbackToDiscretization;
-  const plan::EnginePrediction prediction = plan::predict_until_engine(model, 10.0, options);
-  EXPECT_EQ(prediction.choice.method, checker::UntilMethod::kDiscretization);
-  EXPECT_EQ(prediction.choice.method, checker::choose_until_engine(model, 10.0, options).method);
-}
-
-// The per-path ablation (aggregate_signatures off) only DFPG implements.
-TEST_F(PlanPasses, CostModelFollowsSignatureAblationToDfpg) {
-  const core::Mrm model = models::make_tmr();
-  checker::CheckerOptions options;
-  options.uniformization.aggregate_signatures = false;
-  const plan::EnginePrediction prediction = plan::predict_until_engine(model, 100.0, options);
-  EXPECT_EQ(prediction.choice.method, checker::UntilMethod::kUniformization);
-  EXPECT_EQ(prediction.choice.engine, checker::UntilEngine::kDfpg);
 }
 
 }  // namespace
