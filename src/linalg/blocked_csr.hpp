@@ -59,7 +59,7 @@ class BlockedCsrMatrix {
 
   /// y = A * x into a caller-owned buffer; bitwise identical to
   /// CsrMatrix::multiply_into on the source matrix at every thread count.
-  /// Requires finite x (guaranteed by CsrBuilder-built inputs and probability
+  /// Requires finite x (the uniformization series reject non-finite input
   /// vectors); `y` must not alias `x`. Sizes are checked.
   void multiply_into(const std::vector<double>& x, std::vector<double>& y,
                      unsigned threads = 1) const;

@@ -137,20 +137,6 @@ void CsrMatrix::multiply_into(const std::vector<double>& x, std::vector<double>&
   });
 }
 
-void CsrMatrix::left_multiply_into(const std::vector<double>& x, std::vector<double>& y) const {
-  if (x.size() != rows_) throw std::invalid_argument("CsrMatrix::left_multiply_into: size mismatch");
-  if (y.size() != cols_) throw std::invalid_argument("CsrMatrix::left_multiply_into: output size mismatch");
-  if (&x == &y) throw std::invalid_argument("CsrMatrix::left_multiply_into: x and y must not alias");
-  obs::counter_add("spmv.calls");
-  obs::counter_add("spmv.rows", rows_);
-  std::fill(y.begin(), y.end(), 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double xr = x[r];
-    if (core::exactly_zero(xr)) continue;
-    for (const Entry& e : row(r)) y[e.col] += xr * e.value;
-  }
-}
-
 double CsrMatrix::row_sum(std::size_t r) const {
   double acc = 0.0;
   for (const Entry& e : row(r)) acc += e.value;

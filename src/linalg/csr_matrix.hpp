@@ -96,15 +96,6 @@ class CsrMatrix {
   void multiply_into(const std::vector<double>& x, std::vector<double>& y,
                      unsigned threads = 1) const;
 
-  /// y = x^T * A written into a caller-owned buffer (no allocation) —
-  /// the scatter form used by the uniformization series, which ping-pongs
-  /// two buffers instead of allocating a fresh vector per Poisson term.
-  /// Inherently serial (rows scatter into shared columns); for a
-  /// row-parallel product use `transposed().multiply_into(...)`, which
-  /// accumulates every column in the same (ascending source row) order and
-  /// therefore matches this function bitwise. `y` must not alias `x`.
-  void left_multiply_into(const std::vector<double>& x, std::vector<double>& y) const;
-
   /// Sum of the entries of row r.
   double row_sum(std::size_t r) const;
 

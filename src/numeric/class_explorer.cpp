@@ -214,7 +214,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     return results;
   }
 
-  const double mean = sig_.uniformized.lambda() * t;
+  const double mean = sig_.lambda * t;
   const double w = options.truncation_probability;
   const auto poisson_tail =
       PoissonTailCache::global().table(mean, poisson_truncation_point(mean, w) + 2);

@@ -59,7 +59,7 @@ UntilUniformizationResult UniformizationUntilEngine::compute(
     return result;
   }
 
-  const double mean = sig_.uniformized.lambda() * t;
+  const double mean = sig_.lambda * t;
   const double log_mean = std::log(mean);
   const double log_w = std::log(options.truncation_probability);
   const auto poisson_tail =

@@ -121,7 +121,7 @@ class UniformizationUntilEngine {
     return sig_.distinct_impulse_rewards;
   }
   /// The uniformization rate Lambda.
-  double lambda() const { return sig_.uniformized.lambda(); }
+  double lambda() const { return sig_.lambda; }
 
  private:
   SignatureModel sig_;

@@ -97,24 +97,6 @@ std::size_t poisson_truncation_point(double mean, double epsilon) {
   }
 }
 
-PoissonCdfTable::PoissonCdfTable(double mean) : mean_(mean) {
-  require_valid_mean(mean);
-  cdf_.push_back(poisson_pmf(0, mean_));
-}
-
-double PoissonCdfTable::cdf(std::size_t n) {
-  while (cdf_.size() <= n) {
-    const std::size_t i = cdf_.size();
-    cdf_.push_back(std::min(cdf_.back() + poisson_pmf(i, mean_), 1.0));
-  }
-  return cdf_[n];
-}
-
-double PoissonCdfTable::tail(std::size_t n) {
-  if (n == 0) return 1.0;
-  return std::max(0.0, 1.0 - cdf(n - 1));
-}
-
 SharedPoissonTail::SharedPoissonTail(double mean, std::size_t n_max) : mean_(mean) {
   require_valid_mean(mean);
   const std::size_t count = n_max + 1;
@@ -122,9 +104,8 @@ SharedPoissonTail::SharedPoissonTail(double mean, std::size_t n_max) : mean_(mea
     cdf_.assign(count, 1.0);
     return;
   }
-  // Vectorized mass fill, then the same sequential clamped prefix sum
-  // PoissonCdfTable uses — the two table forms agree bitwise on the covered
-  // range.
+  // Vectorized mass fill (each mass equals poisson_pmf bit for bit), then
+  // the sequential clamped prefix sum.
   std::vector<double> mass;
   fill_poisson_masses(mass, count, mean_);
   cdf_.resize(count);

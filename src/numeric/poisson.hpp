@@ -30,31 +30,12 @@ std::vector<double> poisson_pmf_sequence(std::size_t n_max, double mean);
 /// point for a uniformization sum with error tolerance epsilon in (0,1).
 std::size_t poisson_truncation_point(double mean, double epsilon);
 
-/// Incrementally extensible Poisson CDF table for one fixed mean; the path
-/// explorer uses it to evaluate tail probabilities 1 - Pr{N <= n-1} for the
-/// truncated-path error bound (eq. 4.6) without recomputing prefixes.
-class PoissonCdfTable {
- public:
-  explicit PoissonCdfTable(double mean);
-
-  double mean() const { return mean_; }
-
-  /// Pr{N <= n}; extends the internal table on demand.
-  double cdf(std::size_t n);
-
-  /// Pr{N >= n} = 1 - Pr{N <= n-1}; tail(0) = 1.
-  double tail(std::size_t n);
-
- private:
-  double mean_;
-  std::vector<double> cdf_;  // cdf_[i] = Pr{N <= i}
-};
-
 /// Immutable Poisson CDF/tail table for one fixed mean, safe to share across
-/// threads without synchronization. Entries 0..n_max are precomputed with
-/// exactly the accumulation PoissonCdfTable uses (so the two forms agree
-/// bitwise on the covered range); queries beyond the table fall back to
-/// direct summation without mutating any state.
+/// threads without synchronization. Entry n is the clamped sequential prefix
+/// sum min(1, cdf(n-1) + poisson_pmf(n, mean)), bit for bit; queries beyond
+/// the table fall back to direct summation without mutating any state. The
+/// occupation series and the uniformization explorers take their tail
+/// weights Pr{N >= n} from it.
 class SharedPoissonTail {
  public:
   SharedPoissonTail(double mean, std::size_t n_max);
@@ -72,10 +53,10 @@ class SharedPoissonTail {
   std::vector<double> cdf_;  // cdf_[i] = Pr{N <= i}
 };
 
-/// Thread-safe per-mean cache of SharedPoissonTail tables. The checker's
-/// per-state Until fan-out issues one engine query per start state with the
-/// identical mean Lambda*t; before this cache each query rebuilt the same
-/// CDF table from scratch. The first query for a mean builds the table under
+/// Thread-safe per-mean cache of SharedPoissonTail tables. Every explorer
+/// solve over the same (model, t) — repeated formulas, daemon requests,
+/// nested operators — needs the identical mean Lambda*t, so the table is
+/// built once and shared. The first query for a mean builds the table under
 /// an internal mutex, every later one shares the immutable snapshot. A
 /// request with a larger n_max than the cached table replaces it with an
 /// extended build (already-handed-out snapshots stay valid).
@@ -85,7 +66,7 @@ class SharedPoissonTail {
 /// the explorers stay inside the precomputed range instead of hitting the
 /// per-call summation fallback — profiling showed that fallback dominating
 /// deep DFS runs. The cache itself is capacity-bounded LRU (kCapacity
-/// distinct means) so a long checker fan-out over many time bounds cannot
+/// distinct means) so a long-lived checker sweeping many time bounds cannot
 /// grow it without limit; occupancy is reported via the
 /// "poisson.tail_cache_occupancy" gauge and evictions via the
 /// "poisson.tail_cache_evictions" counter.

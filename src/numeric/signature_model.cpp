@@ -5,6 +5,9 @@
 #include <functional>
 #include <stdexcept>
 
+#include "linalg/csr_matrix.hpp"
+#include "numeric/transient.hpp"
+
 namespace csrlmrm::numeric {
 
 namespace {
@@ -33,8 +36,7 @@ SignatureModel::SignatureModel(core::Mrm transformed, std::vector<bool> psi_mask
                                std::vector<bool> dead_mask)
     : model(std::move(transformed)),
       psi(std::move(psi_mask)),
-      dead(std::move(dead_mask)),
-      uniformized(model) {
+      dead(std::move(dead_mask)) {
   const std::size_t n = model.num_states();
   if (psi.size() != n || dead.size() != n) {
     throw std::invalid_argument("SignatureModel: mask size mismatch");
@@ -62,9 +64,10 @@ SignatureModel::SignatureModel(core::Mrm transformed, std::vector<bool> psi_mask
   sort_distinct_descending(distinct_impulse_rewards);
 
   // Flatten the uniformized DTMC with per-transition impulse classes.
+  const linalg::CsrMatrix P = uniformized_transition_matrix(model.rates(), lambda);
   adjacency.resize(n);
   for (core::StateIndex s = 0; s < n; ++s) {
-    const auto row = uniformized.transition_matrix().row(s);
+    const auto row = P.row(s);
     adjacency[s].reserve(row.size());
     for (const auto& e : row) {
       const double impulse = (e.col == s) ? 0.0 : model.impulse_reward(s, e.col);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/mrm.hpp"
-#include "core/uniformized.hpp"
 
 namespace csrlmrm::numeric {
 
@@ -32,20 +31,17 @@ struct SignatureTransition {
 
 /// The preprocessed model both Until engines run on. Owns its copy of the
 /// transformed MRM (M[!Phi v Psi] or M[!Phi && !Psi]); `psi` marks Sat(Psi),
-/// `dead` the states satisfying neither Phi nor Psi. Not movable: the
-/// uniformized view holds a pointer into `model`.
+/// `dead` the states satisfying neither Phi nor Psi.
 struct SignatureModel {
   /// Masks must match the state count (std::invalid_argument otherwise).
   SignatureModel(core::Mrm transformed, std::vector<bool> psi_mask,
                  std::vector<bool> dead_mask);
 
-  SignatureModel(const SignatureModel&) = delete;
-  SignatureModel& operator=(const SignatureModel&) = delete;
-
   core::Mrm model;
   std::vector<bool> psi;
   std::vector<bool> dead;
-  core::UniformizedMrm uniformized;
+  /// Uniformization rate Lambda of the Poisson epochs (Definition 4.2).
+  double lambda = 1.0;
   std::vector<double> distinct_state_rewards;    // r_1 > ... > r_{K+1}
   std::vector<double> distinct_impulse_rewards;  // i_1 > ... > i_J, contains 0
   std::vector<std::size_t> reward_class;         // state -> index into distinct rewards

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -18,20 +17,15 @@ namespace csrlmrm::numeric {
 
 namespace {
 
-/// Model size from which a series repacks its gather matrix into the blocked
-/// SELL-C layout (linalg/blocked_csr.hpp): below this the one-off repack
-/// costs more than the few dozen products save; above it the halved index
-/// bandwidth and SIMD chunk accumulation win (BENCH_large.json records the
-/// crossover). Bitwise-neutral either way, so the threshold only moves time.
-constexpr std::size_t kBlockedSpmvMinStates = 2048;
-
 void require_distribution(const core::RateMatrix& rates, const std::vector<double>& initial) {
   if (initial.size() != rates.num_states()) {
     throw std::invalid_argument("transient: initial distribution size mismatch");
   }
   double mass = 0.0;
   for (double p : initial) {
-    if (p < 0.0) throw std::invalid_argument("transient: negative probability");
+    if (!(p >= 0.0) || !std::isfinite(p)) {
+      throw std::invalid_argument("transient: probabilities must be finite and >= 0");
+    }
     mass += p;
   }
   if (std::abs(mass - 1.0) > 1e-6) {
@@ -44,6 +38,9 @@ void require_column(const core::RateMatrix& rates, const std::vector<double>& co
   if (column.size() != rates.num_states()) {
     throw std::invalid_argument(std::string(caller) + ": vector size mismatch");
   }
+  for (double v : column) {
+    if (!std::isfinite(v)) throw std::invalid_argument(std::string(caller) + ": non-finite entry");
+  }
 }
 
 void require_time(double t) {
@@ -52,45 +49,26 @@ void require_time(double t) {
   }
 }
 
-/// One step of term = term * P (forward) or u = P * u (backward), driven by
-/// whichever operator the entry point prepared: the blocked gather for large
-/// models, the row-parallel CSR gather, or the serial scatter. All three
-/// accumulate every output entry in the same ascending source order, so the
-/// choice is bitwise-invisible (tests/test_blocked_spmv.cpp pins this).
-struct SeriesAdvance {
-  const linalg::CsrMatrix* scatter = nullptr;         // serial x^T * P
-  const linalg::CsrMatrix* gather = nullptr;          // row-parallel gather
-  const linalg::BlockedCsrMatrix* blocked = nullptr;  // blocked gather
-  unsigned threads = 1;
+/// The operator of a series: the gather matrix (P for the backward series,
+/// P^T for the forward one) repacked into the blocked layout, and the thread
+/// count its products run at. Every output entry accumulates in ascending
+/// source order at any thread count, so results are bitwise-identical to a
+/// serial CSR gather (tests/test_blocked_spmv.cpp pins this); the inputs
+/// are checked finite, which the blocked kernel's padding requires.
+struct SeriesOperator {
+  SeriesOperator(const linalg::CsrMatrix& gather, std::size_t terms, unsigned requested_threads)
+      : matrix(gather),
+        threads(parallel::choose_thread_count(requested_threads, gather.non_zeros() * terms)) {}
 
-  void operator()(std::vector<double>& term, std::vector<double>& scratch) const {
-    if (blocked != nullptr) {
-      blocked->multiply_into(term, scratch, threads);
-    } else if (gather != nullptr) {
-      gather->multiply_into(term, scratch, threads);
-    } else {
-      scatter->left_multiply_into(term, scratch);
-    }
+  /// term <- A * term, with `scratch` receiving the previous iterate.
+  void advance(std::vector<double>& term, std::vector<double>& scratch) const {
+    matrix.multiply_into(term, scratch, threads);
     term.swap(scratch);
   }
-};
 
-/// The operator of a backward series u_{k+1} = P u_k: a gather over P itself,
-/// so no transpose is ever materialized, repacked into the blocked layout on
-/// large models. `terms` sizes the work for the thread-count choice.
-SeriesAdvance backward_advance(const linalg::CsrMatrix& P, std::size_t terms,
-                               unsigned requested_threads,
-                               std::optional<linalg::BlockedCsrMatrix>& blocked) {
-  SeriesAdvance advance;
-  advance.threads = parallel::choose_thread_count(requested_threads, P.non_zeros() * terms);
-  if (P.rows() >= kBlockedSpmvMinStates) {
-    blocked.emplace(P);
-    advance.blocked = &*blocked;
-  } else {
-    advance.gather = &P;
-  }
-  return advance;
-}
+  linalg::BlockedCsrMatrix matrix;
+  unsigned threads;
+};
 
 /// Norm the steady-state criterion contracts in: the forward (row-vector)
 /// iteration is non-expansive in the 1-norm, the backward (column-vector)
@@ -101,7 +79,7 @@ enum class SteadyNorm { kL1, kMax };
 /// terms, optionally cutting the series once successive iterates have
 /// stabilized. With detection off the operation sequence is exactly the
 /// historical one, so results are bitwise unchanged.
-TransientResult accumulate_series(const SeriesAdvance& advance, const FoxGlynnWeights& window,
+TransientResult accumulate_series(const SeriesOperator& op, const FoxGlynnWeights& window,
                                   std::vector<double> initial, const TransientOptions& options,
                                   SteadyNorm norm) {
   TransientResult out;
@@ -115,7 +93,7 @@ TransientResult accumulate_series(const SeriesAdvance& advance, const FoxGlynnWe
       core::simd::axpy(out.values.data(), term.data(), out.values.size(), weight);
     }
     if (i == window.right) break;
-    advance(term, scratch);
+    op.advance(term, scratch);
     // After the swap `scratch` holds the previous iterate, so the
     // steady-state test compares successive terms without extra storage.
     if (options.detect_steady_state && i + 1 < window.right) {
@@ -195,26 +173,8 @@ TransientResult transient_distribution_checked(const core::RateMatrix& rates,
   // the result an (eps-accurate) distribution.
   const auto window = fox_glynn(lambda * t, options.epsilon);
 
-  const unsigned threads =
-      parallel::choose_thread_count(options.threads, P.non_zeros() * (window.right + 1));
-  std::optional<linalg::CsrMatrix> transpose;
-  std::optional<linalg::BlockedCsrMatrix> blocked;
-  SeriesAdvance advance;
-  advance.threads = threads;
-  const bool parallel_gather = threads > 1 && !parallel::in_parallel_region();
-  const bool large = rates.num_states() >= kBlockedSpmvMinStates;
-  if (parallel_gather || large) {
-    transpose = P.transposed();
-    if (large) {
-      blocked.emplace(*transpose);
-      advance.blocked = &*blocked;
-    } else {
-      advance.gather = &*transpose;
-    }
-  } else {
-    advance.scatter = &P;
-  }
-  return accumulate_series(advance, window, initial, options, SteadyNorm::kL1);
+  const SeriesOperator op(P.transposed(), window.right + 1, options.threads);
+  return accumulate_series(op, window, initial, options, SteadyNorm::kL1);
 }
 
 std::vector<double> transient_distribution(const core::RateMatrix& rates,
@@ -249,9 +209,8 @@ TransientResult transient_backward(const core::RateMatrix& rates, std::vector<do
   double lambda = 0.0;
   const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
   const auto window = fox_glynn(lambda * t, options.epsilon);
-  std::optional<linalg::BlockedCsrMatrix> blocked;
-  const SeriesAdvance advance = backward_advance(P, window.right + 1, options.threads, blocked);
-  return accumulate_series(advance, window, std::move(u0), options, SteadyNorm::kMax);
+  const SeriesOperator op(P, window.right + 1, options.threads);
+  return accumulate_series(op, window, std::move(u0), options, SteadyNorm::kMax);
 }
 
 std::vector<double> occupation_backward(const core::RateMatrix& rates,
@@ -277,11 +236,10 @@ std::vector<double> occupation_backward(const core::RateMatrix& rates,
   // (1/Lambda) sum_{k>=0} Pr{N_t >= k+1} (P^k g)(s). The tail weights sum to
   // E[N_t] = Lambda t; truncate once the remaining tail mass contributes
   // less than epsilon * t.
-  PoissonCdfTable tail_table(mean);
   const std::size_t hard_cap =
       poisson_truncation_point(mean, options.epsilon / (mean + 1.0)) + 1;
-  std::optional<linalg::BlockedCsrMatrix> blocked;
-  const SeriesAdvance advance = backward_advance(P, hard_cap, options.threads, blocked);
+  const SharedPoissonTail tail_table(mean, hard_cap + 1);
+  const SeriesOperator op(P, hard_cap, options.threads);
 
   std::vector<double> term = g;
   std::vector<double> scratch(n, 0.0);
@@ -291,7 +249,7 @@ std::vector<double> occupation_backward(const core::RateMatrix& rates,
     if (weight <= 0.0) break;
     ++terms;
     core::simd::axpy(result.data(), term.data(), n, weight);
-    advance(term, scratch);
+    op.advance(term, scratch);
   }
   obs::counter_add("transient.series_terms", terms);
   return result;

@@ -14,9 +14,11 @@
 // kept as the per-distribution oracle tests and benchmarks compare against.
 //
 // Every series ping-pongs two preallocated buffers (no per-term
-// allocation). With threads > 1 the products run row-parallel as gathers
-// that accumulate every output entry in the same ascending-source order as
-// the serial code, so parallel results are bitwise-identical to serial ones.
+// allocation) and advances with one operator at every model size: the
+// blocked gather linalg::BlockedCsrMatrix::multiply_into over P (backward)
+// or P^T (forward). Each output entry accumulates in ascending source order
+// at any thread count, so results are bitwise-identical to a serial CSR
+// gather. Input vectors must be finite (std::invalid_argument otherwise).
 #pragma once
 
 #include <vector>
@@ -65,8 +67,8 @@ struct TransientResult {
 };
 
 /// Forward series: state occupation probabilities at time t >= 0 starting
-/// from distribution `initial` (must have one entry per state, sum 1 within
-/// 1e-6). Throws std::invalid_argument on bad inputs.
+/// from distribution `initial` (one finite, non-negative entry per state,
+/// summing to 1 within 1e-6). Throws std::invalid_argument on bad inputs.
 std::vector<double> transient_distribution(const core::RateMatrix& rates,
                                            const std::vector<double>& initial, double t,
                                            const TransientOptions& options = {});
@@ -84,9 +86,12 @@ std::vector<double> transient_distribution_from(const core::RateMatrix& rates,
                                                 core::StateIndex start, double t,
                                                 const TransientOptions& options = {});
 
-/// The uniformized one-step matrix P = I + Q/Lambda with Lambda = max exit
-/// rate (1 for an all-absorbing chain); `lambda_out` receives Lambda. Shared
-/// by the transient solver and the expected-reward measures.
+/// The uniformized one-step matrix P = I + Q/Lambda (Definition 4.2) with
+/// Lambda = max exit rate (1 for an all-absorbing chain); `lambda_out`
+/// receives Lambda. The self loop is 1 - (sum of the row's off-diagonal
+/// probabilities), which keeps rows stochastic to machine precision. The one
+/// builder of P: every series here and the uniformization explorers'
+/// SignatureModel use it.
 linalg::CsrMatrix uniformized_transition_matrix(const core::RateMatrix& rates,
                                                 double& lambda_out);
 

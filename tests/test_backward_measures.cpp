@@ -125,18 +125,16 @@ double forward_accumulated_reward(const core::Mrm& model, core::StateIndex s, do
   double lambda = 0.0;
   const linalg::CsrMatrix P = numeric::uniformized_transition_matrix(model.rates(), lambda);
   const double mean = lambda * t;
-  numeric::PoissonCdfTable tail_table(mean);
   const std::size_t cap = numeric::poisson_truncation_point(mean, 1e-16 / (mean + 1.0)) + 1;
+  const numeric::SharedPoissonTail tail_table(mean, cap + 1);
   std::vector<double> term(n, 0.0);
-  std::vector<double> next(n, 0.0);
   term[s] = 1.0;
   std::vector<double> occupation(n, 0.0);
   for (std::size_t k = 0; k <= cap; ++k) {
     const double weight = tail_table.tail(k + 1) / lambda;
     if (weight <= 0.0) break;
     for (std::size_t v = 0; v < n; ++v) occupation[v] += weight * term[v];
-    P.left_multiply_into(term, next);
-    term.swap(next);
+    term = P.left_multiply(term);
   }
   double reward = 0.0;
   for (std::size_t v = 0; v < n; ++v) reward += occupation[v] * gain[v];

@@ -88,14 +88,18 @@ TEST(OccupationTimes, ConstantRewardAccumulatesTheHorizonFromEveryStart) {
 }
 
 TEST(OccupationTimes, RejectsBadInput) {
-  // g is any per-state function (gain rates, indicators), so only its size
-  // and the horizon are validated.
+  // g is any finite per-state function (gain rates, indicators), so its
+  // size, its finiteness and the horizon are validated.
   core::RateMatrixBuilder rates(2);
   rates.add(0, 1, 1.0);
   const auto matrix = rates.build();
   EXPECT_THROW(occupation_backward(matrix, {1.0}, 1.0), std::invalid_argument);
   EXPECT_THROW(occupation_backward(matrix, {1.0, 0.0}, -1.0), std::invalid_argument);
   EXPECT_THROW(occupation_backward(matrix, {1.0, 0.0}, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(occupation_backward(matrix, {std::numeric_limits<double>::quiet_NaN(), 0.0}, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(occupation_backward(matrix, {1.0, -std::numeric_limits<double>::infinity()}, 1.0),
                std::invalid_argument);
 }
 

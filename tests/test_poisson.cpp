@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace csrlmrm::numeric {
 namespace {
@@ -77,19 +79,37 @@ TEST(Poisson, TruncationPointRejectsBadEpsilon) {
   EXPECT_THROW(poisson_truncation_point(1.0, 1.0), std::invalid_argument);
 }
 
-TEST(PoissonCdfTable, MatchesDirectCdf) {
-  PoissonCdfTable table(6.5);
-  // Query out of order to exercise on-demand extension.
+TEST(PoissonTail, MatchesDirectCdf) {
+  const SharedPoissonTail table(6.5, 12);
   EXPECT_NEAR(table.cdf(10), poisson_cdf(10, 6.5), 1e-14);
   EXPECT_NEAR(table.cdf(3), poisson_cdf(3, 6.5), 1e-14);
+  // Past the precomputed range the table sums the remaining masses directly.
   EXPECT_NEAR(table.cdf(25), poisson_cdf(25, 6.5), 1e-14);
 }
 
-TEST(PoissonCdfTable, TailComplementsCdf) {
-  PoissonCdfTable table(4.0);
+TEST(PoissonTail, TailComplementsCdf) {
+  const SharedPoissonTail table(4.0, 20);
   EXPECT_DOUBLE_EQ(table.tail(0), 1.0);
   EXPECT_NEAR(table.tail(5), 1.0 - poisson_cdf(4, 4.0), 1e-14);
   EXPECT_GE(table.tail(100), 0.0);
+}
+
+TEST(PoissonTail, CdfIsTheClampedPrefixSumOfThePmfBitwise) {
+  // The occupation series reads its tail weights from this table, so its
+  // entries must be exactly the scalar sequence min(1, cdf(n-1) + pmf(n)).
+  for (const double mean : {0.0, 0.5, 6.5, 90.0, 1e4}) {
+    const std::size_t n_max =
+        static_cast<std::size_t>(mean + 40.0 * std::sqrt(mean + 1.0)) + 64;
+    const SharedPoissonTail table(mean, n_max);
+    ASSERT_EQ(table.table_size(), n_max + 1);
+    double prefix = 0.0;
+    for (std::size_t n = 0; n <= n_max; ++n) {
+      prefix = n == 0 ? poisson_pmf(0, mean) : std::min(prefix + poisson_pmf(n, mean), 1.0);
+      const double entry = table.cdf(n);
+      ASSERT_EQ(std::memcmp(&entry, &prefix, sizeof(double)), 0)
+          << "mean " << mean << " n " << n << ": " << entry << " vs " << prefix;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/rate_matrix.hpp"
 #include "linalg/vector_ops.hpp"
@@ -90,6 +91,20 @@ TEST(Transient, RejectsBadInitialDistribution) {
   EXPECT_THROW(transient_distribution(rates, {0.5, 0.4}, 1.0), std::invalid_argument);
   EXPECT_THROW(transient_distribution(rates, {1.5, -0.5}, 1.0), std::invalid_argument);
   EXPECT_THROW(transient_distribution(rates, {1.0}, 1.0), std::invalid_argument);
+  // Non-finite entries: NaN slips past both the sign and the mass test.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  core::RateMatrixBuilder builder(3);
+  builder.add(0, 1, 1.0);
+  builder.add(1, 2, 2.0);
+  const auto three = builder.build();
+  EXPECT_THROW(transient_distribution(three, {nan, 0.5, 0.5}, 1.0), std::invalid_argument);
+  EXPECT_THROW(transient_distribution(rates, {inf, 0.0}, 1.0), std::invalid_argument);
+  // The backward series takes any finite per-state function, and only that.
+  EXPECT_THROW(transient_backward(three, {1.0, inf, 0.0}, 1.0), std::invalid_argument);
+  EXPECT_THROW(transient_backward(three, {nan, 0.0, 0.0}, 1.0), std::invalid_argument);
+  EXPECT_THROW(transient_backward(three, {1.0, 0.0}, 1.0), std::invalid_argument);
+  EXPECT_EQ(transient_backward(three, {-2.0, 0.0, 0.0}, 0.0).values[0], -2.0);
 }
 
 TEST(Transient, RejectsBadTime) {
