@@ -2,80 +2,94 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "graph/reachability.hpp"
 #include "linalg/gauss_seidel.hpp"
+#include "obs/stats.hpp"
 
 namespace csrlmrm::checker {
 
+void first_step_solve(const core::Mrm& model, const std::vector<bool>& unknown,
+                      const std::vector<double>& sojourn_rate, bool with_impulses,
+                      std::vector<double>& x, const linalg::IterativeOptions& solver) {
+  obs::ScopedTimer timer("checker.first_step");
+  const std::size_t n = model.num_states();
+  if (unknown.size() != n || x.size() != n ||
+      (!sojourn_rate.empty() && sojourn_rate.size() != n)) {
+    throw std::invalid_argument("first_step_solve: vector size mismatch");
+  }
+  std::vector<core::StateIndex> states;
+  std::vector<std::size_t> index(n, n);
+  for (core::StateIndex s = 0; s < n; ++s) {
+    if (unknown[s]) {
+      index[s] = states.size();
+      states.push_back(s);
+    }
+  }
+  if (states.empty()) return;
+  obs::counter_add("checker.first_step.calls");
+
+  // (I - P_UU) y = b over the unknown states U; every other successor's
+  // boundary value moves into b. A zero boundary without an impulse adds
+  // p * 0.0 = +0.0, which leaves b bitwise as if the transition were skipped.
+  linalg::CsrBuilder builder(states.size(), states.size());
+  std::vector<double> rhs(states.size(), 0.0);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const core::StateIndex s = states[i];
+    const double exit = model.rates().exit_rate(s);
+    builder.add(i, i, 1.0);
+    if (!sojourn_rate.empty()) rhs[i] = sojourn_rate[s] / exit;
+    for (const auto& e : model.rates().transitions(s)) {
+      const double p = e.value / exit;
+      const double impulse = with_impulses ? model.impulse_reward(s, e.col) : 0.0;
+      if (index[e.col] == n) {
+        rhs[i] += p * (impulse + x[e.col]);
+      } else {
+        if (with_impulses) rhs[i] += p * impulse;
+        builder.add(i, index[e.col], -p);
+      }
+    }
+  }
+  std::vector<double> y(states.size(), 0.0);
+  const auto outcome = linalg::gauss_seidel_solve(builder.build(), rhs, y, solver);
+  if (!outcome.converged) {
+    throw std::runtime_error("first_step_solve: Gauss-Seidel did not converge in " +
+                             std::to_string(outcome.iterations) + " iterations");
+  }
+  for (std::size_t i = 0; i < states.size(); ++i) x[states[i]] = y[i];
+}
+
 namespace {
 
-/// Shared first-step solve: per-state one-step cost `immediate(s)` plus
-/// per-transition cost `edge(s, s')`, zero on targets, infinity where the
-/// hitting probability is below 1 (determined exactly by graph analysis:
-/// P(s, Diamond target) = 1 iff s cannot reach any state from which the
-/// target is unreachable).
-template <typename ImmediateCost, typename EdgeCost>
+/// Zero on targets, +infinity where the hitting probability is below 1
+/// (determined exactly by graph analysis: P(s, Diamond target) = 1 iff s
+/// cannot reach any state from which the target is unreachable), and the
+/// first-step solution everywhere else.
 std::vector<double> expected_cost_to_hit(const core::Mrm& model,
                                          const std::vector<bool>& target,
-                                         const linalg::IterativeOptions& solver,
-                                         ImmediateCost immediate, EdgeCost edge) {
+                                         const std::vector<double>& sojourn_rate,
+                                         bool with_impulses,
+                                         const linalg::IterativeOptions& solver) {
   const std::size_t n = model.num_states();
   if (target.size() != n) {
     throw std::invalid_argument("expected_cost_to_hit: target mask size mismatch");
   }
-  bool any_target = false;
-  for (bool b : target) any_target = any_target || b;
-  if (!any_target) {
-    throw std::invalid_argument("expected_cost_to_hit: empty target set");
-  }
-
   const auto& adjacency = model.rates().matrix();
-  const std::vector<bool> can_reach = graph::backward_reachable(adjacency, target);
-  std::vector<bool> doomed(n, false);  // cannot reach the target at all
-  for (core::StateIndex s = 0; s < n; ++s) doomed[s] = !can_reach[s];
+  std::vector<bool> doomed = graph::backward_reachable(adjacency, target);
+  doomed.flip();  // cannot reach the target at all
   // States with hitting probability < 1: those that can reach a doomed state.
+  // P = 1 is closed under successors, so every successor of an unknown state
+  // is a target or another unknown.
   const std::vector<bool> sub_one = graph::backward_reachable(adjacency, doomed);
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> result(n, kInf);
-  std::vector<core::StateIndex> unknown;
-  std::vector<std::size_t> unknown_index(n, n);
+  std::vector<double> result(n, std::numeric_limits<double>::infinity());
+  std::vector<bool> unknown(n, false);
   for (core::StateIndex s = 0; s < n; ++s) {
-    if (target[s]) {
-      result[s] = 0.0;
-    } else if (!sub_one[s]) {
-      unknown_index[s] = unknown.size();
-      unknown.push_back(s);
-    }
+    if (target[s]) result[s] = 0.0;
+    unknown[s] = !target[s] && !sub_one[s];
   }
-  if (unknown.empty()) return result;
-
-  // (I - P_UU) x = b over the almost-surely-hitting states.
-  linalg::CsrBuilder builder(unknown.size(), unknown.size());
-  std::vector<double> rhs(unknown.size(), 0.0);
-  for (std::size_t i = 0; i < unknown.size(); ++i) {
-    const core::StateIndex s = unknown[i];
-    const double exit = model.rates().exit_rate(s);
-    // Almost-sure hitting from a non-target state implies a way out.
-    builder.add(i, i, 1.0);
-    rhs[i] = immediate(s);
-    for (const auto& e : model.rates().transitions(s)) {
-      const double p = e.value / exit;
-      rhs[i] += p * edge(s, e.col);
-      if (!target[e.col]) {
-        // sub_one successors are impossible here (P = 1 is closed under
-        // successors), so e.col is another unknown.
-        builder.add(i, unknown_index[e.col], -p);
-      }
-    }
-  }
-  std::vector<double> x(unknown.size(), 0.0);
-  const auto outcome = linalg::gauss_seidel_solve(builder.build(), rhs, x, solver);
-  if (!outcome.converged) {
-    throw std::runtime_error("expected_cost_to_hit: Gauss-Seidel did not converge");
-  }
-  for (std::size_t i = 0; i < unknown.size(); ++i) result[unknown[i]] = x[i];
+  first_step_solve(model, unknown, sojourn_rate, with_impulses, result, solver);
   return result;
 }
 
@@ -84,21 +98,15 @@ std::vector<double> expected_cost_to_hit(const core::Mrm& model,
 std::vector<double> expected_time_to_hit(const core::Mrm& model,
                                          const std::vector<bool>& target,
                                          const linalg::IterativeOptions& solver) {
-  return expected_cost_to_hit(
-      model, target, solver,
-      [&](core::StateIndex s) { return 1.0 / model.rates().exit_rate(s); },
-      [](core::StateIndex, core::StateIndex) { return 0.0; });
+  return expected_cost_to_hit(model, target, std::vector<double>(model.num_states(), 1.0),
+                              /*with_impulses=*/false, solver);
 }
 
 std::vector<double> expected_reward_to_hit(const core::Mrm& model,
                                            const std::vector<bool>& target,
                                            const linalg::IterativeOptions& solver) {
-  return expected_cost_to_hit(
-      model, target, solver,
-      [&](core::StateIndex s) {
-        return model.state_reward(s) / model.rates().exit_rate(s);
-      },
-      [&](core::StateIndex s, core::StateIndex s2) { return model.impulse_reward(s, s2); });
+  return expected_cost_to_hit(model, target, model.state_rewards(), /*with_impulses=*/true,
+                              solver);
 }
 
 }  // namespace csrlmrm::checker

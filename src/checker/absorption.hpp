@@ -9,7 +9,8 @@
 // with value 0 on target states. Both are finite exactly for states that
 // reach the target with probability 1; everywhere else they are +infinity
 // (a positive-probability escape makes the conditional expectation
-// ill-defined, and the unconditional one diverges).
+// ill-defined, and the unconditional one diverges). first_step_solve is the
+// checker's one solver of such systems: P0, S and R[S] use it too.
 #pragma once
 
 #include <vector>
@@ -19,10 +20,21 @@
 
 namespace csrlmrm::checker {
 
+/// Solves x(s) = sojourn_rate(s)/E(s) + sum_s' P(s,s') (iota(s,s') + x(s'))
+/// over the states with `unknown[s]` set, by Gauss-Seidel from 0; every
+/// other entry of `x` is a boundary value, read and left untouched. An empty
+/// `sojourn_rate` means 0; iota counts only `with_impulses`. The caller's
+/// graph analysis must make every unknown state leave the unknown set with
+/// probability 1. Throws std::invalid_argument on a size mismatch and
+/// std::runtime_error when the solve does not converge.
+void first_step_solve(const core::Mrm& model, const std::vector<bool>& unknown,
+                      const std::vector<double>& sojourn_rate, bool with_impulses,
+                      std::vector<double>& x, const linalg::IterativeOptions& solver);
+
 /// E[ time until first hitting `target` ] per starting state; +infinity for
 /// states whose hitting probability is below 1 (including states from which
-/// the target is unreachable). Throws std::invalid_argument on mask size
-/// mismatch or an empty target set.
+/// the target is unreachable: every state when the target is empty). Throws
+/// std::invalid_argument on mask size mismatch.
 std::vector<double> expected_time_to_hit(const core::Mrm& model,
                                          const std::vector<bool>& target,
                                          const linalg::IterativeOptions& solver = {});

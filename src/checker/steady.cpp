@@ -1,8 +1,13 @@
 #include "checker/steady.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <utility>
 
+#include "checker/absorption.hpp"
 #include "checker/until.hpp"
+#include "graph/reachability.hpp"
 #include "graph/scc.hpp"
 #include "linalg/dense_solve.hpp"
 #include "linalg/gauss_seidel.hpp"
@@ -13,24 +18,14 @@ namespace csrlmrm::checker {
 
 namespace {
 
-/// The BSCC decomposition with, per component, its internal steady-state
-/// vector and the per-state probabilities of ever entering it.
-struct SteadyAnalysis {
-  std::vector<std::vector<core::StateIndex>> bsccs;
-  std::vector<std::vector<double>> steady_within;    // aligned with bsccs[i]
-  std::vector<std::vector<double>> reach_probability;  // [i][s] = P(s, Diamond B_i)
-};
+/// Every bottom strongly connected component with its internal steady-state
+/// vector pi^B (aligned with the component's states).
+using Bsccs = std::vector<std::pair<std::vector<core::StateIndex>, std::vector<double>>>;
 
-SteadyAnalysis analyze(const core::Mrm& model, const linalg::IterativeOptions& solver) {
-  obs::ScopedTimer timer("checker.steady");
-  obs::counter_add("checker.steady.calls");
-  SteadyAnalysis analysis;
-  analysis.bsccs = graph::bottom_sccs(model.rates().matrix());
-  obs::counter_add("checker.steady.bsccs", analysis.bsccs.size());
+Bsccs bottom_components(const core::Mrm& model, const linalg::IterativeOptions& solver) {
+  Bsccs bsccs;
   const std::size_t n = model.num_states();
-
-  const std::vector<bool> everywhere(n, true);
-  for (const auto& component : analysis.bsccs) {
+  for (auto& component : graph::bottom_sccs(model.rates().matrix())) {
     // Steady state within the component: restrict the generator to B (legal
     // because no transition leaves a bottom component).
     linalg::CsrBuilder builder(component.size(), component.size());
@@ -50,8 +45,7 @@ SteadyAnalysis analyze(const core::Mrm& model, const linalg::IterativeOptions& s
     }
     linalg::IterativeResult outcome;
     const linalg::CsrMatrix generator = builder.build();
-    analysis.steady_within.push_back(
-        linalg::steady_state_gauss_seidel(generator, solver, &outcome));
+    std::vector<double> pi = linalg::steady_state_gauss_seidel(generator, solver, &outcome);
     if (component.size() > 1 && !outcome.converged) {
       if (component.size() > 4096) {
         throw std::runtime_error("steady: Gauss-Seidel on a BSCC did not converge");
@@ -62,17 +56,12 @@ SteadyAnalysis analyze(const core::Mrm& model, const linalg::IterativeOptions& s
       std::vector<double> rhs(component.size(), 0.0);
       for (std::size_t c = 0; c < component.size(); ++c) dense.back()[c] = 1.0;
       rhs.back() = 1.0;
-      analysis.steady_within.back() = linalg::dense_solve(std::move(dense), std::move(rhs));
+      pi = linalg::dense_solve(std::move(dense), std::move(rhs));
     }
-
-    // P(s, Diamond B) = P(s, tt U atB) (eq. 3.8, via the extra-proposition
-    // trick of section 4.2).
-    std::vector<bool> in_component(n, false);
-    for (const core::StateIndex s : component) in_component[s] = true;
-    analysis.reach_probability.push_back(
-        unbounded_until_probabilities(model, everywhere, in_component, solver));
+    bsccs.emplace_back(std::move(component), std::move(pi));
   }
-  return analysis;
+  obs::counter_add("checker.steady.bsccs", bsccs.size());
+  return bsccs;
 }
 
 }  // namespace
@@ -83,36 +72,43 @@ std::vector<double> steady_state_expectation(const core::Mrm& model,
   if (value.size() != model.num_states()) {
     throw std::invalid_argument("steady_state_expectation: value size mismatch");
   }
-  const SteadyAnalysis analysis = analyze(model, solver);
+  obs::ScopedTimer timer("checker.steady");
+  obs::counter_add("checker.steady.calls");
   const std::size_t n = model.num_states();
 
+  // Terminal values w_B = sum_{s' in B} pi^B(s') value(s') on the BSCCs that
+  // weigh anything; one solve carries them to the transient states that
+  // reach one. Every other state is exactly 0.
   std::vector<double> result(n, 0.0);
-  for (std::size_t b = 0; b < analysis.bsccs.size(); ++b) {
-    double within = 0.0;  // sum_{s' in B} pi^B(s') value(s')
-    for (std::size_t i = 0; i < analysis.bsccs[b].size(); ++i) {
-      within += analysis.steady_within[b][i] * value[analysis.bsccs[b][i]];
-    }
+  std::vector<bool> weighted(n, false);
+  for (const auto& [states, pi] : bottom_components(model, solver)) {
+    double within = 0.0;
+    for (std::size_t i = 0; i < states.size(); ++i) within += pi[i] * value[states[i]];
     if (core::exactly_zero(within)) continue;
-    for (core::StateIndex s = 0; s < n; ++s) {
-      result[s] += analysis.reach_probability[b][s] * within;
+    for (const core::StateIndex s : states) {
+      result[s] = within;
+      weighted[s] = true;
     }
   }
+  std::vector<bool> unknown = graph::backward_reachable(model.rates().matrix(), weighted);
+  for (core::StateIndex s = 0; s < n; ++s) unknown[s] = unknown[s] && !weighted[s];
+  // Gauss-Seidel stops once a sweep moves the iterate by less than its
+  // tolerance; scaled by the largest |w_B|, that stop is relative to it.
+  double largest = 0.0;
+  for (const double w : result) largest = std::max(largest, std::abs(w));
+  linalg::IterativeOptions relative = solver;
+  relative.tolerance = solver.tolerance * largest;
+  first_step_solve(model, unknown, {}, /*with_impulses=*/false, result, relative);
   return result;
 }
 
 std::vector<double> steady_state_probability_of_set(const core::Mrm& model,
                                                     const std::vector<bool>& target,
                                                     const linalg::IterativeOptions& solver) {
-  if (target.size() != model.num_states()) {
-    throw std::invalid_argument("steady_state_probability_of_set: mask size mismatch");
-  }
   // pi * 1.0 == pi and x + pi * 0.0 == x exactly, so the indicator case sums
   // the same terms in the same order as a sum over B ∩ target alone.
-  std::vector<double> indicator(target.size(), 0.0);
-  for (std::size_t s = 0; s < target.size(); ++s) {
-    if (target[s]) indicator[s] = 1.0;
-  }
-  return steady_state_expectation(model, indicator, solver);
+  return steady_state_expectation(model, std::vector<double>(target.begin(), target.end()),
+                                  solver);
 }
 
 std::vector<double> steady_state_distribution(const core::Mrm& model, core::StateIndex start,
@@ -120,14 +116,18 @@ std::vector<double> steady_state_distribution(const core::Mrm& model, core::Stat
   if (start >= model.num_states()) {
     throw std::invalid_argument("steady_state_distribution: start out of range");
   }
-  const SteadyAnalysis analysis = analyze(model, solver);
-  std::vector<double> result(model.num_states(), 0.0);
-  for (std::size_t b = 0; b < analysis.bsccs.size(); ++b) {
-    const double reach = analysis.reach_probability[b][start];
+  const std::size_t n = model.num_states();
+  const std::vector<bool> everywhere(n, true);
+  std::vector<double> result(n, 0.0);
+  for (const auto& [states, pi] : bottom_components(model, solver)) {
+    // P(start, Diamond B) = P(start, tt U atB) (eq. 3.8, via the
+    // extra-proposition trick of section 4.2).
+    std::vector<bool> in_component(n, false);
+    for (const core::StateIndex s : states) in_component[s] = true;
+    const double reach =
+        unbounded_until_probabilities(model, everywhere, in_component, solver)[start];
     if (core::exactly_zero(reach)) continue;
-    for (std::size_t i = 0; i < analysis.bsccs[b].size(); ++i) {
-      result[analysis.bsccs[b][i]] += reach * analysis.steady_within[b][i];
-    }
+    for (std::size_t i = 0; i < states.size(); ++i) result[states[i]] += reach * pi[i];
   }
   return result;
 }

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "checker/absorption.hpp"
 #include "core/transform.hpp"
 #include "graph/reachability.hpp"
-#include "linalg/gauss_seidel.hpp"
 #include "numeric/class_explorer.hpp"
 #include "numeric/discretization.hpp"
 #include "numeric/poisson.hpp"
@@ -55,45 +55,17 @@ std::vector<double> unbounded_until_probabilities(const core::Mrm& model,
   const std::vector<bool> positive =
       graph::backward_reachable_via(model.rates().matrix(), sat_phi, sat_psi);
 
+  // The unknowns are the Phi && !Psi states with positive probability; their
+  // successors outside the unknowns are Psi-states (x = 1) or pinned zeros.
   std::vector<double> result(n, 0.0);
-  std::vector<core::StateIndex> unknown;  // Phi && !Psi states with positive prob
-  std::vector<std::size_t> unknown_index(n, n);
+  std::vector<bool> unknown(n, false);
   for (core::StateIndex s = 0; s < n; ++s) {
-    if (sat_psi[s]) {
-      result[s] = 1.0;
-    } else if (sat_phi[s] && positive[s]) {
-      unknown_index[s] = unknown.size();
-      unknown.push_back(s);
-    }
+    if (sat_psi[s]) result[s] = 1.0;
+    unknown[s] = !sat_psi[s] && sat_phi[s] && positive[s];
   }
-  if (unknown.empty()) return result;
-
-  // Solve (I - P_UU) x = P_U,Psi * 1 over the unknown states, with P the
-  // embedded DTMC.
-  linalg::CsrBuilder builder(unknown.size(), unknown.size());
-  std::vector<double> rhs(unknown.size(), 0.0);
-  for (std::size_t i = 0; i < unknown.size(); ++i) {
-    const core::StateIndex s = unknown[i];
-    const double exit = model.rates().exit_rate(s);
-    builder.add(i, i, 1.0);
-    for (const auto& e : model.rates().transitions(s)) {
-      const double p = e.value / exit;
-      if (sat_psi[e.col]) {
-        rhs[i] += p;
-      } else if (unknown_index[e.col] != n) {
-        builder.add(i, unknown_index[e.col], -p);
-      }
-      // transitions into probability-0 states contribute nothing
-    }
-  }
-  std::vector<double> x(unknown.size(), 0.0);
-  const auto outcome = linalg::gauss_seidel_solve(builder.build(), rhs, x, solver);
-  if (!outcome.converged) {
-    throw std::runtime_error("unbounded_until_probabilities: Gauss-Seidel did not converge in " +
-                             std::to_string(outcome.iterations) + " iterations");
-  }
-  for (std::size_t i = 0; i < unknown.size(); ++i) {
-    result[unknown[i]] = std::min(1.0, std::max(0.0, x[i]));
+  first_step_solve(model, unknown, {}, /*with_impulses=*/false, result, solver);
+  for (core::StateIndex s = 0; s < n; ++s) {
+    if (unknown[s]) result[s] = std::min(1.0, std::max(0.0, result[s]));
   }
   return result;
 }

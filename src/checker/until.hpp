@@ -79,7 +79,8 @@ UntilMethod choose_until_engine(const core::Mrm& transformed, double t,
 
 /// P(s, Phi U Psi) for every state s: the unbounded-until probabilities of
 /// eq. (3.8), computed by graph precomputation (states that cannot reach Psi
-/// through Phi get exactly 0) plus a Gauss-Seidel solve on the embedded DTMC.
+/// through Phi get exactly 0) plus first_step_solve on the embedded DTMC with
+/// x = 1 on Psi.
 std::vector<double> unbounded_until_probabilities(const core::Mrm& model,
                                                   const std::vector<bool>& sat_phi,
                                                   const std::vector<bool>& sat_psi,

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 namespace csrlmrm::daemon {
@@ -11,16 +13,29 @@ namespace {
 
 using obs::JsonValue;
 
+/// JSON has no number for +-infinity or NaN, so they travel as the strings
+/// "Infinity", "-Infinity" and "NaN".
 JsonValue doubles_to_json(const std::vector<double>& values) {
   JsonValue array = JsonValue::array();
-  for (const double v : values) array.push_back(JsonValue(v));
+  for (const double v : values) {
+    array.push_back(std::isfinite(v) ? JsonValue(v)
+                    : std::isnan(v)  ? JsonValue(std::string("NaN"))
+                                     : JsonValue(std::string(v > 0.0 ? "Infinity" : "-Infinity")));
+  }
   return array;
 }
 
 std::vector<double> doubles_from_json(const JsonValue& value) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> out;
   out.reserve(value.items().size());
-  for (const JsonValue& item : value.items()) out.push_back(item.as_number());
+  for (const JsonValue& item : value.items()) {
+    const std::string_view text = item.is_string() ? item.as_string() : std::string_view();
+    out.push_back(text == "NaN"         ? std::numeric_limits<double>::quiet_NaN()
+                  : text == "Infinity"  ? kInf
+                  : text == "-Infinity" ? -kInf
+                                        : item.as_number());
+  }
   return out;
 }
 

@@ -27,7 +27,10 @@
 // obs::StatsSnapshot), how many requests shared that batch, and a
 // "degraded" marker: a degraded reply answers every state '?' with the
 // trivial enclosure [0,1] — the honest UNKNOWN-with-interval answer the
-// three-valued semantics already defines for "not computed".
+// three-valued semantics already defines for "not computed". JSON has no
+// number for a non-finite double, so the value and bound arrays carry
+// +-infinity (an unreachable R[F] target) and NaN as the strings
+// "Infinity", "-Infinity" and "NaN"; a decoded NaN is the quiet NaN.
 #pragma once
 
 #include <cstddef>

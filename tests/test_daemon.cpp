@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "daemon/service.hpp"
 #include "logic/parser.hpp"
 #include "models/cellphone.hpp"
+#include "models/generator.hpp"
 #include "models/mm1k.hpp"
 #include "models/tmr.hpp"
 #include "plan/compiler.hpp"
@@ -64,6 +68,19 @@ TEST(DaemonProtocol, CheckReplyRoundTripsBitwise) {
   formula.bound_lower = {0.0, 0.3, 1.0};
   formula.bound_upper = {0.25, 0.5, 1.0};
   reply.formulas.push_back(formula);
+  // JSON has no number for +-infinity or NaN; an R[F] answer of +infinity
+  // (target unreachable) must survive the wire all the same.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  daemon::FormulaReply non_finite;
+  non_finite.ok = true;
+  non_finite.formula = "R(< 50) [F outbreak]";
+  non_finite.verdicts = "YN?";
+  non_finite.has_values = true;
+  non_finite.values = {kInf, -kInf, std::numeric_limits<double>::quiet_NaN()};
+  non_finite.has_bounds = true;
+  non_finite.bound_lower = {2.5, -kInf, std::numeric_limits<double>::quiet_NaN()};
+  non_finite.bound_upper = {kInf, 0.0, kInf};
+  reply.formulas.push_back(non_finite);
   reply.stats_delta.counters["daemon.requests"] = 7;
   reply.batch_error = "execute: unsupported bound shape in shared plan";
 
@@ -72,7 +89,7 @@ TEST(DaemonProtocol, CheckReplyRoundTripsBitwise) {
   const daemon::CheckReply back = daemon::check_reply_from_json(obs::parse_json(line));
   EXPECT_TRUE(back.ok);
   EXPECT_EQ(back.batch_requests, 3u);
-  ASSERT_EQ(back.formulas.size(), 1u);
+  ASSERT_EQ(back.formulas.size(), 2u);
   EXPECT_EQ(back.formulas[0].verdicts, "YN?");
   ASSERT_EQ(back.formulas[0].probabilities.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -80,6 +97,13 @@ TEST(DaemonProtocol, CheckReplyRoundTripsBitwise) {
     EXPECT_TRUE(core::exactly_equal(back.formulas[0].probabilities[i],
                                     formula.probabilities[i]));
   }
+  const auto same_bits = [](const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(back.formulas[1].has_values);
+  EXPECT_TRUE(same_bits(back.formulas[1].values, non_finite.values));
+  EXPECT_TRUE(same_bits(back.formulas[1].bound_lower, non_finite.bound_lower));
+  EXPECT_TRUE(same_bits(back.formulas[1].bound_upper, non_finite.bound_upper));
   EXPECT_EQ(back.stats_delta.counters.at("daemon.requests"), 7u);
   EXPECT_EQ(back.batch_error, reply.batch_error);
 }
@@ -545,6 +569,41 @@ TEST(DaemonServer, DeepSpecLoadGetsAnErrorAndTheServerKeepsAnswering) {
   }
   server.stop();
   std::filesystem::remove_all(directory);
+}
+
+TEST(DaemonServer, InfiniteExpectedRewardCrossesTheSocket) {
+  // On crowd:population=4 some states never reach an outbreak, so R[F]
+  // answers +infinity there; the client must decode the reply and match the
+  // direct check bitwise.
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       (std::string("mrmcheckd_inf_") + std::to_string(::getpid()) + ".sock"))
+          .string();
+  daemon::ServerOptions options;
+  options.socket_path = socket_path;
+  daemon::DaemonServer server(options);
+  const std::string spec = "crowd:population=4";
+  server.registry().add(models::make_generated_mrm(spec), "c");
+  server.start();
+  {
+    daemon::Client client(socket_path);
+    daemon::CheckRequest request;
+    request.model = "c";
+    request.formulas = {"R(<50)[F outbreak]"};
+    const daemon::CheckReply reply = daemon::check_reply_from_json(
+        client.roundtrip(daemon::check_request_to_json(request)));
+    ASSERT_TRUE(reply.ok) << reply.error;
+    ASSERT_EQ(reply.formulas.size(), 1u);
+    const daemon::FormulaReply& answer = reply.formulas[0];
+    ASSERT_TRUE(answer.has_values);
+    EXPECT_NE(std::find(answer.values.begin(), answer.values.end(),
+                        std::numeric_limits<double>::infinity()),
+              answer.values.end());
+    expect_matches_direct(answer,
+                          direct_result(models::make_generated_mrm(spec), request.formulas[0]));
+  }
+  server.stop();
+  EXPECT_FALSE(std::filesystem::exists(socket_path));
 }
 
 TEST(DaemonServer, SocketRoundTripLoadCheckStatsShutdown) {

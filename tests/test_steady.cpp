@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "linalg/vector_ops.hpp"
 #include "models/wavelan.hpp"
 
@@ -95,6 +97,37 @@ TEST(Steady, AbsorbingStateIsItsOwnLongRun) {
   const auto pi = steady_state_distribution(model, 0);
   EXPECT_NEAR(pi[0], 0.0, 1e-12);
   EXPECT_NEAR(pi[1], 1.0, 1e-12);
+}
+
+/// A BSCC {a, b} = {2, 3} with pi(a) = 1e-9 / (1 + 1e-9) behind a slowly
+/// mixing transient cycle 0 <-> 1 that leaves only through 1 -> a at rate
+/// 1e-3. States a and b earn reward 1e6, so the long-run gain is 1e6.
+core::Mrm tiny_mass_behind_slow_cycle() {
+  core::RateMatrixBuilder rates(4);
+  rates.add(0, 1, 1.0);
+  rates.add(1, 0, 1.0);
+  rates.add(1, 2, 1e-3);
+  rates.add(2, 3, 1.0);
+  rates.add(3, 2, 1e-9);
+  return core::Mrm(core::Ctmc(rates.build(), core::Labeling(4)),
+                   {0.0, 0.0, 1e6, 1e6});
+}
+
+// Gauss-Seidel on the cycle contracts by 1/1.001 a sweep, so stopping at a
+// step below 1e-12 leaves about 1e-9 relative in a value of order 1: the
+// long-run measures are held to 1e-8 relative, for a BSCC weight of 1e-9
+// (pi(a)) and of 1e6 (the gain) alike.
+TEST(Steady, TinyAndLargeBsccWeightsKeepTheirRelativeAccuracy) {
+  const double exact = 1e-9 / (1.0 + 1e-9);
+  const core::Mrm model = tiny_mass_behind_slow_cycle();
+  const auto pi = steady_state_probability_of_set(model, {false, false, true, false});
+  const auto gain = steady_state_expectation(model, model.state_rewards());
+  for (core::StateIndex s = 0; s < 4; ++s) {
+    const double oracle = steady_state_distribution(model, s)[2];
+    EXPECT_LE(std::abs(pi[s] - oracle), 1e-8 * oracle) << "s=" << s << " pi=" << pi[s];
+    EXPECT_LE(std::abs(pi[s] - exact), 1e-8 * exact) << "s=" << s << " pi=" << pi[s];
+    EXPECT_LE(std::abs(gain[s] - 1e6), 1e-8 * 1e6) << "s=" << s << " gain=" << gain[s];
+  }
 }
 
 TEST(Steady, RejectsBadArguments) {
