@@ -29,6 +29,7 @@
 
 #include "checker/options.hpp"
 #include "core/approx.hpp"
+#include "core/transform.hpp"
 #include "daemon/model_registry.hpp"
 #include "daemon/protocol.hpp"
 #include "daemon/service.hpp"
@@ -115,7 +116,8 @@ int main(int argc, char** argv) {
   for (const std::string& text : texts) {
     const auto formula = logic::parse_formula(text);
     const plan::Plan compiled = plan::compile(model, {formula}, checker::CheckerOptions{});
-    plan::PlanResult result = plan::execute(compiled, model);
+    core::TransformCache transforms(model);
+    plan::PlanResult result = plan::execute(compiled, model, transforms);
     expected.push_back(std::move(result.formulas[0]));
   }
 

@@ -10,8 +10,8 @@
 //     verdicts requested. The checker serves both from one execution of a
 //     one-root plan, so each formula costs one until solve;
 //   batch — every formula through ONE compiled plan: one solve per formula
-//     as well, but transforms are hoisted into one shared cache and the
-//     Omega cache stays warm across the batch.
+//     as well, but the until solves draw their transform from one shared
+//     TransformCache and the Omega cache stays warm across the batch.
 //
 // Verdicts and probabilities must agree BITWISE between the lanes (checked
 // here; "bitwise_identical" lands in the JSON) — the speedup buys identical
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "checker/sat.hpp"
+#include "core/transform.hpp"
 #include "logic/parser.hpp"
 #include "models/tmr.hpp"
 #include "numeric/conditional.hpp"
@@ -122,7 +123,8 @@ int main(int argc, char** argv) {
   const double batch_ms = best_of([&] {
     numeric::SharedOmegaCache::global().clear();
     const plan::Plan compiled = plan::compile(model, batch, options);
-    const plan::PlanResult result = plan::execute(compiled, model);
+    core::TransformCache transforms(model);
+    const plan::PlanResult result = plan::execute(compiled, model, transforms);
     for (std::size_t i = 0; i < n_formulas; ++i) {
       batch_results[i].probabilities = result.formulas[i].probabilities;
       batch_results[i].verdicts = result.formulas[i].verdicts;

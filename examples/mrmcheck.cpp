@@ -17,6 +17,7 @@
 #include <string>
 
 #include "checker/options.hpp"
+#include "core/transform.hpp"
 #include "io/model_files.hpp"
 #include "models/generator.hpp"
 #include "lang/builder.hpp"
@@ -71,13 +72,13 @@ void usage() {
                "            classes processed, default 500000000)\n"
                "  --formulas=<file>  check a batch of formulas (one per line; blank\n"
                "            lines and '#' comments skipped) through one compiled plan\n"
-               "            that deduplicates shared subformulas, solves, and\n"
-               "            absorbing transforms across the batch; replaces the\n"
+               "            that deduplicates shared subformulas and solves, and\n"
+               "            builds each absorbing transform once; replaces the\n"
                "            positional formula argument. A malformed or unsupported\n"
                "            formula fails alone (its error printed in its slot), the\n"
                "            rest of the batch still runs, and the exit status is 4\n"
                "  --explain  compile the formula (or --formulas batch) into a plan,\n"
-               "            print it — ops, sharing, hoisted transforms — and exit\n"
+               "            print it — ops, shared solves, each until's class — and exit\n"
                "            without checking anything\n"
                "  NP        do not print per-state probabilities\n"
                "\n"
@@ -406,10 +407,14 @@ int main(int argc, char** argv) {
                 model.num_states(), model.rates().matrix().non_zeros(),
                 model.has_impulse_rewards() ? "yes" : "no");
 
+    // Every plan this run executes draws its absorbing transforms from one
+    // cache bound to the model.
+    core::TransformCache transforms(model);
+
     if (!formulas_path.empty() || explain) {
       // Batch / explain mode: compile the whole batch into one plan so
-      // structurally shared subformulas, solves, and absorbing transforms
-      // are each evaluated once (see src/plan/).
+      // structurally shared subformulas and solves are each evaluated once
+      // (see src/plan/).
       //
       // Per-formula error isolation: a malformed (or unsupported) formula
       // fails alone — its error is reported in its batch slot, every other
@@ -459,7 +464,7 @@ int main(int argc, char** argv) {
       if (!good.empty()) {
         try {
           const plan::Plan compiled = plan::compile(model, good, options);
-          batch_results = plan::execute(compiled, model);
+          batch_results = plan::execute(compiled, model, transforms);
           batch_ok = true;
           for (std::size_t k = 0; k < runnable.size(); ++k) {
             results_by_index[runnable[k]] = &batch_results.formulas[k];
@@ -471,7 +476,7 @@ int main(int argc, char** argv) {
           for (const std::size_t i : runnable) {
             try {
               const plan::Plan single = plan::compile(model, {formulas[i]}, options);
-              single_results[i] = plan::execute(single, model);
+              single_results[i] = plan::execute(single, model, transforms);
               results_by_index[i] = &single_results[i].formulas[0];
             } catch (const std::exception& error) {
               check_errors[i] = error.what();
@@ -514,7 +519,8 @@ int main(int argc, char** argv) {
     std::printf("formula: %s\n", logic::to_string(formula).c_str());
 
     // The formula line comes first, so a check that fails still names it.
-    const plan::PlanResult checked = plan::execute(plan::compile(model, {formula}, options), model);
+    const plan::PlanResult checked =
+        plan::execute(plan::compile(model, {formula}, options), model, transforms);
     const bool any_unknown =
         report_plan_formula(model, formula, checked.formulas.front(), print_probabilities);
     if (stats_requested && !write_stats(stats_path)) return 1;

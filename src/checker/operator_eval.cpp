@@ -1,6 +1,7 @@
 #include "checker/operator_eval.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "checker/absorption.hpp"
@@ -117,6 +118,8 @@ UntilEvaluation evaluate_until_operator(const core::Mrm& model, const SatSets& l
                                         const logic::Interval& reward_bound,
                                         const CheckerOptions& options,
                                         core::TransformCache* transforms) {
+  std::optional<core::TransformCache> own_transforms;
+  if (transforms == nullptr) transforms = &own_transforms.emplace(model);
   UntilEvaluation result;
   result.values = until_probabilities(model, lhs.sat, rhs.sat, time_bound, reward_bound,
                                       options, transforms);

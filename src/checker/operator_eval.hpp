@@ -5,9 +5,8 @@
 // connectives, the widened two-mask runs of the numeric operators (S, P, R),
 // and the three-valued threshold comparison — lives here as a free function
 // of (model, operand sets, options). Each plan op calls exactly one of these
-// functions, so the plan passes (CSE, transform hoisting)
-// only decide how often and on which cached transforms they run, never what
-// they compute.
+// functions, so the plan's CSE pass only decides how often they run, never
+// what they compute.
 //
 // The numeric operator evaluations return the pessimistic-run raw values
 // next to the widened per-state enclosures. The two are computed in one
@@ -69,8 +68,9 @@ NextEvaluation evaluate_next_operator(const core::Mrm& model, const SatSets& ope
 
 /// U-operator core: until_probabilities on the pessimistic operand masks
 /// (these are the raw values the CLI prints), plus the optimistic-mask run
-/// when an operand has UNKNOWN states. `transforms` is forwarded to
-/// until_probabilities (see there; nullptr means no sharing).
+/// when an operand has UNKNOWN states. Both runs draw their absorbing
+/// transforms from `transforms` (bound to `model`), or from one cache of
+/// their own when it is null.
 struct UntilEvaluation {
   std::vector<UntilValue> values;
   std::vector<ProbabilityBound> bounds;

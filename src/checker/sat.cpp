@@ -16,14 +16,16 @@ logic::FormulaKind require_kind(const logic::FormulaPtr& formula) {
 }  // namespace
 
 ModelChecker::ModelChecker(const core::Mrm& model, CheckerOptions options)
-    : model_(&model), options_(std::move(options)) {}
+    : model_(&model),
+      options_(std::move(options)),
+      transforms_(std::make_unique<core::TransformCache>(model)) {}
 
 const plan::FormulaResult& ModelChecker::result(const logic::FormulaPtr& formula) {
   require_kind(formula);
   const auto cached = results_.find(formula.get());
   if (cached != results_.end()) return cached->second.result;
   const plan::Plan compiled = plan::compile(*model_, {formula}, options_);
-  plan::PlanResult executed = plan::execute(compiled, *model_);
+  plan::PlanResult executed = plan::execute(compiled, *model_, *transforms_);
   Entry entry{formula, std::move(executed.formulas.front())};
   return results_.emplace(formula.get(), std::move(entry)).first->second.result;
 }

@@ -18,9 +18,12 @@
 // ops are the bottom-up recursion, and executes it (plan/executor.hpp). The
 // plan's FormulaResult is memoized per root node, so every accessor below
 // on the same node — verdicts, value intervals and the raw numeric values —
-// is served by one execution.
+// is served by one execution. Every execution draws its absorbing
+// transforms from the checker's one TransformCache, so formulas that share
+// a transformed model build it once.
 #pragma once
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +31,7 @@
 #include "checker/until.hpp"
 #include "checker/verdict.hpp"
 #include "core/mrm.hpp"
+#include "core/transform.hpp"
 #include "logic/ast.hpp"
 #include "plan/executor.hpp"
 
@@ -91,6 +95,7 @@ class ModelChecker {
 
   const core::Mrm* model_;
   CheckerOptions options_;
+  std::unique_ptr<core::TransformCache> transforms_;  // bound to *model_
   std::unordered_map<const logic::Formula*, Entry> results_;
 };
 

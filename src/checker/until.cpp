@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "checker/absorption.hpp"
@@ -26,19 +27,60 @@ void require_masks(const core::Mrm& model, const std::vector<bool>& sat_phi,
   }
 }
 
-/// M[absorb] through the caller's transform cache when one was supplied
-/// (batched plan execution), else a fresh build. Both paths run
-/// core::make_absorbing — a pure function of (model, absorb) — so the
-/// returned model is bitwise-identical either way. The shared_ptr keeps the
-/// model alive across cache eviction while this solve uses it.
-std::shared_ptr<const core::Mrm> absorbing_model(const core::Mrm& model,
-                                                 const std::vector<bool>& absorb,
-                                                 core::TransformCache* transforms) {
-  if (transforms != nullptr) return transforms->absorbing(model, absorb);
-  return std::make_shared<const core::Mrm>(core::make_absorbing(model, absorb));
+/// The !Phi && !Psi states: absorbed by Theorem 4.2, exactly 0 for the P2
+/// engines.
+std::vector<bool> dead_states(const std::vector<bool>& sat_phi,
+                              const std::vector<bool>& sat_psi) {
+  std::vector<bool> dead(sat_phi.size(), false);
+  for (std::size_t s = 0; s < dead.size(); ++s) dead[s] = !sat_phi[s] && !sat_psi[s];
+  return dead;
+}
+
+/// Reward bounds must be trivial or of the form [0,r] with r finite.
+bool supported_reward_bound(const logic::Interval& reward) {
+  return reward.is_trivial() ||
+         (core::exactly_zero(reward.lower()) && !reward.is_upper_unbounded());
 }
 
 }  // namespace
+
+const char* to_string(UntilClass cls) {
+  switch (cls) {
+    case UntilClass::kUnbounded:
+      return "P0:unbounded";
+    case UntilClass::kTimeBounded:
+      return "P1:time-bounded";
+    case UntilClass::kTwoPhase:
+      return "P1':two-phase";
+    case UntilClass::kTimeReward:
+      return "P2:time-reward";
+    case UntilClass::kPointTimeReward:
+      return "P2:point-time-reward";
+    case UntilClass::kUnsupported:
+      return "unsupported";
+  }
+  return "?";
+}
+
+UntilClass classify_until(const logic::Interval& time_bound,
+                          const logic::Interval& reward_bound) {
+  if (!supported_reward_bound(reward_bound)) return UntilClass::kUnsupported;
+  const bool time_trivial = time_bound.is_trivial();
+  const bool reward_trivial = reward_bound.is_trivial();
+  if (time_trivial && reward_trivial) return UntilClass::kUnbounded;
+  if (reward_trivial && time_bound.lower() > 0.0 && !time_bound.is_upper_unbounded()) {
+    return UntilClass::kTwoPhase;
+  }
+  // The remaining classes need a bounded time interval [0,t] or [t,t].
+  const bool time_zero_based =
+      core::exactly_zero(time_bound.lower()) && !time_bound.is_upper_unbounded();
+  const bool time_point = time_bound.is_point() && !time_bound.is_upper_unbounded();
+  if (!time_zero_based && !time_point) return UntilClass::kUnsupported;
+  // Reward-trivial [t1,t2] and [t,t] with t > 0 are two-phase, so [0,t] here.
+  if (reward_trivial) return UntilClass::kTimeBounded;
+  if (time_point && time_bound.lower() > 0.0) return UntilClass::kPointTimeReward;
+  return UntilClass::kTimeReward;
+}
 
 std::vector<double> unbounded_until_probabilities(const core::Mrm& model,
                                                   const std::vector<bool>& sat_phi,
@@ -223,156 +265,150 @@ std::vector<UntilValue> until_probabilities(const core::Mrm& model,
   obs::ScopedTimer timer("checker.until");
   obs::counter_add("checker.until.calls");
   require_masks(model, sat_phi, sat_psi);
+  std::optional<core::TransformCache> own_transforms;
+  if (transforms == nullptr) {
+    transforms = &own_transforms.emplace(model);
+  } else if (&transforms->model() != &model) {
+    throw std::invalid_argument("until: the transform cache serves a different model");
+  }
   const std::size_t n = model.num_states();
   // Engine-level thread counts left at 0 inherit the checker-level knob.
   const CheckerOptions options = with_inherited_threads(caller_options);
 
-  const bool time_trivial = time_bound.is_trivial();
-  const bool reward_trivial = reward_bound.is_trivial();
-
-  // Reward bounds must be of the form [0,r] (or trivial); the point-interval
-  // time variant is handled below.
-  if (!reward_trivial &&
-      (!core::exactly_zero(reward_bound.lower()) || reward_bound.is_upper_unbounded())) {
-    throw UnsupportedFormulaError(
-        "until: reward bounds must have the form [0,r] (thesis section 4.6: general reward "
-        "intervals are future work)");
-  }
-
-  // P0: Phi U Psi. Graph precomputation pins exact zeros/ones; the linear
-  // solve converges to solver.tolerance (treated as exact, like the thesis).
-  if (time_trivial && reward_trivial) {
-    const auto probabilities =
-        unbounded_until_probabilities(model, sat_phi, sat_psi, options.solver);
-    std::vector<UntilValue> values(n);
-    for (core::StateIndex s = 0; s < n; ++s) values[s] = exact_until_value(probabilities[s]);
-    return values;
-  }
-
-  // P1': general time interval [t1,t2] with t1 > 0 and no reward bound —
-  // the two-phase reduction of [Bai03]: run the chain in M[!Phi] until t1
-  // (any visit to a !Phi state is fatal; Psi-states without Phi are
-  // absorbed there as well, and they contribute nothing because the
-  // witness time cannot lie before t1), then solve the residual
-  // Phi U^[0,t2-t1] Psi problem from every Phi-state reached.
-  if (reward_trivial && time_bound.lower() > 0.0 && !time_bound.is_upper_unbounded()) {
-    const double t1 = time_bound.lower();
-    const double t2 = time_bound.upper();
-
-    std::vector<bool> not_phi(n, false);
-    for (core::StateIndex s = 0; s < n; ++s) not_phi[s] = !sat_phi[s];
-    const auto phase_one_ptr = absorbing_model(model, not_phi, transforms);
-    const core::Mrm& phase_one = *phase_one_ptr;
-
-    const auto residual = until_probabilities(model, sat_phi, sat_psi,
-                                              logic::Interval(0.0, t2 - t1),
-                                              logic::Interval{}, options, transforms);
-
-    // Phase one runs backward: for a field f of the residual values, one
-    // series over M[!Phi] gives sum_mid Pr{X(t1) = mid | X(0) = s} f(mid)
-    // for every start s at once, where a !Phi-state reached before t1 is
-    // absorbed and contributes nothing.
-    const auto phase_one_series = [&](auto field) {
-      std::vector<double> u0(n, 0.0);
-      for (core::StateIndex mid = 0; mid < n; ++mid) {
-        if (sat_phi[mid]) u0[mid] = field(residual[mid]);
-      }
-      return numeric::transient_backward(phase_one.rates(), std::move(u0), t1,
-                                         options.transient);
-    };
-    const auto probability = phase_one_series([](const UntilValue& v) { return v.probability; });
-    const auto error = phase_one_series([](const UntilValue& v) { return v.error_bound; });
-    const auto lower = phase_one_series([](const UntilValue& v) { return v.bound.lower; });
-    const auto upper = phase_one_series([](const UntilValue& v) { return v.bound.upper; });
-
-    // Interval arithmetic over the convex combination: the phase-one weights
-    // underestimate by at most epsilon of total mass (Fox-Glynn truncation
-    // only loses terms), each residual contributes its own enclosure, and a
-    // steady-state fold moves each series by at most its steady_error, so
-    // [P lo - steady, P hi + epsilon + steady] contains the truth.
-    const double epsilon = options.transient.epsilon;
-    std::vector<UntilValue> values(n);
-    for (core::StateIndex s = 0; s < n; ++s) {
-      if (!sat_phi[s]) continue;
-      values[s] = {probability.values[s],
-                   epsilon + error.values[s] + error.steady_error + probability.steady_error,
-                   ProbabilityBound{
-                       std::max(0.0, lower.values[s] - lower.steady_error),
-                       std::min(1.0, upper.values[s] + epsilon + upper.steady_error)}};
-    }
-    return values;
-  }
-
-  // Remaining cases need a bounded time interval of the form [0,t] or [t,t].
-  const bool time_zero_based = core::exactly_zero(time_bound.lower()) && !time_bound.is_upper_unbounded();
-  const bool time_point = time_bound.is_point() && !time_bound.is_upper_unbounded();
-  if (!time_zero_based && !time_point) {
-    throw UnsupportedFormulaError(
-        "until: time bounds must have the form [0,t], [t1,t2] (reward-unbounded), or [t,t] "
-        "(thesis sections 4.3.2/4.6 and [Bai03])");
-  }
-
-  // Reward-unbounded cases with a time interval [0,~] were handled as P0; a
-  // reward bound with unbounded time is outside the thesis's algorithms.
-  if (reward_trivial && time_zero_based) {
-    // P1: Phi U^[0,t] Psi = transient analysis of M[!Phi v Psi] (Thm 4.1).
-    std::vector<bool> absorb(n, false);
-    for (core::StateIndex s = 0; s < n; ++s) absorb[s] = !sat_phi[s] || sat_psi[s];
-    const auto transformed_ptr = absorbing_model(model, absorb, transforms);
-    const core::Mrm& transformed = *transformed_ptr;
-    // One backward column series u_{k+1} = P u_k from the Psi indicator
-    // answers every start state at once: Psi is absorbing in M[!Phi v Psi],
-    // so the probability of sitting in Psi at t is the until probability.
-    std::vector<double> psi_indicator(n, 0.0);
-    for (core::StateIndex s = 0; s < n; ++s) {
-      if (sat_psi[s]) psi_indicator[s] = 1.0;
-    }
-    const auto hit = numeric::transient_backward(
-        transformed.rates(), std::move(psi_indicator), time_bound.upper(), options.transient);
-    const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
-    const double steady = hit.steady_error;         // two-sided fold error
-    std::vector<UntilValue> values(n);
-    for (core::StateIndex s = 0; s < n; ++s) {
-      if (sat_psi[s]) {
-        values[s] = exact_until_value(1.0);  // absorbed Psi start: case 1 of eq. (3.6)
-        continue;
-      }
-      const double p = hit.values[s];
-      // True value lies in [p - steady, p + lost + steady]; with detection
-      // off (steady == 0) this is the usual truncation enclosure.
-      values[s] = {p, lost + steady, ProbabilityBound::from_point_error(p, steady, lost + steady)};
-    }
-    return values;
-  }
-  // Reward-trivial cases are fully covered above ([0,t] by P1, [t1,t2] and
-  // [t,t] with t > 0 by the two-phase P1' reduction).
-
-  const double t = time_bound.upper();
-  const double r = reward_bound.upper();
-
-  std::vector<bool> dead(n, false);
-  for (core::StateIndex s = 0; s < n; ++s) dead[s] = !sat_phi[s] && !sat_psi[s];
-
-  if (time_point && time_bound.lower() > 0.0) {
-    // Theorem 4.2 requires Psi => Phi; only !Phi && !Psi states become
-    // absorbing, Psi-states stay live.
-    for (core::StateIndex s = 0; s < n; ++s) {
-      if (sat_psi[s] && !sat_phi[s]) {
+  switch (classify_until(time_bound, reward_bound)) {
+    case UntilClass::kUnsupported:
+      if (!supported_reward_bound(reward_bound)) {
         throw UnsupportedFormulaError(
-            "until with point time interval [t,t] requires Psi => Phi (Theorem 4.2)");
+            "until: reward bounds must have the form [0,r] (thesis section 4.6: general "
+            "reward intervals are future work)");
       }
-    }
-    const auto transformed_ptr = absorbing_model(model, dead, transforms);
-    return bounded_time_reward(*transformed_ptr, sat_psi, dead, t, r, options,
-                               /*psi_absorbed=*/false);
-  }
+      throw UnsupportedFormulaError(
+          "until: time bounds must have the form [0,t], [t1,t2] (reward-unbounded), or [t,t] "
+          "(thesis sections 4.3.2/4.6 and [Bai03])");
 
-  // P2: Phi U^[0,t]_[0,r] Psi on M[!Phi v Psi] (Theorems 4.1 + 4.3).
-  std::vector<bool> absorb(n, false);
-  for (core::StateIndex s = 0; s < n; ++s) absorb[s] = !sat_phi[s] || sat_psi[s];
-  const auto transformed_ptr = absorbing_model(model, absorb, transforms);
-  return bounded_time_reward(*transformed_ptr, sat_psi, dead, t, r, options,
-                             /*psi_absorbed=*/true);
+    case UntilClass::kUnbounded: {
+      // P0: Phi U Psi. Graph precomputation pins exact zeros/ones; the linear
+      // solve converges to solver.tolerance (treated as exact, like the thesis).
+      const auto probabilities =
+          unbounded_until_probabilities(model, sat_phi, sat_psi, options.solver);
+      std::vector<UntilValue> values(n);
+      for (core::StateIndex s = 0; s < n; ++s) values[s] = exact_until_value(probabilities[s]);
+      return values;
+    }
+
+    case UntilClass::kTwoPhase: {
+      // P1': general time interval [t1,t2] with t1 > 0 and no reward bound —
+      // the two-phase reduction of [Bai03]: run the chain in M[!Phi] until t1
+      // (any visit to a !Phi state is fatal; Psi-states without Phi are
+      // absorbed there as well, and they contribute nothing because the
+      // witness time cannot lie before t1), then solve the residual
+      // Phi U^[0,t2-t1] Psi problem from every Phi-state reached.
+      const double t1 = time_bound.lower();
+      const double t2 = time_bound.upper();
+
+      std::vector<bool> not_phi(n, false);
+      for (core::StateIndex s = 0; s < n; ++s) not_phi[s] = !sat_phi[s];
+      const auto phase_one_ptr = transforms->absorbing(not_phi);
+      const core::Mrm& phase_one = *phase_one_ptr;
+
+      const auto residual = until_probabilities(model, sat_phi, sat_psi,
+                                                logic::Interval(0.0, t2 - t1),
+                                                logic::Interval{}, options, transforms);
+
+      // Phase one runs backward: for a field f of the residual values, one
+      // series over M[!Phi] gives sum_mid Pr{X(t1) = mid | X(0) = s} f(mid)
+      // for every start s at once, where a !Phi-state reached before t1 is
+      // absorbed and contributes nothing.
+      const auto phase_one_series = [&](auto field) {
+        std::vector<double> u0(n, 0.0);
+        for (core::StateIndex mid = 0; mid < n; ++mid) {
+          if (sat_phi[mid]) u0[mid] = field(residual[mid]);
+        }
+        return numeric::transient_backward(phase_one.rates(), std::move(u0), t1,
+                                           options.transient);
+      };
+      const auto probability =
+          phase_one_series([](const UntilValue& v) { return v.probability; });
+      const auto error = phase_one_series([](const UntilValue& v) { return v.error_bound; });
+      const auto lower = phase_one_series([](const UntilValue& v) { return v.bound.lower; });
+      const auto upper = phase_one_series([](const UntilValue& v) { return v.bound.upper; });
+
+      // Interval arithmetic over the convex combination: the phase-one weights
+      // underestimate by at most epsilon of total mass (Fox-Glynn truncation
+      // only loses terms), each residual contributes its own enclosure, and a
+      // steady-state fold moves each series by at most its steady_error, so
+      // [P lo - steady, P hi + epsilon + steady] contains the truth.
+      const double epsilon = options.transient.epsilon;
+      std::vector<UntilValue> values(n);
+      for (core::StateIndex s = 0; s < n; ++s) {
+        if (!sat_phi[s]) continue;
+        values[s] = {probability.values[s],
+                     epsilon + error.values[s] + error.steady_error + probability.steady_error,
+                     ProbabilityBound{
+                         std::max(0.0, lower.values[s] - lower.steady_error),
+                         std::min(1.0, upper.values[s] + epsilon + upper.steady_error)}};
+      }
+      return values;
+    }
+
+    case UntilClass::kTimeBounded: {
+      // P1: Phi U^[0,t] Psi = transient analysis of M[!Phi v Psi] (Thm 4.1).
+      std::vector<bool> absorb(n, false);
+      for (core::StateIndex s = 0; s < n; ++s) absorb[s] = !sat_phi[s] || sat_psi[s];
+      const auto transformed_ptr = transforms->absorbing(absorb);
+      const core::Mrm& transformed = *transformed_ptr;
+      // One backward column series u_{k+1} = P u_k from the Psi indicator
+      // answers every start state at once: Psi is absorbing in M[!Phi v Psi],
+      // so the probability of sitting in Psi at t is the until probability.
+      std::vector<double> psi_indicator(n, 0.0);
+      for (core::StateIndex s = 0; s < n; ++s) {
+        if (sat_psi[s]) psi_indicator[s] = 1.0;
+      }
+      const auto hit = numeric::transient_backward(
+          transformed.rates(), std::move(psi_indicator), time_bound.upper(), options.transient);
+      const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
+      const double steady = hit.steady_error;         // two-sided fold error
+      std::vector<UntilValue> values(n);
+      for (core::StateIndex s = 0; s < n; ++s) {
+        if (sat_psi[s]) {
+          values[s] = exact_until_value(1.0);  // absorbed Psi start: case 1 of eq. (3.6)
+          continue;
+        }
+        const double p = hit.values[s];
+        // True value lies in [p - steady, p + lost + steady]; with detection
+        // off (steady == 0) this is the usual truncation enclosure.
+        values[s] = {p, lost + steady,
+                     ProbabilityBound::from_point_error(p, steady, lost + steady)};
+      }
+      return values;
+    }
+
+    case UntilClass::kPointTimeReward: {
+      // [t,t] + [0,r]: Theorem 4.2 requires Psi => Phi; only !Phi && !Psi
+      // states become absorbing, Psi-states stay live.
+      for (core::StateIndex s = 0; s < n; ++s) {
+        if (sat_psi[s] && !sat_phi[s]) {
+          throw UnsupportedFormulaError(
+              "until with point time interval [t,t] requires Psi => Phi (Theorem 4.2)");
+        }
+      }
+      const std::vector<bool> dead = dead_states(sat_phi, sat_psi);
+      const auto transformed_ptr = transforms->absorbing(dead);
+      return bounded_time_reward(*transformed_ptr, sat_psi, dead, time_bound.upper(),
+                                 reward_bound.upper(), options, /*psi_absorbed=*/false);
+    }
+
+    case UntilClass::kTimeReward: {
+      // P2: Phi U^[0,t]_[0,r] Psi on M[!Phi v Psi] (Theorems 4.1 + 4.3).
+      std::vector<bool> absorb(n, false);
+      for (core::StateIndex s = 0; s < n; ++s) absorb[s] = !sat_phi[s] || sat_psi[s];
+      const auto transformed_ptr = transforms->absorbing(absorb);
+      return bounded_time_reward(*transformed_ptr, sat_psi, dead_states(sat_phi, sat_psi),
+                                 time_bound.upper(), reward_bound.upper(), options,
+                                 /*psi_absorbed=*/true);
+    }
+  }
+  throw std::logic_error("until: unknown until class");
 }
 
 }  // namespace csrlmrm::checker

@@ -63,6 +63,26 @@ inline UntilValue two_sided_until_value(double p, double half_width) {
   return {p, half_width, ProbabilityBound::from_point_error(p, half_width, half_width)};
 }
 
+/// The dispatch class of an until query, decided from its bound shapes
+/// alone (see the header comment). until_probabilities dispatches on it and
+/// the plan printer reports it.
+enum class UntilClass {
+  kUnbounded,        // P0: linear system on the embedded DTMC
+  kTimeBounded,      // P1: transient analysis of M[!Phi v Psi]
+  kTwoPhase,         // P1': [t1,t2] two-phase reduction via M[!Phi]
+  kTimeReward,       // P2: [0,t] + [0,r] on M[!Phi v Psi], engine-evaluated
+  kPointTimeReward,  // [t,t] + [0,r] on M[!Phi && !Psi] (Theorem 4.2)
+  kUnsupported,      // until_probabilities raises UnsupportedFormulaError
+};
+
+/// Stable class name for the plan printer ("P1:time-bounded", ...).
+const char* to_string(UntilClass cls);
+
+/// The class of an until query with these bounds: the one place the
+/// dispatch is decided.
+UntilClass classify_until(const logic::Interval& time_bound,
+                          const logic::Interval& reward_bound);
+
 /// The method a uniformization-configured P2-class query actually runs,
 /// resolved on the *transformed* model M[!Phi v Psi] with time bound t:
 /// kDiscretization when even a perfectly merging frontier is over the node
@@ -86,16 +106,14 @@ std::vector<double> unbounded_until_probabilities(const core::Mrm& model,
                                                   const std::vector<bool>& sat_psi,
                                                   const linalg::IterativeOptions& solver = {});
 
-/// P(s, Phi U_J^I Psi) for every state s, dispatching as described above.
+/// P(s, Phi U_J^I Psi) for every state s, dispatching on classify_until.
 /// Masks must have one entry per state.
 ///
-/// `transforms`, when non-null, memoizes the absorbing transforms this query
-/// builds (M[!Phi v Psi], M[!Phi], M[!Phi && !Psi]) keyed by mask, so a batch
-/// of queries over the same model shares them — the plan executor passes the
-/// cache its compile step prewarmed. The cache must be bound to `model` (a
-/// TransformCache keys by mask only) and the call does not touch it inside
-/// the per-state fan-out, so a serial caller needs no locking. Passing
-/// nullptr rebuilds every transform, bitwise-identically.
+/// `transforms` memoizes the absorbing transforms this query builds
+/// (M[!Phi v Psi], M[!Phi], M[!Phi && !Psi]), so queries over the same model
+/// share them; it must be bound to `model` (std::invalid_argument otherwise).
+/// When it is null the call uses a cache of its own. The call does not touch
+/// the cache inside the per-state fan-out.
 std::vector<UntilValue> until_probabilities(const core::Mrm& model,
                                             const std::vector<bool>& sat_phi,
                                             const std::vector<bool>& sat_psi,

@@ -28,10 +28,10 @@ Mrm make_absorbing(const Mrm& model, const std::vector<bool>& absorb) {
   return Mrm(Ctmc(rates.build(), model.labels()), std::move(rewards), impulses.build());
 }
 
-TransformCache::TransformCache(std::size_t capacity) : capacity_(capacity) {}
+TransformCache::TransformCache(const Mrm& model, std::size_t capacity)
+    : model_(model), capacity_(capacity) {}
 
-std::shared_ptr<const Mrm> TransformCache::absorbing(const Mrm& model,
-                                                     const std::vector<bool>& absorb) {
+std::shared_ptr<const Mrm> TransformCache::absorbing(const std::vector<bool>& absorb) {
   // Build OUTSIDE the lock would double-build under a concurrent miss on the
   // same mask; holding the lock across make_absorbing keeps the cache
   // single-build per mask instead. Transform builds are cheap (one pass over
@@ -54,7 +54,7 @@ std::shared_ptr<const Mrm> TransformCache::absorbing(const Mrm& model,
     entries_.erase(victim);
     obs::counter_add("transform.cache_evictions");
   }
-  auto built = std::make_shared<const Mrm>(make_absorbing(model, absorb));
+  auto built = std::make_shared<const Mrm>(make_absorbing(model_, absorb));
   entries_.emplace(absorb, Entry{built, tick_});
   obs::gauge_max("transform.cache_occupancy", static_cast<double>(entries_.size()));
   return built;

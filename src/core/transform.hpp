@@ -28,19 +28,20 @@ namespace csrlmrm::core {
 /// std::invalid_argument when the mask size differs from the model size.
 Mrm make_absorbing(const Mrm& model, const std::vector<bool>& absorb);
 
-/// Memoizes make_absorbing results by absorbing mask, so a batch of until
-/// queries that share one transformed model (the plan compiler's hoisting
-/// pass, the two mask runs of an operator with UNKNOWN operand states, or
-/// the per-model resident cache of mrmcheckd) builds it once.
-/// make_absorbing is a deterministic pure function of (model, mask), so
-/// returning the cached Mrm is bitwise-identical to rebuilding it.
+/// Memoizes make_absorbing results of one base model by absorbing mask. It
+/// is the only way transforms are shared: every until query over a model
+/// (all formulas of a plan, the two mask runs of an operator with UNKNOWN
+/// operand states, every request a daemon serves for a resident model)
+/// builds each M[absorb] once. make_absorbing is a deterministic pure
+/// function of (model, mask), so returning the cached Mrm is
+/// bitwise-identical to rebuilding it.
 ///
-/// One cache instance serves ONE base model (the key is the mask alone);
-/// callers bind a cache to a model and must not mix models. Thread-safe and
-/// capacity-bounded: a daemon keeps one cache alive per resident model for
-/// the process lifetime and serves concurrent same-model queries from it, so
-/// lookups lock internally and occupancy is bounded LRU — eviction only
-/// drops the cache's reference, handed-out shared_ptrs stay valid.
+/// The cache is bound at construction to the model it serves, which must
+/// outlive it; the key is the mask alone. Thread-safe and capacity-bounded:
+/// a daemon keeps one cache alive per resident model for the process
+/// lifetime and serves concurrent same-model queries from it, so lookups
+/// lock internally and occupancy is bounded LRU — eviction only drops the
+/// cache's reference, handed-out shared_ptrs stay valid.
 /// Observability: "transform.cache_hits" / "transform.cache_evictions"
 /// counters and the "transform.cache_occupancy" gauge.
 class TransformCache {
@@ -50,10 +51,14 @@ class TransformCache {
   /// fed adversarial mask-churning queries stays bounded.
   static constexpr std::size_t kDefaultCapacity = 64;
 
-  explicit TransformCache(std::size_t capacity = kDefaultCapacity);
+  explicit TransformCache(const Mrm& model, std::size_t capacity = kDefaultCapacity);
 
-  /// M[absorb] for the bound base model, built on first request.
-  std::shared_ptr<const Mrm> absorbing(const Mrm& model, const std::vector<bool>& absorb);
+  /// The base model this cache serves.
+  const Mrm& model() const { return model_; }
+
+  /// M[absorb] for the bound base model, built on first request. Throws
+  /// std::invalid_argument when the mask size differs from the model size.
+  std::shared_ptr<const Mrm> absorbing(const std::vector<bool>& absorb);
 
   std::size_t size() const;
   std::size_t hits() const;
@@ -64,6 +69,7 @@ class TransformCache {
     std::uint64_t last_use = 0;
   };
 
+  const Mrm& model_;
   mutable std::mutex mutex_;
   std::size_t capacity_;
   std::uint64_t tick_ = 0;  // lint:guarded_by(mutex_)

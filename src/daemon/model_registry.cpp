@@ -56,7 +56,7 @@ std::shared_ptr<const ResidentModel> ModelRegistry::add(core::Mrm model,
   auto resident = std::make_shared<ResidentModel>();
   resident->fingerprint = fingerprint;
   resident->model = std::make_shared<const core::Mrm>(std::move(model));
-  resident->transforms = std::make_shared<core::TransformCache>();
+  resident->transforms = std::make_shared<core::TransformCache>(*resident->model);
   slots_.push_back(Slot{resident, name, tick_});
   obs::counter_add("daemon.model_loads");
   obs::gauge_max("daemon.models_resident", static_cast<double>(slots_.size()));

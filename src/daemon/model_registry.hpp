@@ -1,8 +1,8 @@
 // Resident-model registry of mrmcheckd: load a model once, check it many
 // times. Each resident entry pairs the immutable Mrm with the caches that
-// make repeat queries cheap — a per-model TransformCache that stays warm
-// across requests (every plan compiled for the model reuses it via
-// plan::PlanOptions::shared_transforms), identified by a content fingerprint
+// make repeat queries cheap — a TransformCache bound to the model that stays
+// warm across requests (every plan executed for the model draws from it),
+// identified by a content fingerprint
 // so the same model loaded under two names (or re-loaded after a daemon-side
 // eviction) deduplicates to one resident copy.
 //
@@ -34,7 +34,8 @@ namespace csrlmrm::daemon {
 std::string fingerprint_mrm(const core::Mrm& model);
 
 /// One loaded model plus its cross-request caches. Immutable after
-/// registration except for the (internally synchronized) TransformCache.
+/// registration except for the (internally synchronized) TransformCache,
+/// which is bound to `model` and declared after it, so it never outlives it.
 struct ResidentModel {
   std::string fingerprint;
   std::shared_ptr<const core::Mrm> model;

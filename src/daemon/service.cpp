@@ -245,14 +245,13 @@ void CheckService::serve_group(std::vector<Pending>& group) {
   }
 
   if (!runnable.empty()) {
-    plan::PlanOptions plan_options;
-    plan_options.shared_transforms = resident->transforms;
     std::vector<logic::FormulaPtr> formulas;
     formulas.reserve(runnable.size());
     for (const std::size_t i : runnable) formulas.push_back(parsed[i]);
     try {
-      const plan::Plan compiled = plan::compile(*resident->model, formulas, options, plan_options);
-      const plan::PlanResult results = plan::execute(compiled, *resident->model);
+      const plan::Plan compiled = plan::compile(*resident->model, formulas, options);
+      const plan::PlanResult results =
+          plan::execute(compiled, *resident->model, *resident->transforms);
       for (std::size_t k = 0; k < runnable.size(); ++k) {
         replies[runnable[k]] = formula_reply(formulas[k], results.formulas[k]);
       }
@@ -268,9 +267,9 @@ void CheckService::serve_group(std::vector<Pending>& group) {
       batch_error = batch_failure.what();
       for (const std::size_t i : runnable) {
         try {
-          const plan::Plan single =
-              plan::compile(*resident->model, {parsed[i]}, options, plan_options);
-          const plan::PlanResult result = plan::execute(single, *resident->model);
+          const plan::Plan single = plan::compile(*resident->model, {parsed[i]}, options);
+          const plan::PlanResult result =
+              plan::execute(single, *resident->model, *resident->transforms);
           replies[i] = formula_reply(parsed[i], result.formulas[0]);
         } catch (const std::exception& error) {
           replies[i] = error_reply(texts[i], error.what());

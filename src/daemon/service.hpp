@@ -3,13 +3,13 @@
 // executions.
 //
 // Why batching preserves correctness: a batched plan's answers are
-// differential-tested bitwise-identical to one passes-off plan per formula,
-// at any batch composition and thread count
+// differential-tested bitwise-identical to one CSE-off plan per formula with
+// a fresh transform cache, at any batch composition and thread count
 // (tests/test_plan_differential.cpp), and ModelChecker runs the same
 // pipeline on one-root plans. So combining N clients' formulas into one
-// compiled plan — deduplicating shared solves and absorbing transforms
-// across *clients*, not just within one request — returns exactly the
-// answers each client would have gotten alone.
+// compiled plan — deduplicating shared solves across *clients*, not just
+// within one request, and drawing transforms from the resident model's
+// cache — returns exactly the answers each client would have gotten alone.
 //
 // Admission control, in order:
 //   1. Queue bound: submit() on a full queue resolves the future immediately

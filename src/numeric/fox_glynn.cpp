@@ -55,8 +55,13 @@ FoxGlynnWeights fox_glynn(double mean, double epsilon) {
     // Solve x^2 / (2(mean + x/3)) = log_budget for the right offset.
     const double b = log_budget / 3.0;
     const double x_right = b + std::sqrt(b * b + 2.0 * mean * log_budget);
+    const double right_end = std::ceil(mean + x_right + 1.0);
+    if (!(right_end <= kMaxPoissonWindowEnd)) {
+      throw std::invalid_argument(
+          "fox_glynn: mean too large, its truncation window ends beyond 2^53");
+    }
     left = static_cast<std::size_t>(std::max(0.0, std::floor(mean - x_left - 1.0)));
-    right = static_cast<std::size_t>(std::ceil(mean + x_right + 1.0));
+    right = static_cast<std::size_t>(right_end);
   }
 
   // Weights by the mode-anchored recurrence w(k-1) = w(k) k / mean,

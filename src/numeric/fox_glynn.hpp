@@ -32,7 +32,9 @@ struct FoxGlynnWeights {
 
 /// Computes the window and weights for Poisson(mean) with truncation error
 /// epsilon in (0,1). mean must be finite and >= 0; a zero mean yields the
-/// point mass at 0. Throws std::invalid_argument otherwise.
+/// point mass at 0. Throws std::invalid_argument otherwise, and for a mean
+/// whose right window end exceeds kMaxPoissonWindowEnd (2^53,
+/// numeric/poisson.hpp).
 FoxGlynnWeights fox_glynn(double mean, double epsilon);
 
 }  // namespace csrlmrm::numeric

@@ -34,9 +34,15 @@ double log_gamma(double x) {
 // Index past which Poisson mass is negligible for any tolerance the engines
 // use; poisson_truncation_point bounds its scan with the same expression, and
 // PoissonTailCache sizes its tables to it so tail() queries never leave the
-// precomputed range.
+// precomputed range. A cap beyond kMaxPoissonWindowEnd is rejected before the
+// conversion to std::size_t, which would be undefined past 2^64.
 std::size_t poisson_hard_cap(double mean) {
-  return static_cast<std::size_t>(mean + 40.0 * std::sqrt(mean + 1.0)) + 64;
+  const double cap = mean + 40.0 * std::sqrt(mean + 1.0);
+  if (!(cap + 64.0 <= kMaxPoissonWindowEnd)) {
+    throw std::invalid_argument(
+        "poisson: mean too large, its truncation window ends beyond 2^53");
+  }
+  return static_cast<std::size_t>(cap) + 64;
 }
 
 // The masses Pr{N = 0}..Pr{N = count-1} for a strictly positive mean, via a

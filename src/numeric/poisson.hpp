@@ -16,6 +16,14 @@
 
 namespace csrlmrm::numeric {
 
+/// The largest Poisson window end the truncation code accepts: 2^53, past
+/// which not every integer is a double. poisson_truncation_point,
+/// PoissonTailCache::table and fox_glynn throw std::invalid_argument for a
+/// mean whose window end lies beyond it (any mean above about 9.007e15, e.g.
+/// a uniformization rate Lambda*t of 1e30), instead of converting an
+/// out-of-range double to std::size_t.
+inline constexpr double kMaxPoissonWindowEnd = 9007199254740992.0;
+
 /// Pr{N = n} for N ~ Poisson(mean). mean must be >= 0 and finite (throws
 /// std::invalid_argument otherwise); mean == 0 gives the point mass at 0.
 double poisson_pmf(std::size_t n, double mean);
@@ -28,6 +36,8 @@ std::vector<double> poisson_pmf_sequence(std::size_t n_max, double mean);
 
 /// Smallest N such that Pr{N > N} <= epsilon, i.e. the right truncation
 /// point for a uniformization sum with error tolerance epsilon in (0,1).
+/// Throws std::invalid_argument when the scan's cap for `mean` exceeds
+/// kMaxPoissonWindowEnd.
 std::size_t poisson_truncation_point(double mean, double epsilon);
 
 /// Immutable Poisson CDF/tail table for one fixed mean, safe to share across

@@ -6,16 +6,19 @@
 
 namespace csrlmrm::plan {
 
-PlanResult execute(const Plan& plan, const core::Mrm& model) {
+PlanResult execute(const Plan& plan, const core::Mrm& model,
+                   core::TransformCache& transforms) {
   obs::ScopedTimer timer("plan.execute");
   obs::counter_add("plan.execute.calls");
   if (model.num_states() != plan.num_states) {
     throw std::invalid_argument(
         "plan::execute: model has a different state count than the plan was compiled for");
   }
+  if (&transforms.model() != &model) {
+    throw std::invalid_argument("plan::execute: the transform cache serves a different model");
+  }
   const std::size_t n = model.num_states();
   const checker::CheckerOptions& options = plan.options;
-  core::TransformCache* transforms = plan.transforms.get();
 
   // Per-op result slots (only the slot matching the op's kind is filled).
   const std::size_t m = plan.ops.size();
@@ -48,11 +51,6 @@ PlanResult execute(const Plan& plan, const core::Mrm& model) {
       case OpKind::kOr:
         sets[id] = checker::kleene_or(sets[op.inputs[0]], sets[op.inputs[1]]);
         break;
-      case OpKind::kTransform:
-        // Structural only: the model itself is built through the plan's
-        // TransformCache on first use inside an until solve (prewarmed at
-        // compile time when the masks were compile-time known).
-        break;
       case OpKind::kSteadySolve: {
         auto evaluation =
             checker::evaluate_steady_operator(model, sets[op.inputs[0]], options);
@@ -70,7 +68,7 @@ PlanResult execute(const Plan& plan, const core::Mrm& model) {
       case OpKind::kUntilSolve: {
         auto evaluation = checker::evaluate_until_operator(
             model, sets[op.inputs[0]], sets[op.inputs[1]], op.time_bound, op.reward_bound,
-            options, transforms);
+            options, &transforms);
         solve_untils[id] = std::move(evaluation.values);
         solve_bounds[id] = std::move(evaluation.bounds);
         break;

@@ -4,25 +4,26 @@
 // batches.
 //
 // Every numeric op calls a checker/operator_eval.hpp function against the
-// plan's model and options, and the passes never change a bit of output:
-// tests/test_plan_differential.cpp checks a passes-on batch at 1/2/8 threads
-// against one passes-off plan per formula. What the passes buy is work
-// shared across the batch:
+// plan's model and options, and CSE never changes a bit of output:
+// tests/test_plan_differential.cpp checks a CSE batch at 1/2/8 threads
+// against one CSE-off plan per formula. What the plan buys is work shared
+// across the batch:
 //
 //   - each deduplicated solve runs ONCE for every formula referencing it,
 //     and serves both the printed probabilities and the verdicts from that
 //     one run;
-//   - absorbing transforms are served from the plan's prewarmed
-//     TransformCache instead of rebuilt per until query;
+//   - absorbing transforms come from the caller's model-bound
+//     core::TransformCache, so the until solves of a batch (and of every
+//     batch the caller runs against the same cache) build each once;
 //   - Omega/Poisson setup behind the uniformization engines is shared via
 //     numeric::SharedOmegaCache, which ops hitting the same transformed
 //     model reach with identical keys.
 //
 // Execution is serial over ops (each numeric op parallelizes internally over
 // start states, at CheckerOptions::threads). The TransformCache locks
-// internally, so concurrent executions of plans sharing one cache (the
-// mrmcheckd per-model resident cache) are safe; a single PlanResult is still
-// built by one thread.
+// internally, so concurrent executions sharing one cache (the mrmcheckd
+// per-model resident cache) are safe; a single PlanResult is still built by
+// one thread.
 #pragma once
 
 #include <vector>
@@ -31,6 +32,7 @@
 #include "checker/until.hpp"
 #include "checker/verdict.hpp"
 #include "core/mrm.hpp"
+#include "core/transform.hpp"
 #include "plan/ir.hpp"
 
 namespace csrlmrm::plan {
@@ -63,8 +65,11 @@ struct PlanResult {
 };
 
 /// Executes `plan` against `model` — the same model it was compiled for
-/// (checked by state count). Throws checker::UnsupportedFormulaError for
-/// kUnsupported until ops.
-PlanResult execute(const Plan& plan, const core::Mrm& model);
+/// (checked by state count) — drawing absorbing transforms from
+/// `transforms`, which must be bound to `model` (std::invalid_argument
+/// otherwise). Throws checker::UnsupportedFormulaError for until ops of an
+/// unsupported class.
+PlanResult execute(const Plan& plan, const core::Mrm& model,
+                   core::TransformCache& transforms);
 
 }  // namespace csrlmrm::plan

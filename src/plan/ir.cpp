@@ -16,8 +16,6 @@ const char* to_string(OpKind kind) {
       return "and";
     case OpKind::kOr:
       return "or";
-    case OpKind::kTransform:
-      return "transform";
     case OpKind::kSteadySolve:
       return "steady";
     case OpKind::kNextSolve:
@@ -28,36 +26,6 @@ const char* to_string(OpKind kind) {
       return "reward";
     case OpKind::kCompare:
       return "compare";
-  }
-  return "?";
-}
-
-const char* to_string(UntilClass cls) {
-  switch (cls) {
-    case UntilClass::kUnbounded:
-      return "P0:unbounded";
-    case UntilClass::kTimeBounded:
-      return "P1:time-bounded";
-    case UntilClass::kTwoPhase:
-      return "P1':two-phase";
-    case UntilClass::kTimeReward:
-      return "P2:time-reward";
-    case UntilClass::kPointTimeReward:
-      return "P2:point-time-reward";
-    case UntilClass::kUnsupported:
-      return "unsupported";
-  }
-  return "?";
-}
-
-const char* to_string(TransformShape shape) {
-  switch (shape) {
-    case TransformShape::kNotPhiOrPsi:
-      return "M[!phi|psi]";
-    case TransformShape::kNotPhi:
-      return "M[!phi]";
-    case TransformShape::kDead:
-      return "M[!phi&!psi]";
   }
   return "?";
 }

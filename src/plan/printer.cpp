@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "checker/until.hpp"
 #include "logic/number_format.hpp"
 #include "logic/printer.hpp"
 
@@ -39,10 +40,6 @@ std::string op_line(OpId id, const PlanOp& op) {
     case OpKind::kSteadySolve:
       for (const OpId input : op.inputs) append(line, " ", op_ref(input));
       break;
-    case OpKind::kTransform:
-      append(line, " ", to_string(op.transform_shape), " of");
-      for (const OpId input : op.inputs) append(line, " ", op_ref(input));
-      break;
     case OpKind::kNextSolve:
       append(line, " ", op_ref(op.inputs[0]), " time=", op.time_bound.to_string(),
              " reward=", op.reward_bound.to_string());
@@ -50,8 +47,8 @@ std::string op_line(OpId id, const PlanOp& op) {
     case OpKind::kUntilSolve:
       append(line, " ", op_ref(op.inputs[0]), " ", op_ref(op.inputs[1]),
              " time=", op.time_bound.to_string(), " reward=", op.reward_bound.to_string(),
-             " class=", to_string(op.until_class));
-      if (op.transform != kNoOp) append(line, " transform=", op_ref(op.transform));
+             " class=",
+             checker::to_string(checker::classify_until(op.time_bound, op.reward_bound)));
       break;
     case OpKind::kRewardSolve: {
       const auto& node =
@@ -75,9 +72,8 @@ std::string op_line(OpId id, const PlanOp& op) {
       break;
   }
   // Sharing annotations only on the ops where sharing is a win worth seeing
-  // (transforms and solves); shared set ops would be line noise.
-  const bool shareable = op.kind == OpKind::kTransform ||
-                         op.kind == OpKind::kSteadySolve ||
+  // (solves); shared set ops would be line noise.
+  const bool shareable = op.kind == OpKind::kSteadySolve ||
                          op.kind == OpKind::kNextSolve ||
                          op.kind == OpKind::kUntilSolve ||
                          op.kind == OpKind::kRewardSolve;
@@ -94,8 +90,7 @@ std::string print_plan(const Plan& plan) {
   append(out, "plan: ", std::to_string(plan.formulas.size()), " formulas, ",
          std::to_string(plan.ops.size()), " ops, states=",
          std::to_string(plan.num_states), "\n");
-  append(out, "passes: cse_hits=", std::to_string(plan.cse_hits),
-         " transforms_hoisted=", std::to_string(plan.transforms_hoisted), "\n");
+  append(out, "passes: cse_hits=", std::to_string(plan.cse_hits), "\n");
   for (OpId id = 0; id < plan.ops.size(); ++id) {
     append(out, op_line(id, plan.ops[id]), "\n");
   }

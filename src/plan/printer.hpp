@@ -15,14 +15,15 @@ namespace csrlmrm::plan {
 
 /// Renders the plan:
 ///
-///   plan: 2 formulas, 7 ops, states=12
-///   passes: cse_hits=3 transforms_hoisted=1
+///   plan: 2 formulas, 5 ops, states=12
+///   passes: cse_hits=5
 ///   %0 = labelset "up"
 ///   %1 = not %0
-///   %2 = transform M[!phi|psi] of %0 %1 [shared x2]
-///   %3 = until %0 %1 time=[0,5] reward=[0,3] class=P2:time-reward transform=%2
-///   %4 = compare %3 >= 0.3
-///   root[0] = %4  ; P(>= 0.3) [(up) U[0,5][0,3] (!up)]
+///   %2 = until %0 %1 time=[0,5] reward=[0,3] class=P2:time-reward [shared x2]
+///   %3 = compare %2 >= 0.3
+///   %4 = compare %2 >= 0.5
+///   root[0] = %3  ; P(>= 0.3) [up U[0,5][0,3] !(up)]
+///   root[1] = %4  ; P(>= 0.5) [up U[0,5][0,3] !(up)]
 std::string print_plan(const Plan& plan);
 
 }  // namespace csrlmrm::plan

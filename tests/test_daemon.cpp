@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/approx.hpp"
+#include "core/transform.hpp"
 #include "daemon/client.hpp"
 #include "io/model_files.hpp"
 #include "daemon/model_registry.hpp"
@@ -180,7 +181,7 @@ TEST(ModelRegistry, AddIsIdempotentAndKeepsWarmCaches) {
   const auto first = registry.add(models::make_tmr(), "tmr");
   // Warm the transform cache through the resident handle.
   const std::vector<bool> mask(first->model->num_states(), false);
-  first->transforms->absorbing(*first->model, mask);
+  first->transforms->absorbing(mask);
   const std::size_t warm = first->transforms->size();
   EXPECT_EQ(warm, 1u);
 
@@ -213,7 +214,8 @@ TEST(ModelRegistry, EvictsLeastRecentlyUsedAtCapacity) {
 plan::FormulaResult direct_result(const core::Mrm& model, const std::string& text) {
   const auto formula = logic::parse_formula(text);
   const plan::Plan compiled = plan::compile(model, {formula}, checker::CheckerOptions{});
-  plan::PlanResult result = plan::execute(compiled, model);
+  core::TransformCache transforms(model);
+  plan::PlanResult result = plan::execute(compiled, model, transforms);
   return std::move(result.formulas[0]);
 }
 

@@ -17,6 +17,13 @@ TEST(FoxGlynn, ZeroMeanIsPointMass) {
   EXPECT_DOUBLE_EQ(window.probability(0), 1.0);
 }
 
+TEST(FoxGlynn, RejectsAMeanWhoseWindowEndsPast2To53) {
+  // At mean 1e30 the window ends used to be converted to std::size_t out of
+  // range, and the garbage window answered 0 for every start.
+  EXPECT_THROW(fox_glynn(1e30, 1e-10), std::invalid_argument);
+  EXPECT_THROW(fox_glynn(kMaxPoissonWindowEnd, 1e-10), std::invalid_argument);
+}
+
 class FoxGlynnMeans : public ::testing::TestWithParam<double> {};
 
 TEST_P(FoxGlynnMeans, WeightsMatchStablePmf) {

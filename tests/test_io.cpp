@@ -255,6 +255,16 @@ TEST_F(MrmcheckCli, ChecksAFormulaAndExitsZero) {
   EXPECT_EQ(run(model_args_ + " NP 'P(>0.1)[Sup U[0,50][0,3000] failed]'"), 0);
 }
 
+TEST_F(MrmcheckCli, HugeHorizonsExitWithAnErrorNotAVerdict) {
+  // Lambda*t = 1e30 lies past the Poisson window limit of 2^53. These used to
+  // exit 0 under --strict with every state UNSAT.
+  const std::string spec = "'" + std::string(CSRLMRM_EXAMPLE_MODELS_DIR) + "/tmr.spec'";
+  for (const char* formula : {"P(>0.5)[Sup U[0,1e30] failed]", "R(>1e25)[C[0,1e30]]",
+                              "P(>0.5)[Sup U[1e30,2e30] failed]"}) {
+    EXPECT_EQ(run(spec + " --strict '" + formula + "'"), 1) << formula;
+  }
+}
+
 TEST_F(MrmcheckCli, RejectsUnknownOption) {
   EXPECT_EQ(run(model_args_ + " --bogus 'TT'"), 2);
 }

@@ -1,13 +1,13 @@
-// Differential test of the plan passes. For random MRMs and random formula
-// batches, the batch compiled with every pass on (CSE, transform hoisting)
-// and executed at 1/2/8 worker threads must reproduce the reference
-// BITWISE: one passes-off plan per formula at one thread, i.e. Algorithm 4.1
-// evaluated node by node with nothing shared between formulas and no cached
-// transform. The passes only decide how often,
-// and on which cached transforms, the checker/operator_eval.hpp functions
-// run; this suite is the proof that they never change a bit of verdicts,
-// value enclosures or raw values. A second test pins every accessor of the
-// ModelChecker facade to the same reference.
+// Differential test of the plan's CSE pass and the shared transform cache.
+// For random MRMs and random formula batches, the batch compiled with CSE on
+// and executed at 1/2/8 worker threads against one TransformCache must
+// reproduce the reference BITWISE: one CSE-off plan per formula at one
+// thread, each executed against a fresh cache — Algorithm 4.1 evaluated
+// node by node with nothing shared between formulas. CSE only decides how
+// often the checker/operator_eval.hpp functions run, and the cache only
+// whether a transform is rebuilt; this suite is the proof that neither
+// changes a bit of verdicts, value enclosures or raw values. A second test
+// pins every accessor of the ModelChecker facade to the same reference.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "checker/sat.hpp"
+#include "core/transform.hpp"
 #include "logic/printer.hpp"
 #include "models/random_formula.hpp"
 #include "models/random_mrm.hpp"
@@ -46,15 +47,16 @@ checker::CheckerOptions base_options() {
   return options;
 }
 
-/// The reference: `formula` alone in a passes-off plan, at one thread.
+/// The reference: `formula` alone in a CSE-off plan with a fresh transform
+/// cache, at one thread.
 plan::FormulaResult reference(const core::Mrm& model, const logic::FormulaPtr& formula) {
   checker::CheckerOptions options = base_options();
   options.threads = 1;
-  plan::PlanOptions passes_off;
-  passes_off.cse = false;
-  passes_off.hoist_transforms = false;
-  const plan::Plan compiled = plan::compile(model, {formula}, options, passes_off);
-  return plan::execute(compiled, model).formulas.front();
+  plan::PlanOptions cse_off;
+  cse_off.cse = false;
+  const plan::Plan compiled = plan::compile(model, {formula}, options, cse_off);
+  core::TransformCache fresh(model);
+  return plan::execute(compiled, model, fresh).formulas.front();
 }
 
 void expect_bitwise_equal(const checker::ProbabilityBound& expected,
@@ -115,11 +117,14 @@ TEST_P(PlanDifferentialSuite, BatchMatchesDirectCheckerBitwiseAtEveryThreadCount
   std::vector<plan::FormulaResult> expected;
   for (const auto& formula : batch) expected.push_back(reference(model, formula));
 
+  // One cache across the thread counts, as a daemon keeps one per model:
+  // the later runs take every transform from it.
+  core::TransformCache transforms(model);
   for (const unsigned threads : {1u, 2u, 8u}) {
     checker::CheckerOptions options = base_options();
     options.threads = threads;
     const plan::Plan compiled = plan::compile(model, batch, options);
-    const plan::PlanResult planned = plan::execute(compiled, model);
+    const plan::PlanResult planned = plan::execute(compiled, model, transforms);
     ASSERT_EQ(planned.formulas.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " formula[" + std::to_string(i) +
@@ -129,15 +134,16 @@ TEST_P(PlanDifferentialSuite, BatchMatchesDirectCheckerBitwiseAtEveryThreadCount
   }
 }
 
-// The ModelChecker facade (default passes, one checker per formula like the
-// single-formula CLI) must hand out the reference through every accessor.
+// The ModelChecker facade must hand out the reference through every
+// accessor. One checker serves the whole batch, so later formulas take their
+// transforms from the cache the earlier ones filled.
 TEST_P(PlanDifferentialSuite, PassesOffStillMatchesDirectChecker) {
   const std::uint32_t seed = GetParam();
   const core::Mrm model = models::make_random_mrm(seed * 11 + 2, calm_model());
+  checker::ModelChecker direct(model, base_options());
   for (const auto& formula : make_batch(seed)) {
     SCOPED_TRACE(logic::to_string(formula));
     const plan::FormulaResult expected = reference(model, formula);
-    checker::ModelChecker direct(model, base_options());
     EXPECT_EQ(direct.satisfaction_set(formula), expected.sat);
     EXPECT_EQ(direct.unknown_set(formula), expected.unknown);
     const auto verdicts = direct.verdicts(formula);

@@ -1,7 +1,8 @@
-// Pass-level unit tests of the plan compiler: each pass's effect is pinned
-// through the Plan's deterministic summary fields, the `plan.*` stats
-// counters, and — for transform hoisting — the `omega.shared_cache_*`
-// counters of the uniformization layer the shared transformed models feed.
+// Pass-level unit tests of the plan compiler and the transform cache the
+// executor shares: CSE is pinned through the Plan's deterministic summary
+// fields and the `plan.*` stats counters, transform sharing through the
+// `transform.cache_hits` counter and the `omega.shared_cache_*` counters of
+// the uniformization layer the shared transformed models feed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "checker/sat.hpp"
+#include "core/transform.hpp"
 #include "logic/parser.hpp"
 #include "models/tmr.hpp"
 #include "numeric/conditional.hpp"
@@ -45,9 +47,8 @@ class PlanPasses : public ::testing::Test {
 // ---------------------------------------------------------------------------
 
 // The Table 5.4-style batch: two thresholds over one time-reward until plus
-// the time-only variant. CSE must intern the two label sets once, share the
-// entire time-reward solve between the thresholds, and keep exactly one
-// transform op for both untils (same M[!Phi v Psi] mask).
+// the time-only variant. CSE must intern the two label sets once and share
+// the entire time-reward solve between the thresholds.
 TEST_F(PlanPasses, CseDedupCountsPinnedOnTmrBatch) {
   const core::Mrm model = models::make_tmr();
   const auto batch = parse_batch({"P(>0.1)[Sup U[0,100][0,3000] failed]",
@@ -56,20 +57,20 @@ TEST_F(PlanPasses, CseDedupCountsPinnedOnTmrBatch) {
   checker::CheckerOptions options;
   const plan::Plan compiled = plan::compile(model, batch, options);
 
-  // Ops: Sup, failed, transform, until[0,100][0,3000], cmp>0.1, cmp>0.5,
-  // until[0,100], cmp>0.1 — eight, not the 15 a per-formula lowering builds.
-  EXPECT_EQ(compiled.ops.size(), 8u);
+  // Ops: Sup, failed, until[0,100][0,3000], cmp>0.1, cmp>0.5, until[0,100],
+  // cmp>0.1 — seven, not the 12 a per-formula lowering builds.
+  EXPECT_EQ(compiled.ops.size(), 7u);
   // Hits: formula 2 re-finds Sup, failed, and the whole solve; formula 3
   // re-finds the two label sets.
   EXPECT_EQ(compiled.cse_hits, 5u);
-  EXPECT_EQ(compiled.transforms_hoisted, 1u);  // second until reuses the transform
 
   // The same numbers flow into the global counters (what `--stats` reports).
   const auto& registry = obs::StatsRegistry::global();
   EXPECT_EQ(registry.counter("plan.cse.hits"), compiled.cse_hits);
   EXPECT_EQ(registry.counter("plan.ops"), compiled.ops.size());
-  EXPECT_EQ(registry.counter("plan.transforms.hoisted"), compiled.transforms_hoisted);
   EXPECT_EQ(registry.counter("plan.compile.calls"), 1u);
+  // Compiling builds no transform.
+  EXPECT_EQ(registry.counter("transform.cache_hits"), 0u);
 
   // The shared until solve is referenced by both compare ops.
   std::size_t shared_solves = 0;
@@ -90,36 +91,46 @@ TEST_F(PlanPasses, CseOffLowersEveryOccurrenceSeparately) {
   const plan::Plan compiled = plan::compile(model, batch, options, no_cse);
   EXPECT_EQ(compiled.cse_hits, 0u);
   EXPECT_EQ(obs::StatsRegistry::global().counter("plan.cse.hits"), 0u);
-  // More ops than the deduplicated plan, and no solve is shared — the two
-  // identical time-reward untils each run their own solve. (Label-set ops
-  // legitimately reach uses=2 even here: each feeds its until op and that
-  // until's transform op. Transform sharing is the hoisting pass's toggle,
-  // not CSE's.)
+  // More ops than the deduplicated plan, and nothing is shared — the two
+  // identical time-reward untils each run their own solve, and every label
+  // occurrence is its own op.
   const plan::Plan with_cse = plan::compile(model, batch, options);
   EXPECT_GT(compiled.ops.size(), with_cse.ops.size());
-  for (const auto& op : compiled.ops) {
-    if (op.kind == plan::OpKind::kUntilSolve) EXPECT_LE(op.uses, 1u);
-  }
+  for (const auto& op : compiled.ops) EXPECT_LE(op.uses, 1u);
 }
 
 // ---------------------------------------------------------------------------
-// Transform-hoisting pass
+// Transform sharing
 // ---------------------------------------------------------------------------
+
+// N formulas through one ModelChecker whose untils all run on the same
+// M[!Sup v failed] (three P1 horizons and one P2 query): the checker's one
+// cache builds that transform for the first and serves the other N-1.
+TEST_F(PlanPasses, ModelCheckerBuildsASharedTransformOnce) {
+  const core::Mrm model = models::make_tmr();
+  checker::ModelChecker checker(model);
+  const auto batch = parse_batch({"P(>0.1)[Sup U[0,50] failed]",
+                                  "P(>0.1)[Sup U[0,100] failed]",
+                                  "P(>0.1)[Sup U[0,150] failed]",
+                                  "P(>0.1)[Sup U[0,50][0,300] failed]"});
+  for (const auto& formula : batch) checker.verdicts(formula);
+  EXPECT_EQ(obs::StatsRegistry::global().counter("transform.cache_hits"), batch.size() - 1);
+}
 
 // Two time-reward untils over the same operand sets at ratio-matched bounds
 // ([0,50][0,300] and [0,100][0,600]: same r/t, so their zero-impulse Omega
-// thresholds coincide): one hoisted transform, and part of the second
+// thresholds coincide): one shared transformed model, and part of the second
 // solve's Omega evaluators (keyed by the transformed model's reward
 // coefficients and the canonical threshold) must be served from
 // numeric::SharedOmegaCache instead of re-derived. Measured against two
-// singleton plans executed from a cold cache, the batch must spend strictly
+// singleton plans executed from cold caches, the batch must spend strictly
 // fewer misses (= evaluator derivations) and score strictly more hits.
-TEST_F(PlanPasses, HoistedTransformSharesOmegaEvaluatorsAcrossSolves) {
+TEST_F(PlanPasses, SharedTransformSharesOmegaEvaluatorsAcrossSolves) {
   const core::Mrm model = models::make_tmr();  // has impulse rewards
   checker::CheckerOptions options;
   const auto& registry = obs::StatsRegistry::global();
 
-  // Lane 1: each formula compiled and executed alone, cold cache each time —
+  // Lane 1: each formula compiled and executed alone, cold caches each time —
   // the per-process behavior of two separate mrmcheck invocations.
   std::uint64_t singleton_misses = 0;
   std::uint64_t singleton_hits = 0;
@@ -129,7 +140,8 @@ TEST_F(PlanPasses, HoistedTransformSharesOmegaEvaluatorsAcrossSolves) {
     numeric::SharedOmegaCache::global().clear();
     obs::StatsRegistry::global().reset();
     const plan::Plan single = plan::compile(model, parse_batch({text}), options);
-    plan::execute(single, model);
+    core::TransformCache transforms(model);
+    plan::execute(single, model, transforms);
     singleton_misses += registry.counter("omega.shared_cache_misses");
     singleton_hits += registry.counter("omega.shared_cache_hits");
   }
@@ -141,9 +153,9 @@ TEST_F(PlanPasses, HoistedTransformSharesOmegaEvaluatorsAcrossSolves) {
       model, parse_batch({"P(>0.1)[Sup U[0,50][0,300] failed]",
                           "P(>0.1)[Sup U[0,100][0,600] failed]"}),
       options);
-  EXPECT_EQ(batch.transforms_hoisted, 1u);
-  EXPECT_GE(registry.counter("plan.transform_prewarms"), 1u);
-  plan::execute(batch, model);
+  core::TransformCache transforms(model);
+  plan::execute(batch, model, transforms);
+  EXPECT_EQ(registry.counter("transform.cache_hits"), 1u);
   const std::uint64_t batch_misses = registry.counter("omega.shared_cache_misses");
   const std::uint64_t batch_hits = registry.counter("omega.shared_cache_hits");
 

@@ -76,8 +76,7 @@ TEST(PlanPrinterGolden, TmrTimeRewardBatch) {
 }
 
 // Unbounded + two-phase + point-interval: one line per until class, so the
-// golden pins the class annotations (P0 / P1' / point) and the transform
-// shapes next to each other.
+// golden pins the class annotations (P0 / P1' / point) next to each other.
 TEST(PlanPrinterGolden, TmrUntilClassZoo) {
   check_corpus("tmr", "tmr_until_classes.txt",
                {"P(>0.9)[Sup U failed]", "P(>0.1)[Sup U[10,100] failed]",

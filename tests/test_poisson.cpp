@@ -79,6 +79,13 @@ TEST(Poisson, TruncationPointRejectsBadEpsilon) {
   EXPECT_THROW(poisson_truncation_point(1.0, 1.0), std::invalid_argument);
 }
 
+TEST(Poisson, TruncationPointRejectsAMeanWhoseCapPasses2To53) {
+  // At mean 1e30 the cap used to be converted to std::size_t out of range.
+  EXPECT_THROW(poisson_truncation_point(1e30, 1e-10), std::invalid_argument);
+  EXPECT_THROW(poisson_truncation_point(kMaxPoissonWindowEnd, 1e-10), std::invalid_argument);
+  EXPECT_THROW(PoissonTailCache::global().table(1e30, 4), std::invalid_argument);
+}
+
 TEST(PoissonTail, MatchesDirectCdf) {
   const SharedPoissonTail table(6.5, 12);
   EXPECT_NEAR(table.cdf(10), poisson_cdf(10, 6.5), 1e-14);

@@ -1,6 +1,6 @@
 // In-process repetition: a long-lived process (mrmcheckd) answers the same
 // queries hundreds of times with progressively warmer process-lifetime
-// caches (PoissonTailCache::global(), SharedOmegaCache::global(), per-plan
+// caches (PoissonTailCache::global(), SharedOmegaCache::global(), per-run
 // TransformCaches). Every repetition must be bitwise-identical to the first,
 // cold-cache run — cache warmth is a speed effect, never a numeric one.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "checker/options.hpp"
 #include "core/approx.hpp"
 #include "core/mrm.hpp"
+#include "core/transform.hpp"
 #include "logic/parser.hpp"
 #include "models/cellphone.hpp"
 #include "models/mm1k.hpp"
@@ -31,7 +32,8 @@ struct Workload {
 
 plan::FormulaResult run_once(const core::Mrm& model, const logic::FormulaPtr& formula) {
   const plan::Plan compiled = plan::compile(model, {formula}, checker::CheckerOptions{});
-  plan::PlanResult result = plan::execute(compiled, model);
+  core::TransformCache transforms(model);
+  plan::PlanResult result = plan::execute(compiled, model, transforms);
   return std::move(result.formulas[0]);
 }
 

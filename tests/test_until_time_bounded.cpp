@@ -115,5 +115,23 @@ TEST(TimeBoundedUntil, RejectsUnsupportedTimeShapes) {
                UnsupportedFormulaError);
 }
 
+TEST(UntilClassification, EachBoundShapeLandsInOneClass) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(classify_until(Interval{}, Interval{}), UntilClass::kUnbounded);
+  EXPECT_EQ(classify_until(Interval(0.0, 5.0), Interval{}), UntilClass::kTimeBounded);
+  EXPECT_EQ(classify_until(Interval(0.0, 0.0), Interval{}), UntilClass::kTimeBounded);
+  EXPECT_EQ(classify_until(Interval(1.0, 5.0), Interval{}), UntilClass::kTwoPhase);
+  EXPECT_EQ(classify_until(Interval(5.0, 5.0), Interval{}), UntilClass::kTwoPhase);
+  EXPECT_EQ(classify_until(Interval(0.0, 5.0), Interval(0.0, 3.0)), UntilClass::kTimeReward);
+  EXPECT_EQ(classify_until(Interval(5.0, 5.0), Interval(0.0, 3.0)),
+            UntilClass::kPointTimeReward);
+  EXPECT_EQ(classify_until(Interval(1.0, inf), Interval{}), UntilClass::kUnsupported);
+  EXPECT_EQ(classify_until(Interval(1.0, 5.0), Interval(0.0, 3.0)), UntilClass::kUnsupported);
+  EXPECT_EQ(classify_until(Interval{}, Interval(0.0, 3.0)), UntilClass::kUnsupported);
+  EXPECT_EQ(classify_until(Interval(0.0, 5.0), Interval(1.0, 3.0)), UntilClass::kUnsupported);
+  // [0,~] is the trivial bound, however it is written.
+  EXPECT_EQ(classify_until(Interval(0.0, 5.0), Interval(0.0, inf)), UntilClass::kTimeBounded);
+}
+
 }  // namespace
 }  // namespace csrlmrm::checker
