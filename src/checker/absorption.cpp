@@ -33,12 +33,15 @@ void first_step_solve(const core::Mrm& model, const std::vector<bool>& unknown,
   // (I - P_UU) y = b over the unknown states U; every other successor's
   // boundary value moves into b. A zero boundary without an impulse adds
   // p * 0.0 = +0.0, which leaves b bitwise as if the transition were skipped.
+  // Triplets go in row-major order (the diagonal before the first column
+  // >= i), so the builder takes its presorted single pass; a self-loop
+  // merges as 1.0 + (-p).
   linalg::CsrBuilder builder(states.size(), states.size());
   std::vector<double> rhs(states.size(), 0.0);
   for (std::size_t i = 0; i < states.size(); ++i) {
     const core::StateIndex s = states[i];
     const double exit = model.rates().exit_rate(s);
-    builder.add(i, i, 1.0);
+    bool diagonal_added = false;
     if (!sojourn_rate.empty()) rhs[i] = sojourn_rate[s] / exit;
     for (const auto& e : model.rates().transitions(s)) {
       const double p = e.value / exit;
@@ -47,9 +50,14 @@ void first_step_solve(const core::Mrm& model, const std::vector<bool>& unknown,
         rhs[i] += p * (impulse + x[e.col]);
       } else {
         if (with_impulses) rhs[i] += p * impulse;
+        if (!diagonal_added && index[e.col] >= i) {
+          builder.add(i, i, 1.0);
+          diagonal_added = true;
+        }
         builder.add(i, index[e.col], -p);
       }
     }
+    if (!diagonal_added) builder.add(i, i, 1.0);
   }
   std::vector<double> y(states.size(), 0.0);
   const auto outcome = linalg::gauss_seidel_solve(builder.build(), rhs, y, solver);

@@ -51,13 +51,17 @@ obs::JsonValue Client::roundtrip_line(const std::string& line) {
 }
 
 std::string Client::read_line() {
+  // Only bytes appended since the last scan can hold the newline, so a reply
+  // spanning many reads is scanned once, not once per read.
+  std::size_t scanned = 0;
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scanned);
     if (newline != std::string::npos) {
       std::string line = buffer_.substr(0, newline);
       buffer_.erase(0, newline + 1);
       return line;
     }
+    scanned = buffer_.size();
     char chunk[4096];
     const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
     if (got < 0 && errno == EINTR) continue;  // interrupted, not closed: retry

@@ -277,17 +277,15 @@ void write_value(const JsonValue& value, std::string& out, int depth) {
         out += "null";
         return;
       }
-      // Integers (the common case: counters, call counts) print without a
-      // fraction; everything else uses shortest round-trip formatting.
-      if (n == std::floor(n) && std::abs(n) < 9.007199254740992e15) {
-        char buffer[32];
-        std::snprintf(buffer, sizeof(buffer), "%.0f", n);
-        out += buffer;
-      } else {
-        char buffer[40];
-        std::snprintf(buffer, sizeof(buffer), "%.17g", n);
-        out += buffer;
-      }
+      // Integers (the common case: counters, call counts) print in fixed
+      // notation without a fraction; everything else in the shortest form
+      // that parses back to the same double.
+      char buffer[32];
+      const bool integral = n == std::floor(n) && std::abs(n) < 9.007199254740992e15;
+      const auto written = integral ? std::to_chars(buffer, buffer + sizeof(buffer), n,
+                                                    std::chars_format::fixed)
+                                    : std::to_chars(buffer, buffer + sizeof(buffer), n);
+      out.append(buffer, written.ptr);
       return;
     }
     case JsonValue::Kind::kString:

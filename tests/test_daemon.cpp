@@ -608,6 +608,42 @@ TEST(DaemonServer, InfiniteExpectedRewardCrossesTheSocket) {
   EXPECT_FALSE(std::filesystem::exists(socket_path));
 }
 
+TEST(DaemonServer, ReplySpanningManyReadsDecodesBitwise) {
+  // Two P1 formulas over the 5 151 states of crowd:population=100 make a
+  // reply line of a few hundred KB, which the client reads in 4 KiB pieces;
+  // it must come back whole and bitwise equal to the direct check.
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       (std::string("mrmcheckd_big_") + std::to_string(::getpid()) + ".sock"))
+          .string();
+  daemon::ServerOptions options;
+  options.socket_path = socket_path;
+  daemon::DaemonServer server(options);
+  const std::string spec = "crowd:population=100";
+  server.registry().add(models::make_generated_mrm(spec), "c");
+  server.start();
+  {
+    daemon::Client client(socket_path);
+    daemon::CheckRequest request;
+    request.model = "c";
+    request.formulas = {"P(>0.2)[TT U[0,2] outbreak]", "P(>0.5)[!extinct U[0,4] outbreak]"};
+    const obs::JsonValue wire = client.roundtrip(daemon::check_request_to_json(request));
+    EXPECT_GT(obs::write_json_compact(wire).size(), std::size_t{64} * 4096);
+    const daemon::CheckReply reply = daemon::check_reply_from_json(wire);
+    ASSERT_TRUE(reply.ok) << reply.error;
+    ASSERT_EQ(reply.formulas.size(), 2u);
+    const core::Mrm model = models::make_generated_mrm(spec);
+    for (std::size_t f = 0; f < 2; ++f) {
+      SCOPED_TRACE(request.formulas[f]);
+      ASSERT_TRUE(reply.formulas[f].has_probabilities);
+      EXPECT_EQ(reply.formulas[f].probabilities.size(), model.num_states());
+      expect_matches_direct(reply.formulas[f], direct_result(model, request.formulas[f]));
+    }
+  }
+  server.stop();
+  EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
 TEST(DaemonServer, SocketRoundTripLoadCheckStatsShutdown) {
   const std::string socket_path =
       (std::filesystem::temp_directory_path() /

@@ -7,7 +7,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -64,6 +67,59 @@ TEST_F(StatsJson, RoundTripPreservesStructure) {
 TEST_F(StatsJson, IntegersPrintWithoutFraction) {
   obs::JsonValue v(1234567.0);
   EXPECT_EQ(obs::write_json(v), "1234567\n");
+}
+
+TEST_F(StatsJson, IntegralValuesPrintInFixedNotation) {
+  EXPECT_EQ(obs::write_json_compact(obs::JsonValue(1e15)), "1000000000000000");
+  EXPECT_EQ(obs::write_json_compact(obs::JsonValue(9007199254740991.0)), "9007199254740991");
+  EXPECT_EQ(obs::write_json_compact(obs::JsonValue(-42.0)), "-42");
+  EXPECT_EQ(obs::write_json_compact(obs::JsonValue(0.0)), "0");
+  EXPECT_EQ(obs::write_json_compact(obs::JsonValue(-0.0)), "-0");
+}
+
+TEST_F(StatsJson, NumbersPrintInTheirShortestRoundTripForm) {
+  EXPECT_EQ(obs::write_json_compact(obs::JsonValue(0.1)), "0.1");
+  EXPECT_EQ(obs::write_json_compact(obs::JsonValue(0.125)), "0.125");
+  EXPECT_EQ(obs::write_json_compact(obs::JsonValue(-2.5e-9)), "-2.5e-09");
+  EXPECT_EQ(obs::write_json_compact(obs::JsonValue(1e300)), "1e+300");
+}
+
+TEST_F(StatsJson, DoublesRoundTripBitwise) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min() / 3.0,
+                                std::numeric_limits<double>::min(),
+                                9007199254740991.0,
+                                9007199254740992.0,
+                                -9007199254740991.0,
+                                1e308,
+                                -1e308,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                0.1,
+                                1.0 / 3.0};
+  // Random bit patterns cover every exponent; uniform draws cover the
+  // probabilities and rewards the daemon actually ships.
+  std::mt19937_64 rng(20050628);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  while (values.size() < 10000) {
+    const std::uint64_t bits = rng();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value)) values.push_back(value);
+    values.push_back(unit(rng));
+  }
+  obs::JsonValue array = obs::JsonValue::array();
+  for (const double value : values) array.push_back(obs::JsonValue(value));
+  const obs::JsonValue back = obs::parse_json(obs::write_json_compact(array));
+  ASSERT_EQ(back.items().size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double parsed = back.items()[i].as_number();
+    EXPECT_EQ(std::memcmp(&parsed, &values[i], sizeof(double)), 0)
+        << "value " << i << ": " << values[i] << " came back as " << parsed;
+  }
 }
 
 TEST_F(StatsJson, EscapesAndUnescapesSpecialCharacters) {
