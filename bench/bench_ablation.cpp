@@ -10,8 +10,8 @@
 #include "checker/steady.hpp"
 #include "linalg/dense_solve.hpp"
 #include "linalg/gauss_seidel.hpp"
-#include "linalg/jacobi.hpp"
 #include "models/tmr.hpp"
+#include "oracle/jacobi.hpp"
 
 namespace {
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -135,7 +135,7 @@ int main() {
 
     std::printf("%-24s  %-22s  %-13s  %-10s\n", "truncation", "P", "E", "nodes");
     for (const std::size_t depth : {10u, 20u, 30u, 40u, 60u}) {
-      numeric::PathExplorerOptions options;
+      numeric::PathGeneratorOptions options;
       options.truncation_probability = 1e-14;  // effectively depth-only cut
       options.depth_truncation = depth;
       const auto result = engine.compute(0, t, r, options);

@@ -20,10 +20,11 @@
 #include "models/tmr.hpp"
 #include "numeric/discretization.hpp"
 #include "numeric/omega.hpp"
-#include "numeric/path_explorer.hpp"
 #include "numeric/poisson.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
+#include "oracle/path_explorer.hpp"
+#include "oracle/transient_forward.hpp"
 
 namespace {
 

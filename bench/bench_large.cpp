@@ -36,6 +36,7 @@
 #include "models/mm1k.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
+#include "oracle/transient_forward.hpp"
 
 namespace {
 

@@ -7,8 +7,8 @@
 
 #include "bench_support.hpp"
 #include "checker/steady.hpp"
-#include "core/lumping.hpp"
 #include "models/explicit_nmr.hpp"
+#include "oracle/lumping.hpp"
 
 namespace {
 double seconds_since(std::chrono::steady_clock::time_point start) {

@@ -30,6 +30,7 @@
 #include "numeric/discretization.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
+#include "oracle/transient_forward.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace {

@@ -46,7 +46,7 @@ UntilExperiment::UntilExperiment(const core::Mrm& model, const std::string& phi,
 UntilExperiment::Result UntilExperiment::uniformization(core::StateIndex start, double t,
                                                         double r, double w,
                                                         bool aggregate_signatures) const {
-  numeric::PathExplorerOptions options;
+  numeric::PathGeneratorOptions options;
   options.truncation_probability = w;
   options.aggregate_signatures = aggregate_signatures;
   const auto begin = std::chrono::steady_clock::now();

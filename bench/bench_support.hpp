@@ -9,7 +9,7 @@
 #include "core/mrm.hpp"
 #include "core/transform.hpp"
 #include "numeric/class_explorer.hpp"
-#include "numeric/path_explorer.hpp"
+#include "oracle/path_explorer.hpp"
 
 namespace csrlmrm::benchsupport {
 

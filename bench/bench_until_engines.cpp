@@ -7,7 +7,8 @@
 // truncation probability w:
 //
 //   dfpg     one depth-first path generation per start state (the thesis
-//            appendix's Algorithm 4.7, path_explorer.hpp) — the reference;
+//            appendix's Algorithm 4.7, oracle/path_explorer.hpp) — the
+//            reference;
 //   checker  ONE signature-class DP frontier sweep answering every start
 //            (class_explorer.hpp, multi-start batching) with the adaptive
 //            coarsen/DFS-hand-off escalation armed — what the checker runs

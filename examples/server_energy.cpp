@@ -7,7 +7,7 @@
 #include "checker/sat.hpp"
 #include "logic/parser.hpp"
 #include "models/mm1k.hpp"
-#include "sim/simulator.hpp"
+#include "oracle/simulator.hpp"
 
 int main() {
   using namespace csrlmrm;

@@ -7,7 +7,6 @@
 #include "checker/until.hpp"
 #include "core/transform.hpp"
 #include "models/wavelan.hpp"
-#include "numeric/path_explorer.hpp"
 
 int main() {
   using namespace csrlmrm;

@@ -1,4 +1,5 @@
-// Shared configuration and error type for the model checker.
+// Shared configuration and error type for the model checker: the options of
+// every engine it runs and the thread count they inherit.
 #pragma once
 
 #include <stdexcept>
@@ -6,7 +7,7 @@
 
 #include "linalg/solver_types.hpp"
 #include "numeric/discretization.hpp"
-#include "numeric/path_explorer.hpp"
+#include "numeric/signature_model.hpp"
 #include "numeric/transient.hpp"
 
 namespace csrlmrm::checker {
@@ -44,13 +45,15 @@ struct CheckerOptions {
   UntilMethod until_method = UntilMethod::kUniformization;
   /// Degradation policy on node-budget exhaustion (see BudgetPolicy).
   BudgetPolicy on_budget_exhausted = BudgetPolicy::kFallbackToDiscretization;
-  /// Options for the uniformization path explorer (w lives here).
+  /// Options for the signature-class DP uniformization engine (w lives
+  /// here).
   numeric::PathExplorerOptions uniformization;
   /// Options for the discretization engine (the step d lives here).
   numeric::DiscretizationOptions discretization;
   /// Linear solver controls (steady state, unbounded until).
   linalg::IterativeOptions solver;
-  /// Transient-analysis controls (time-bounded until without reward bound).
+  /// Backward transient-series controls (time-bounded until without reward
+  /// bound, R[C]).
   numeric::TransientOptions transient;
   /// Worker threads for per-state fan-out (Until/Next/R-operator evaluation
   /// over all start states) and, through the engine options above, for the

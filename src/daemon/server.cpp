@@ -148,6 +148,8 @@ void DaemonServer::accept_loop() {
 void DaemonServer::serve_connection(int fd) {
   obs::counter_add("daemon.connections");
   std::string buffer;
+  // Bytes of `buffer` known to hold no newline: a long line is scanned once.
+  std::size_t scanned = 0;
   char chunk[4096];
   bool open = true;
   while (open) {
@@ -155,10 +157,13 @@ void DaemonServer::serve_connection(int fd) {
     if (got < 0 && errno == EINTR) continue;  // interrupted, not hung up: retry
     if (got <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(got));
+    // Answer every complete line, then drop them all with one erase per read.
+    std::size_t consumed = 0;
     std::size_t newline;
-    while (open && (newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
+    while (open && (newline = buffer.find('\n', scanned)) != std::string::npos) {
+      const std::string line = buffer.substr(consumed, newline - consumed);
+      consumed = newline + 1;
+      scanned = consumed;
       if (line.empty()) continue;
       const std::string reply = handle_line(line);
       std::size_t written = 0;
@@ -175,6 +180,8 @@ void DaemonServer::serve_connection(int fd) {
         written += static_cast<std::size_t>(sent);
       }
     }
+    buffer.erase(0, consumed);
+    scanned = buffer.size();
   }
   {
     // Deregister before closing so stop() never shutdown()s a recycled fd.

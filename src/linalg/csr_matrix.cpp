@@ -144,11 +144,23 @@ double CsrMatrix::row_sum(std::size_t r) const {
 }
 
 CsrMatrix CsrMatrix::transposed() const {
-  CsrBuilder builder(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (const Entry& e : row(r)) builder.add(e.col, r, e.value);
+  // Counting sort by column: prefix-summed column counts are the transpose's
+  // row starts, and scattering the rows in ascending order leaves every
+  // transposed row sorted. Stored zeros are dropped, as CsrBuilder drops them.
+  std::vector<std::size_t> row_ptr(cols_ + 1, 0);
+  for (const Entry& e : entries_) {
+    if (!core::exactly_zero(e.value)) ++row_ptr[e.col + 1];
   }
-  return builder.build();
+  for (std::size_t c = 0; c < cols_; ++c) row_ptr[c + 1] += row_ptr[c];
+  std::vector<Entry> entries(row_ptr[cols_]);
+  std::vector<std::size_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const Entry& e = entries_[k];
+      if (!core::exactly_zero(e.value)) entries[cursor[e.col]++] = {r, e.value};
+    }
+  }
+  return CsrMatrix(cols_, rows_, std::move(row_ptr), std::move(entries));
 }
 
 std::vector<std::vector<double>> CsrMatrix::to_dense() const {

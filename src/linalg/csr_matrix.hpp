@@ -99,7 +99,8 @@ class CsrMatrix {
   /// Sum of the entries of row r.
   double row_sum(std::size_t r) const;
 
-  /// The transposed matrix (stored entries re-bucketed by column).
+  /// The transposed matrix (stored entries re-bucketed by column with one
+  /// counting pass; stored zeros are dropped). O(rows + cols + nnz).
   CsrMatrix transposed() const;
 
   /// Returns a dense rows x cols copy (row-major); intended for small

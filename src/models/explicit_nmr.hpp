@@ -3,10 +3,11 @@
 // voter condition — 2^N * 2 states in total, the model a naive translation
 // of the system description would produce.
 //
-// Because the modules are interchangeable, this model is ordinarily
-// lumpable to the (N+2)-state failed-module *counter* abstraction that
-// models/tmr.hpp builds directly; core/lumping.hpp recovers that quotient
-// automatically. Tests verify the quotient matches make_tmr state-for-state
+// Because the modules are interchangeable, the states with equal
+// failed-module counts are equivalent, and the quotient is the (N+2)-state
+// failed-module *counter* abstraction that models/tmr.hpp builds directly.
+// The partition-refinement test oracle under tests/oracle/ recovers that
+// quotient automatically; tests verify it matches make_tmr state-for-state
 // and benchmarks quantify the state-space collapse.
 //
 // Dynamics mirror the chapter-5 system with variable failure rates: every

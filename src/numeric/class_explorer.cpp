@@ -160,17 +160,12 @@ std::size_t sort_and_fold(const Frontier& raw, Frontier& merged, std::size_t sig
 
 }  // namespace
 
-SignatureClassUntilEngine::SignatureClassUntilEngine(core::Mrm transformed,
+SignatureClassUntilEngine::SignatureClassUntilEngine(const core::Mrm& transformed,
                                                      std::vector<bool> psi,
                                                      std::vector<bool> dead)
-    : sig_(std::move(transformed), std::move(psi), std::move(dead)) {
-  const std::size_t n = sig_.model.num_states();
-  live_adjacency_.resize(n);
-  for (core::StateIndex s = 0; s < n; ++s) {
-    live_adjacency_[s].reserve(sig_.adjacency[s].size());
-    for (const SignatureTransition& edge : sig_.adjacency[s]) {
-      if (!sig_.dead[edge.target]) live_adjacency_[s].push_back(edge);
-    }
+    : sig_(transformed, std::move(psi), std::move(dead)) {
+  for (std::vector<SignatureTransition>& row : sig_.adjacency) {
+    std::erase_if(row, [this](const SignatureTransition& edge) { return sig_.dead[edge.target]; });
   }
 }
 
@@ -185,7 +180,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   obs::ScopedTimer timer("classdp.until");
   obs::counter_add("classdp.calls");
   obs::counter_add("classdp.starts", starts.size());
-  const std::size_t n = sig_.model.num_states();
+  const std::size_t n = sig_.num_states;
   for (core::StateIndex start : starts) {
     if (start >= n) {
       throw std::invalid_argument("SignatureClassUntilEngine::compute: start out of range");
@@ -318,19 +313,17 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     // falls below w — the faithful aggregate of the per-path rule (4.4), so
     // the exploration volume matches the DFS engine's at equal w instead of
     // keeping a class alive as long as its total merged mass clears w. Cut
-    // mass — and every slot once the depth bound N is exceeded (eq. 4.3) —
-    // moves into the error bound, weighted by the Poisson tail
+    // mass moves into the error bound, weighted by the Poisson tail
     // Pr{ N >= level } (eq. 4.6), exactly as in the per-path rule.
     const double pmf = poisson_pmf(level, mean);
     const double tail = poisson_tail->tail(level);
-    const bool too_deep = options.depth_truncation != 0 && level > options.depth_truncation;
     std::size_t write = 0;
     for (std::size_t idx = 0; idx < frontier.size(); ++idx) {
       bool live = false;
       for (std::size_t i = 0; i < slots; ++i) {
         double& weight = frontier.weights[idx * slots + i];
         if (core::exactly_zero(weight)) continue;
-        if (too_deep || pmf * weight < w * frontier.counts[idx * slots + i]) {
+        if (pmf * weight < w * frontier.counts[idx * slots + i]) {
           ++truncated;
           results[i].error_bound += weight * tail;
           weight = 0.0;
@@ -370,7 +363,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     // keys.
     offsets.assign(frontier.size() + 1, 0);
     for (std::size_t idx = 0; idx < frontier.size(); ++idx) {
-      offsets[idx + 1] = offsets[idx] + live_adjacency_[frontier.states[idx]].size();
+      offsets[idx + 1] = offsets[idx] + sig_.adjacency[frontier.states[idx]].size();
     }
     const std::size_t total = offsets.back();
     scratch_raw.resize(total, sig_len, slots);
@@ -379,7 +372,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     parallel::parallel_for(frontier.size(), threads, [&](std::size_t begin, std::size_t end) {
       for (std::size_t idx = begin; idx < end; ++idx) {
         std::size_t out = offsets[idx];
-        for (const SignatureTransition& edge : live_adjacency_[frontier.states[idx]]) {
+        for (const SignatureTransition& edge : sig_.adjacency[frontier.states[idx]]) {
           scratch_raw.states[out] = edge.target;
           std::copy_n(frontier.sigs.begin() + static_cast<std::ptrdiff_t>(idx * sig_len),
                       sig_len,
@@ -532,14 +525,12 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
         const std::size_t level = handoff_level + frame_depth;
         const double pmf = pmf_at(level);
         const double tail = poisson_tail->tail(level);
-        const bool too_deep =
-            options.depth_truncation != 0 && level > options.depth_truncation;
         double* wrow = w_stack.data() + frame_depth * slots;
         double* crow = c_stack.data() + frame_depth * slots;
         bool live = false;
         for (std::size_t i = 0; i < slots; ++i) {
           if (core::exactly_zero(wrow[i])) continue;
-          if (too_deep || pmf * wrow[i] < w * crow[i]) {
+          if (pmf * wrow[i] < w * crow[i]) {
             ++cs.truncated;
             cs.error[i] += wrow[i] * tail;
             wrow[i] = 0.0;
@@ -597,7 +588,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
         frames.push_back({frontier.states[row], 0, 0, 0, {0, 0}});
         while (!frames.empty() && !cs.overflow) {
           const std::size_t depth = frames.size() - 1;
-          const std::vector<SignatureTransition>& edges = live_adjacency_[frames.back().state];
+          const std::vector<SignatureTransition>& edges = sig_.adjacency[frames.back().state];
           if (frames.back().edge_index >= edges.size()) {
             if (depth > 0) undo_sig(frames.back());
             frames.pop_back();

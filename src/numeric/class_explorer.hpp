@@ -1,7 +1,8 @@
 // Signature-class dynamic-programming engine for uniformization-based until
 // checking — the checker's uniformization engine for P2-class until and
-// performability queries. The depth-first path generator of
-// path_explorer.hpp (the thesis's Algorithm 4.7) is its reference oracle.
+// performability queries. The depth-first path generator of the thesis
+// (Algorithm 4.7) is its reference oracle; it lives with the other test
+// oracles under tests/oracle/ (oracle/path_explorer.hpp).
 //
 // The DFS engine enumerates uniformized paths one by one and only merges
 // their probabilities after harvesting, so its cost grows with the number of
@@ -70,7 +71,6 @@
 #include <vector>
 
 #include "core/mrm.hpp"
-#include "numeric/path_explorer.hpp"
 #include "numeric/poisson.hpp"
 #include "numeric/signature_model.hpp"
 
@@ -94,18 +94,18 @@ namespace csrlmrm::numeric {
 /// are per-slot.
 class SignatureClassUntilEngine {
  public:
-  /// Same contract as UniformizationUntilEngine: `transformed` is
-  /// M[!Phi v Psi], `psi` marks Sat(Psi), `dead` the states satisfying
-  /// neither Phi nor Psi. Masks must match the state count.
-  SignatureClassUntilEngine(core::Mrm transformed, std::vector<bool> psi,
+  /// `transformed` is M[!Phi v Psi] (read during construction only, not
+  /// kept), `psi` marks Sat(Psi), `dead` the states satisfying neither Phi
+  /// nor Psi (the formula is unsatisfiable there). Masks must match the state
+  /// count.
+  SignatureClassUntilEngine(const core::Mrm& transformed, std::vector<bool> psi,
                             std::vector<bool> dead);
 
   SignatureClassUntilEngine(const SignatureClassUntilEngine&) = delete;
   SignatureClassUntilEngine& operator=(const SignatureClassUntilEngine&) = delete;
 
   /// Evaluates Pr{ Y(t) <= r, X(t) |= Psi } from `start`; equivalent to a
-  /// one-element compute_batch. PathExplorerOptions::aggregate_signatures is
-  /// ignored — the DP merges by signature inherently.
+  /// one-element compute_batch. Requires t >= 0 and r >= 0 finite.
   UntilUniformizationResult compute(core::StateIndex start, double t, double r,
                                     const PathExplorerOptions& options = {}) const;
 
@@ -118,23 +118,11 @@ class SignatureClassUntilEngine {
       const std::vector<core::StateIndex>& starts, double t, double r,
       const PathExplorerOptions& options = {}) const;
 
-  /// The distinct state rewards r_1 > ... > r_{K+1} of the transformed model.
-  const std::vector<double>& distinct_state_rewards() const {
-    return sig_.distinct_state_rewards;
-  }
-  /// The distinct impulse rewards i_1 > ... > i_J (always containing 0).
-  const std::vector<double>& distinct_impulse_rewards() const {
-    return sig_.distinct_impulse_rewards;
-  }
-  /// The uniformization rate Lambda.
-  double lambda() const { return sig_.lambda; }
-
  private:
+  /// The signature model with transitions into dead states dropped from its
+  /// adjacency: the DFS cuts at dead states exactly (no error contribution),
+  /// the DP never generates the class in the first place.
   SignatureModel sig_;
-  /// sig_.adjacency with transitions into dead states dropped: the DFS cuts
-  /// at dead states exactly (no error contribution), the DP never generates
-  /// the class in the first place.
-  std::vector<std::vector<SignatureTransition>> live_adjacency_;
 };
 
 }  // namespace csrlmrm::numeric

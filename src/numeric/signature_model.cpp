@@ -1,7 +1,6 @@
 #include "numeric/signature_model.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <stdexcept>
 
@@ -14,10 +13,7 @@ namespace {
 
 /// Sorts descending and drops exact duplicates in place. The engines' class
 /// indices are found by binary search over this vector, so strict descending
-/// order is load-bearing. (A std::set<double> did this job before; the
-/// sort+unique form avoids one red-black-tree node allocation per inserted
-/// value — the engine constructor runs once per checker fan-out and showed up
-/// in the per-state profile.)
+/// order is load-bearing.
 void sort_distinct_descending(std::vector<double>& values) {
   std::sort(values.begin(), values.end(), std::greater<>());
   values.erase(std::unique(values.begin(), values.end()), values.end());
@@ -32,12 +28,10 @@ std::size_t class_index_descending(const std::vector<double>& descending, double
 
 }  // namespace
 
-SignatureModel::SignatureModel(core::Mrm transformed, std::vector<bool> psi_mask,
+SignatureModel::SignatureModel(const core::Mrm& model, std::vector<bool> psi_mask,
                                std::vector<bool> dead_mask)
-    : model(std::move(transformed)),
-      psi(std::move(psi_mask)),
-      dead(std::move(dead_mask)) {
-  const std::size_t n = model.num_states();
+    : num_states(model.num_states()), psi(std::move(psi_mask)), dead(std::move(dead_mask)) {
+  const std::size_t n = num_states;
   if (psi.size() != n || dead.size() != n) {
     throw std::invalid_argument("SignatureModel: mask size mismatch");
   }
@@ -71,8 +65,8 @@ SignatureModel::SignatureModel(core::Mrm transformed, std::vector<bool> psi_mask
     adjacency[s].reserve(row.size());
     for (const auto& e : row) {
       const double impulse = (e.col == s) ? 0.0 : model.impulse_reward(s, e.col);
-      adjacency[s].push_back({e.col, e.value, std::log(e.value),
-                              class_index_descending(distinct_impulse_rewards, impulse)});
+      adjacency[s].push_back(
+          {e.col, e.value, class_index_descending(distinct_impulse_rewards, impulse)});
     }
   }
 }

@@ -17,22 +17,6 @@ namespace csrlmrm::numeric {
 
 namespace {
 
-void require_distribution(const core::RateMatrix& rates, const std::vector<double>& initial) {
-  if (initial.size() != rates.num_states()) {
-    throw std::invalid_argument("transient: initial distribution size mismatch");
-  }
-  double mass = 0.0;
-  for (double p : initial) {
-    if (!(p >= 0.0) || !std::isfinite(p)) {
-      throw std::invalid_argument("transient: probabilities must be finite and >= 0");
-    }
-    mass += p;
-  }
-  if (std::abs(mass - 1.0) > 1e-6) {
-    throw std::invalid_argument("transient: initial distribution does not sum to 1");
-  }
-}
-
 void require_column(const core::RateMatrix& rates, const std::vector<double>& column,
                     const char* caller) {
   if (column.size() != rates.num_states()) {
@@ -49,12 +33,12 @@ void require_time(double t) {
   }
 }
 
-/// The operator of a series: the gather matrix (P for the backward series,
-/// P^T for the forward one) repacked into the blocked layout, and the thread
-/// count its products run at. Every output entry accumulates in ascending
-/// source order at any thread count, so results are bitwise-identical to a
-/// serial CSR gather (tests/test_blocked_spmv.cpp pins this); the inputs
-/// are checked finite, which the blocked kernel's padding requires.
+/// The operator of a series: the uniformized matrix P repacked into the
+/// blocked layout, and the thread count its products run at. Every output
+/// entry accumulates in ascending source order at any thread count, so
+/// results are bitwise-identical to a serial CSR gather
+/// (tests/test_blocked_spmv.cpp pins this); the inputs are checked finite,
+/// which the blocked kernel's padding requires.
 struct SeriesOperator {
   SeriesOperator(const linalg::CsrMatrix& gather, std::size_t terms, unsigned requested_threads)
       : matrix(gather),
@@ -70,20 +54,15 @@ struct SeriesOperator {
   unsigned threads;
 };
 
-/// Norm the steady-state criterion contracts in: the forward (row-vector)
-/// iteration is non-expansive in the 1-norm, the backward (column-vector)
-/// iteration in the max norm. Either norm bounds every per-state error.
-enum class SteadyNorm { kL1, kMax };
-
-/// Body of every uniformization series: accumulate the Fox-Glynn-weighted
-/// terms, optionally cutting the series once successive iterates have
-/// stabilized. With detection off the operation sequence is exactly the
-/// historical one, so results are bitwise unchanged.
+/// Body of the backward series: accumulate the Fox-Glynn-weighted terms,
+/// optionally cutting the series once successive iterates have stabilized in
+/// the max norm (the column-vector iteration is non-expansive there). With
+/// detection off the operation sequence is exactly the historical one, so
+/// results are bitwise unchanged.
 TransientResult accumulate_series(const SeriesOperator& op, const FoxGlynnWeights& window,
-                                  std::vector<double> initial, const TransientOptions& options,
-                                  SteadyNorm norm) {
+                                  std::vector<double> initial, const TransientOptions& options) {
   TransientResult out;
-  std::vector<double> term = std::move(initial);  // p(0) * P^i (or P^i * u0)
+  std::vector<double> term = std::move(initial);  // P^i * u0
   std::vector<double> scratch(term.size(), 0.0);
   out.values.assign(term.size(), 0.0);
   for (std::size_t i = 0; i <= window.right; ++i) {
@@ -99,19 +78,15 @@ TransientResult accumulate_series(const SeriesOperator& op, const FoxGlynnWeight
     if (options.detect_steady_state && i + 1 < window.right) {
       const std::size_t remaining = window.right - (i + 1);
       double delta = 0.0;
-      if (norm == SteadyNorm::kL1) {
-        for (std::size_t s = 0; s < term.size(); ++s) delta += std::abs(term[s] - scratch[s]);
-      } else {
-        for (std::size_t s = 0; s < term.size(); ++s) {
-          delta = std::max(delta, std::abs(term[s] - scratch[s]));
-        }
+      for (std::size_t s = 0; s < term.size(); ++s) {
+        delta = std::max(delta, std::abs(term[s] - scratch[s]));
       }
       if (delta * static_cast<double>(remaining) <= options.steady_epsilon) {
-        // The uniformized step is non-expansive in `norm`, so every future
-        // iterate stays within remaining * delta of the current one; folding
-        // the whole remaining (normalized) Poisson mass onto the current
-        // iterate therefore closes the series with a per-state error of at
-        // most steady_error — accounted into the caller's interval.
+        // The uniformized step is non-expansive in the max norm, so every
+        // future iterate stays within remaining * delta of the current one;
+        // folding the whole remaining (normalized) Poisson mass onto the
+        // current iterate therefore closes the series with a per-state error
+        // of at most steady_error — accounted into the caller's interval.
         double tail_mass = 0.0;
         for (std::size_t k = std::max(window.left, i + 1); k <= window.right; ++k) {
           tail_mass += window.probability(k - window.left);
@@ -152,48 +127,6 @@ linalg::CsrMatrix uniformized_transition_matrix(const core::RateMatrix& rates,
   return builder.build();
 }
 
-TransientResult transient_distribution_checked(const core::RateMatrix& rates,
-                                               const std::vector<double>& initial, double t,
-                                               const TransientOptions& options) {
-  obs::ScopedTimer timer("transient.distribution");
-  obs::counter_add("transient.calls");
-  require_distribution(rates, initial);
-  require_time(t);
-  TransientResult out;
-  if (core::exactly_zero(t) || core::exactly_zero(rates.max_exit_rate())) {
-    out.values = initial;  // nothing moves (t = 0 or every state absorbing)
-    return out;
-  }
-
-  double lambda = 0.0;
-  const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
-
-  // Fox-Glynn window and weights: only the [left, right] Poisson terms
-  // carry mass above the tolerance; normalizing by the weight total keeps
-  // the result an (eps-accurate) distribution.
-  const auto window = fox_glynn(lambda * t, options.epsilon);
-
-  const SeriesOperator op(P.transposed(), window.right + 1, options.threads);
-  return accumulate_series(op, window, initial, options, SteadyNorm::kL1);
-}
-
-std::vector<double> transient_distribution(const core::RateMatrix& rates,
-                                           const std::vector<double>& initial, double t,
-                                           const TransientOptions& options) {
-  return transient_distribution_checked(rates, initial, t, options).values;
-}
-
-std::vector<double> transient_distribution_from(const core::RateMatrix& rates,
-                                                core::StateIndex start, double t,
-                                                const TransientOptions& options) {
-  if (start >= rates.num_states()) {
-    throw std::invalid_argument("transient_distribution_from: start state out of range");
-  }
-  std::vector<double> initial(rates.num_states(), 0.0);
-  initial[start] = 1.0;
-  return transient_distribution(rates, initial, t, options);
-}
-
 TransientResult transient_backward(const core::RateMatrix& rates, std::vector<double> u0,
                                    double t, const TransientOptions& options) {
   obs::ScopedTimer timer("transient.backward");
@@ -210,7 +143,7 @@ TransientResult transient_backward(const core::RateMatrix& rates, std::vector<do
   const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
   const auto window = fox_glynn(lambda * t, options.epsilon);
   const SeriesOperator op(P, window.right + 1, options.threads);
-  return accumulate_series(op, window, std::move(u0), options, SteadyNorm::kMax);
+  return accumulate_series(op, window, std::move(u0), options);
 }
 
 std::vector<double> occupation_backward(const core::RateMatrix& rates,

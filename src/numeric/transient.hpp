@@ -11,14 +11,13 @@
 //   occupation_backward — E[ int_0^t g(X(u)) du | X(0) = s ] for every s:
 //                         the R[C] cumulative reward (g = gain rates).
 // The forward row-vector series p(t) = p(0) * sum_i PoissonPmf(i) P^i is
-// kept as the per-distribution oracle tests and benchmarks compare against.
+// the per-distribution test oracle (tests/oracle/transient_forward.hpp).
 //
 // Every series ping-pongs two preallocated buffers (no per-term
 // allocation) and advances with one operator at every model size: the
-// blocked gather linalg::BlockedCsrMatrix::multiply_into over P (backward)
-// or P^T (forward). Each output entry accumulates in ascending source order
-// at any thread count, so results are bitwise-identical to a serial CSR
-// gather. Input vectors must be finite (std::invalid_argument otherwise).
+// blocked gather linalg::BlockedCsrMatrix::multiply_into over P. Each
+// output entry accumulates in ascending source order at any thread count, so
+// results are bitwise-identical to a serial CSR gather. Input vectors must be finite (std::invalid_argument otherwise).
 #pragma once
 
 #include <vector>
@@ -52,8 +51,8 @@ struct TransientOptions {
 
 /// A transient solve plus the accounting a sound interval verdict needs.
 struct TransientResult {
-  /// The per-state result vector (a distribution for the forward series, the
-  /// per-start expectations for the backward series).
+  /// The per-state result vector: the per-start expectations of the backward
+  /// series (a distribution for the forward test oracle).
   std::vector<double> values;
   /// Bound on the additional two-sided per-state error introduced by the
   /// steady-state fold; 0.0 when detection is off or never fired. The
@@ -66,31 +65,11 @@ struct TransientResult {
   std::size_t series_terms = 0;
 };
 
-/// Forward series: state occupation probabilities at time t >= 0 starting
-/// from distribution `initial` (one finite, non-negative entry per state,
-/// summing to 1 within 1e-6). Throws std::invalid_argument on bad inputs.
-std::vector<double> transient_distribution(const core::RateMatrix& rates,
-                                           const std::vector<double>& initial, double t,
-                                           const TransientOptions& options = {});
-
-/// transient_distribution with the steady-state accounting exposed: the
-/// distribution plus the fold error, detection flag, and term count. With
-/// options.detect_steady_state == false the values are bitwise identical to
-/// transient_distribution's.
-TransientResult transient_distribution_checked(const core::RateMatrix& rates,
-                                               const std::vector<double>& initial, double t,
-                                               const TransientOptions& options = {});
-
-/// Convenience: transient distribution started from a single state.
-std::vector<double> transient_distribution_from(const core::RateMatrix& rates,
-                                                core::StateIndex start, double t,
-                                                const TransientOptions& options = {});
-
 /// The uniformized one-step matrix P = I + Q/Lambda (Definition 4.2) with
 /// Lambda = max exit rate (1 for an all-absorbing chain); `lambda_out`
 /// receives Lambda. The self loop is 1 - (sum of the row's off-diagonal
 /// probabilities), which keeps rows stochastic to machine precision. The one
-/// builder of P: every series here and the uniformization explorers'
+/// builder of P: every series here and the uniformization engine's
 /// SignatureModel use it.
 linalg::CsrMatrix uniformized_transition_matrix(const core::RateMatrix& rates,
                                                 double& lambda_out);

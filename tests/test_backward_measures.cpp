@@ -45,6 +45,7 @@
 #include "numeric/poisson.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
+#include "oracle/transient_forward.hpp"
 
 namespace csrlmrm {
 namespace {

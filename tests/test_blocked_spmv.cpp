@@ -24,6 +24,7 @@
 #include "numeric/fox_glynn.hpp"
 #include "numeric/poisson.hpp"
 #include "numeric/transient.hpp"
+#include "oracle/transient_forward.hpp"
 
 namespace csrlmrm {
 namespace {

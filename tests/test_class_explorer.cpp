@@ -22,8 +22,8 @@
 #include "models/random_mrm.hpp"
 #include "models/tmr.hpp"
 #include "numeric/class_explorer.hpp"
-#include "numeric/path_explorer.hpp"
 #include "obs/stats.hpp"
+#include "oracle/path_explorer.hpp"
 
 namespace csrlmrm {
 namespace {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace csrlmrm::linalg {
 namespace {
@@ -132,6 +137,82 @@ TEST(CsrMatrix, DoubleTransposeIsIdentityOperation) {
   for (std::size_t r = 0; r < 3; ++r) {
     for (std::size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(tt.at(r, c), m.at(r, c));
   }
+}
+
+/// The transpose built the way CsrBuilder would build it: every stored entry
+/// re-added as a (col, row) triplet, then sorted.
+CsrMatrix builder_transpose(const CsrMatrix& m) {
+  CsrBuilder builder(m.cols(), m.rows());
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (const Entry& e : m.row(r)) builder.add(e.col, r, e.value);
+  }
+  return builder.build();
+}
+
+/// Same shape, same row extents, same columns, bitwise-same values.
+void expect_bitwise_equal(const CsrMatrix& a, const CsrMatrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  ASSERT_EQ(a.non_zeros(), b.non_zeros());
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const auto ra = a.row(r);
+    const auto rb = b.row(r);
+    ASSERT_EQ(ra.size(), rb.size()) << "row " << r;
+    for (std::size_t k = 0; k < ra.size(); ++k) {
+      EXPECT_EQ(ra[k].col, rb[k].col) << "row " << r;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ra[k].value),
+                std::bit_cast<std::uint64_t>(rb[k].value))
+          << "row " << r;
+    }
+  }
+}
+
+TEST(CsrMatrix, CountingTransposeMatchesTheBuilderRouteBitwise) {
+  // Square and non-square shapes at a few densities; sparse ones leave empty
+  // rows and empty columns, which the counting pass must keep as empty
+  // transposed rows.
+  struct Shape {
+    std::size_t rows;
+    std::size_t cols;
+    double density;
+  };
+  const Shape shapes[] = {{1, 1, 1.0},  {7, 7, 0.3},   {40, 40, 0.05}, {13, 31, 0.1},
+                          {31, 13, 0.1}, {1, 50, 0.2}, {50, 1, 0.2},   {64, 64, 0.0},
+                          {25, 60, 0.5}};
+  std::mt19937_64 rng(20);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_real_distribution<double> value(-5.0, 5.0);
+  std::size_t empty_rows = 0;
+  std::size_t empty_cols = 0;
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(std::to_string(shape.rows) + "x" + std::to_string(shape.cols));
+    CsrBuilder builder(shape.rows, shape.cols);
+    std::vector<bool> row_used(shape.rows, false);
+    std::vector<bool> col_used(shape.cols, false);
+    for (std::size_t r = 0; r < shape.rows; ++r) {
+      for (std::size_t c = 0; c < shape.cols; ++c) {
+        if (unit(rng) < shape.density) {
+          builder.add(r, c, value(rng));
+          row_used[r] = true;
+          col_used[c] = true;
+        }
+      }
+    }
+    const CsrMatrix m = builder.build();
+    const CsrMatrix t = m.transposed();
+    expect_bitwise_equal(t, builder_transpose(m));
+    expect_bitwise_equal(t.transposed(), m);
+    for (std::size_t c = 0; c < shape.cols; ++c) {
+      EXPECT_EQ(t.row(c).empty(), !col_used[c]) << "column " << c;
+      if (!col_used[c]) ++empty_cols;
+    }
+    for (std::size_t r = 0; r < shape.rows; ++r) {
+      if (!row_used[r]) ++empty_rows;
+    }
+  }
+  // The corpus really exercises empty rows and empty columns.
+  EXPECT_GT(empty_rows, 0u);
+  EXPECT_GT(empty_cols, 0u);
 }
 
 TEST(CsrMatrix, ToDenseMatchesAt) {

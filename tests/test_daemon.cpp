@@ -3,9 +3,12 @@
 // degradation paths), the socket server, and the concurrent soak test
 // pinning daemon results bitwise-identical to cold direct checks.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -639,6 +642,150 @@ TEST(DaemonServer, ReplySpanningManyReadsDecodesBitwise) {
       EXPECT_EQ(reply.formulas[f].probabilities.size(), model.num_states());
       expect_matches_direct(reply.formulas[f], direct_result(model, request.formulas[f]));
     }
+  }
+  server.stop();
+  EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+/// A bare client connection that can pipeline: send many framed requests in
+/// one send, then read the replies line by line.
+class PipelinedConnection {
+ public:
+  explicit PipelinedConnection(const std::string& socket_path)
+      : fd_(::socket(AF_UNIX, SOCK_STREAM, 0)) {
+    sockaddr_un address{};
+    address.sun_family = AF_UNIX;
+    if (fd_ < 0 || socket_path.size() >= sizeof(address.sun_path)) return;
+    std::memcpy(address.sun_path, socket_path.c_str(), socket_path.size() + 1);
+    connected_ =
+        ::connect(fd_, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) == 0;
+  }
+  ~PipelinedConnection() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  PipelinedConnection(const PipelinedConnection&) = delete;
+  PipelinedConnection& operator=(const PipelinedConnection&) = delete;
+
+  bool connected() const { return connected_; }
+
+  bool send_all(const std::string& bytes) {
+    std::size_t written = 0;
+    while (written < bytes.size()) {
+      const ssize_t sent =
+          ::send(fd_, bytes.data() + written, bytes.size() - written, MSG_NOSIGNAL);
+      if (sent < 0 && errno == EINTR) continue;
+      if (sent <= 0) return false;
+      written += static_cast<std::size_t>(sent);
+    }
+    return true;
+  }
+
+  /// The next reply line; empty when the daemon closed the connection.
+  std::string read_line() {
+    for (;;) {
+      const std::size_t newline = buffer_.find('\n', scanned_);
+      if (newline != std::string::npos) {
+        std::string line = buffer_.substr(0, newline);
+        buffer_.erase(0, newline + 1);
+        scanned_ = 0;
+        return line;
+      }
+      scanned_ = buffer_.size();
+      char chunk[4096];
+      const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) return {};
+      buffer_.append(chunk, static_cast<std::size_t>(got));
+    }
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+  std::string buffer_;
+  std::size_t scanned_ = 0;
+};
+
+TEST(DaemonServer, PipelinedRequestsAreAnsweredInOrderBitwise) {
+  // 96 check requests (four formulas in turn, ids 0..95) leave the client in
+  // one send, so the daemon finds many lines per read. Every reply must come
+  // back in request order, carry its id, and match the direct check bitwise.
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       (std::string("mrmcheckd_pipe_") + std::to_string(::getpid()) + ".sock"))
+          .string();
+  daemon::ServerOptions options;
+  options.socket_path = socket_path;
+  daemon::DaemonServer server(options);
+  server.registry().add(models::make_tmr(), "tmr");
+  server.start();
+  const std::vector<std::string> formulas = {
+      "P(>0.1)[Sup U[0,10][0,300] failed]", "S(<0.9) allUp", "P(>0.5)[TT U[0,5] failed]",
+      "P(>0.1)[Sup U[0,50][0,3000] failed]"};
+  std::vector<plan::FormulaResult> expected;
+  for (const std::string& text : formulas) {
+    expected.push_back(direct_result(models::make_tmr(), text));
+  }
+  constexpr std::size_t kRequests = 96;
+  {
+    PipelinedConnection connection(socket_path);
+    ASSERT_TRUE(connection.connected());
+    std::string pipelined;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      daemon::CheckRequest request;
+      request.model = "tmr";
+      request.formulas = {formulas[i % formulas.size()]};
+      obs::JsonValue json = daemon::check_request_to_json(request);
+      json.set("id", obs::JsonValue(std::to_string(i)));
+      pipelined += daemon::frame(json);
+    }
+    ASSERT_TRUE(connection.send_all(pipelined));
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      SCOPED_TRACE("request " + std::to_string(i));
+      const std::string line = connection.read_line();
+      ASSERT_FALSE(line.empty());
+      const obs::JsonValue wire = obs::parse_json(line);
+      EXPECT_EQ(wire.at("id").as_string(), std::to_string(i));
+      const daemon::CheckReply reply = daemon::check_reply_from_json(wire);
+      ASSERT_TRUE(reply.ok) << reply.error;
+      ASSERT_EQ(reply.formulas.size(), 1u);
+      expect_matches_direct(reply.formulas[0], expected[i % formulas.size()]);
+    }
+  }
+  server.stop();
+  EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+TEST(DaemonServer, RequestLineOfManyReadsGetsOneWellFormedReply) {
+  // A ping whose id alone is 300 000 bytes arrives over more than 64 reads
+  // of 4 KiB. It must be answered exactly once, as one well-formed reply
+  // echoing the whole id, and the next request must get the next reply.
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       (std::string("mrmcheckd_long_") + std::to_string(::getpid()) + ".sock"))
+          .string();
+  daemon::ServerOptions options;
+  options.socket_path = socket_path;
+  daemon::DaemonServer server(options);
+  server.start();
+  {
+    daemon::Client client(socket_path);
+    const std::string long_id(300000, 'x');
+    obs::JsonValue ping = obs::JsonValue::object();
+    ping.set("op", obs::JsonValue(std::string("ping")));
+    ping.set("id", obs::JsonValue(long_id));
+    const std::string line = daemon::frame(ping);
+    EXPECT_GT(line.size(), std::size_t{64} * 4096);
+    const obs::JsonValue pong = client.roundtrip_line(line);
+    EXPECT_TRUE(pong.at("ok").as_bool());
+    EXPECT_EQ(pong.at("id").as_string(), long_id);
+
+    obs::JsonValue next = obs::JsonValue::object();
+    next.set("op", obs::JsonValue(std::string("ping")));
+    next.set("id", obs::JsonValue(std::string("next")));
+    const obs::JsonValue after = client.roundtrip(next);
+    EXPECT_TRUE(after.at("ok").as_bool());
+    EXPECT_EQ(after.at("id").as_string(), "next");
   }
   server.stop();
   EXPECT_FALSE(std::filesystem::exists(socket_path));

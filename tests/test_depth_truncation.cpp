@@ -4,7 +4,7 @@
 
 #include "core/transform.hpp"
 #include "models/wavelan.hpp"
-#include "numeric/path_explorer.hpp"
+#include "oracle/path_explorer.hpp"
 
 namespace csrlmrm::numeric {
 namespace {
@@ -31,7 +31,7 @@ struct Workload {
 
 TEST(DepthTruncation, CapsTheExploredDepth) {
   Workload workload;
-  PathExplorerOptions options;
+  PathGeneratorOptions options;
   options.truncation_probability = 1e-18;
   options.depth_truncation = 10;
   const auto result = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, options);
@@ -40,11 +40,11 @@ TEST(DepthTruncation, CapsTheExploredDepth) {
 
 TEST(DepthTruncation, ErrorBoundCoversTheDiscardedMass) {
   Workload workload;
-  PathExplorerOptions fine;
+  PathGeneratorOptions fine;
   fine.truncation_probability = 1e-18;
   const auto reference = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, fine);
 
-  PathExplorerOptions shallow = fine;
+  PathGeneratorOptions shallow = fine;
   shallow.depth_truncation = 6;
   const auto truncated = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, shallow);
   EXPECT_LE(truncated.probability, reference.probability + 1e-12);
@@ -54,10 +54,10 @@ TEST(DepthTruncation, ErrorBoundCoversTheDiscardedMass) {
 
 TEST(DepthTruncation, DeepEnoughBoundIsHarmless) {
   Workload workload;
-  PathExplorerOptions fine;
+  PathGeneratorOptions fine;
   fine.truncation_probability = 1e-15;
   const auto reference = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, fine);
-  PathExplorerOptions capped = fine;
+  PathGeneratorOptions capped = fine;
   capped.depth_truncation = 4096;  // far beyond any surviving path
   const auto result = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, capped);
   EXPECT_DOUBLE_EQ(result.probability, reference.probability);
@@ -66,7 +66,7 @@ TEST(DepthTruncation, DeepEnoughBoundIsHarmless) {
 
 TEST(DepthTruncation, ErrorShrinksMonotonicallyWithDepth) {
   Workload workload;
-  PathExplorerOptions options;
+  PathGeneratorOptions options;
   options.truncation_probability = 1e-18;
   double previous_error = 2.0;
   double previous_probability = -1.0;
@@ -82,10 +82,10 @@ TEST(DepthTruncation, ErrorShrinksMonotonicallyWithDepth) {
 
 TEST(DepthTruncation, DepthZeroDisablesTheBound) {
   Workload workload;
-  PathExplorerOptions with;
+  PathGeneratorOptions with;
   with.truncation_probability = 1e-15;
   with.depth_truncation = 0;
-  PathExplorerOptions without;
+  PathGeneratorOptions without;
   without.truncation_probability = 1e-15;
   const auto a = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, with);
   const auto b = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, without);

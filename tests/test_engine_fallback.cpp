@@ -10,8 +10,8 @@
 #include "checker/sat.hpp"
 #include "checker/until.hpp"
 #include "logic/ast.hpp"
-#include "numeric/path_explorer.hpp"
 #include "obs/stats.hpp"
+#include "oracle/path_explorer.hpp"
 
 namespace csrlmrm::checker {
 namespace {

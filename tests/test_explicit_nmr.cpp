@@ -5,8 +5,8 @@
 
 #include "checker/sat.hpp"
 #include "checker/steady.hpp"
-#include "core/lumping.hpp"
 #include "logic/parser.hpp"
+#include "oracle/lumping.hpp"
 
 namespace csrlmrm::models {
 namespace {

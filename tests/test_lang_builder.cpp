@@ -3,11 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "checker/sat.hpp"
-#include "core/lumping.hpp"
 #include "lang/builder.hpp"
 #include "logic/parser.hpp"
 #include "models/mm1k.hpp"
 #include "models/tmr.hpp"
+#include "oracle/lumping.hpp"
 
 namespace csrlmrm::lang {
 namespace {

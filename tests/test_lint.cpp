@@ -236,6 +236,41 @@ TEST(LintRules, SolverStatsAppliesToSrcOnly) {
   EXPECT_TRUE(lint_source("bench/a.cpp", snippet).diagnostics.empty());
 }
 
+// tests/oracle/ (DFPG, Jacobi, the simulator) is held to the hot-subsystem
+// rules, while the rest of tests/ stays exempt.
+TEST(LintRules, OracleLibraryKeepsTheHotSubsystemRules) {
+  const LintReport unordered = lint_source("tests/oracle/a.cpp", kUnorderedSnippet);
+  ASSERT_EQ(unordered.diagnostics.size(), 1u);
+  EXPECT_EQ(unordered.diagnostics[0].rule, "unordered-iteration");
+  EXPECT_EQ(lint_source("/repo/tests/oracle/a.cpp", kUnorderedSnippet).diagnostics.size(), 1u);
+  EXPECT_TRUE(lint_source("tests/a.cpp", kUnorderedSnippet).diagnostics.empty());
+
+  constexpr const char* snippet =
+      "int jacobi_solve(int n) {\n"
+      "  int acc = 0;\n"
+      "  for (int i = 0; i < n; ++i) acc += i;\n"
+      "  return acc;\n"
+      "}\n";
+  const LintReport solver = lint_source("tests/oracle/a.cpp", snippet);
+  ASSERT_EQ(solver.diagnostics.size(), 1u);
+  EXPECT_EQ(solver.diagnostics[0].rule, "solver-stats");
+  EXPECT_TRUE(lint_source("tests/a.cpp", snippet).diagnostics.empty());
+}
+
+#if defined(CSRLMRM_SOURCE_DIR)
+// The real oracle library is clean under those rules, and DFPG's sorted drain
+// of its signature hash map is the one unordered-iteration match it silences.
+TEST(LintRules, OracleLibraryIsCleanWithItsOneSuppression) {
+  const std::string oracle_dir = std::string(CSRLMRM_SOURCE_DIR) + "/tests/oracle";
+  LintOptions only_unordered;
+  only_unordered.rule_filter = {"unordered-iteration"};
+  const LintReport report = lint_paths({oracle_dir}, only_unordered);
+  EXPECT_TRUE(report.clean()) << format_text(report);
+  EXPECT_GE(report.files_scanned, 6u);
+  EXPECT_GE(report.suppressed, 1u);
+}
+#endif  // CSRLMRM_SOURCE_DIR
+
 TEST(LintRules, ApprovedHelperPrefixesAreExempt) {
   EXPECT_TRUE(
       lint_source("src/core/a.hpp",

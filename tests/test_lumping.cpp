@@ -1,6 +1,6 @@
 // Ordinary lumpability: partition correctness, quotient construction, and
 // preservation of checker results.
-#include "core/lumping.hpp"
+#include "oracle/lumping.hpp"
 
 #include <gtest/gtest.h>
 

@@ -21,6 +21,7 @@
 #include "models/random_mrm.hpp"
 #include "numeric/discretization.hpp"
 #include "numeric/transient.hpp"
+#include "oracle/transient_forward.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace csrlmrm {

@@ -1,6 +1,6 @@
 // TimedPath semantics (Definition 3.3), pinned to the thesis's worked
 // Example 3.2 on the WaveLAN model.
-#include "core/path.hpp"
+#include "oracle/path.hpp"
 
 #include <gtest/gtest.h>
 

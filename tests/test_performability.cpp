@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "models/mm1k.hpp"
-#include "numeric/path_explorer.hpp"
 #include "models/wavelan.hpp"
-#include "sim/simulator.hpp"
+#include "oracle/path_explorer.hpp"
+#include "oracle/simulator.hpp"
 
 namespace csrlmrm::checker {
 namespace {

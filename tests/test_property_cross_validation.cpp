@@ -11,9 +11,9 @@
 #include "core/transform.hpp"
 #include "models/random_mrm.hpp"
 #include "numeric/discretization.hpp"
-#include "numeric/path_explorer.hpp"
 #include "obs/stats.hpp"
-#include "sim/simulator.hpp"
+#include "oracle/path_explorer.hpp"
+#include "oracle/simulator.hpp"
 
 namespace csrlmrm {
 namespace {
@@ -224,9 +224,9 @@ TEST(CrossValidation, AggregationAblationIsExactOnRandomModels) {
     std::vector<bool> absorb = psi;
     const core::Mrm transformed = core::make_absorbing(model, absorb);
     numeric::UniformizationUntilEngine engine(transformed, psi, dead);
-    numeric::PathExplorerOptions aggregated;
+    numeric::PathGeneratorOptions aggregated;
     aggregated.truncation_probability = 1e-11;
-    numeric::PathExplorerOptions per_path = aggregated;
+    numeric::PathGeneratorOptions per_path = aggregated;
     per_path.aggregate_signatures = false;
     const auto a = engine.compute(0, 1.0, 5.0, aggregated);
     const auto b = engine.compute(0, 1.0, 5.0, per_path);

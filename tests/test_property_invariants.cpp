@@ -9,7 +9,7 @@
 #include "graph/scc.hpp"
 #include "linalg/vector_ops.hpp"
 #include "models/random_mrm.hpp"
-#include "numeric/transient.hpp"
+#include "oracle/transient_forward.hpp"
 
 namespace csrlmrm {
 namespace {

@@ -1,6 +1,6 @@
 // Monte Carlo simulator: closed forms, agreement with the exact engines,
 // and semantics corners (arrival-instant witnesses, general intervals).
-#include "sim/simulator.hpp"
+#include "oracle/simulator.hpp"
 
 #include <gtest/gtest.h>
 

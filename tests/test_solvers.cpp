@@ -6,7 +6,7 @@
 #include "linalg/csr_matrix.hpp"
 #include "linalg/dense_solve.hpp"
 #include "linalg/gauss_seidel.hpp"
-#include "linalg/jacobi.hpp"
+#include "oracle/jacobi.hpp"
 
 namespace csrlmrm::linalg {
 namespace {

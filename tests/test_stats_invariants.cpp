@@ -11,9 +11,9 @@
 #include "core/transform.hpp"
 #include "linalg/gauss_seidel.hpp"
 #include "models/random_mrm.hpp"
-#include "numeric/path_explorer.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
+#include "oracle/path_explorer.hpp"
 
 namespace csrlmrm {
 namespace {

@@ -17,6 +17,7 @@
 #include "models/mm1k.hpp"
 #include "models/random_mrm.hpp"
 #include "numeric/transient.hpp"
+#include "oracle/transient_forward.hpp"
 
 namespace csrlmrm {
 namespace {

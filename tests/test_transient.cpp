@@ -1,5 +1,6 @@
 // Standard CTMC transient analysis against closed forms.
 #include "numeric/transient.hpp"
+#include "oracle/transient_forward.hpp"
 
 #include <gtest/gtest.h>
 

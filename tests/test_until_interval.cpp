@@ -6,7 +6,7 @@
 
 #include "checker/until.hpp"
 #include "models/wavelan.hpp"
-#include "sim/simulator.hpp"
+#include "oracle/simulator.hpp"
 
 namespace csrlmrm::checker {
 namespace {

@@ -7,7 +7,7 @@
 #include "checker/until.hpp"
 #include "core/transform.hpp"
 #include "models/wavelan.hpp"
-#include "numeric/path_explorer.hpp"
+#include "oracle/path_explorer.hpp"
 
 namespace csrlmrm::checker {
 namespace {
@@ -218,9 +218,9 @@ TEST(RewardBoundedUntil, SignatureAggregationDoesNotChangeTheResult) {
   }
   const numeric::UniformizationUntilEngine engine(core::make_absorbing(model, absorb), busy,
                                                   dead);
-  numeric::PathExplorerOptions aggregated;
+  numeric::PathGeneratorOptions aggregated;
   aggregated.truncation_probability = 1e-18;
-  numeric::PathExplorerOptions per_path = aggregated;
+  numeric::PathGeneratorOptions per_path = aggregated;
   per_path.aggregate_signatures = false;
   const auto a = engine.compute(models::kWavelanIdle, 1.0, 2000.0, aggregated);
   const auto b = engine.compute(models::kWavelanIdle, 1.0, 2000.0, per_path);

@@ -68,6 +68,15 @@ void FileContext::classify_path() {
     return p.substr(rest, slash - rest);
   };
 
+  // The test-oracle library (DFPG, the forward series, Jacobi, the
+  // simulator) is held to the product's determinism and observability rules
+  // as the src/ subsystem "oracle".
+  if (p.find("/tests/oracle/") != std::string::npos || p.rfind("tests/oracle/", 0) == 0) {
+    tree_ = Tree::kSrc;
+    subsystem_ = "oracle";
+    return;
+  }
+
   struct TreeName {
     std::string_view dir;
     Tree tree;
@@ -90,7 +99,7 @@ void FileContext::classify_path() {
 
 bool FileContext::in_hot_path() const {
   static constexpr std::array<std::string_view, 7> kHot = {
-      "checker", "numeric", "linalg", "core", "graph", "parallel", "sim"};
+      "checker", "numeric", "linalg", "core", "graph", "parallel", "oracle"};
   return tree_ == Tree::kSrc &&
          std::find(kHot.begin(), kHot.end(), subsystem_) != kHot.end();
 }

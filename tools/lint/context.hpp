@@ -50,10 +50,12 @@ class FileContext {
   Tree tree() const { return tree_; }
   bool is_header() const { return is_header_; }
   /// Subsystem directory under src/ ("checker", "numeric", ...); empty
-  /// outside src/.
+  /// outside src/. Files under tests/oracle/ (the test-oracle library) count
+  /// as the src/ subsystem "oracle".
   const std::string& subsystem() const { return subsystem_; }
   /// True for the subsystems whose results must be bitwise deterministic and
-  /// fast: the checker/numeric/linalg/core/graph/parallel/sim layers.
+  /// fast: the checker/numeric/linalg/core/graph/parallel layers and the
+  /// test oracles.
   bool in_hot_path() const;
 
   /// True when `rule` is suppressed on `line` (via `lint:allow(rule)` on the

@@ -21,8 +21,9 @@ namespace csrlmrm::lint {
 /// Monotonic rule-set version: bump whenever a rule is added, removed, or its
 /// matching logic changes, so the incremental cache (cache.hpp) invalidates
 /// stale verdicts. v1 = the PR 4 token catalogue; v2 = the flow-aware rules
-/// (dangling-cache-reference, lock-hygiene, syscall-hygiene) + autofixes.
-inline constexpr int kRuleSetVersion = 2;
+/// (dangling-cache-reference, lock-hygiene, syscall-hygiene) + autofixes;
+/// v3 = tests/oracle/ classified as a hot src/ subsystem.
+inline constexpr int kRuleSetVersion = 3;
 
 /// One mechanical source edit attached to a diagnostic, applied by --fix.
 /// Replaces `length` bytes at `offset` in the original source with
