@@ -1,16 +1,20 @@
 #include "numeric/class_explorer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "core/approx.hpp"
 #include "core/simd.hpp"
 #include "numeric/conditional.hpp"
+#include "numeric/page_buffer.hpp"
 #include "obs/stats.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -66,10 +70,10 @@ double load_double_bits(const std::uint32_t* in) {
 /// expansion writes a few hundred thousand children, and per-child vector
 /// allocations dominated the engine's profile before this layout.
 struct Frontier {
-  std::vector<core::StateIndex> states;
-  std::vector<std::uint32_t> sigs;
-  std::vector<double> weights;
-  std::vector<double> counts;
+  PageBuffer<core::StateIndex> states;
+  PageBuffer<std::uint32_t> sigs;
+  PageBuffer<double> weights;
+  PageBuffer<double> counts;
 
   std::size_t size() const { return states.size(); }
   bool empty() const { return states.empty(); }
@@ -95,6 +99,10 @@ struct Frontier {
     counts.swap(other.counts);
   }
 
+  std::size_t bytes() const {
+    return states.bytes() + sigs.bytes() + weights.bytes() + counts.bytes();
+  }
+
   /// Copies row `from` onto row `to` (prune compaction).
   void move_row(std::size_t to, std::size_t from, std::size_t sig_len, std::size_t slots) {
     states[to] = states[from];
@@ -112,7 +120,7 @@ struct Frontier {
 /// regardless of how `raw` was produced (the expansion's chunk layout in
 /// particular). Returns the number of rows merged away.
 std::size_t sort_and_fold(const Frontier& raw, Frontier& merged, std::size_t sig_len,
-                          std::size_t slots, std::vector<std::uint32_t>& order) {
+                          std::size_t slots, PageBuffer<std::uint32_t>& order) {
   const std::size_t n = raw.size();
   order.resize(n);
   std::iota(order.begin(), order.end(), 0u);
@@ -137,13 +145,9 @@ std::size_t sort_and_fold(const Frontier& raw, Frontier& merged, std::size_t sig
   for (std::size_t i = 0; i < n; ++out) {
     const std::uint32_t lead = order[i];
     merged.states.push_back(raw.states[lead]);
-    merged.sigs.insert(merged.sigs.end(), sig_row(lead), sig_row(lead) + sig_len);
-    merged.weights.insert(merged.weights.end(),
-                          raw.weights.begin() + static_cast<std::ptrdiff_t>(lead * slots),
-                          raw.weights.begin() + static_cast<std::ptrdiff_t>((lead + 1) * slots));
-    merged.counts.insert(merged.counts.end(),
-                         raw.counts.begin() + static_cast<std::ptrdiff_t>(lead * slots),
-                         raw.counts.begin() + static_cast<std::ptrdiff_t>((lead + 1) * slots));
+    merged.sigs.append(sig_row(lead), sig_len);
+    merged.weights.append(raw.weights.data() + lead * slots, slots);
+    merged.counts.append(raw.counts.data() + lead * slots, slots);
     std::size_t j = i + 1;
     for (; j < n && key_equal(lead, order[j]); ++j) {
       const std::size_t other = order[j];
@@ -157,6 +161,102 @@ std::size_t sort_and_fold(const Frontier& raw, Frontier& merged, std::size_t sig
   }
   return n - out;
 }
+
+/// The hand-off continuation's fixed root-chunk count (see compute_batch).
+constexpr std::size_t kHandoffChunks = 64;
+
+/// What one hand-off chunk collects: harvest rows and counters, combined in
+/// chunk order once every chunk has run. Its per-slot error partials live in
+/// Workspace::chunk_error.
+struct ChunkState {
+  PageBuffer<std::uint32_t> harvest_sigs;
+  PageBuffer<double> harvest_mass;
+  std::size_t nodes = 0;
+  std::size_t stored = 0;
+  std::size_t truncated = 0;
+  std::size_t max_depth = 0;
+  bool overflow = false;
+
+  void clear() {
+    harvest_sigs.clear();
+    harvest_mass.clear();
+    nodes = stored = truncated = max_depth = 0;
+    overflow = false;
+  }
+};
+
+/// Every buffer of a compute_batch call whose size follows the frontier
+/// rather than the batch: the live frontier and both scratch frontiers, the
+/// sort order, the expansion offsets, the harvest arrays and the hand-off
+/// chunks. One workspace per calling thread is kept across calls (capacity
+/// only; compute_batch clears it on entry), so a warm engine does not map
+/// and fault in a few MB of fresh pages on every solve.
+struct Workspace {
+  Frontier frontier;
+  Frontier scratch_raw;
+  Frontier scratch_merged;
+  PageBuffer<std::uint32_t> order;
+  PageBuffer<std::size_t> offsets;
+  PageBuffer<std::uint32_t> harvest_sigs;
+  PageBuffer<double> harvest_mass;
+  std::array<ChunkState, kHandoffChunks> chunks;
+  PageBuffer<double> chunk_error;  // chunk c's slots at [c * slots, (c + 1) * slots)
+  bool in_use = false;             // leased by a compute_batch on this thread
+
+  void clear() {
+    frontier.clear();
+    scratch_raw.clear();
+    scratch_merged.clear();
+    order.clear();
+    offsets.clear();
+    harvest_sigs.clear();
+    harvest_mass.clear();
+    for (ChunkState& chunk : chunks) chunk.clear();
+    chunk_error.clear();
+  }
+
+  std::size_t bytes() const {
+    std::size_t total = frontier.bytes() + scratch_raw.bytes() + scratch_merged.bytes() +
+                        order.bytes() + offsets.bytes() + harvest_sigs.bytes() +
+                        harvest_mass.bytes() + chunk_error.bytes();
+    for (const ChunkState& chunk : chunks) {
+      total += chunk.harvest_sigs.bytes() + chunk.harvest_mass.bytes();
+    }
+    return total;
+  }
+};
+
+/// The calling thread's retained workspace, created on first use and
+/// unmapped when the thread exits.
+thread_local std::unique_ptr<Workspace> t_workspace;
+
+/// Exclusive, cleared use of a workspace for one compute_batch call: the
+/// thread's retained one, or — should a call ever nest inside another on the
+/// same thread — a local one that lives only as long as the nested call.
+class WorkspaceLease {
+ public:
+  WorkspaceLease() {
+    if (!t_workspace) t_workspace = std::make_unique<Workspace>();
+    if (t_workspace->in_use) {
+      local_ = std::make_unique<Workspace>();
+      workspace_ = local_.get();
+    } else {
+      workspace_ = t_workspace.get();
+      workspace_->clear();
+    }
+    workspace_->in_use = true;
+  }
+  ~WorkspaceLease() { workspace_->in_use = false; }
+
+  WorkspaceLease(const WorkspaceLease&) = delete;
+  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
+
+  Workspace& get() { return *workspace_; }
+
+ private:
+  std::unique_ptr<Workspace> local_;
+  Workspace* workspace_ = nullptr;
+};
 
 }  // namespace
 
@@ -228,12 +328,15 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   bool coarse = false;
   RewardStructureContext context(sig_.distinct_state_rewards, sig_.distinct_impulse_rewards);
 
+  WorkspaceLease lease;
+  Workspace& workspace = lease.get();
+  Frontier& frontier = workspace.frontier;
+  Frontier& scratch_raw = workspace.scratch_raw;
+  Frontier& scratch_merged = workspace.scratch_merged;
+  PageBuffer<std::uint32_t>& order = workspace.order;
+
   // Level-0 frontier: one class per live start (k = 1_[rho(start)], j = 0,
   // weight 1 in the owning slot). Duplicate starts merge in the fold.
-  Frontier frontier;
-  Frontier scratch_raw;
-  Frontier scratch_merged;
-  std::vector<std::uint32_t> order;
   {
     std::size_t live = 0;
     for (std::size_t i = 0; i < slots; ++i) {
@@ -266,8 +369,8 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   // together, and the final fold groups by (k, canonical r') directly, which
   // is the exact granularity at which Omega evaluations differ.
   const std::size_t hwid = num_k + 2;
-  std::vector<std::uint32_t> harvest_sigs;
-  std::vector<double> harvest_mass;
+  PageBuffer<std::uint32_t>& harvest_sigs = workspace.harvest_sigs;
+  PageBuffer<double>& harvest_mass = workspace.harvest_mass;
 
   std::size_t nodes = 0;
   std::size_t stored = 0;
@@ -300,7 +403,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     for (std::size_t i = 0; i < slots; ++i) harvest_mass.push_back(pmf * weight_row[i]);
   };
 
-  std::vector<std::size_t> offsets;
+  PageBuffer<std::size_t>& offsets = workspace.offsets;
   std::size_t raw_rows = 0;
   std::size_t folded_rows = 0;
 
@@ -479,23 +582,14 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     const std::vector<double> pmf_by_level =
         poisson_pmf_sequence(poisson_tail->table_size() - 1, mean);
 
-    struct ChunkState {
-      std::vector<std::uint32_t> harvest_sigs;
-      std::vector<double> harvest_mass;
-      std::vector<double> error;
-      std::size_t nodes = 0;
-      std::size_t stored = 0;
-      std::size_t truncated = 0;
-      std::size_t max_depth = 0;
-      bool overflow = false;
-    };
-    const std::size_t chunk_count = std::min<std::size_t>(64, roots);
-    std::vector<ChunkState> chunks(chunk_count);
+    const std::size_t chunk_count = std::min(kHandoffChunks, roots);
+    const auto chunks = std::span(workspace.chunks).first(chunk_count);
+    workspace.chunk_error.assign(chunk_count * slots, 0.0);
     const std::size_t base_nodes = nodes;
 
     const auto run_chunk = [&](std::size_t chunk) {
       ChunkState& cs = chunks[chunk];
-      cs.error.assign(slots, 0.0);
+      double* const chunk_error = workspace.chunk_error.data() + chunk * slots;
       const std::size_t row_begin = chunk * roots / chunk_count;
       const std::size_t row_end = (chunk + 1) * roots / chunk_count;
 
@@ -532,7 +626,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
           if (core::exactly_zero(wrow[i])) continue;
           if (pmf * wrow[i] < w * crow[i]) {
             ++cs.truncated;
-            cs.error[i] += wrow[i] * tail;
+            chunk_error[i] += wrow[i] * tail;
             wrow[i] = 0.0;
             crow[i] = 0.0;
             continue;
@@ -647,10 +741,12 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
           "SignatureClassUntilEngine: class budget exhausted; raise truncation probability w "
           "or use the discretization engine (Lambda*t too large for signature-class DP)");
     }
-    for (const ChunkState& cs : chunks) {
-      harvest_sigs.insert(harvest_sigs.end(), cs.harvest_sigs.begin(), cs.harvest_sigs.end());
-      harvest_mass.insert(harvest_mass.end(), cs.harvest_mass.begin(), cs.harvest_mass.end());
-      for (std::size_t i = 0; i < slots; ++i) results[i].error_bound += cs.error[i];
+    for (std::size_t chunk = 0; chunk < chunk_count; ++chunk) {
+      const ChunkState& cs = chunks[chunk];
+      harvest_sigs.append(cs.harvest_sigs.data(), cs.harvest_sigs.size());
+      harvest_mass.append(cs.harvest_mass.data(), cs.harvest_mass.size());
+      const double* chunk_error = workspace.chunk_error.data() + chunk * slots;
+      for (std::size_t i = 0; i < slots; ++i) results[i].error_bound += chunk_error[i];
     }
     obs::counter_add("classdp.handoff_roots", roots);
     obs::counter_add("classdp.handoff_nodes", nodes - base_nodes);
@@ -739,6 +835,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   obs::counter_add("classdp.raw_rows", raw_rows);
   obs::counter_add("classdp.folded_rows", folded_rows);
   obs::gauge_max("classdp.frontier_peak", static_cast<double>(frontier_peak));
+  obs::gauge_max("classdp.workspace_bytes", static_cast<double>(workspace.bytes()));
   return results;
 }
 

@@ -40,6 +40,21 @@
 // bitwise identical to the corresponding single-start runs as long as the
 // hybrid escalation below does not fire.
 //
+// Retained workspace: the frontier and its two scratch copies, the sort
+// order, the expansion offsets, the harvest arrays and the hand-off chunk
+// buffers live in one workspace per calling thread, kept across
+// compute_batch calls (their capacity only: every call clears the workspace
+// on entry, so a call that threw leaves nothing for the next one to see, and
+// results are bitwise those of a fresh thread). A call that nests inside
+// another on the same thread uses a local workspace instead. The storage is
+// page-backed (numeric/page_buffer.hpp), mapped straight from the system and
+// released when the thread exits: kept in malloc's arenas, a few MB of
+// retained frontier rows raise glibc's dynamic mmap threshold and the
+// arenas then hold their high-water mark. Retained, the buffers are not
+// faulted in again on every solve of a warm engine. The
+// "classdp.workspace_bytes" gauge reports what the calling thread's
+// workspace maps at the end of each call.
+//
 // Parallelism: per-level frontier expansion is data-parallel (each class
 // writes its successors into a precomputed disjoint slice), and merging
 // sorts the successor array before folding adjacent equal keys, so results

@@ -10,8 +10,9 @@
 // residences per state-reward class along a uniformized path, and j counts
 // transition occurrences per impulse class. The context below owns the
 // distinct-reward bookkeeping and caches one OmegaEvaluator per distinct
-// threshold r' (paths with the same impulse signature share an evaluator and
-// hence its memo table).
+// threshold r' (paths with the same impulse signature share an evaluator, so
+// its coefficient split is derived once; the evaluator itself is a stateless
+// wavefront DP, see omega.hpp).
 #pragma once
 
 #include <cstddef>
@@ -103,7 +104,7 @@ class RewardStructureContext {
   /// Evaluator caching uses a canonicalized threshold (mantissa snapped to 40
   /// bits, relative perturbation <= 2^-41): impulse signatures whose
   /// thresholds agree mathematically but differ by floating-point rounding
-  /// share one evaluator and its memo table instead of rebuilding it.
+  /// share one evaluator instead of building one each.
   double conditional_probability(const SpacingCounts& k, const SpacingCounts& j, double t,
                                  double r);
 

@@ -14,11 +14,13 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "checker/options.hpp"
 #include "checker/until.hpp"
 #include "core/transform.hpp"
+#include "models/cellphone.hpp"
 #include "models/random_mrm.hpp"
 #include "models/tmr.hpp"
 #include "numeric/class_explorer.hpp"
@@ -290,6 +292,158 @@ TEST(ClassExplorerHybrid, HandOffRecordsFoldAndHandOffCountersAtEveryThreadCount
   }
   obs::StatsRegistry::global().reset();
   obs::set_stats_enabled(false);
+}
+
+// ---------------------------------------------------- retained workspace
+
+/// One compute_batch call and what it returned: the per-start results, or
+/// that it ran out of its class budget.
+struct BatchQuery {
+  const numeric::SignatureClassUntilEngine* engine = nullptr;
+  std::vector<core::StateIndex> starts;
+  double t = 0.0;
+  double r = 0.0;
+  numeric::PathExplorerOptions options;
+};
+
+struct BatchOutcome {
+  std::vector<numeric::UntilUniformizationResult> results;
+  bool budget_exhausted = false;
+};
+
+BatchOutcome run_batch(const BatchQuery& query) {
+  BatchOutcome outcome;
+  try {
+    outcome.results = query.engine->compute_batch(query.starts, query.t, query.r, query.options);
+  } catch (const numeric::NodeBudgetError&) {
+    outcome.budget_exhausted = true;
+  }
+  return outcome;
+}
+
+/// The same call on a thread that has never run the engine, so its
+/// workspace starts empty.
+BatchOutcome run_batch_on_fresh_thread(const BatchQuery& query) {
+  BatchOutcome outcome;
+  std::thread([&] { outcome = run_batch(query); }).join();
+  return outcome;
+}
+
+void expect_bitwise_equal(const BatchOutcome& reused, const BatchOutcome& fresh,
+                          const std::string& label) {
+  EXPECT_EQ(reused.budget_exhausted, fresh.budget_exhausted) << label;
+  ASSERT_EQ(reused.results.size(), fresh.results.size()) << label;
+  for (std::size_t i = 0; i < fresh.results.size(); ++i) {
+    const numeric::UntilUniformizationResult& a = reused.results[i];
+    const numeric::UntilUniformizationResult& b = fresh.results[i];
+    EXPECT_EQ(a.probability, b.probability) << label << " slot=" << i;
+    EXPECT_EQ(a.error_bound, b.error_bound) << label << " slot=" << i;
+    EXPECT_EQ(a.paths_stored, b.paths_stored) << label << " slot=" << i;
+    EXPECT_EQ(a.paths_truncated, b.paths_truncated) << label << " slot=" << i;
+    EXPECT_EQ(a.signature_classes, b.signature_classes) << label << " slot=" << i;
+    EXPECT_EQ(a.nodes_expanded, b.nodes_expanded) << label << " slot=" << i;
+    EXPECT_EQ(a.max_depth, b.max_depth) << label << " slot=" << i;
+  }
+}
+
+/// The 11-module NMR calibration model (Table 5.5) with Psi = allUp made
+/// absorbing, and every other state as a start.
+struct NmrSetup {
+  core::Mrm model = models::make_tmr(models::chapter5_nmr_config(false));
+  std::vector<bool> psi = model.labels().states_with("allUp");
+  numeric::SignatureClassUntilEngine engine{core::make_absorbing(model, psi), psi,
+                                            std::vector<bool>(model.num_states(), false)};
+  std::vector<core::StateIndex> starts() const {
+    std::vector<core::StateIndex> live;
+    for (core::StateIndex s = 0; s < model.num_states(); ++s) {
+      if (!psi[s]) live.push_back(s);
+    }
+    return live;
+  }
+};
+
+TEST(ClassExplorerWorkspace, ReuseAcrossSolvesIsInvisibleAtEveryThreadCount) {
+  // The engine keeps its frontier buffers in one workspace per calling
+  // thread. Run a sequence that leaves that workspace in every state it can
+  // be left in — a hand-off (chunk buffers filled), a small batch with
+  // another signature width, a coarsened sweep, a sweep that throws with
+  // its frontier half built — and check each call against the same call on
+  // a thread whose workspace is empty.
+  const NmrSetup nmr;
+  const core::Mrm phone = models::make_cellphone();
+  std::vector<bool> phone_phi = phone.labels().states_with("Call_Idle");
+  const std::vector<bool> doze = phone.labels().states_with("Doze");
+  const std::vector<bool> phone_psi = phone.labels().states_with("Call_Initiated");
+  std::vector<bool> phone_absorb(phone.num_states());
+  std::vector<bool> phone_dead(phone.num_states());
+  std::vector<core::StateIndex> phone_starts;
+  for (core::StateIndex s = 0; s < phone.num_states(); ++s) {
+    phone_phi[s] = phone_phi[s] || doze[s];
+    phone_absorb[s] = !phone_phi[s] || phone_psi[s];
+    phone_dead[s] = !phone_phi[s] && !phone_psi[s];
+    if (!phone_psi[s] && !phone_dead[s]) phone_starts.push_back(s);
+  }
+  ASSERT_FALSE(phone_starts.empty());
+  const numeric::SignatureClassUntilEngine phone_engine(
+      core::make_absorbing(phone, phone_absorb), phone_psi, phone_dead);
+
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    numeric::PathExplorerOptions options;
+    options.truncation_probability = 1e-8;
+    options.threads = threads;
+    numeric::PathExplorerOptions starved = options;
+    // The NMR sweep processes about 17 000 classes before it hands off at
+    // t = 100; half of that runs out inside the level sweep.
+    starved.max_nodes = 8000;
+    const std::vector<std::pair<std::string, BatchQuery>> sequence = {
+        {"nmr hand-off", {&nmr.engine, nmr.starts(), 100.0, 2000.0, options}},
+        {"cellphone", {&phone_engine, phone_starts, 24.0, 400.0, options}},
+        {"nmr coarsened", {&nmr.engine, nmr.starts(), 20.0, 400.0, options}},
+        {"nmr budget", {&nmr.engine, nmr.starts(), 100.0, 2000.0, starved}},
+        {"nmr hand-off again", {&nmr.engine, nmr.starts(), 100.0, 2000.0, options}},
+    };
+    for (const auto& [name, query] : sequence) {
+      const std::string label = name + " threads=" + std::to_string(threads);
+      expect_bitwise_equal(run_batch(query), run_batch_on_fresh_thread(query), label);
+    }
+    // The sequence covers what it claims: the hand-off and coarsened runs
+    // escalate as named, and the starved run throws.
+    obs::set_stats_enabled(true);
+    obs::StatsRegistry::global().reset();
+    run_batch(sequence[2].second);
+    EXPECT_EQ(obs::StatsRegistry::global().counter("classdp.coarsenings"), 1u);
+    EXPECT_EQ(obs::StatsRegistry::global().counter("classdp.hybrid_handoffs"), 0u);
+    obs::StatsRegistry::global().reset();
+    run_batch(sequence[0].second);
+    EXPECT_EQ(obs::StatsRegistry::global().counter("classdp.hybrid_handoffs"), 1u);
+    obs::StatsRegistry::global().reset();
+    obs::set_stats_enabled(false);
+    EXPECT_TRUE(run_batch(sequence[3].second).budget_exhausted);
+  }
+}
+
+TEST(ClassExplorerWorkspace, RepeatedIdenticalSolveDoesNotGrowTheWorkspace) {
+  // On a fresh thread the first solve sizes the workspace; an identical
+  // second solve fits in what the first left, so the
+  // classdp.workspace_bytes gauge reads the same bytes after both.
+  const NmrSetup nmr;
+  numeric::PathExplorerOptions options;
+  options.threads = 1;
+  double first = 0.0;
+  double second = 0.0;
+  obs::set_stats_enabled(true);
+  std::thread([&] {
+    obs::StatsRegistry::global().reset();
+    nmr.engine.compute_batch(nmr.starts(), 100.0, 2000.0, options);
+    first = obs::StatsRegistry::global().gauge("classdp.workspace_bytes");
+    obs::StatsRegistry::global().reset();
+    nmr.engine.compute_batch(nmr.starts(), 100.0, 2000.0, options);
+    second = obs::StatsRegistry::global().gauge("classdp.workspace_bytes");
+    obs::StatsRegistry::global().reset();
+  }).join();
+  obs::set_stats_enabled(false);
+  EXPECT_GT(first, 0.0);
+  EXPECT_EQ(second, first);
 }
 
 class ClassDpCheckerAgreement : public ::testing::TestWithParam<std::uint32_t> {};

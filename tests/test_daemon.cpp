@@ -414,6 +414,27 @@ TEST(CheckService, StatsDeltaIsPerBatchNotProcessLifetime) {
   EXPECT_EQ(calls(second), 1u);
 }
 
+TEST(CheckService, StatsDeltaCarriesTheClassDpWorkspaceGauge) {
+  // The bytes class-DP's retained workspace holds on the dispatcher thread
+  // ride in the first delta after a reset (gauges merge by max, so a later
+  // delta carries the gauge only when the workspace grew).
+  daemon::ModelRegistry registry;
+  registry.add(models::make_tmr(), "tmr");
+  daemon::CheckService service(registry);
+  obs::set_stats_enabled(true);
+  obs::StatsRegistry::global().reset();
+
+  daemon::CheckRequest request;
+  request.model = "tmr";
+  request.formulas = {"P(>0.1)[Sup U[0,10][0,300] failed]"};
+  const daemon::CheckReply reply = service.submit(request).get();
+  obs::set_stats_enabled(false);
+  ASSERT_TRUE(reply.ok);
+  const auto it = reply.stats_delta.gauges.find("classdp.workspace_bytes");
+  ASSERT_NE(it, reply.stats_delta.gauges.end());
+  EXPECT_GT(it->second, 0.0);
+}
+
 // -------------------------------------------------------------------- soak
 
 /// The acceptance soak: 8 concurrent clients x 100 queries over mixed

@@ -454,6 +454,9 @@ TEST_F(MrmcheckCli, StatsFileIsSchemaValidJson) {
   ASSERT_NE(counters, nullptr);
   // The default until engine is the signature-class DP (classdp).
   EXPECT_NE(counters->find("classdp.calls"), nullptr);
+  const obs::JsonValue* gauges = stats.find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  EXPECT_NE(gauges->find("classdp.workspace_bytes"), nullptr);
   const obs::JsonValue* trace = stats.find("trace");
   ASSERT_NE(trace, nullptr);
   EXPECT_NE(trace->find("children"), nullptr);

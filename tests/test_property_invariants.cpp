@@ -50,7 +50,9 @@ TEST_P(RandomModelInvariants, SteadyStateMassConcentratesOnBsccs) {
   }
   const auto pi = checker::steady_state_distribution(model_, 0);
   for (core::StateIndex s = 0; s < model_.num_states(); ++s) {
-    if (!in_bottom[s]) EXPECT_NEAR(pi[s], 0.0, 1e-10) << "transient state " << s;
+    if (!in_bottom[s]) {
+      EXPECT_NEAR(pi[s], 0.0, 1e-10) << "transient state " << s;
+    }
   }
 }
 
@@ -77,8 +79,12 @@ TEST_P(RandomModelInvariants, UnboundedUntilIsAProbabilityAndRespectsMasks) {
   for (core::StateIndex s = 0; s < model_.num_states(); ++s) {
     EXPECT_GE(p[s], 0.0);
     EXPECT_LE(p[s], 1.0);
-    if (psi[s]) EXPECT_DOUBLE_EQ(p[s], 1.0);
-    if (!psi[s] && !phi[s]) EXPECT_DOUBLE_EQ(p[s], 0.0);
+    if (psi[s]) {
+      EXPECT_DOUBLE_EQ(p[s], 1.0);
+    }
+    if (!psi[s] && !phi[s]) {
+      EXPECT_DOUBLE_EQ(p[s], 0.0);
+    }
   }
 }
 
@@ -140,7 +146,9 @@ TEST_P(RandomModelInvariants, NextProbabilitiesAreSubProbabilities) {
     EXPECT_GE(restricted[s], 0.0);
     EXPECT_LE(restricted[s], unrestricted[s] + 1e-12);
     EXPECT_LE(unrestricted[s], 1.0 + 1e-12);
-    if (model_.rates().is_absorbing(s)) EXPECT_DOUBLE_EQ(unrestricted[s], 0.0);
+    if (model_.rates().is_absorbing(s)) {
+      EXPECT_DOUBLE_EQ(unrestricted[s], 0.0);
+    }
   }
 }
 

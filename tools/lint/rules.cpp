@@ -71,7 +71,7 @@ class UnorderedIterationRule : public Rule {
   std::string_view name() const override { return "unordered-iteration"; }
   std::string_view description() const override {
     return "no iteration over unordered_map/unordered_set in deterministic "
-           "subsystems (checker/numeric/linalg/core/graph/parallel/sim): "
+           "subsystems (checker/numeric/linalg/core/graph/parallel/oracle): "
            "iteration order is hash-dependent, breaking reproducibility";
   }
   void check(const FileContext& ctx, std::vector<Diagnostic>& out) const override {
