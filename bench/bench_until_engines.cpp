@@ -11,7 +11,7 @@
 //            reference;
 //   checker  ONE signature-class DP frontier sweep answering every start
 //            (class_explorer.hpp, multi-start batching) with the adaptive
-//            coarsen/DFS-hand-off escalation armed — what the checker runs
+//            depth-first hand-off armed — what the checker runs
 //            for every P2 query that is not provably over its node budget.
 //
 // All engine inputs (model construction, formula satisfaction sets, the
@@ -26,7 +26,7 @@
 // wall_clock_speedup = dfpg / checker, omega.evaluations (the
 // conditional-probability calls of eq. 4.9 — the quantity the
 // signature-class merge and the (k, r') grouping are designed to shrink),
-// the checker lane's frontier/merge/escalation counters, the maximum
+// the checker lane's node and hand-off counters, the maximum
 // cross-engine disagreement in excess of the combined error bounds (expected
 // 0: the engines bracket the same exact value), and the maximum deviation of
 // the checker lane across 1/2/8 worker threads (expected 0: the per-level
@@ -99,7 +99,6 @@ struct Record {
   double trivial_checker = 0.0;
   double nodes_dfpg = 0.0;
   double nodes_checker = 0.0;
-  double coarsenings = 0.0;
   double handoffs = 0.0;
   double agreement_excess = 0.0;  // max(|p_d - p_c| - (e_d + e_c), 0) over starts
   double thread_determinism_diff = 0.0;
@@ -144,13 +143,12 @@ Record run_workload(const Workload& workload) {
   record.trivial_checker = counter_of(run_checker, "classdp.trivial_folds");
   record.nodes_dfpg = counter_of(run_dfpg, "uniformization.nodes_expanded");
   record.nodes_checker = counter_of(run_checker, "classdp.nodes_expanded");
-  record.coarsenings = counter_of(run_checker, "classdp.coarsenings");
   record.handoffs = counter_of(run_checker, "classdp.hybrid_handoffs");
 
   // Cross-engine agreement: both engines report p with p <= p_exact <=
   // p + error_bound, so the probabilities must agree within the summed
-  // bounds — the hybrid's coarsening/hand-off only reroutes work inside the
-  // same accounting.
+  // bounds — the hybrid's hand-off only reroutes work inside the same
+  // accounting.
   const auto batch = experiment.classdp_batch(starts, workload.t, workload.r, workload.w, 1);
   for (std::size_t i = 0; i < starts.size(); ++i) {
     const auto dfpg = experiment.uniformization(starts[i], workload.t, workload.r, workload.w);
@@ -196,7 +194,6 @@ void print_record(std::FILE* out, const Record& record, bool last) {
   std::fprintf(out, "      \"checker_trivial_omega_folds\": %.0f,\n", record.trivial_checker);
   std::fprintf(out, "      \"dfs_nodes_expanded\": %.0f,\n", record.nodes_dfpg);
   std::fprintf(out, "      \"checker_nodes_expanded\": %.0f,\n", record.nodes_checker);
-  std::fprintf(out, "      \"checker_coarsenings\": %.0f,\n", record.coarsenings);
   std::fprintf(out, "      \"checker_hybrid_handoffs\": %.0f,\n", record.handoffs);
   std::fprintf(out, "      \"agreement_excess_over_error_bounds\": %.3e,\n",
                record.agreement_excess);
@@ -276,7 +273,7 @@ int main(int argc, char** argv) {
                "construction are hoisted out of the timed loops; the models are built "
                "programmatically, no file IO); dfpg runs the reference engine, one DFS per "
                "start state; checker runs the checker's P2 engine, one batched signature-class "
-               "frontier sweep for all starts with the coarsen/hand-off escalation armed, at "
+               "frontier sweep for all starts with the depth-first hand-off armed, at "
                "the same truncation probability w; wall_clock_speedup = dfpg_ms / checker_ms; "
                "omega_evaluation_ratio null means the checker folded every class through the "
                "trivial Omega base cases and needed zero evaluator calls\",\n",

@@ -15,8 +15,8 @@ namespace csrlmrm::checker {
 /// Numerical method used for time- and reward-bounded until formulas (P2).
 enum class UntilMethod {
   /// Uniformization (section 4.6), evaluated by the signature-class DP
-  /// engine (numeric/class_explorer.hpp) with its coarsen/hand-off
-  /// escalation armed — the default, with w = 1e-8 like the tool described
+  /// engine (numeric/class_explorer.hpp) with its depth-first hand-off
+  /// armed — the default, with w = 1e-8 like the tool described
   /// in the appendix. A query that is provably over the node budget before
   /// exploring anything runs discretization instead (see
   /// checker::choose_until_engine).

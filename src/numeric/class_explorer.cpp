@@ -33,7 +33,7 @@ constexpr double kMaxPrefixCount = 1e300;
 /// workloads with tiny frontiers (e.g. TMR-deep, < 500 rows/level at fold
 /// ratios ~0.98) still win 30x+ from merging because the *early* levels
 /// merged, so a pure ratio test would misfire. kAdaptStreak consecutive
-/// ineffective levels fire the escalation: coarsen once, then hand off.
+/// ineffective levels hand the frontier off to the depth-first continuation.
 /// Constants calibrated on the committed BENCH workloads (the NMR rows peak
 /// at ~1e5 raw rows/level with fold ratios 0.72..1.0 from level 5 on; firing
 /// before the frontier peak is what makes the hybrid beat a per-start DFS,
@@ -41,11 +41,11 @@ constexpr double kMaxPrefixCount = 1e300;
 constexpr std::size_t kAdaptMinRawRows = 4096;
 constexpr std::size_t kAdaptRatioNum = 7;   // ineffective when folded/raw >= 7/10
 constexpr std::size_t kAdaptRatioDen = 10;
-constexpr std::size_t kAdaptStreak = 2;
+constexpr std::size_t kAdaptStreak = 3;
 
 /// A double stored bitwise in two signature words (hi word first, so
 /// lexicographic word order is deterministic per value). Used for the
-/// coarsened impulse total and for the harvested threshold r'.
+/// snapped impulse total of a class and for the harvested threshold r'.
 void store_double_bits(double v, std::uint32_t* out) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof bits);
@@ -61,11 +61,21 @@ double load_double_bits(const std::uint32_t* in) {
   return v;
 }
 
+/// Adds one transition's impulse reward to the snapped impulse total stored
+/// at `total_bits`. Each addition re-snaps (canonical_threshold), so equal
+/// totals reached along different orders keep one representative (<= 2^-41
+/// relative perturbation per transition).
+void add_impulse(std::uint32_t* total_bits, double impulse) {
+  if (core::exactly_zero(impulse)) return;
+  store_double_bits(canonical_threshold(load_double_bits(total_bits) + impulse), total_bits);
+}
+
 /// Struct-of-arrays frontier storage. Row i is the class of every path
 /// prefix that ends in states[i] with reward signature
-/// sigs[i*sig_len .. (i+1)*sig_len) (k ++ j); its per-batch-slot summed
-/// prefix probabilities (1-step products, Poisson factor applied lazily)
-/// and merged prefix counts live in weights/counts[i*slots .. +slots).
+/// sigs[i*sig_len .. (i+1)*sig_len) (k counts ++ snapped impulse total); its
+/// per-batch-slot summed prefix probabilities (1-step products, Poisson
+/// factor applied lazily) and merged prefix counts live in
+/// weights/counts[i*slots .. +slots).
 /// Flat arrays instead of one heap-allocated entry per class: a level's
 /// expansion writes a few hundred thousand children, and per-child vector
 /// allocations dominated the engine's profile before this layout.
@@ -162,6 +172,27 @@ std::size_t sort_and_fold(const Frontier& raw, Frontier& merged, std::size_t sig
   return n - out;
 }
 
+/// Harvested Psi-mass: row i is the key keys[i*sig_len .. +sig_len)
+/// (k counts ++ 2 words of canonical r' bits) with its per-slot level mass
+/// in mass[i*slots .. +slots).
+struct Harvest {
+  PageBuffer<std::uint32_t> keys;
+  PageBuffer<double> mass;
+
+  void clear() {
+    keys.clear();
+    mass.clear();
+  }
+
+  std::size_t bytes() const { return keys.bytes() + mass.bytes(); }
+};
+
+/// One harvest row of any Harvest, as the final fold sorts it.
+struct HarvestRow {
+  const std::uint32_t* key;
+  double* mass;
+};
+
 /// The hand-off continuation's fixed root-chunk count (see compute_batch).
 constexpr std::size_t kHandoffChunks = 64;
 
@@ -169,59 +200,66 @@ constexpr std::size_t kHandoffChunks = 64;
 /// chunk order once every chunk has run. Its per-slot error partials live in
 /// Workspace::chunk_error.
 struct ChunkState {
-  PageBuffer<std::uint32_t> harvest_sigs;
-  PageBuffer<double> harvest_mass;
+  Harvest harvest;
   std::size_t nodes = 0;
-  std::size_t stored = 0;
   std::size_t truncated = 0;
   std::size_t max_depth = 0;
   bool overflow = false;
 
   void clear() {
-    harvest_sigs.clear();
-    harvest_mass.clear();
-    nodes = stored = truncated = max_depth = 0;
+    harvest.clear();
+    nodes = truncated = max_depth = 0;
     overflow = false;
   }
 };
 
 /// Every buffer of a compute_batch call whose size follows the frontier
 /// rather than the batch: the live frontier and both scratch frontiers, the
-/// sort order, the expansion offsets, the harvest arrays and the hand-off
-/// chunks. One workspace per calling thread is kept across calls (capacity
-/// only; compute_batch clears it on entry), so a warm engine does not map
-/// and fault in a few MB of fresh pages on every solve.
+/// sort order, the expansion offsets, the harvests and the hand-off chunks.
+/// One workspace per calling thread is kept across calls (capacity only;
+/// compute_batch clears it on entry), so a warm engine does not map and
+/// fault in a few MB of fresh pages on every solve.
 struct Workspace {
   Frontier frontier;
   Frontier scratch_raw;
   Frontier scratch_merged;
   PageBuffer<std::uint32_t> order;
   PageBuffer<std::size_t> offsets;
-  PageBuffer<std::uint32_t> harvest_sigs;
-  PageBuffer<double> harvest_mass;
+  Harvest harvest;                       // the level sweep's rows
+  PageBuffer<HarvestRow> harvest_order;  // every harvest row, sorted for the fold
   std::array<ChunkState, kHandoffChunks> chunks;
   PageBuffer<double> chunk_error;  // chunk c's slots at [c * slots, (c + 1) * slots)
+  bool frontier_swapped = false;   // odd number of advance_frontier() calls
   bool in_use = false;             // leased by a compute_batch on this thread
 
+  /// Makes the folded successor level (scratch_merged) the live frontier by
+  /// trading the two buffers' storage.
+  void advance_frontier() {
+    frontier.swap(scratch_merged);
+    frontier_swapped = !frontier_swapped;
+  }
+
+  /// Empties every buffer, keeping its capacity. An odd number of swaps is
+  /// undone first, so every call starts with the same storage in each role
+  /// and a repeated solve fits in what the previous one left.
   void clear() {
+    if (frontier_swapped) advance_frontier();
     frontier.clear();
     scratch_raw.clear();
     scratch_merged.clear();
     order.clear();
     offsets.clear();
-    harvest_sigs.clear();
-    harvest_mass.clear();
+    harvest.clear();
+    harvest_order.clear();
     for (ChunkState& chunk : chunks) chunk.clear();
     chunk_error.clear();
   }
 
   std::size_t bytes() const {
     std::size_t total = frontier.bytes() + scratch_raw.bytes() + scratch_merged.bytes() +
-                        order.bytes() + offsets.bytes() + harvest_sigs.bytes() +
-                        harvest_mass.bytes() + chunk_error.bytes();
-    for (const ChunkState& chunk : chunks) {
-      total += chunk.harvest_sigs.bytes() + chunk.harvest_mass.bytes();
-    }
+                        order.bytes() + offsets.bytes() + harvest.bytes() +
+                        harvest_order.bytes() + chunk_error.bytes();
+    for (const ChunkState& chunk : chunks) total += chunk.harvest.bytes();
     return total;
   }
 };
@@ -315,28 +353,25 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
       PoissonTailCache::global().table(mean, poisson_truncation_point(mean, w) + 2);
 
   const std::size_t num_k = sig_.distinct_state_rewards.size();
-  const std::size_t num_j = sig_.distinct_impulse_rewards.size();
   const std::vector<double>& impulse_values = sig_.distinct_impulse_rewards;
-  // The frontier signature starts exact — (k counts ++ j counts) — and may be
-  // coarsened mid-run to (k counts ++ 2 words of snapped impulse total) when
-  // the adaptive trigger fires. Both layouts answer the same question: the
-  // conditional probability of eq. (4.9) depends on j only through the
-  // threshold r', which is a function of the impulse total alone.
-  const std::size_t exact_len = num_k + num_j;
-  const std::size_t coarse_len = num_k + 2;
-  std::size_t sig_len = exact_len;
-  bool coarse = false;
+  // Every class signature is (k counts ++ 2 words of the snapped impulse
+  // total sum_i i_i j_i). The conditional probability of eq. (4.9) depends
+  // on the impulse counts j only through the threshold r', a function of
+  // that total alone, so impulse histories with equal totals share one
+  // class from the level at which they meet. Harvest keys have the same
+  // width: k counts ++ 2 words of canonical r'.
+  const std::size_t sig_len = num_k + 2;
   RewardStructureContext context(sig_.distinct_state_rewards, sig_.distinct_impulse_rewards);
 
   WorkspaceLease lease;
   Workspace& workspace = lease.get();
   Frontier& frontier = workspace.frontier;
   Frontier& scratch_raw = workspace.scratch_raw;
-  Frontier& scratch_merged = workspace.scratch_merged;
   PageBuffer<std::uint32_t>& order = workspace.order;
 
-  // Level-0 frontier: one class per live start (k = 1_[rho(start)], j = 0,
-  // weight 1 in the owning slot). Duplicate starts merge in the fold.
+  // Level-0 frontier: one class per live start (k = 1_[rho(start)], impulse
+  // total 0, weight 1 in the owning slot). Duplicate starts merge in the
+  // fold.
   {
     std::size_t live = 0;
     for (std::size_t i = 0; i < slots; ++i) {
@@ -358,49 +393,54 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   }
   std::size_t classes_merged = sort_and_fold(scratch_raw, frontier, sig_len, slots, order);
 
-  // Harvested Psi-mass: flat (row, per-slot level mass) pairs, appended per
-  // level and folded once after the sweep. Appending beats a per-level map
-  // insert by a wide margin on deep runs; the final fold sorts stably, so
-  // contributions for one row key are still summed in ascending append
-  // (= level) order. Every harvest row has the uniform layout
-  //   k counts ++ 2 words of canonical r' bits        (width hwid)
-  // with r' computed at harvest time from whichever frontier encoding is
-  // current — so rows harvested before and after a mid-run coarsening fold
-  // together, and the final fold groups by (k, canonical r') directly, which
-  // is the exact granularity at which Omega evaluations differ.
-  const std::size_t hwid = num_k + 2;
-  PageBuffer<std::uint32_t>& harvest_sigs = workspace.harvest_sigs;
-  PageBuffer<double>& harvest_mass = workspace.harvest_mass;
-
   std::size_t nodes = 0;
-  std::size_t stored = 0;
   std::size_t truncated = 0;
   std::size_t levels = 0;
   std::size_t frontier_peak = 0;
   std::size_t max_depth = 0;
-  std::size_t coarsenings = 0;
-  std::size_t handoffs = 0;
   std::size_t ineffective_streak = 0;
-  bool handoff = false;
   std::size_t handoff_level = 0;
+  std::vector<double> error(slots, 0.0);  // per-slot truncation error bound (eq. 4.6)
 
-  SpacingCounts j_scratch(num_j);
-  const auto append_harvest = [&](const std::uint32_t* sig_row, double pmf,
-                                  const double* weight_row) {
-    ++stored;
-    const std::size_t base = harvest_sigs.size();
-    harvest_sigs.resize(base + hwid);
-    std::uint32_t* out = harvest_sigs.data() + base;
-    std::copy_n(sig_row, num_k, out);
-    double r_prime = 0.0;
-    if (coarse) {
-      r_prime = context.threshold_for_total(load_double_bits(sig_row + num_k), t, r);
-    } else {
-      j_scratch.assign(sig_row + num_k, sig_row + num_k + num_j);
-      r_prime = context.threshold(j_scratch, t, r);
+  // The prune rule, shared by the level sweep and the depth-first
+  // continuation. A class row aggregating c prefixes is cut for a slot when
+  // pmf * mass < w * c, i.e. when the *average* prefix weight falls below w
+  // — the faithful aggregate of the per-path rule (4.4), so the exploration
+  // volume matches the DFS engine's at equal w instead of keeping a class
+  // alive as long as its total merged mass clears w. Cut mass moves into
+  // `cut_error`, weighted by the Poisson tail Pr{ N >= level } (eq. 4.6),
+  // exactly as in the per-path rule. Returns whether any slot is still live.
+  const auto prune = [&](double* weights, double* counts, double pmf, double tail,
+                         double* cut_error, std::size_t& cuts) {
+    bool live = false;
+    for (std::size_t i = 0; i < slots; ++i) {
+      if (core::exactly_zero(weights[i])) continue;
+      if (pmf * weights[i] < w * counts[i]) {
+        ++cuts;
+        cut_error[i] += weights[i] * tail;
+        weights[i] = 0.0;
+        counts[i] = 0.0;
+        continue;
+      }
+      live = true;
     }
-    store_double_bits(canonical_threshold(r_prime), out + num_k);
-    for (std::size_t i = 0; i < slots; ++i) harvest_mass.push_back(pmf * weight_row[i]);
+    return live;
+  };
+
+  // The harvest, shared likewise: a class in a Psi-state appends its level
+  // mass PoissonPmf(level) * weight under the key (k, canonical r'), r'
+  // computed from the class's impulse total. Appending beats a per-level map
+  // insert by a wide margin on deep runs; the fold at the end sums equal
+  // keys.
+  const auto harvest = [&](const std::uint32_t* sig_row, double pmf, const double* weights,
+                           Harvest& into) {
+    const std::size_t base = into.keys.size();
+    into.keys.resize(base + sig_len);
+    std::uint32_t* key = into.keys.data() + base;
+    std::copy_n(sig_row, num_k, key);
+    const double r_prime = context.threshold_for_total(load_double_bits(sig_row + num_k), t, r);
+    store_double_bits(canonical_threshold(r_prime), key + num_k);
+    for (std::size_t i = 0; i < slots; ++i) into.mass.push_back(pmf * weights[i]);
   };
 
   PageBuffer<std::size_t>& offsets = workspace.offsets;
@@ -411,34 +451,16 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     ++levels;
     frontier_peak = std::max(frontier_peak, frontier.size());
 
-    // Prune per class and slot: a class aggregating c prefixes is cut for a
-    // slot when pmf * mass < w * c, i.e. when the *average* prefix weight
-    // falls below w — the faithful aggregate of the per-path rule (4.4), so
-    // the exploration volume matches the DFS engine's at equal w instead of
-    // keeping a class alive as long as its total merged mass clears w. Cut
-    // mass moves into the error bound, weighted by the Poisson tail
-    // Pr{ N >= level } (eq. 4.6), exactly as in the per-path rule.
     const double pmf = poisson_pmf(level, mean);
     const double tail = poisson_tail->tail(level);
     std::size_t write = 0;
     for (std::size_t idx = 0; idx < frontier.size(); ++idx) {
-      bool live = false;
-      for (std::size_t i = 0; i < slots; ++i) {
-        double& weight = frontier.weights[idx * slots + i];
-        if (core::exactly_zero(weight)) continue;
-        if (pmf * weight < w * frontier.counts[idx * slots + i]) {
-          ++truncated;
-          results[i].error_bound += weight * tail;
-          weight = 0.0;
-          frontier.counts[idx * slots + i] = 0.0;
-          continue;
-        }
-        live = true;
+      if (!prune(frontier.weights.data() + idx * slots, frontier.counts.data() + idx * slots, pmf,
+                 tail, error.data(), truncated)) {
+        continue;
       }
-      if (live) {
-        if (write != idx) frontier.move_row(write, idx, sig_len, slots);
-        ++write;
-      }
+      if (write != idx) frontier.move_row(write, idx, sig_len, slots);
+      ++write;
     }
     frontier.resize(write, sig_len, slots);
     if (frontier.empty()) break;
@@ -451,12 +473,10 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     }
     max_depth = level;
 
-    // Harvest: classes currently in a Psi-state contribute their level mass
-    // PoissonPmf(level) * weight to their (k, r') accumulator row.
     for (std::size_t idx = 0; idx < frontier.size(); ++idx) {
       if (!sig_.psi[frontier.states[idx]]) continue;
-      append_harvest(frontier.sigs.data() + idx * sig_len, pmf,
-                     frontier.weights.data() + idx * slots);
+      harvest(frontier.sigs.data() + idx * sig_len, pmf, frontier.weights.data() + idx * slots,
+              workspace.harvest);
     }
 
     // Expand one uniformization step. Every class writes its successors into
@@ -477,95 +497,51 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
         std::size_t out = offsets[idx];
         for (const SignatureTransition& edge : sig_.adjacency[frontier.states[idx]]) {
           scratch_raw.states[out] = edge.target;
-          std::copy_n(frontier.sigs.begin() + static_cast<std::ptrdiff_t>(idx * sig_len),
-                      sig_len,
-                      scratch_raw.sigs.begin() + static_cast<std::ptrdiff_t>(out * sig_len));
-          ++scratch_raw.sigs[out * sig_len + sig_.reward_class[edge.target]];
-          if (!coarse) {
-            ++scratch_raw.sigs[out * sig_len + num_k + edge.impulse_class];
-          } else if (!core::exactly_zero(impulse_values[edge.impulse_class])) {
-            // Coarse mode folds the impulse into a snapped running total;
-            // each addition re-snaps, so equal totals reached along
-            // different orders keep one representative (<= 2^-41 relative
-            // perturbation per transition, see canonical_threshold).
-            std::uint32_t* total_bits = scratch_raw.sigs.data() + out * sig_len + num_k;
-            store_double_bits(canonical_threshold(load_double_bits(total_bits) +
-                                                  impulse_values[edge.impulse_class]),
-                              total_bits);
-          }
+          std::uint32_t* child = scratch_raw.sigs.data() + out * sig_len;
+          std::copy_n(frontier.sigs.data() + idx * sig_len, sig_len, child);
+          ++child[sig_.reward_class[edge.target]];
+          add_impulse(child + num_k, impulse_values[edge.impulse_class]);
           for (std::size_t i = 0; i < slots; ++i) {
             scratch_raw.weights[out * slots + i] =
                 frontier.weights[idx * slots + i] * edge.probability;
           }
-          std::copy_n(frontier.counts.begin() + static_cast<std::ptrdiff_t>(idx * slots), slots,
-                      scratch_raw.counts.begin() + static_cast<std::ptrdiff_t>(out * slots));
+          std::copy_n(frontier.counts.data() + idx * slots, slots,
+                      scratch_raw.counts.data() + out * slots);
           ++out;
         }
       }
     });
-    classes_merged += sort_and_fold(scratch_raw, scratch_merged, sig_len, slots, order);
-    frontier.swap(scratch_merged);
+    classes_merged += sort_and_fold(scratch_raw, workspace.scratch_merged, sig_len, slots, order);
+    workspace.advance_frontier();
     // The fold ratio folded_rows / raw_rows is what the trigger below
     // watches (and how kAdaptMinRawRows / kAdaptStreak were calibrated).
     raw_rows += total;
     folded_rows += frontier.size();
 
-    // Adaptive escalation: ratio and row counts are thread-invariant, so the
-    // trigger fires at the same level for every thread count.
+    // Adaptive hand-off: ratio and row counts are thread-invariant, so the
+    // trigger fires at the same level for every thread count. It stops
+    // merging altogether and hands the frontier (level `level + 1` rows) to
+    // the depth-first continuation below.
     if (!frontier.empty()) {
       const bool ineffective =
           total >= kAdaptMinRawRows && frontier.size() * kAdaptRatioDen >= total * kAdaptRatioNum;
       ineffective_streak = ineffective ? ineffective_streak + 1 : 0;
       if (ineffective_streak >= kAdaptStreak) {
-        if (!coarse && num_j > 1) {
-          // First escalation: re-encode the frontier with snapped impulse
-          // totals and refold — distinct j vectors with equal totals (the
-          // common case late in a run, when most paths have accrued the same
-          // few impulses in different orders) collapse to one class.
-          const std::size_t rows = frontier.size();
-          scratch_raw.resize(rows, coarse_len, slots);
-          for (std::size_t idx = 0; idx < rows; ++idx) {
-            scratch_raw.states[idx] = frontier.states[idx];
-            const std::uint32_t* src = frontier.sigs.data() + idx * sig_len;
-            std::uint32_t* dst = scratch_raw.sigs.data() + idx * coarse_len;
-            std::copy_n(src, num_k, dst);
-            double total_impulse = 0.0;
-            for (std::size_t c = 0; c < num_j; ++c) {
-              total_impulse += impulse_values[c] * static_cast<double>(src[num_k + c]);
-            }
-            store_double_bits(canonical_threshold(total_impulse), dst + num_k);
-          }
-          std::copy(frontier.weights.begin(), frontier.weights.end(),
-                    scratch_raw.weights.begin());
-          std::copy(frontier.counts.begin(), frontier.counts.end(),
-                    scratch_raw.counts.begin());
-          sig_len = coarse_len;
-          coarse = true;
-          ++coarsenings;
-          classes_merged += sort_and_fold(scratch_raw, scratch_merged, sig_len, slots, order);
-          frontier.swap(scratch_merged);
-          // One more ineffective level (not a fresh streak) escalates again.
-          ineffective_streak = kAdaptStreak - 1;
-        } else {
-          // Second escalation: stop merging altogether and hand the frontier
-          // (level `level + 1` rows) to the depth-first continuation below.
-          handoff = true;
-          handoff_level = level + 1;
-          break;
-        }
+        handoff_level = level + 1;
+        break;
       }
     }
   }
 
-  // Depth-first continuation (second adaptive escalation): when merging has
+  // Depth-first continuation (the adaptive hand-off): when merging has
   // stopped paying, expanding the remaining frontier breadth-first only
   // buys sort-and-fold overhead on rows that will not collide. Finish each
-  // surviving class with a plain DFS — identical prune, budget, error and
-  // harvest semantics as the level sweep (the per-slot rule of eq. 4.4/4.6,
-  // with the class's merged prefix count carried unchanged down the path) —
-  // but with no further merge attempts. The whole continuation runs once for
-  // the batch (class rows carry all slots), which is what lets the hybrid
-  // beat a per-start DFS engine even when merging has gone stale.
+  // surviving class with a plain DFS — the same prune and harvest routines,
+  // budget and error semantics as the level sweep (the class's merged prefix
+  // count carried unchanged down the path) — but with no further merge
+  // attempts. The whole continuation runs once for the batch (class rows
+  // carry all slots), which is what lets the hybrid beat a per-start DFS
+  // engine even when merging has gone stale.
   //
   // Root subtrees are independent, so the continuation fans out over a FIXED
   // number of contiguous root chunks (independent of the worker count).
@@ -573,8 +549,8 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   // afterwards chunks are combined serially in chunk order. Chunk boundaries,
   // per-chunk work and the combination order are all thread-invariant, so
   // results stay bitwise identical at every thread count.
+  const bool handoff = !frontier.empty();  // the sweep stops on a live frontier only to hand off
   if (handoff) {
-    ++handoffs;
     const std::size_t roots = frontier.size();
     // Poisson pmf per level over the tail table's range (bitwise the same
     // values as the sweep's per-level poisson_pmf calls); the rare deeper
@@ -594,23 +570,20 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
       const std::size_t row_end = (chunk + 1) * roots / chunk_count;
 
       // One frame per path prefix under expansion. The signature is kept in
-      // a single shared row, incrementally updated on push and undone on
-      // pop; weights and counts get one stack row per depth (children
-      // inherit the parent's pruned row, so a slot cut at depth d
-      // contributes nothing below d, exactly as a zeroed slot in the
-      // sweep's frontier).
+      // a single shared row, updated on push and restored on pop; weights
+      // and counts get one stack row per depth (children inherit the
+      // parent's pruned row, so a slot cut at depth d contributes nothing
+      // below d, exactly as a zeroed slot in the sweep's frontier).
       struct DfsFrame {
         core::StateIndex state;
         std::size_t edge_index;
         std::uint32_t k_class;
-        std::uint32_t j_class;
-        std::uint32_t saved_total[2];
+        std::uint32_t parent_total[2];  // impulse-total words before this step
       };
       std::vector<DfsFrame> frames;
       std::vector<std::uint32_t> sig(sig_len);
       std::vector<double> w_stack(slots);
       std::vector<double> c_stack(slots);
-      SpacingCounts j_local(num_j);
 
       const auto pmf_at = [&](std::size_t level) {
         return level < pmf_by_level.size() ? pmf_by_level[level] : poisson_pmf(level, mean);
@@ -618,22 +591,11 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
       const auto enter_node = [&](std::size_t frame_depth, core::StateIndex state) {
         const std::size_t level = handoff_level + frame_depth;
         const double pmf = pmf_at(level);
-        const double tail = poisson_tail->tail(level);
         double* wrow = w_stack.data() + frame_depth * slots;
-        double* crow = c_stack.data() + frame_depth * slots;
-        bool live = false;
-        for (std::size_t i = 0; i < slots; ++i) {
-          if (core::exactly_zero(wrow[i])) continue;
-          if (pmf * wrow[i] < w * crow[i]) {
-            ++cs.truncated;
-            chunk_error[i] += wrow[i] * tail;
-            wrow[i] = 0.0;
-            crow[i] = 0.0;
-            continue;
-          }
-          live = true;
+        if (!prune(wrow, c_stack.data() + frame_depth * slots, pmf, poisson_tail->tail(level),
+                   chunk_error, cs.truncated)) {
+          return false;
         }
-        if (!live) return false;
         ++cs.nodes;
         if (base_nodes + cs.nodes > options.max_nodes) {
           // The budget is shared across the batch; flag and unwind, the
@@ -642,44 +604,22 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
           return false;
         }
         cs.max_depth = std::max(cs.max_depth, level);
-        if (sig_.psi[state]) {
-          ++cs.stored;
-          const std::size_t base = cs.harvest_sigs.size();
-          cs.harvest_sigs.resize(base + hwid);
-          std::uint32_t* out = cs.harvest_sigs.data() + base;
-          std::copy_n(sig.data(), num_k, out);
-          double r_prime = 0.0;
-          if (coarse) {
-            r_prime = context.threshold_for_total(load_double_bits(sig.data() + num_k), t, r);
-          } else {
-            j_local.assign(sig.begin() + static_cast<std::ptrdiff_t>(num_k), sig.end());
-            r_prime = context.threshold(j_local, t, r);
-          }
-          store_double_bits(canonical_threshold(r_prime), out + num_k);
-          for (std::size_t i = 0; i < slots; ++i) cs.harvest_mass.push_back(pmf * wrow[i]);
-        }
+        if (sig_.psi[state]) harvest(sig.data(), pmf, wrow, cs.harvest);
         return true;
       };
       const auto undo_sig = [&](const DfsFrame& frame) {
         --sig[frame.k_class];
-        if (!coarse) {
-          --sig[num_k + frame.j_class];
-        } else {
-          sig[num_k] = frame.saved_total[0];
-          sig[num_k + 1] = frame.saved_total[1];
-        }
+        sig[num_k] = frame.parent_total[0];
+        sig[num_k + 1] = frame.parent_total[1];
       };
 
       for (std::size_t row = row_begin; row < row_end && !cs.overflow; ++row) {
-        std::copy_n(frontier.sigs.begin() + static_cast<std::ptrdiff_t>(row * sig_len), sig_len,
-                    sig.begin());
-        std::copy_n(frontier.weights.begin() + static_cast<std::ptrdiff_t>(row * slots), slots,
-                    w_stack.begin());
-        std::copy_n(frontier.counts.begin() + static_cast<std::ptrdiff_t>(row * slots), slots,
-                    c_stack.begin());
+        std::copy_n(frontier.sigs.data() + row * sig_len, sig_len, sig.begin());
+        std::copy_n(frontier.weights.data() + row * slots, slots, w_stack.begin());
+        std::copy_n(frontier.counts.data() + row * slots, slots, c_stack.begin());
         if (!enter_node(0, frontier.states[row])) continue;
         frames.clear();
-        frames.push_back({frontier.states[row], 0, 0, 0, {0, 0}});
+        frames.push_back({frontier.states[row], 0, 0, {0, 0}});
         while (!frames.empty() && !cs.overflow) {
           const std::size_t depth = frames.size() - 1;
           const std::vector<SignatureTransition>& edges = sig_.adjacency[frames.back().state];
@@ -698,21 +638,11 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
                             w_stack.data() + depth * slots, slots, edge.probability);
           std::copy_n(c_stack.begin() + static_cast<std::ptrdiff_t>(depth * slots), slots,
                       c_stack.begin() + static_cast<std::ptrdiff_t>(child_depth * slots));
-          DfsFrame child{edge.target, 0,
-                         static_cast<std::uint32_t>(sig_.reward_class[edge.target]), 0, {0, 0}};
+          const DfsFrame child{edge.target, 0,
+                               static_cast<std::uint32_t>(sig_.reward_class[edge.target]),
+                               {sig[num_k], sig[num_k + 1]}};
           ++sig[child.k_class];
-          if (!coarse) {
-            child.j_class = static_cast<std::uint32_t>(edge.impulse_class);
-            ++sig[num_k + child.j_class];
-          } else {
-            child.saved_total[0] = sig[num_k];
-            child.saved_total[1] = sig[num_k + 1];
-            if (!core::exactly_zero(impulse_values[edge.impulse_class])) {
-              store_double_bits(canonical_threshold(load_double_bits(sig.data() + num_k) +
-                                                    impulse_values[edge.impulse_class]),
-                                sig.data() + num_k);
-            }
-          }
+          add_impulse(sig.data() + num_k, impulse_values[edge.impulse_class]);
           if (enter_node(child_depth, edge.target)) {
             frames.push_back(child);
           } else {
@@ -731,7 +661,6 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     bool overflow = false;
     for (const ChunkState& cs : chunks) {
       nodes += cs.nodes;
-      stored += cs.stored;
       truncated += cs.truncated;
       max_depth = std::max(max_depth, cs.max_depth);
       overflow = overflow || cs.overflow;
@@ -742,62 +671,63 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
           "or use the discretization engine (Lambda*t too large for signature-class DP)");
     }
     for (std::size_t chunk = 0; chunk < chunk_count; ++chunk) {
-      const ChunkState& cs = chunks[chunk];
-      harvest_sigs.append(cs.harvest_sigs.data(), cs.harvest_sigs.size());
-      harvest_mass.append(cs.harvest_mass.data(), cs.harvest_mass.size());
       const double* chunk_error = workspace.chunk_error.data() + chunk * slots;
-      for (std::size_t i = 0; i < slots; ++i) results[i].error_bound += chunk_error[i];
+      for (std::size_t i = 0; i < slots; ++i) error[i] += chunk_error[i];
     }
     obs::counter_add("classdp.handoff_roots", roots);
     obs::counter_add("classdp.handoff_nodes", nodes - base_nodes);
     obs::gauge_max("classdp.handoff_level", static_cast<double>(handoff_level));
   }
 
-  // Fold the harvested rows: stable-sort by the uniform (k, r'-bits) key and
-  // sum equal keys in place — one row per distinct (k, canonical r'), with
-  // contributions added in ascending append (= level) order. That is exactly
-  // the granularity at which eq. (4.9) differs: the conditional probability
-  // depends on j only through r', so impulse signatures with equal totals
-  // (e.g. one voter repair vs two module repairs when the impulses are 2 and
-  // 1) share a single Omega evaluation for the whole batch. The sort is over
-  // plain word rows, hence deterministic.
-  const std::size_t harvest_rows = slots == 0 ? 0 : harvest_mass.size() / slots;
-  order.resize(harvest_rows);
-  std::iota(order.begin(), order.end(), 0u);
-  const auto harvest_row = [&](std::uint32_t row) {
-    return harvest_sigs.begin() + static_cast<std::ptrdiff_t>(row * hwid);
+  // Fold the harvest rows where they lie — the sweep's, then each hand-off
+  // chunk's in chunk order (chunks this call did not use are empty, the
+  // workspace being cleared on entry): stable-sort references to them by
+  // key and sum equal keys into the group's first row, so contributions
+  // for one key are added in append (= level, then chunk) order. One group
+  // per distinct (k, canonical r') is exactly the granularity at which
+  // eq. (4.9) differs: the conditional probability depends on j only
+  // through r', so impulse histories with equal totals (e.g. one voter
+  // repair vs two module repairs when the impulses are 2 and 1) share a
+  // single Omega evaluation for the whole batch. The sort is over plain
+  // word rows, hence deterministic.
+  PageBuffer<HarvestRow>& harvest_order = workspace.harvest_order;
+  const auto add_rows = [&](Harvest& rows) {
+    for (std::size_t row = 0; row * slots < rows.mass.size(); ++row) {
+      harvest_order.push_back({rows.keys.data() + row * sig_len, rows.mass.data() + row * slots});
+    }
   };
-  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return std::lexicographical_compare(harvest_row(a), harvest_row(a) + hwid, harvest_row(b),
-                                        harvest_row(b) + hwid);
-  });
+  add_rows(workspace.harvest);
+  for (ChunkState& chunk : workspace.chunks) add_rows(chunk.harvest);
+  std::stable_sort(harvest_order.begin(), harvest_order.end(),
+                   [&](const HarvestRow& a, const HarvestRow& b) {
+                     return std::lexicographical_compare(a.key, a.key + sig_len, b.key,
+                                                         b.key + sig_len);
+                   });
   // Trivial groups reproduce the Omega recursion's base cases bitwise
   // (omega.cpp: result 1 when no present class has d_i > r', 0 when none has
   // d_i <= r') without building or querying an evaluator; only non-trivial
   // groups pay for an Omega evaluation.
   const std::vector<double>& spans = context.coefficients();
+  const std::size_t stored = harvest_order.size();
   std::size_t signature_classes = 0;
   std::size_t conditional_evals = 0;
   std::size_t trivial = 0;
   SpacingCounts k_counts(num_k);
-  for (std::size_t i = 0; i < harvest_rows; ++signature_classes) {
-    const std::uint32_t lead = order[i];
-    double* mass = harvest_mass.data() + static_cast<std::ptrdiff_t>(lead * slots);
+  for (std::size_t i = 0; i < stored; ++signature_classes) {
+    const HarvestRow& lead = harvest_order[i];
     std::size_t next_row = i + 1;
-    for (; next_row < harvest_rows &&
-           std::equal(harvest_row(lead), harvest_row(lead) + hwid, harvest_row(order[next_row]));
+    for (; next_row < stored &&
+           std::equal(lead.key, lead.key + sig_len, harvest_order[next_row].key);
          ++next_row) {
-      const double* other =
-          harvest_mass.data() + static_cast<std::ptrdiff_t>(order[next_row] * slots);
-      for (std::size_t slot = 0; slot < slots; ++slot) mass[slot] += other[slot];
+      const double* other = harvest_order[next_row].mass;
+      for (std::size_t slot = 0; slot < slots; ++slot) lead.mass[slot] += other[slot];
     }
     i = next_row;
-    const std::uint32_t* lead_row = harvest_sigs.data() + static_cast<std::ptrdiff_t>(lead * hwid);
-    const double r_prime = load_double_bits(lead_row + num_k);
+    const double r_prime = load_double_bits(lead.key + num_k);
     bool any_greater = false;
     bool any_lesser = false;
     for (std::size_t l = 0; l < num_k; ++l) {
-      if (lead_row[l] == 0) continue;
+      if (lead.key[l] == 0) continue;
       (spans[l] > r_prime ? any_greater : any_lesser) = true;
     }
     double cond = 0.0;
@@ -808,16 +738,18 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
       ++trivial;
       continue;  // cond == 0: the group contributes nothing
     } else {
-      k_counts.assign(lead_row, lead_row + num_k);
+      k_counts.assign(lead.key, lead.key + num_k);
       cond = context.conditional_probability_for_threshold(k_counts, r_prime);
       ++conditional_evals;
     }
     for (std::size_t slot = 0; slot < slots; ++slot) {
-      results[slot].probability += mass[slot] * cond;
+      results[slot].probability += lead.mass[slot] * cond;
     }
   }
 
-  for (UntilUniformizationResult& result : results) {
+  for (std::size_t i = 0; i < slots; ++i) {
+    UntilUniformizationResult& result = results[i];
+    result.error_bound = error[i];
     result.paths_stored = stored;
     result.paths_truncated = truncated;
     result.signature_classes = signature_classes;
@@ -830,8 +762,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   obs::counter_add("classdp.classes_merged", classes_merged);
   obs::counter_add("classdp.conditional_evals", conditional_evals);
   obs::counter_add("classdp.trivial_folds", trivial);
-  obs::counter_add("classdp.coarsenings", coarsenings);
-  obs::counter_add("classdp.hybrid_handoffs", handoffs);
+  obs::counter_add("classdp.hybrid_handoffs", handoff ? 1 : 0);
   obs::counter_add("classdp.raw_rows", raw_rows);
   obs::counter_add("classdp.folded_rows", folded_rows);
   obs::gauge_max("classdp.frontier_peak", static_cast<double>(frontier_peak));

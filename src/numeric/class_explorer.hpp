@@ -8,9 +8,14 @@
 // their probabilities after harvesting, so its cost grows with the number of
 // path prefixes. This engine advances a *frontier* of equivalence classes
 //
-//   (current state, reward signature (k, j))  ->  probability mass
+//   (current state, reward signature (k, impulse total))  ->  probability mass
 //
-// one uniformization step (= one Poisson epoch) per level. Two path prefixes
+// one uniformization step (= one Poisson epoch) per level. The signature is
+// encoded as (k counts, impulse total sum_i i_i j_i): the conditional
+// probability of eq. (4.9) depends on j only through that total (it fixes
+// the threshold r'), so the total is carried from level 0, snapped after
+// every addition to the 40-bit canonical_threshold representative, and
+// impulse histories with equal totals share one class. Two path prefixes
 // that end in the same state with the same signature are indistinguishable
 // for everything that follows — same continuations, same conditional
 // probability Pr{ Y(t) <= r | n, k, j } — so their masses are summed the
@@ -38,7 +43,7 @@
 // probability is evaluated once for the whole batch. Slots are fully
 // independent (pruning, error, harvest are per-slot), so a batch run is
 // bitwise identical to the corresponding single-start runs as long as the
-// hybrid escalation below does not fire.
+// hybrid hand-off below does not fire.
 //
 // Retained workspace: the frontier and its two scratch copies, the sort
 // order, the expansion offsets, the harvest arrays and the hand-off chunk
@@ -60,24 +65,18 @@
 // sorts the successor array before folding adjacent equal keys, so results
 // are bitwise identical at every thread count.
 //
-// Adaptive hybrid escalation (always armed): merging is only worth the
+// Adaptive hybrid hand-off (always armed): merging is only worth the
 // per-level sort when classes actually collide. The engine tracks the fold
-// ratio per level and, after two consecutive levels with at least 4096 raw
-// successor rows where folding kept >= 7/10 of them, escalates in two steps:
-//   1. coarsen — replace the per-class impulse counts j by the 40-bit-snapped
-//      impulse total sum_i i_i j_i (the conditional probability of eq. 4.9
-//      depends on j only through that total via the threshold r'; snapping
-//      is the same canonical_threshold representative used for evaluator
-//      caching, so distinct j vectors with equal totals merge);
-//   2. hand off — finish every remaining class with a depth-first
-//      continuation (identical prune/budget/error/harvest semantics, no
-//      further merge attempts), run once for the whole batch.
-// Both escalations preserve thread-count determinism (the trigger sees
-// thread-invariant row counts; the continuation's chunking is fixed), but a
-// batch whose trigger fires is not bitwise equal to per-start single
-// runs (the trigger sees different frontier sizes). Observability:
-// "classdp.raw_rows" / "classdp.folded_rows" (summed over levels; their
-// quotient is the fold ratio), "classdp.coarsenings",
+// ratio per level and, after three consecutive levels with at least 4096 raw
+// successor rows where folding kept >= 7/10 of them, finishes every
+// remaining class with a depth-first continuation (the sweep's own prune
+// and harvest routines, the same budget and error semantics, no further
+// merge attempts), run once for the whole batch. The hand-off preserves
+// thread-count determinism (the trigger sees thread-invariant row counts;
+// the continuation's chunking is fixed), but a batch whose trigger fires is
+// not bitwise equal to per-start single runs (the trigger sees different
+// frontier sizes). Observability: "classdp.raw_rows" / "classdp.folded_rows"
+// (summed over levels; their quotient is the fold ratio),
 // "classdp.hybrid_handoffs", "classdp.handoff_roots",
 // "classdp.handoff_nodes" and the "classdp.handoff_level" gauge.
 #pragma once

@@ -119,9 +119,9 @@ class RewardStructureContext {
   double threshold(const SpacingCounts& j, double t, double r) const;
 
   /// As threshold(), but with the impulse total sum_i i_i j_i already
-  /// accumulated — the coarsened signature encoding of the class DP engine
-  /// carries that total directly instead of per-class counts. Matches
-  /// threshold() bitwise for equal totals.
+  /// accumulated — the class DP engine's signatures carry that total
+  /// (snapped to its canonical_threshold representative) instead of
+  /// per-class counts. Matches threshold() bitwise for equal totals.
   double threshold_for_total(double impulse_total, double t, double r) const;
 
   /// The Omega coefficients d_i = r_i - r_{K+1} (descending, last entry 0).

@@ -140,7 +140,6 @@ TEST_P(ClassExplorerBatch, BatchIsBitwiseEqualToSingleStartRuns) {
   const auto batch = engine.compute_batch(all_states(model), t, r, options);
   const auto& registry = obs::StatsRegistry::global();
   EXPECT_LT(registry.counter("classdp.raw_rows"), 4096u);
-  EXPECT_EQ(registry.counter("classdp.coarsenings"), 0u);
   EXPECT_EQ(registry.counter("classdp.hybrid_handoffs"), 0u);
   obs::StatsRegistry::global().reset();
   obs::set_stats_enabled(false);
@@ -245,7 +244,7 @@ TEST(ClassExplorerEdgeCases, RejectsInvalidArguments) {
 TEST(ClassExplorerHybrid, HandOffRecordsFoldAndHandOffCountersAtEveryThreadCount) {
   // The 11-module NMR calibration model (Table 5.5) defeats class merging
   // at t = 100: the fold ratio stays high on large levels, so the engine
-  // coarsens and then hands the frontier to its depth-first continuation.
+  // hands the frontier to its depth-first continuation.
   // The level fold ratio and the hand-off land in the stats registry, and
   // every one of those counters is thread-invariant.
   const core::Mrm model = models::make_tmr(models::chapter5_nmr_config(false));
@@ -268,14 +267,13 @@ TEST(ClassExplorerHybrid, HandOffRecordsFoldAndHandOffCountersAtEveryThreadCount
     engine.compute_batch(starts, 100.0, 2000.0, options);
     const auto& registry = obs::StatsRegistry::global();
     std::map<std::string, std::uint64_t> counters;
-    for (const char* name : {"classdp.raw_rows", "classdp.folded_rows", "classdp.coarsenings",
-                             "classdp.hybrid_handoffs", "classdp.handoff_roots",
-                             "classdp.handoff_nodes", "classdp.nodes_expanded"}) {
+    for (const char* name : {"classdp.raw_rows", "classdp.folded_rows", "classdp.hybrid_handoffs",
+                             "classdp.handoff_roots", "classdp.handoff_nodes",
+                             "classdp.nodes_expanded"}) {
       counters[name] = registry.counter(name);
     }
     const double level = registry.gauge("classdp.handoff_level");
     EXPECT_EQ(counters["classdp.hybrid_handoffs"], 1u) << "threads=" << threads;
-    EXPECT_EQ(counters["classdp.coarsenings"], 1u) << "threads=" << threads;
     EXPECT_GT(counters["classdp.folded_rows"], 0u);
     EXPECT_LE(counters["classdp.folded_rows"], counters["classdp.raw_rows"]);
     EXPECT_GT(counters["classdp.handoff_roots"], 0u);
@@ -293,6 +291,84 @@ TEST(ClassExplorerHybrid, HandOffRecordsFoldAndHandOffCountersAtEveryThreadCount
   obs::StatsRegistry::global().reset();
   obs::set_stats_enabled(false);
 }
+
+/// A 14-state random model in which every transition carries an impulse
+/// from `impulses` (picked by its endpoints' sum modulo their count), so
+/// impulse histories with different counts reach equal totals within a few
+/// levels.
+core::Mrm make_equal_totals_model(const std::vector<double>& impulses) {
+  models::RandomMrmConfig config;
+  config.num_states = 14;
+  config.edge_probability = 0.35;
+  config.max_rate = 1.0;
+  const core::Mrm base = models::make_random_mrm(5, config);
+  core::ImpulseRewardsBuilder builder(base.num_states());
+  for (core::StateIndex s = 0; s < base.num_states(); ++s) {
+    for (const linalg::Entry& edge : base.rates().transitions(s)) {
+      if (edge.col != s) builder.add(s, edge.col, impulses[(s + edge.col) % impulses.size()]);
+    }
+  }
+  return core::Mrm(base.ctmc(), base.state_rewards(), builder.build());
+}
+
+class ClassExplorerEqualTotals : public ::testing::TestWithParam<std::vector<double>> {};
+
+TEST_P(ClassExplorerEqualTotals, HandOffAgreesWithDfpgAtEveryThreadCount) {
+  // A class signature carries the snapped impulse total, so histories such
+  // as 1 + 1 and 2, or the non-dyadic 0.1 + 0.2 and 0.3, share one class
+  // from the level at which they meet. The frontier of this batch grows
+  // past the hand-off trigger, so merged classes also seed the depth-first
+  // continuation. The results are identical at every thread count and agree
+  // with the DFPG oracle within the two engines' summed error bounds.
+  const core::Mrm model = make_equal_totals_model(GetParam());
+  const std::vector<bool> psi = model.labels().states_with("b");
+  const std::vector<bool> dead(model.num_states(), false);
+  const core::Mrm transformed = core::make_absorbing(model, psi);
+  const numeric::SignatureClassUntilEngine classdp(transformed, psi, dead);
+  std::vector<core::StateIndex> starts;
+  for (core::StateIndex s = 0; s < model.num_states(); ++s) {
+    if (!psi[s]) starts.push_back(s);
+  }
+  ASSERT_FALSE(starts.empty());
+  const double t = 1.0;
+  const double r = 5.0;
+  numeric::PathExplorerOptions options;
+  options.truncation_probability = 1e-8;
+
+  obs::set_stats_enabled(true);
+  std::vector<numeric::UntilUniformizationResult> reference;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    obs::StatsRegistry::global().reset();
+    options.threads = threads;
+    const auto batch = classdp.compute_batch(starts, t, r, options);
+    EXPECT_EQ(obs::StatsRegistry::global().counter("classdp.hybrid_handoffs"), 1u)
+        << "threads=" << threads;
+    if (threads == 1) {
+      reference = batch;
+      continue;
+    }
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      EXPECT_EQ(batch[i].probability, reference[i].probability)
+          << "threads=" << threads << " start=" << starts[i];  // bitwise
+      EXPECT_EQ(batch[i].error_bound, reference[i].error_bound)
+          << "threads=" << threads << " start=" << starts[i];
+    }
+  }
+  obs::StatsRegistry::global().reset();
+  obs::set_stats_enabled(false);
+
+  const numeric::UniformizationUntilEngine dfpg(transformed, psi, dead);
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    const auto oracle = dfpg.compute(starts[i], t, r, options);
+    EXPECT_NEAR(reference[i].probability, oracle.probability,
+                reference[i].error_bound + oracle.error_bound + 1e-12)
+        << "start=" << starts[i];
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ImpulseValues, ClassExplorerEqualTotals,
+                         ::testing::Values(std::vector<double>{1.0, 2.0},
+                                           std::vector<double>{0.1, 0.2, 0.3}));
 
 // ---------------------------------------------------- retained workspace
 
@@ -346,10 +422,14 @@ void expect_bitwise_equal(const BatchOutcome& reused, const BatchOutcome& fresh,
   }
 }
 
-/// The 11-module NMR calibration model (Table 5.5) with Psi = allUp made
-/// absorbing, and every other state as a start.
+/// The 11-module NMR calibration model (Table 5.5, or its variable
+/// failure-rate variant of Table 5.7) with Psi = allUp made absorbing, and
+/// every other state as a start.
 struct NmrSetup {
-  core::Mrm model = models::make_tmr(models::chapter5_nmr_config(false));
+  explicit NmrSetup(bool variable_failure_rate = false)
+      : model(models::make_tmr(models::chapter5_nmr_config(variable_failure_rate))) {}
+
+  core::Mrm model;
   std::vector<bool> psi = model.labels().states_with("allUp");
   numeric::SignatureClassUntilEngine engine{core::make_absorbing(model, psi), psi,
                                             std::vector<bool>(model.num_states(), false)};
@@ -366,9 +446,9 @@ TEST(ClassExplorerWorkspace, ReuseAcrossSolvesIsInvisibleAtEveryThreadCount) {
   // The engine keeps its frontier buffers in one workspace per calling
   // thread. Run a sequence that leaves that workspace in every state it can
   // be left in — a hand-off (chunk buffers filled), a small batch with
-  // another signature width, a coarsened sweep, a sweep that throws with
-  // its frontier half built — and check each call against the same call on
-  // a thread whose workspace is empty.
+  // another signature width, a sweep that runs to its end without handing
+  // off, a sweep that throws with its frontier half built — and check each
+  // call against the same call on a thread whose workspace is empty.
   const NmrSetup nmr;
   const core::Mrm phone = models::make_cellphone();
   std::vector<bool> phone_phi = phone.labels().states_with("Call_Idle");
@@ -398,7 +478,7 @@ TEST(ClassExplorerWorkspace, ReuseAcrossSolvesIsInvisibleAtEveryThreadCount) {
     const std::vector<std::pair<std::string, BatchQuery>> sequence = {
         {"nmr hand-off", {&nmr.engine, nmr.starts(), 100.0, 2000.0, options}},
         {"cellphone", {&phone_engine, phone_starts, 24.0, 400.0, options}},
-        {"nmr coarsened", {&nmr.engine, nmr.starts(), 20.0, 400.0, options}},
+        {"nmr sweep", {&nmr.engine, nmr.starts(), 20.0, 400.0, options}},
         {"nmr budget", {&nmr.engine, nmr.starts(), 100.0, 2000.0, starved}},
         {"nmr hand-off again", {&nmr.engine, nmr.starts(), 100.0, 2000.0, options}},
     };
@@ -406,12 +486,11 @@ TEST(ClassExplorerWorkspace, ReuseAcrossSolvesIsInvisibleAtEveryThreadCount) {
       const std::string label = name + " threads=" + std::to_string(threads);
       expect_bitwise_equal(run_batch(query), run_batch_on_fresh_thread(query), label);
     }
-    // The sequence covers what it claims: the hand-off and coarsened runs
-    // escalate as named, and the starved run throws.
+    // The sequence covers what it claims: the hand-off runs hand off, the
+    // plain sweep does not, and the starved run throws.
     obs::set_stats_enabled(true);
     obs::StatsRegistry::global().reset();
     run_batch(sequence[2].second);
-    EXPECT_EQ(obs::StatsRegistry::global().counter("classdp.coarsenings"), 1u);
     EXPECT_EQ(obs::StatsRegistry::global().counter("classdp.hybrid_handoffs"), 0u);
     obs::StatsRegistry::global().reset();
     run_batch(sequence[0].second);
@@ -425,25 +504,30 @@ TEST(ClassExplorerWorkspace, ReuseAcrossSolvesIsInvisibleAtEveryThreadCount) {
 TEST(ClassExplorerWorkspace, RepeatedIdenticalSolveDoesNotGrowTheWorkspace) {
   // On a fresh thread the first solve sizes the workspace; an identical
   // second solve fits in what the first left, so the
-  // classdp.workspace_bytes gauge reads the same bytes after both.
-  const NmrSetup nmr;
-  numeric::PathExplorerOptions options;
-  options.threads = 1;
-  double first = 0.0;
-  double second = 0.0;
-  obs::set_stats_enabled(true);
-  std::thread([&] {
-    obs::StatsRegistry::global().reset();
-    nmr.engine.compute_batch(nmr.starts(), 100.0, 2000.0, options);
-    first = obs::StatsRegistry::global().gauge("classdp.workspace_bytes");
-    obs::StatsRegistry::global().reset();
-    nmr.engine.compute_batch(nmr.starts(), 100.0, 2000.0, options);
-    second = obs::StatsRegistry::global().gauge("classdp.workspace_bytes");
-    obs::StatsRegistry::global().reset();
-  }).join();
-  obs::set_stats_enabled(false);
-  EXPECT_GT(first, 0.0);
-  EXPECT_EQ(second, first);
+  // classdp.workspace_bytes gauge reads the same bytes after both. Each
+  // level swaps the live and folded frontier buffers, so this holds only if
+  // the second solve starts with each buffer in the role it had in the
+  // first, whatever the first solve's level count.
+  for (const bool variable_failure_rate : {false, true}) {
+    const NmrSetup nmr(variable_failure_rate);
+    numeric::PathExplorerOptions options;
+    options.threads = 1;
+    double first = 0.0;
+    double second = 0.0;
+    obs::set_stats_enabled(true);
+    std::thread([&] {
+      obs::StatsRegistry::global().reset();
+      nmr.engine.compute_batch(nmr.starts(), 100.0, 2000.0, options);
+      first = obs::StatsRegistry::global().gauge("classdp.workspace_bytes");
+      obs::StatsRegistry::global().reset();
+      nmr.engine.compute_batch(nmr.starts(), 100.0, 2000.0, options);
+      second = obs::StatsRegistry::global().gauge("classdp.workspace_bytes");
+      obs::StatsRegistry::global().reset();
+    }).join();
+    obs::set_stats_enabled(false);
+    EXPECT_GT(first, 0.0) << "variable=" << variable_failure_rate;
+    EXPECT_EQ(second, first) << "variable=" << variable_failure_rate;
+  }
 }
 
 class ClassDpCheckerAgreement : public ::testing::TestWithParam<std::uint32_t> {};
