@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks for the numerical kernels: Omega
-// recursion, Poisson masses, Gauss-Seidel sweeps, BSCC detection, the DFPG
+// recursion, the class-DP level fold's ordering, Poisson masses, Gauss-Seidel sweeps, BSCC detection, the DFPG
 // path explorer, one discretization step-sweep, serial-vs-parallel scaling
 // cases for the thread-pool layer (Arg = thread count; run `bench_parallel`
 // for the JSON scaling record), and the observability-layer overhead
@@ -8,19 +8,28 @@
 // collection on and writes the registry to BENCH_kernels_stats.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <numeric>
+#include <vector>
 
 #include "checker/steady.hpp"
 #include "checker/until.hpp"
+#include "core/approx.hpp"
 #include "core/transform.hpp"
 #include "graph/scc.hpp"
 #include "linalg/gauss_seidel.hpp"
 #include "models/mm1k.hpp"
 #include "models/random_mrm.hpp"
 #include "models/tmr.hpp"
+#include "numeric/conditional.hpp"
 #include "numeric/discretization.hpp"
 #include "numeric/omega.hpp"
 #include "numeric/poisson.hpp"
+#include "numeric/run_merge.hpp"
+#include "numeric/signature_model.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
 #include "oracle/path_explorer.hpp"
@@ -32,23 +41,141 @@ using namespace csrlmrm;
 
 void BM_OmegaEvaluate(benchmark::State& state) {
   const auto count = static_cast<std::uint32_t>(state.range(0));
+  const numeric::SpacingCounts counts{count, count, count, count};
   for (auto _ : state) {
-    // Fresh evaluator per iteration: measures the full memoized recursion.
+    // Fresh evaluator and scratch per iteration: the full wavefront DP plus
+    // its construction and first allocation.
     numeric::OmegaEvaluator evaluator({5.0, 3.0, 1.0, 0.0}, 1.7);
-    benchmark::DoNotOptimize(evaluator.evaluate({count, count, count, count}));
+    numeric::OmegaScratch scratch;
+    benchmark::DoNotOptimize(evaluator.evaluate(counts, scratch));
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_OmegaEvaluate)->RangeMultiplier(2)->Range(4, 64)->Complexity();
 
-void BM_OmegaMemoizedRequery(benchmark::State& state) {
-  numeric::OmegaEvaluator evaluator({5.0, 3.0, 1.0, 0.0}, 1.7);
-  evaluator.evaluate({32, 32, 32, 32});
+void BM_OmegaRequery(benchmark::State& state) {
+  // One evaluator and one scratch reused: the steady state of a class-DP
+  // harvest fold, which allocates nothing per evaluation.
+  const numeric::OmegaEvaluator evaluator({5.0, 3.0, 1.0, 0.0}, 1.7);
+  const numeric::SpacingCounts counts{32, 32, 32, 32};
+  numeric::OmegaScratch scratch;
+  evaluator.evaluate(counts, scratch);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate({32, 32, 32, 32}));
+    benchmark::DoNotOptimize(evaluator.evaluate(counts, scratch));
   }
 }
-BENCHMARK(BM_OmegaMemoizedRequery);
+BENCHMARK(BM_OmegaRequery);
+
+/// The (state, signature) keys of one class-DP level's raw successor rows
+/// on the variable-rate 11-module NMR, as class_explorer.cpp lays them out:
+/// the engine's key sweep from state 0 replayed without weights or pruning,
+/// each level folded and kept sorted by key, the next level expanded edge
+/// by edge.
+struct LevelRows {
+  std::vector<core::StateIndex> states;
+  std::vector<std::uint32_t> sigs;  // row i at [i * sig_len, (i + 1) * sig_len)
+  std::size_t sig_len = 0;
+
+  bool less(std::uint32_t a, std::uint32_t b) const {
+    return std::lexicographical_compare(sigs.begin() + a * sig_len,
+                                        sigs.begin() + (a + 1) * sig_len,
+                                        sigs.begin() + b * sig_len,
+                                        sigs.begin() + (b + 1) * sig_len);
+  }
+};
+
+LevelRows nmr_level_rows(std::size_t level) {
+  const core::Mrm model = models::make_tmr(models::chapter5_nmr_config(true));
+  const std::size_t n = model.num_states();
+  const numeric::SignatureModel sig(model, std::vector<bool>(n, false),
+                                    std::vector<bool>(n, false));
+  const std::size_t num_k = sig.distinct_state_rewards.size();
+  LevelRows frontier;
+  frontier.sig_len = num_k + 2;
+  frontier.states = {0};
+  frontier.sigs.assign(frontier.sig_len, 0u);
+  ++frontier.sigs[sig.reward_class[0]];
+  numeric::BucketSorter sorter;
+  numeric::PageBuffer<std::uint32_t> order;
+  for (std::size_t l = 0;; ++l) {
+    LevelRows raw;
+    raw.sig_len = frontier.sig_len;
+    for (std::size_t row = 0; row < frontier.states.size(); ++row) {
+      for (const numeric::SignatureTransition& edge : sig.adjacency[frontier.states[row]]) {
+        raw.states.push_back(edge.target);
+        const std::size_t at = raw.sigs.size();
+        raw.sigs.insert(raw.sigs.end(), frontier.sigs.begin() + row * frontier.sig_len,
+                        frontier.sigs.begin() + (row + 1) * frontier.sig_len);
+        ++raw.sigs[at + sig.reward_class[edge.target]];
+        const double impulse = sig.distinct_impulse_rewards[edge.impulse_class];
+        if (!core::exactly_zero(impulse)) {
+          std::uint64_t bits = (std::uint64_t{raw.sigs[at + num_k]} << 32) | raw.sigs[at + num_k + 1];
+          double total = 0.0;
+          std::memcpy(&total, &bits, sizeof total);
+          total = numeric::canonical_threshold(total + impulse);
+          std::memcpy(&bits, &total, sizeof bits);
+          raw.sigs[at + num_k] = static_cast<std::uint32_t>(bits >> 32);
+          raw.sigs[at + num_k + 1] = static_cast<std::uint32_t>(bits);
+        }
+      }
+    }
+    if (l == level) return raw;
+    sorter.sort(raw.states.data(), raw.states.size(), n, order,
+                [&](std::uint32_t a, std::uint32_t b) { return raw.less(a, b); });
+    frontier.states.clear();
+    frontier.sigs.clear();
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const std::uint32_t row = order[i];
+      if (i > 0 && raw.states[order[i - 1]] == raw.states[row] && !raw.less(order[i - 1], row)) {
+        continue;  // equal key: folds into the previous class
+      }
+      frontier.states.push_back(raw.states[row]);
+      frontier.sigs.insert(frontier.sigs.end(), raw.sigs.begin() + row * raw.sig_len,
+                           raw.sigs.begin() + (row + 1) * raw.sig_len);
+    }
+  }
+}
+
+/// The fold's ordering of one NMR level (level 9: 10 194 raw rows of 15
+/// signature words in 11 target-state buckets, 36 presorted runs):
+/// Arg 0 is the comparison sort the fold used to run (std::stable_sort of
+/// row indices by state, then signature), Arg 1 the counting pass by state
+/// plus run merge it runs now. Both produce the same permutation, checked
+/// before timing.
+void BM_ClassDpLevelFold(benchmark::State& state) {
+  static const LevelRows rows = nmr_level_rows(9);
+  const std::size_t n = rows.states.size();
+  const auto key_less = [&](std::uint32_t a, std::uint32_t b) {
+    if (rows.states[a] != rows.states[b]) return rows.states[a] < rows.states[b];
+    return rows.less(a, b);
+  };
+  const auto sig_less = [&](std::uint32_t a, std::uint32_t b) { return rows.less(a, b); };
+  const std::size_t num_states = *std::max_element(rows.states.begin(), rows.states.end()) + 1;
+  std::vector<std::uint32_t> expected(n);
+  std::iota(expected.begin(), expected.end(), 0u);
+  std::stable_sort(expected.begin(), expected.end(), key_less);
+  numeric::BucketSorter sorter;
+  numeric::PageBuffer<std::uint32_t> order;
+  sorter.sort(rows.states.data(), n, num_states, order, sig_less);
+  if (!std::equal(expected.begin(), expected.end(), order.begin())) {
+    state.SkipWithError("run merge and std::stable_sort disagree");
+    return;
+  }
+  std::vector<std::uint32_t> indices(n);
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      std::iota(indices.begin(), indices.end(), 0u);
+      std::stable_sort(indices.begin(), indices.end(), key_less);
+      benchmark::DoNotOptimize(indices.data());
+    } else {
+      sorter.sort(rows.states.data(), n, num_states, order, sig_less);
+      benchmark::DoNotOptimize(order.data());
+    }
+  }
+  state.counters["rows"] = static_cast<double>(n);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_ClassDpLevelFold)->Arg(0)->Arg(1);
 
 void BM_PoissonPmf(benchmark::State& state) {
   std::size_t n = 0;

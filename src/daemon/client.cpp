@@ -62,11 +62,10 @@ std::string Client::read_line() {
       return line;
     }
     scanned = buffer_.size();
-    char chunk[4096];
-    const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
+    const ssize_t got = ::read(fd_, chunk_.data(), chunk_.size());
     if (got < 0 && errno == EINTR) continue;  // interrupted, not closed: retry
     if (got <= 0) throw std::runtime_error("connection closed by daemon");
-    buffer_.append(chunk, static_cast<std::size_t>(got));
+    buffer_.append(chunk_.data(), static_cast<std::size_t>(got));
   }
 }
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "obs/json.hpp"
 
@@ -35,6 +36,9 @@ class Client {
 
   int fd_ = -1;
   std::string buffer_;
+  // What one read() may return: 64 KiB, so a batch reply of a few hundred
+  // KB takes a handful of system calls. A member, reused across replies.
+  std::vector<char> chunk_ = std::vector<char>(64 * 1024);
 };
 
 }  // namespace csrlmrm::daemon

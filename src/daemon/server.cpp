@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -137,7 +138,14 @@ void DaemonServer::accept_loop() {
     if (fd < 0) {
       if (!running_.load()) return;
       if (errno == EINTR) continue;  // interrupted by a signal: retry
-      continue;  // other transient accept failure
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS || errno == ENOMEM) {
+        // Out of descriptors or memory: the pending connection stays queued
+        // and accept() would fail again at once. Retrying in a tight loop
+        // spins a core, starving the dispatcher that would free resources,
+        // so wait briefly first.
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      continue;  // transient accept failure
     }
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     connection_fds_.push_back(fd);

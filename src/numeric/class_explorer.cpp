@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -15,6 +14,7 @@
 #include "core/simd.hpp"
 #include "numeric/conditional.hpp"
 #include "numeric/page_buffer.hpp"
+#include "numeric/run_merge.hpp"
 #include "obs/stats.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -37,7 +37,7 @@ constexpr double kMaxPrefixCount = 1e300;
 /// Constants calibrated on the committed BENCH workloads (the NMR rows peak
 /// at ~1e5 raw rows/level with fold ratios 0.72..1.0 from level 5 on; firing
 /// before the frontier peak is what makes the hybrid beat a per-start DFS,
-/// since the breadth-first sort of the peak levels is the dominant cost).
+/// since the breadth-first fold of the peak levels is the dominant cost).
 constexpr std::size_t kAdaptMinRawRows = 4096;
 constexpr std::size_t kAdaptRatioNum = 7;   // ineffective when folded/raw >= 7/10
 constexpr std::size_t kAdaptRatioDen = 10;
@@ -125,20 +125,21 @@ struct Frontier {
   }
 };
 
-/// Sorts `raw` rows by (state, signature) and folds equal keys by slot-wise
-/// weight/count addition into `merged`, in sorted order — deterministic
+/// Folds the `raw` rows into `merged`: rows with equal (state, signature)
+/// keys become one row, their weights and counts added slot-wise in raw
+/// order, and the merged rows come out sorted by key — deterministic
 /// regardless of how `raw` was produced (the expansion's chunk layout in
-/// particular). Returns the number of rows merged away.
-std::size_t sort_and_fold(const Frontier& raw, Frontier& merged, std::size_t sig_len,
-                          std::size_t slots, PageBuffer<std::uint32_t>& order) {
+/// particular). The order is the stable one by key: a counting pass by
+/// state, then a merge of each state's presorted runs (numeric/run_merge.hpp;
+/// a sorted frontier sends each target state one run per parent state).
+/// Returns the number of rows merged away.
+std::size_t fold(const Frontier& raw, Frontier& merged, std::size_t sig_len, std::size_t slots,
+                 std::size_t num_states, BucketSorter& sorter, PageBuffer<std::uint32_t>& order) {
   const std::size_t n = raw.size();
-  order.resize(n);
-  std::iota(order.begin(), order.end(), 0u);
   const auto sig_row = [&](std::uint32_t row) {
     return raw.sigs.begin() + static_cast<std::ptrdiff_t>(row * sig_len);
   };
-  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    if (raw.states[a] != raw.states[b]) return raw.states[a] < raw.states[b];
+  sorter.sort(raw.states.data(), n, num_states, order, [&](std::uint32_t a, std::uint32_t b) {
     return std::lexicographical_compare(sig_row(a), sig_row(a) + sig_len, sig_row(b),
                                         sig_row(b) + sig_len);
   });
@@ -187,7 +188,7 @@ struct Harvest {
   std::size_t bytes() const { return keys.bytes() + mass.bytes(); }
 };
 
-/// One harvest row of any Harvest, as the final fold sorts it.
+/// One harvest row of any Harvest, as the final fold orders it.
 struct HarvestRow {
   const std::uint32_t* key;
   double* mass;
@@ -215,7 +216,8 @@ struct ChunkState {
 
 /// Every buffer of a compute_batch call whose size follows the frontier
 /// rather than the batch: the live frontier and both scratch frontiers, the
-/// sort order, the expansion offsets, the harvests and the hand-off chunks.
+/// fold order and its sorter, the expansion offsets, the harvests and the
+/// hand-off chunks.
 /// One workspace per calling thread is kept across calls (capacity only;
 /// compute_batch clears it on entry), so a warm engine does not map and
 /// fault in a few MB of fresh pages on every solve.
@@ -223,10 +225,13 @@ struct Workspace {
   Frontier frontier;
   Frontier scratch_raw;
   Frontier scratch_merged;
-  PageBuffer<std::uint32_t> order;
+  PageBuffer<std::uint32_t> order;  // a level's raw rows in fold order
+  BucketSorter sorter;              // computes `order`; its state never outlives a call
   PageBuffer<std::size_t> offsets;
-  Harvest harvest;                       // the level sweep's rows
-  PageBuffer<HarvestRow> harvest_order;  // every harvest row, sorted for the fold
+  Harvest harvest;                         // the level sweep's rows
+  PageBuffer<HarvestRow> harvest_order;    // every harvest row, sorted for the fold
+  PageBuffer<HarvestRow> harvest_scratch;  // merge buffers for ordering harvest_order
+  PageBuffer<std::size_t> harvest_runs;
   std::array<ChunkState, kHandoffChunks> chunks;
   PageBuffer<double> chunk_error;  // chunk c's slots at [c * slots, (c + 1) * slots)
   bool frontier_swapped = false;   // odd number of advance_frontier() calls
@@ -239,7 +244,8 @@ struct Workspace {
     frontier_swapped = !frontier_swapped;
   }
 
-  /// Empties every buffer, keeping its capacity. An odd number of swaps is
+  /// Empties every buffer, keeping its capacity (the sorter's and the merge
+  /// buffers hold nothing between calls). An odd number of swaps is
   /// undone first, so every call starts with the same storage in each role
   /// and a repeated solve fits in what the previous one left.
   void clear() {
@@ -257,8 +263,9 @@ struct Workspace {
 
   std::size_t bytes() const {
     std::size_t total = frontier.bytes() + scratch_raw.bytes() + scratch_merged.bytes() +
-                        order.bytes() + offsets.bytes() + harvest.bytes() +
-                        harvest_order.bytes() + chunk_error.bytes();
+                        order.bytes() + sorter.bytes() + offsets.bytes() + harvest.bytes() +
+                        harvest_order.bytes() + harvest_scratch.bytes() + harvest_runs.bytes() +
+                        chunk_error.bytes();
     for (const ChunkState& chunk : chunks) total += chunk.harvest.bytes();
     return total;
   }
@@ -391,7 +398,8 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
       ++row;
     }
   }
-  std::size_t classes_merged = sort_and_fold(scratch_raw, frontier, sig_len, slots, order);
+  std::size_t classes_merged =
+      fold(scratch_raw, frontier, sig_len, slots, n, workspace.sorter, order);
 
   std::size_t nodes = 0;
   std::size_t truncated = 0;
@@ -482,8 +490,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     // Expand one uniformization step. Every class writes its successors into
     // a precomputed disjoint slice of the raw successor arrays, so the
     // parallel loop's output is independent of the chunk layout; the
-    // deterministic sort-and-fold then merges colliding (state, signature)
-    // keys.
+    // deterministic fold then merges colliding (state, signature) keys.
     offsets.assign(frontier.size() + 1, 0);
     for (std::size_t idx = 0; idx < frontier.size(); ++idx) {
       offsets[idx + 1] = offsets[idx] + sig_.adjacency[frontier.states[idx]].size();
@@ -511,7 +518,8 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
         }
       }
     });
-    classes_merged += sort_and_fold(scratch_raw, workspace.scratch_merged, sig_len, slots, order);
+    classes_merged +=
+        fold(scratch_raw, workspace.scratch_merged, sig_len, slots, n, workspace.sorter, order);
     workspace.advance_frontier();
     // The fold ratio folded_rows / raw_rows is what the trigger below
     // watches (and how kAdaptMinRawRows / kAdaptStreak were calibrated).
@@ -535,7 +543,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
 
   // Depth-first continuation (the adaptive hand-off): when merging has
   // stopped paying, expanding the remaining frontier breadth-first only
-  // buys sort-and-fold overhead on rows that will not collide. Finish each
+  // buys fold overhead on rows that will not collide. Finish each
   // surviving class with a plain DFS — the same prune and harvest routines,
   // budget and error semantics as the level sweep (the class's merged prefix
   // count carried unchanged down the path) — but with no further merge
@@ -681,15 +689,18 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
 
   // Fold the harvest rows where they lie — the sweep's, then each hand-off
   // chunk's in chunk order (chunks this call did not use are empty, the
-  // workspace being cleared on entry): stable-sort references to them by
-  // key and sum equal keys into the group's first row, so contributions
-  // for one key are added in append (= level, then chunk) order. One group
+  // workspace being cleared on entry): order references to them stably by
+  // key with merge_runs and sum equal keys into the group's first row, so
+  // contributions for one key are added in append (= level, then chunk)
+  // order. The sweep appends a level's rows in (state, k, impulse total)
+  // order and r' falls as the total grows, so the rows arrive as short
+  // ascending and strictly descending runs. One group
   // per distinct (k, canonical r') is exactly the granularity at which
   // eq. (4.9) differs: the conditional probability depends on j only
   // through r', so impulse histories with equal totals (e.g. one voter
   // repair vs two module repairs when the impulses are 2 and 1) share a
-  // single Omega evaluation for the whole batch. The sort is over plain
-  // word rows, hence deterministic.
+  // single Omega evaluation for the whole batch. The order is the stable
+  // one over plain word rows, hence deterministic.
   PageBuffer<HarvestRow>& harvest_order = workspace.harvest_order;
   const auto add_rows = [&](Harvest& rows) {
     for (std::size_t row = 0; row * slots < rows.mass.size(); ++row) {
@@ -698,11 +709,11 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   };
   add_rows(workspace.harvest);
   for (ChunkState& chunk : workspace.chunks) add_rows(chunk.harvest);
-  std::stable_sort(harvest_order.begin(), harvest_order.end(),
-                   [&](const HarvestRow& a, const HarvestRow& b) {
-                     return std::lexicographical_compare(a.key, a.key + sig_len, b.key,
-                                                         b.key + sig_len);
-                   });
+  merge_runs(harvest_order.begin(), harvest_order.end(), workspace.harvest_scratch,
+             workspace.harvest_runs, [&](const HarvestRow& a, const HarvestRow& b) {
+               return std::lexicographical_compare(a.key, a.key + sig_len, b.key,
+                                                   b.key + sig_len);
+             });
   // Trivial groups reproduce the Omega recursion's base cases bitwise
   // (omega.cpp: result 1 when no present class has d_i > r', 0 when none has
   // d_i <= r') without building or querying an evaluator; only non-trivial

@@ -45,12 +45,12 @@
 // bitwise identical to the corresponding single-start runs as long as the
 // hybrid hand-off below does not fire.
 //
-// Retained workspace: the frontier and its two scratch copies, the sort
-// order, the expansion offsets, the harvest arrays and the hand-off chunk
-// buffers live in one workspace per calling thread, kept across
-// compute_batch calls (their capacity only: every call clears the workspace
-// on entry, so a call that threw leaves nothing for the next one to see, and
-// results are bitwise those of a fresh thread). A call that nests inside
+// Retained workspace: the frontier and its two scratch copies, the fold
+// order and the buffers that compute it, the expansion offsets, the harvest
+// arrays and the hand-off chunk buffers live in one workspace per calling
+// thread, kept across compute_batch calls (their capacity only: every call
+// clears the workspace on entry, so a call that threw leaves nothing for
+// the next one to see, and results are bitwise those of a fresh thread). A call that nests inside
 // another on the same thread uses a local workspace instead. The storage is
 // page-backed (numeric/page_buffer.hpp), mapped straight from the system and
 // released when the thread exits: kept in malloc's arenas, a few MB of
@@ -62,11 +62,14 @@
 //
 // Parallelism: per-level frontier expansion is data-parallel (each class
 // writes its successors into a precomputed disjoint slice), and merging
-// sorts the successor array before folding adjacent equal keys, so results
-// are bitwise identical at every thread count.
+// orders the successor array stably by key before folding adjacent equal
+// keys, so results are bitwise identical at every thread count. The order
+// comes from a counting pass by target state and a merge of each state's
+// presorted runs (numeric/run_merge.hpp), not from a comparison sort: a
+// sorted frontier sends every target state one sorted run per parent state.
 //
 // Adaptive hybrid hand-off (always armed): merging is only worth the
-// per-level sort when classes actually collide. The engine tracks the fold
+// per-level fold when classes actually collide. The engine tracks the fold
 // ratio per level and, after three consecutive levels with at least 4096 raw
 // successor rows where folding kept >= 7/10 of them, finishes every
 // remaining class with a depth-first continuation (the sweep's own prune

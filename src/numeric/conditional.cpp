@@ -146,7 +146,7 @@ double RewardStructureContext::conditional_probability_for_threshold(const Spaci
     it = evaluators_.emplace(canonical, SharedOmegaCache::global().evaluator(coefficients_, canonical))
              .first;
   }
-  return it->second->evaluate(k);
+  return it->second->evaluate(k, omega_scratch_);
 }
 
 }  // namespace csrlmrm::numeric

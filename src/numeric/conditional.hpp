@@ -81,7 +81,10 @@ class SharedOmegaCache {
   std::map<Key, Entry> entries_;  // lint:guarded_by(mutex_)
 };
 
-/// Precomputed reward bookkeeping for conditional-probability queries.
+/// Precomputed reward bookkeeping for conditional-probability queries. A
+/// context caches evaluators and owns the scratch its Omega evaluations run
+/// in, so it serves one thread at a time; the evaluators it shares through
+/// SharedOmegaCache stay safe to use from every thread.
 class RewardStructureContext {
  public:
   /// `state_rewards_desc` must be strictly decreasing (the distinct rho
@@ -141,6 +144,10 @@ class RewardStructureContext {
   // Per-context front cache over SharedOmegaCache, keyed by canonical
   // threshold: lock-free repeat lookups within one engine run.
   std::map<double, std::shared_ptr<const OmegaEvaluator>> evaluators_;
+  // Working storage for every evaluation this context makes, so repeated
+  // conditional probabilities allocate only when a larger count shape
+  // appears. Like evaluators_, it makes a context single-threaded.
+  OmegaScratch omega_scratch_;
 };
 
 }  // namespace csrlmrm::numeric

@@ -26,7 +26,7 @@ OmegaEvaluator::OmegaEvaluator(std::vector<double> coefficients, double r)
   for (std::size_t l = 0; l < c_.size(); ++l) greater_[l] = c_[l] > r_;
 }
 
-double OmegaEvaluator::evaluate(const SpacingCounts& counts) const {
+double OmegaEvaluator::evaluate(const SpacingCounts& counts, OmegaScratch& scratch) const {
   if (counts.size() != c_.size()) {
     throw std::invalid_argument("OmegaEvaluator::evaluate: counts size mismatch");
   }
@@ -53,8 +53,10 @@ double OmegaEvaluator::evaluate(const SpacingCounts& counts) const {
   // cig[g]. The lesser staircase is stored reversed (cjl_rev[i] =
   // cjl[tl-1-i]) so that along an anti-diagonal d the per-cell pivot
   // cjl[d - g] reads as the contiguous slice cjl_rev[(tl-1-d) + g].
-  std::vector<double> cig(static_cast<std::size_t>(tg));
-  std::vector<double> cjl_rev(static_cast<std::size_t>(tl));
+  std::vector<double>& cig = scratch.greater_pivots;
+  std::vector<double>& cjl_rev = scratch.lesser_pivots_rev;
+  cig.resize(static_cast<std::size_t>(tg));
+  cjl_rev.resize(static_cast<std::size_t>(tl));
   {
     std::size_t gpos = 0;
     std::size_t lpos = static_cast<std::size_t>(tl);
@@ -78,7 +80,8 @@ double OmegaEvaluator::evaluate(const SpacingCounts& counts) const {
   // before it is overwritten.
   const std::size_t stg = static_cast<std::size_t>(tg);
   const std::size_t stl = static_cast<std::size_t>(tl);
-  std::vector<double> w(stg + 1, 0.0);
+  std::vector<double>& w = scratch.wavefront;
+  w.assign(stg + 1, 0.0);
   w[stg] = 1.0;
   std::uint64_t cells = 0;
   const core::simd::DoubleVec vr = core::simd::DoubleVec::broadcast(r_);
@@ -120,8 +123,8 @@ double OmegaEvaluator::evaluate(const SpacingCounts& counts) const {
 }
 
 double omega(double r, const std::vector<double>& coefficients, const SpacingCounts& counts) {
-  OmegaEvaluator evaluator(coefficients, r);
-  return evaluator.evaluate(counts);
+  OmegaScratch scratch;
+  return OmegaEvaluator(coefficients, r).evaluate(counts, scratch);
 }
 
 }  // namespace csrlmrm::numeric

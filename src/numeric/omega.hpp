@@ -35,9 +35,22 @@ namespace csrlmrm::numeric {
 /// Count vector type: counts_[l] spacings carry coefficient c_l.
 using SpacingCounts = std::vector<std::uint32_t>;
 
+/// Working storage of OmegaEvaluator::evaluate: the two pivot staircases
+/// and the wavefront row. The caller owns it and passes it to every call, so
+/// a scratch reused across calls grows to the largest count shape it has
+/// seen and then stops allocating. Its contents between calls carry no
+/// meaning: a reused scratch gives bitwise the value a fresh one gives. One
+/// scratch must not be used by two calls at once.
+struct OmegaScratch {
+  std::vector<double> greater_pivots;     // c_i of the (g+1)-th greater-side unit
+  std::vector<double> lesser_pivots_rev;  // lesser-side staircase, reversed
+  std::vector<double> wavefront;          // one anti-diagonal of the lattice
+};
+
 /// Wavefront-DP evaluator for one fixed threshold r and coefficient vector
-/// c. Stateless after construction: evaluate() is const and safe to call
-/// concurrently from multiple threads on a shared instance.
+/// c. Stateless after construction: evaluate() is const, and one shared
+/// instance serves concurrent callers as long as each passes its own
+/// OmegaScratch.
 class OmegaEvaluator {
  public:
   /// `coefficients` are the distinct c_l (any order, need not be sorted);
@@ -47,8 +60,9 @@ class OmegaEvaluator {
 
   /// Omega(r, counts). counts must have one entry per coefficient.
   /// With all counts zero the sum is empty and the result is 1 if r >= 0
-  /// else 0. Costs O(||k_G|| * ||k_L||) cell updates and O(||k||) memory.
-  double evaluate(const SpacingCounts& counts) const;
+  /// else 0. Costs O(||k_G|| * ||k_L||) cell updates and O(||k||) scratch
+  /// memory; allocates only when `scratch` is smaller than this shape needs.
+  double evaluate(const SpacingCounts& counts, OmegaScratch& scratch) const;
 
   double threshold() const { return r_; }
   const std::vector<double>& coefficients() const { return c_; }

@@ -112,17 +112,28 @@ linalg::CsrMatrix uniformized_transition_matrix(const core::RateMatrix& rates,
   const double max_exit = rates.max_exit_rate();
   lambda_out = max_exit > 0.0 ? max_exit : 1.0;
 
+  // Each row is emitted in column order with the self loop in its place, so
+  // the builder takes its presorted pass instead of copying and sorting
+  // every entry. The self loop needs the row's off-diagonal mass first,
+  // summed in column order.
   linalg::CsrBuilder builder(n, n);
   builder.reserve(rates.matrix().non_zeros() + n);
   for (core::StateIndex s = 0; s < n; ++s) {
+    const auto row = rates.transitions(s);
     double off_diagonal = 0.0;
-    for (const auto& e : rates.transitions(s)) {
-      if (e.col == s) continue;
-      builder.add(s, e.col, e.value / lambda_out);
-      off_diagonal += e.value / lambda_out;
+    for (const auto& e : row) {
+      if (e.col != s) off_diagonal += e.value / lambda_out;
     }
     const double self_loop = 1.0 - off_diagonal;
-    if (self_loop > 0.0) builder.add(s, s, self_loop);
+    bool self_loop_pending = self_loop > 0.0;
+    for (const auto& e : row) {
+      if (self_loop_pending && e.col >= s) {
+        builder.add(s, s, self_loop);
+        self_loop_pending = false;
+      }
+      if (e.col != s) builder.add(s, e.col, e.value / lambda_out);
+    }
+    if (self_loop_pending) builder.add(s, s, self_loop);
   }
   return builder.build();
 }

@@ -2,13 +2,19 @@
 // registry, the batching check service (including its admission-control
 // degradation paths), the socket server, and the concurrent soak test
 // pinning daemon results bitwise-identical to cold direct checks.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -810,6 +816,114 @@ TEST(DaemonServer, RequestLineOfManyReadsGetsOneWellFormedReply) {
   }
   server.stop();
   EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+/// CPU time (user + system, all threads) this process has used, in ms.
+double process_cpu_ms() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return (static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) * 1e3) +
+         (static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) / 1e3);
+}
+
+/// The body of AcceptBacksOffWhileOutOfDescriptors, run in a forked child
+/// because it lowers the process's descriptor limit. Returns the child's
+/// exit code: 0 on success, otherwise the number of the failed step. The
+/// child starts the server's threads, which ThreadSanitizer allows only
+/// when the parent had one thread at the fork: true under ctest, which runs
+/// every test in a process of its own.
+int accept_starved_child(const std::string& socket_path) {
+  // Take every descriptor below a lowered limit but two: one for the
+  // client's socket and one for the server's listener. Both exist before
+  // the accept loop starts, since accept() reserves its descriptor before
+  // it waits; from then on every accept() can only fail with EMFILE.
+  const int probe = ::open("/dev/null", O_RDONLY);
+  if (probe < 0) return 1;
+  ::close(probe);
+  rlimit limit{};
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return 1;
+  limit.rlim_cur = static_cast<rlim_t>(probe + 16);
+  if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) return 1;
+  std::vector<int> fillers;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) fillers.push_back(fd);
+  if (errno != EMFILE || fillers.size() < 2) return 2;
+  for (int i = 0; i < 2; ++i) {
+    ::close(fillers.back());
+    fillers.pop_back();
+  }
+  const int client = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (client < 0) return 3;
+
+  daemon::ServerOptions options;
+  options.socket_path = socket_path;
+  daemon::DaemonServer server(options);
+  try {
+    server.start();
+  } catch (const std::exception&) {
+    return 3;
+  }
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  std::memcpy(address.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  if (::connect(client, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) != 0) {
+    return 3;
+  }
+  const std::string ping = "{\"op\":\"ping\"}\n";
+  if (::send(client, ping.data(), ping.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(ping.size())) {
+    return 3;
+  }
+
+  // For 300 ms the connection cannot be accepted, so no reply may arrive,
+  // and the accept loop must not burn the CPU retrying.
+  pollfd readable{client, POLLIN, 0};
+  const double cpu_before = process_cpu_ms();
+  if (const int ready = ::poll(&readable, 1, 300); ready != 0) {
+    std::fprintf(stderr, "poll returned %d (revents %#x, errno %d) while accept was starved\n",
+                 ready, static_cast<unsigned>(readable.revents), errno);
+    return 4;
+  }
+  const double cpu_used = process_cpu_ms() - cpu_before;
+  if (cpu_used > 60.0) {
+    std::fprintf(stderr, "accept loop used %.1f ms of CPU in 300 ms\n", cpu_used);
+    return 5;
+  }
+
+  // Once descriptors are free again the queued client is served.
+  for (const int fd : fillers) ::close(fd);
+  if (::poll(&readable, 1, 10000) != 1) return 6;
+  char reply[256];
+  const ssize_t got = ::read(client, reply, sizeof(reply));
+  if (got <= 0 || std::string(reply, static_cast<std::size_t>(got)).find("\"ok\":true") ==
+                      std::string::npos) {
+    return 6;
+  }
+  ::close(client);
+  server.stop();
+  return 0;
+}
+
+TEST(DaemonServer, AcceptBacksOffWhileOutOfDescriptors) {
+  // Exit codes of accept_starved_child: 1 setup, 2 the descriptor table
+  // could not be filled, 3 the server could not start or the client could
+  // not connect, 4 a reply arrived
+  // although accept() had no descriptor, 5 the accept loop spun, 6 the
+  // client went unserved after descriptors were freed.
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       (std::string("mrmcheckd_starved_") + std::to_string(::getpid()) + ".sock"))
+          .string();
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::alarm(30);  // a hung child is killed instead of hanging the suite
+    ::_exit(accept_starved_child(socket_path));
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  std::filesystem::remove(socket_path);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST(DaemonServer, SocketRoundTripLoadCheckStatsShutdown) {

@@ -109,7 +109,8 @@ TEST(OmegaEvaluator, RejectsEmptyCoefficients) {
 
 TEST(OmegaEvaluator, RejectsCountSizeMismatch) {
   OmegaEvaluator evaluator({1.0, 0.0}, 0.5);
-  EXPECT_THROW(evaluator.evaluate({1}), std::invalid_argument);
+  OmegaScratch scratch;
+  EXPECT_THROW(evaluator.evaluate({1}, scratch), std::invalid_argument);
 }
 
 namespace {
@@ -190,8 +191,30 @@ TEST(OmegaEvaluator, WavefrontMatchesMemoizedRecursionBitwise) {
     const double r = threshold_dist(rng);
     OmegaEvaluator evaluator(c, r);
     ReferenceOmega reference(c, r);
-    EXPECT_EQ(evaluator.evaluate(counts), reference.evaluate(counts))
+    OmegaScratch scratch;
+    EXPECT_EQ(evaluator.evaluate(counts, scratch), reference.evaluate(counts))
         << "trial=" << trial << " r=" << r;
+  }
+}
+
+TEST(OmegaEvaluator, ReusedScratchMatchesFreshScratchBitwise) {
+  // One scratch carried across count shapes that grow, shrink and flip
+  // which side dominates: every value must be bitwise the fresh-scratch one,
+  // whatever the previous call left in the buffers.
+  std::mt19937_64 rng(20261019);
+  std::uniform_int_distribution<std::uint32_t> small(0, 3);
+  std::uniform_int_distribution<std::uint32_t> large(0, 40);
+  std::uniform_real_distribution<double> threshold_dist(-0.5, 5.5);
+  const std::vector<double> c{5.0, 3.0, 1.0, 0.0};
+  OmegaScratch reused;
+  for (int trial = 0; trial < 300; ++trial) {
+    auto& dist = trial % 3 == 0 ? large : small;
+    SpacingCounts counts(c.size());
+    for (auto& v : counts) v = dist(rng);
+    const OmegaEvaluator evaluator(c, threshold_dist(rng));
+    OmegaScratch fresh;
+    EXPECT_EQ(evaluator.evaluate(counts, reused), evaluator.evaluate(counts, fresh))
+        << "trial=" << trial;
   }
 }
 

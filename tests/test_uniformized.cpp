@@ -3,7 +3,11 @@
 // P = I + Q/Lambda behind every series and both uniformization explorers.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/mrm.hpp"
+#include "models/generator.hpp"
+#include "models/random_mrm.hpp"
 #include "models/wavelan.hpp"
 #include "numeric/transient.hpp"
 
@@ -73,6 +77,58 @@ TEST(Uniformized, CtmcSelfLoopFoldsIntoSelfProbability) {
   // P(0,0) = 1 - E(0)/Lambda + R(0,0)/Lambda = 1 - 2/4 + 1/4 = 3/4.
   EXPECT_NEAR(u.P.at(0, 0), 0.75, 1e-12);
   EXPECT_NEAR(u.P.at(0, 1), 0.25, 1e-12);
+}
+
+/// P as built before rows were emitted in column order: off-diagonals in
+/// row order, the self loop appended last, and the builder's sort putting it
+/// in place.
+linalg::CsrMatrix appended_self_loop_matrix(const RateMatrix& rates, double lambda) {
+  linalg::CsrBuilder builder(rates.num_states(), rates.num_states());
+  for (StateIndex s = 0; s < rates.num_states(); ++s) {
+    double off_diagonal = 0.0;
+    for (const auto& e : rates.transitions(s)) {
+      if (e.col == s) continue;
+      builder.add(s, e.col, e.value / lambda);
+      off_diagonal += e.value / lambda;
+    }
+    const double self_loop = 1.0 - off_diagonal;
+    if (self_loop > 0.0) builder.add(s, s, self_loop);
+  }
+  return builder.build();
+}
+
+void expect_same_csr(const Mrm& model, const std::string& name) {
+  const Uniformization u(model);
+  const linalg::CsrMatrix expected = appended_self_loop_matrix(model.rates(), u.lambda);
+  ASSERT_EQ(u.P.rows(), expected.rows()) << name;
+  for (StateIndex s = 0; s < expected.rows(); ++s) {
+    const auto got = u.P.row(s);
+    const auto want = expected.row(s);
+    ASSERT_EQ(got.size(), want.size()) << name << " row " << s;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k].col, want[k].col) << name << " row " << s;
+      EXPECT_EQ(got[k].value, want[k].value) << name << " row " << s;
+    }
+  }
+}
+
+TEST(Uniformized, ColumnOrderRowsEqualTheSortedAppendedSelfLoopBuild) {
+  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+    models::RandomMrmConfig config;
+    config.num_states = 4 + seed % 13;
+    config.edge_probability = 0.2 + 0.02 * (seed % 20);
+    expect_same_csr(models::make_random_mrm(seed, config), "random seed " + std::to_string(seed));
+  }
+  for (const char* spec : {"crowd:population=12", "crowd:population=100", "virus:hosts=5",
+                           "virus:hosts=9"}) {
+    expect_same_csr(models::make_generated_mrm(spec), spec);
+  }
+  RateMatrixBuilder rates(3);  // a CTMC self loop and an absorbing state
+  rates.add(0, 0, 1.0);
+  rates.add(0, 2, 1.0);
+  rates.add(1, 0, 4.0);
+  rates.add(1, 2, 0.5);
+  expect_same_csr(Mrm(Ctmc(rates.build(), Labeling(3)), {0.0, 0.0, 0.0}), "self loop");
 }
 
 }  // namespace
