@@ -12,8 +12,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "checker/options.hpp"
@@ -126,15 +126,6 @@ bool parse_positive_double(const std::string& text, const char* flag, double& ou
                  text.c_str());
     return false;
   }
-}
-
-csrlmrm::core::Mrm load_spec_model(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  auto built = csrlmrm::lang::build_model_from_text(buffer.str());
-  return std::move(*built.model);
 }
 
 /// Reads a --formulas file: one formula per line, blank lines and lines
@@ -400,9 +391,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    const core::Mrm model = !model_gen.empty() ? models::make_generated_mrm(model_gen)
-                            : from_spec        ? load_spec_model(spec_path)
-                                               : io::load_mrm(tra, lab, rewr, rewi);
+    const core::Mrm model =
+        !model_gen.empty() ? models::make_generated_mrm(model_gen)
+        : from_spec        ? std::move(*lang::build_model_from_file(spec_path).model)
+                           : io::load_mrm(tra, lab, rewr, rewi);
     std::printf("model: %zu states, %zu transitions, impulse rewards: %s\n",
                 model.num_states(), model.rates().matrix().non_zeros(),
                 model.has_impulse_rewards() ? "yes" : "no");
@@ -423,24 +415,21 @@ int main(int argc, char** argv) {
       const std::vector<std::string> texts =
           formulas_path.empty() ? std::vector<std::string>{formula_text}
                                 : load_formula_lines(formulas_path);
-      std::vector<logic::FormulaPtr> formulas(texts.size());
+      std::vector<logic::FormulaPtr> formulas(texts.size());  // null: parse error
       std::vector<std::string> parse_errors(texts.size());
-      std::vector<std::size_t> runnable;
+      std::vector<logic::FormulaPtr> good;
       for (std::size_t i = 0; i < texts.size(); ++i) {
         try {
           formulas[i] = logic::parse_formula(texts[i]);
-          runnable.push_back(i);
+          good.push_back(formulas[i]);
         } catch (const std::exception& error) {
           parse_errors[i] = error.what();
         }
       }
-      std::vector<logic::FormulaPtr> good;
-      good.reserve(runnable.size());
-      for (const std::size_t i : runnable) good.push_back(formulas[i]);
 
       if (explain) {
         for (std::size_t i = 0; i < texts.size(); ++i) {
-          if (!parse_errors[i].empty()) {
+          if (!formulas[i]) {
             std::fprintf(stderr, "mrmcheck: formula %zu '%s': %s\n", i + 1,
                          texts[i].c_str(), parse_errors[i].c_str());
           }
@@ -449,54 +438,30 @@ int main(int argc, char** argv) {
           const plan::Plan compiled = plan::compile(model, good, options);
           std::printf("%s", plan::print_plan(compiled).c_str());
         }
-        return runnable.size() == texts.size() ? 0 : 4;
+        return good.size() == texts.size() ? 0 : 4;
       }
 
-      // Execute the parsed formulas as one shared plan; when a formula
-      // poisons the shared execution (unsupported bound shapes surface at
-      // solve time), re-run each alone so only the offender fails — plan
-      // results are bitwise-identical at every batch composition.
-      std::vector<const plan::FormulaResult*> results_by_index(texts.size(), nullptr);
-      std::vector<std::string> check_errors(texts.size());
-      plan::PlanResult batch_results;
-      std::vector<plan::PlanResult> single_results(texts.size());
-      bool batch_ok = false;
+      // Execute the parsed formulas as one shared plan. A formula that fails
+      // at solve time (an unsupported bound shape, say) fails alone, in its
+      // own result (see src/plan/executor.hpp).
+      plan::PlanResult results;
       if (!good.empty()) {
-        try {
-          const plan::Plan compiled = plan::compile(model, good, options);
-          batch_results = plan::execute(compiled, model, transforms);
-          batch_ok = true;
-          for (std::size_t k = 0; k < runnable.size(); ++k) {
-            results_by_index[runnable[k]] = &batch_results.formulas[k];
-          }
-        } catch (const std::exception&) {
-          // fall through to per-formula runs
-        }
-        if (!batch_ok) {
-          for (const std::size_t i : runnable) {
-            try {
-              const plan::Plan single = plan::compile(model, {formulas[i]}, options);
-              single_results[i] = plan::execute(single, model, transforms);
-              results_by_index[i] = &single_results[i].formulas[0];
-            } catch (const std::exception& error) {
-              check_errors[i] = error.what();
-            }
-          }
-        }
+        results = plan::execute(plan::compile(model, good, options), model, transforms);
       }
-
       bool batch_unknown = false;
       bool any_failed = false;
+      std::size_t next = 0;  // results.formulas follows `good`
       for (std::size_t i = 0; i < texts.size(); ++i) {
         std::printf("[%zu/%zu] ", i + 1, texts.size());
-        if (results_by_index[i] != nullptr) {
+        const plan::FormulaResult* result = formulas[i] ? &results.formulas[next++] : nullptr;
+        if (result != nullptr && !result->error) {
           std::printf("formula: %s\n", logic::to_string(formulas[i]).c_str());
-          const bool unknown = report_plan_formula(model, formulas[i], *results_by_index[i],
-                                                   print_probabilities);
+          const bool unknown =
+              report_plan_formula(model, formulas[i], *result, print_probabilities);
           batch_unknown = batch_unknown || unknown;
         } else {
-          const std::string& message =
-              parse_errors[i].empty() ? check_errors[i] : parse_errors[i];
+          const std::string message =
+              result != nullptr ? plan::failure_message(result->error) : parse_errors[i];
           std::printf("formula: %s\n  error: %s\n", texts[i].c_str(), message.c_str());
           std::fprintf(stderr, "mrmcheck: formula %zu '%s': %s\n", i + 1, texts[i].c_str(),
                        message.c_str());
@@ -521,8 +486,9 @@ int main(int argc, char** argv) {
     // The formula line comes first, so a check that fails still names it.
     const plan::PlanResult checked =
         plan::execute(plan::compile(model, {formula}, options), model, transforms);
-    const bool any_unknown =
-        report_plan_formula(model, formula, checked.formulas.front(), print_probabilities);
+    const plan::FormulaResult& result = checked.formulas.front();
+    if (result.error) std::rethrow_exception(result.error);
+    const bool any_unknown = report_plan_formula(model, formula, result, print_probabilities);
     if (stats_requested && !write_stats(stats_path)) return 1;
     if (strict && any_unknown) {
       std::fprintf(stderr, "mrmcheck: --strict: UNKNOWN verdicts present\n");

@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "daemon/server.hpp"
@@ -69,14 +68,7 @@ bool ends_with(const std::string& text, const char* suffix) {
 csrlmrm::core::Mrm load_preload_model(const std::string& path) {
   using namespace csrlmrm;
   if (path.rfind("gen:", 0) == 0) return models::make_generated_mrm(path.substr(4));
-  if (ends_with(path, ".spec")) {
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open '" + path + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    auto built = lang::build_model_from_text(buffer.str());
-    return std::move(*built.model);
-  }
+  if (ends_with(path, ".spec")) return std::move(*lang::build_model_from_file(path).model);
   std::ifstream rewi_probe(path + ".rewi");
   return io::load_mrm(path + ".tra", path + ".lab", path + ".rewr",
                       rewi_probe ? path + ".rewi" : "");

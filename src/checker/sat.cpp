@@ -1,5 +1,6 @@
 #include "checker/sat.hpp"
 
+#include <exception>
 #include <stdexcept>
 
 #include "plan/compiler.hpp"
@@ -25,8 +26,11 @@ const plan::FormulaResult& ModelChecker::result(const logic::FormulaPtr& formula
   const auto cached = results_.find(formula.get());
   if (cached != results_.end()) return cached->second.result;
   const plan::Plan compiled = plan::compile(*model_, {formula}, options_);
-  plan::PlanResult executed = plan::execute(compiled, *model_, *transforms_);
-  Entry entry{formula, std::move(executed.formulas.front())};
+  plan::FormulaResult executed =
+      std::move(plan::execute(compiled, *model_, *transforms_).formulas.front());
+  // A failure is thrown, not memoized: asking again re-runs the plan.
+  if (executed.error) std::rethrow_exception(executed.error);
+  Entry entry{formula, std::move(executed)};
   return results_.emplace(formula.get(), std::move(entry)).first->second.result;
 }
 

@@ -83,7 +83,8 @@ class ModelChecker {
 
  private:
   /// The executed one-root plan of `formula`; throws std::invalid_argument
-  /// for a null formula.
+  /// for a null formula, and rethrows the plan's recorded failure (kept out
+  /// of the memo).
   const plan::FormulaResult& result(const logic::FormulaPtr& formula);
 
   /// One memo entry. `formula` owns the node the entry is keyed by, so the

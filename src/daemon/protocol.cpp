@@ -158,9 +158,6 @@ JsonValue check_reply_to_json(const CheckReply& reply) {
   if (!reply.error.empty()) object.set("error", JsonValue(reply.error));
   object.set("degraded", JsonValue(reply.degraded));
   object.set("batch_requests", JsonValue(static_cast<double>(reply.batch_requests)));
-  if (!reply.batch_error.empty()) {
-    object.set("batch_error", JsonValue(reply.batch_error));
-  }
   JsonValue formulas = JsonValue::array();
   for (const FormulaReply& formula : reply.formulas) {
     JsonValue entry = JsonValue::object();
@@ -192,9 +189,6 @@ CheckReply check_reply_from_json(const JsonValue& value) {
   }
   if (const JsonValue* batch = optional_member(value, "batch_requests")) {
     reply.batch_requests = static_cast<std::size_t>(batch->as_number());
-  }
-  if (const JsonValue* batch_error = optional_member(value, "batch_error")) {
-    reply.batch_error = batch_error->as_string();
   }
   if (const JsonValue* formulas = optional_member(value, "formulas")) {
     for (const JsonValue& entry : formulas->items()) {

@@ -31,6 +31,10 @@
 // number for a non-finite double, so the value and bound arrays carry
 // +-infinity (an unreachable R[F] target) and NaN as the strings
 // "Infinity", "-Infinity" and "NaN"; a decoded NaN is the quiet NaN.
+//
+// A request line longer than kMaxRequestLineBytes gets one
+// {"ok":false,"error":...} reply naming the cap, and the server closes that
+// connection; other clients are not affected.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +47,11 @@
 #include "obs/stats.hpp"
 
 namespace csrlmrm::daemon {
+
+/// The longest request line a connection may send (16 MiB), newline
+/// excluded. Far above any real batch (a 300 000-byte ping id passes), it
+/// bounds what one client can make the daemon buffer.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{16} << 20;
 
 /// Per-request overrides of the daemon's base CheckerOptions. Unset fields
 /// inherit the base. deadline_ms is admission control, not a numeric knob —
@@ -61,8 +70,10 @@ struct CheckRequest {
   CheckOverrides options;
 };
 
-/// One formula's outcome. A malformed or unsupported formula fails alone
-/// (ok=false with the parse/check error); the rest of the batch still runs.
+/// One formula's outcome. A formula that fails to parse, or fails at solve
+/// time (an unsupported bound shape, Theorem 4.2's Psi => Phi, a Poisson
+/// window past 2^53), fails alone: ok=false with its error, while the rest
+/// of the batch is answered.
 struct FormulaReply {
   bool ok = false;
   std::string formula;
@@ -86,11 +97,6 @@ struct CheckReply {
   std::string error;
   /// How many requests the serving batch combined (>= 1).
   std::size_t batch_requests = 1;
-  /// Non-empty when the shared batched execution failed and the group was
-  /// re-run formula-by-formula: the batch-level error, kept so clients (and
-  /// operators) can see why the slower isolation path ran. Per-formula
-  /// results are still authoritative — only the offender carries an error.
-  std::string batch_error;
   std::vector<FormulaReply> formulas;
   /// Stats recorded while the serving batch ran (shared across its
   /// requests, since the solves themselves are shared).

@@ -8,8 +8,6 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -39,14 +37,23 @@ std::string required_string(const JsonValue& request, const char* key) {
   return member->as_string();
 }
 
+/// Writes all of `bytes`; false once the client is gone.
+bool send_all(int fd, const std::string& bytes) {
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    // MSG_NOSIGNAL: a client that hung up (or a stop() racing a shutdown
+    // reply) must surface as a failed send, not a SIGPIPE that kills the
+    // whole daemon mid-teardown with the socket file still on disk.
+    const ssize_t sent = ::send(fd, bytes.data() + written, bytes.size() - written, MSG_NOSIGNAL);
+    if (sent <= 0) return false;
+    written += static_cast<std::size_t>(sent);
+  }
+  return true;
+}
+
 core::Mrm load_requested_model(const JsonValue& request) {
   if (const JsonValue* spec = request.find("spec")) {
-    std::ifstream in(spec->as_string());
-    if (!in) throw std::runtime_error("cannot open '" + spec->as_string() + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    auto built = lang::build_model_from_text(buffer.str());
-    return std::move(*built.model);
+    return std::move(*lang::build_model_from_file(spec->as_string()).model);
   }
   const std::string tra = required_string(request, "tra");
   const std::string lab = required_string(request, "lab");
@@ -168,28 +175,25 @@ void DaemonServer::serve_connection(int fd) {
     // Answer every complete line, then drop them all with one erase per read.
     std::size_t consumed = 0;
     std::size_t newline;
+    bool too_long = false;
     while (open && (newline = buffer.find('\n', scanned)) != std::string::npos) {
+      too_long = newline - consumed > kMaxRequestLineBytes;
+      if (too_long) break;
       const std::string line = buffer.substr(consumed, newline - consumed);
       consumed = newline + 1;
       scanned = consumed;
-      if (line.empty()) continue;
-      const std::string reply = handle_line(line);
-      std::size_t written = 0;
-      while (written < reply.size()) {
-        // MSG_NOSIGNAL: a client that hung up (or a stop() racing a shutdown
-        // reply) must surface as a failed send, not a SIGPIPE that kills the
-        // whole daemon mid-teardown with the socket file still on disk.
-        const ssize_t sent =
-            ::send(fd, reply.data() + written, reply.size() - written, MSG_NOSIGNAL);
-        if (sent <= 0) {
-          open = false;
-          break;
-        }
-        written += static_cast<std::size_t>(sent);
-      }
+      if (!line.empty()) open = send_all(fd, handle_line(line));
     }
     buffer.erase(0, consumed);
     scanned = buffer.size();
+    if (open && (too_long || buffer.size() > kMaxRequestLineBytes)) {
+      // A line past the cap, finished or not: answer once, then hang up
+      // rather than buffer without bound for one client.
+      send_all(fd, frame(error_json("request line exceeds " +
+                                    std::to_string(kMaxRequestLineBytes) +
+                                    " bytes; closing the connection")));
+      open = false;
+    }
   }
   {
     // Deregister before closing so stop() never shutdown()s a recycled fd.

@@ -137,11 +137,6 @@ std::future<CheckReply> CheckService::submit(CheckRequest request) {
   return future;
 }
 
-void CheckService::drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 void CheckService::run() {
   for (;;) {
     std::vector<Pending> batch;
@@ -153,7 +148,6 @@ void CheckService::run() {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      in_flight_ += batch.size();
     }
 
     // Group by (model, numeric overrides): each group compiles one plan.
@@ -163,12 +157,6 @@ void CheckService::run() {
       groups[batch_key(pending.request)].push_back(std::move(pending));
     }
     for (auto& [key, group] : groups) serve_group(group);
-
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      in_flight_ -= batch.size();
-    }
-    idle_.notify_all();
   }
 }
 
@@ -217,7 +205,6 @@ void CheckService::serve_group(std::vector<Pending>& group) {
   }
 
   const obs::StatsSnapshot base = obs::StatsRegistry::global().snapshot();
-  std::string batch_error;
 
   // Unique formula texts across the whole group, in first-appearance order:
   // N clients asking the same formula share one root (and the plan compiler
@@ -230,52 +217,37 @@ void CheckService::serve_group(std::vector<Pending>& group) {
     }
   }
 
-  // Per-formula error isolation: a malformed formula fails alone.
+  // Per-formula error isolation: a formula that fails to parse, or fails at
+  // solve time (an unsupported bound shape, say), fails alone.
   std::vector<FormulaReply> replies(texts.size());
-  std::vector<logic::FormulaPtr> parsed(texts.size());
-  std::vector<std::size_t> runnable;  // indices into texts with parsed[i] set
+  std::vector<logic::FormulaPtr> parsed(texts.size());  // null: parse error
+  std::vector<logic::FormulaPtr> formulas;
   for (std::size_t i = 0; i < texts.size(); ++i) {
     try {
       parsed[i] = logic::parse_formula(texts[i]);
-      runnable.push_back(i);
+      formulas.push_back(parsed[i]);
     } catch (const std::exception& error) {
       replies[i] = error_reply(texts[i], error.what());
       obs::counter_add("daemon.formula_errors");
     }
   }
 
-  if (!runnable.empty()) {
-    std::vector<logic::FormulaPtr> formulas;
-    formulas.reserve(runnable.size());
-    for (const std::size_t i : runnable) formulas.push_back(parsed[i]);
-    try {
-      const plan::Plan compiled = plan::compile(*resident->model, formulas, options);
-      const plan::PlanResult results =
-          plan::execute(compiled, *resident->model, *resident->transforms);
-      for (std::size_t k = 0; k < runnable.size(); ++k) {
-        replies[runnable[k]] = formula_reply(formulas[k], results.formulas[k]);
-      }
-    } catch (const std::exception& batch_failure) {
-      // One formula poisoned the shared execution (e.g. an unsupported bound
-      // shape surfacing at solve time). Re-run each alone so only the
-      // offender fails; per-formula results are bitwise-identical to the
-      // batched run (plan executions are differential-tested at every batch
-      // composition). The batch-level error is not
-      // swallowed: it is counted and attached to every reply of the group as
-      // batch_error so the isolation rerun is observable.
-      obs::counter_add("daemon.batch_poisoned");
-      batch_error = batch_failure.what();
-      for (const std::size_t i : runnable) {
-        try {
-          const plan::Plan single = plan::compile(*resident->model, {parsed[i]}, options);
-          const plan::PlanResult result =
-              plan::execute(single, *resident->model, *resident->transforms);
-          replies[i] = formula_reply(parsed[i], result.formulas[0]);
-        } catch (const std::exception& error) {
-          replies[i] = error_reply(texts[i], error.what());
-          obs::counter_add("daemon.formula_errors");
-        }
-      }
+  // One compilation and one execution for the whole group; the executor
+  // records each formula's failure in its own result.
+  plan::PlanResult results;
+  if (!formulas.empty()) {
+    results = plan::execute(plan::compile(*resident->model, formulas, options),
+                            *resident->model, *resident->transforms);
+  }
+  std::size_t next = 0;  // results.formulas follows `formulas`
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    if (!parsed[i]) continue;
+    const plan::FormulaResult& result = results.formulas[next++];
+    if (result.error) {
+      replies[i] = error_reply(texts[i], plan::failure_message(result.error));
+      obs::counter_add("daemon.formula_errors");
+    } else {
+      replies[i] = formula_reply(parsed[i], result);
     }
   }
 
@@ -285,7 +257,6 @@ void CheckService::serve_group(std::vector<Pending>& group) {
     CheckReply reply;
     reply.ok = true;
     reply.batch_requests = live.size();
-    reply.batch_error = batch_error;
     reply.stats_delta = delta;
     for (const std::string& text : pending.request.formulas) {
       reply.formulas.push_back(replies[text_index[text]]);

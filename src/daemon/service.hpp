@@ -10,6 +10,9 @@
 // compiled plan — deduplicating shared solves across *clients*, not just
 // within one request, and drawing transforms from the resident model's
 // cache — returns exactly the answers each client would have gotten alone.
+// The group is compiled and executed once: a formula that fails to parse,
+// or fails at solve time (plan/executor.hpp records each formula's
+// failure), gets ok=false with its own error while the others are answered.
 //
 // Admission control, in order:
 //   1. Queue bound: submit() on a full queue resolves the future immediately
@@ -65,9 +68,6 @@ class CheckService {
   /// (unknown model, invalid options). Never throws on overload.
   std::future<CheckReply> submit(CheckRequest request);
 
-  /// Blocks until every currently admitted request has been answered.
-  void drain();
-
  private:
   struct Pending {
     CheckRequest request;
@@ -87,10 +87,8 @@ class CheckService {
 
   std::mutex mutex_;
   std::condition_variable work_available_;
-  std::condition_variable idle_;
-  std::deque<Pending> queue_;      // lint:guarded_by(mutex_)
-  std::size_t in_flight_ = 0;      // lint:guarded_by(mutex_)
-  bool stopping_ = false;          // lint:guarded_by(mutex_)
+  std::deque<Pending> queue_;  // lint:guarded_by(mutex_)
+  bool stopping_ = false;      // lint:guarded_by(mutex_)
   std::thread dispatcher_;
 };
 

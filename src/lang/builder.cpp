@@ -1,7 +1,10 @@
 #include "lang/builder.hpp"
 
 #include <cmath>
+#include <fstream>
 #include <map>
+#include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "lang/parser.hpp"
@@ -239,6 +242,14 @@ BuiltModel build_model(const ModelSpec& spec, const BuildOptions& options) {
 
 BuiltModel build_model_from_text(const std::string& text, const BuildOptions& options) {
   return build_model(parse_spec(text), options);
+}
+
+BuiltModel build_model_from_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open '" + path + "'");
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return build_model_from_text(buffer.str());
 }
 
 }  // namespace csrlmrm::lang

@@ -45,4 +45,8 @@ BuiltModel build_model(const ModelSpec& spec, const BuildOptions& options = {});
 /// Convenience: parse + build.
 BuiltModel build_model_from_text(const std::string& text, const BuildOptions& options = {});
 
+/// Reads the .spec file at `path` and builds it; std::runtime_error
+/// "cannot open '<path>'" when the file cannot be read.
+BuiltModel build_model_from_file(const std::string& path);
+
 }  // namespace csrlmrm::lang

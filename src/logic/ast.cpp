@@ -136,10 +136,6 @@ FormulaPtr make_and(FormulaPtr lhs, FormulaPtr rhs) {
   return std::make_shared<AndFormula>(std::move(lhs), std::move(rhs));
 }
 
-FormulaPtr make_implies(FormulaPtr lhs, FormulaPtr rhs) {
-  return make_or(make_not(std::move(lhs)), std::move(rhs));
-}
-
 FormulaPtr make_steady(Comparison op, double bound, FormulaPtr operand) {
   require_probability_bound(bound);
   require_operand(operand, "make_steady");
@@ -160,11 +156,6 @@ FormulaPtr make_prob_until(Comparison op, double bound, Interval time, Interval 
   require_operand(rhs, "make_prob_until");
   return std::make_shared<ProbUntilFormula>(op, bound, time, reward, std::move(lhs),
                                             std::move(rhs));
-}
-
-FormulaPtr make_prob_eventually(Comparison op, double bound, Interval time, Interval reward,
-                                FormulaPtr operand) {
-  return make_prob_until(op, bound, time, reward, make_true(), std::move(operand));
 }
 
 namespace {

@@ -175,16 +175,11 @@ FormulaPtr make_atomic(std::string name);
 FormulaPtr make_not(FormulaPtr operand);
 FormulaPtr make_or(FormulaPtr lhs, FormulaPtr rhs);
 FormulaPtr make_and(FormulaPtr lhs, FormulaPtr rhs);
-/// Phi => Psi, desugared to !Phi || Psi.
-FormulaPtr make_implies(FormulaPtr lhs, FormulaPtr rhs);
 FormulaPtr make_steady(Comparison op, double bound, FormulaPtr operand);
 FormulaPtr make_prob_next(Comparison op, double bound, Interval time, Interval reward,
                           FormulaPtr operand);
 FormulaPtr make_prob_until(Comparison op, double bound, Interval time, Interval reward,
                            FormulaPtr lhs, FormulaPtr rhs);
-/// The eventually operator: Diamond[I][J] Phi = tt U[I][J] Phi.
-FormulaPtr make_prob_eventually(Comparison op, double bound, Interval time, Interval reward,
-                                FormulaPtr operand);
 /// R(op x)[C[0,t]]: expected cumulative reward by time t.
 FormulaPtr make_reward_cumulative(Comparison op, double bound, double time_horizon);
 /// R(op x)[F Phi]: expected reward until first reaching Phi.

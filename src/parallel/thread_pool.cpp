@@ -67,11 +67,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-std::size_t ThreadPool::worker_count() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return workers_.size();
-}
-
 void ThreadPool::ensure_workers_locked(std::size_t wanted) {
   while (workers_.size() < wanted) {
     workers_.emplace_back([this] { worker_loop(); });

@@ -74,9 +74,6 @@ class ThreadPool {
   /// pool task — nest through parallel_for, which serializes instead.
   void run(std::size_t chunks, const std::function<void(std::size_t)>& task);
 
-  /// Workers currently started (grows on demand, never shrinks).
-  std::size_t worker_count();
-
  private:
   ThreadPool() = default;
   void ensure_workers_locked(std::size_t wanted);

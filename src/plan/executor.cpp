@@ -1,5 +1,6 @@
 #include "plan/executor.hpp"
 
+#include <exception>
 #include <stdexcept>
 
 #include "obs/stats.hpp"
@@ -27,7 +28,8 @@ PlanResult execute(const Plan& plan, const core::Mrm& model,
   std::vector<std::vector<checker::UntilValue>> solve_untils(m);
   std::vector<std::vector<double>> solve_values(m);
 
-  for (OpId id = 0; id < m; ++id) {
+  // Evaluates op `id` into its result slot; its inputs have run.
+  const auto evaluate = [&](OpId id) {
     const PlanOp& op = plan.ops[id];
     switch (op.kind) {
       case OpKind::kConstTrue:
@@ -88,6 +90,26 @@ PlanResult execute(const Plan& plan, const core::Mrm& model,
                                                     op.compare_op, op.threshold);
         break;
     }
+  };
+
+  // The exception each op threw or inherited from a failed input; an op
+  // consuming a failed op is skipped, so one formula's failure stays its own.
+  std::vector<std::exception_ptr> failures(m);
+  for (OpId id = 0; id < m; ++id) {
+    // The first failed input in input order is the failure a plan of this
+    // op's formula alone would have thrown first.
+    for (const OpId input : plan.ops[id].inputs) {
+      if (failures[input]) {
+        failures[id] = failures[input];
+        break;
+      }
+    }
+    if (failures[id]) continue;
+    try {
+      evaluate(id);
+    } catch (...) {
+      failures[id] = std::current_exception();
+    }
   }
 
   PlanResult result;
@@ -95,6 +117,11 @@ PlanResult execute(const Plan& plan, const core::Mrm& model,
   for (const OpId root : plan.roots) {
     const PlanOp& root_op = plan.ops[root];
     FormulaResult formula;
+    if (failures[root]) {
+      formula.error = failures[root];
+      result.formulas.push_back(std::move(formula));
+      continue;
+    }
     formula.sat = sets[root].sat;
     formula.unknown = sets[root].unknown;
     formula.verdicts.assign(formula.sat.size(), checker::Verdict::kUnsat);
@@ -135,6 +162,16 @@ PlanResult execute(const Plan& plan, const core::Mrm& model,
     result.formulas.push_back(std::move(formula));
   }
   return result;
+}
+
+std::string failure_message(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& failure) {
+    return failure.what();
+  } catch (...) {
+    return "unknown error";
+  }
 }
 
 }  // namespace csrlmrm::plan

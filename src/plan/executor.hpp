@@ -19,6 +19,15 @@
 //     numeric::SharedOmegaCache, which ops hitting the same transformed
 //     model reach with identical keys.
 //
+// A formula fails alone. An op that throws — an until bound shape outside
+// thesis sections 4.5/4.6, a point-time until whose Psi-states break
+// Theorem 4.2's Psi => Phi, a Poisson window past 2^53, an exhausted node
+// budget under BudgetPolicy::kThrow — records its exception, every op
+// consuming it inherits that failure and is skipped, and each root reports
+// its own in FormulaResult::error. The other roots are answered from the
+// same walk, with the bits a plan of that formula alone gives. Only caller
+// errors throw out of execute.
+//
 // Execution is serial over ops (each numeric op parallelizes internally over
 // start states, at CheckerOptions::threads). The TransformCache locks
 // internally, so concurrent executions sharing one cache (the mrmcheckd
@@ -26,6 +35,8 @@
 // one thread.
 #pragma once
 
+#include <exception>
+#include <string>
 #include <vector>
 
 #include "checker/operator_eval.hpp"
@@ -39,6 +50,11 @@ namespace csrlmrm::plan {
 
 /// Per-formula results, sized to the model's states.
 struct FormulaResult {
+  /// The exception the formula's evaluation threw — the first failed op in
+  /// the order a plan of this formula alone runs them — or null when it was
+  /// answered. A failed result holds nothing else.
+  std::exception_ptr error;
+
   std::vector<bool> sat;
   std::vector<bool> unknown;
   std::vector<checker::Verdict> verdicts;
@@ -66,10 +82,14 @@ struct PlanResult {
 
 /// Executes `plan` against `model` — the same model it was compiled for
 /// (checked by state count) — drawing absorbing transforms from
-/// `transforms`, which must be bound to `model` (std::invalid_argument
-/// otherwise). Throws checker::UnsupportedFormulaError for until ops of an
-/// unsupported class.
+/// `transforms`, which must be bound to `model`. Throws std::invalid_argument
+/// for a state-count mismatch or a cache bound to another model; a failure
+/// inside the plan lands in the failing formulas' FormulaResult::error.
 PlanResult execute(const Plan& plan, const core::Mrm& model,
                    core::TransformCache& transforms);
+
+/// The text a front end reports for a FormulaResult::error: the exception's
+/// what(), or "unknown error" for one not derived from std::exception.
+std::string failure_message(const std::exception_ptr& error);
 
 }  // namespace csrlmrm::plan

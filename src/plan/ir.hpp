@@ -3,7 +3,9 @@
 // A Plan is the compiled form of a batch of state formulas against one MRM
 // and one CheckerOptions configuration. It is the checker's only evaluation
 // path: checker::ModelChecker compiles one-root plans, mrmcheck --formulas
-// and mrmcheckd compile whole batches. Ops come in three families:
+// and mrmcheckd compile whole batches, and each batch runs once — a failing
+// op fails only the formulas built on it (plan/executor.hpp). Ops come in
+// three families:
 //
 //   set ops      const tt/ff, label-set eval, Kleene !/&&/|| — produce a
 //                three-valued SatSets per state

@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "checker/sat.hpp"
 #include "core/approx.hpp"
 #include "core/transform.hpp"
 #include "daemon/client.hpp"
@@ -92,7 +93,6 @@ TEST(DaemonProtocol, CheckReplyRoundTripsBitwise) {
   non_finite.bound_upper = {kInf, 0.0, kInf};
   reply.formulas.push_back(non_finite);
   reply.stats_delta.counters["daemon.requests"] = 7;
-  reply.batch_error = "execute: unsupported bound shape in shared plan";
 
   // Through the actual wire representation: compact JSON text and back.
   const std::string line = daemon::frame(daemon::check_reply_to_json(reply));
@@ -115,18 +115,6 @@ TEST(DaemonProtocol, CheckReplyRoundTripsBitwise) {
   EXPECT_TRUE(same_bits(back.formulas[1].bound_lower, non_finite.bound_lower));
   EXPECT_TRUE(same_bits(back.formulas[1].bound_upper, non_finite.bound_upper));
   EXPECT_EQ(back.stats_delta.counters.at("daemon.requests"), 7u);
-  EXPECT_EQ(back.batch_error, reply.batch_error);
-}
-
-TEST(DaemonProtocol, BatchErrorIsOmittedWhenEmpty) {
-  // The happy path (no poisoned shared execution) must not grow the wire
-  // format: batch_error only appears in the JSON when non-empty.
-  daemon::CheckReply reply;
-  reply.ok = true;
-  const obs::JsonValue encoded = daemon::check_reply_to_json(reply);
-  EXPECT_EQ(encoded.find("batch_error"), nullptr);
-  const daemon::CheckReply back = daemon::check_reply_from_json(encoded);
-  EXPECT_TRUE(back.batch_error.empty());
 }
 
 TEST(DaemonProtocol, ApplyOverridesRejectsBadNames) {
@@ -355,6 +343,49 @@ TEST(CheckService, MalformedFormulaFailsAloneInABatch) {
   EXPECT_FALSE(reply.formulas[1].error.empty());
   EXPECT_TRUE(reply.formulas[2].ok);
   EXPECT_EQ(reply.formulas[2].verdicts, std::string(5, 'Y'));
+}
+
+/// The message a direct ModelChecker call on `text` throws.
+std::string solo_error(const core::Mrm& model, const std::string& text) {
+  checker::ModelChecker checker(model);
+  try {
+    checker.verdicts(logic::parse_formula(text));
+  } catch (const std::exception& error) {
+    return error.what();
+  }
+  return {};
+}
+
+TEST(CheckService, SolveTimeFailureFailsAloneInABatch) {
+  // Formula 2's bound shape is outside thesis sections 4.5/4.6, and formula
+  // 4's point time interval breaks Theorem 4.2's Psi => Phi on tmr. Both
+  // fail only once the plan runs; the batch still answers 1 and 3 from the
+  // same execution, bitwise as a direct check.
+  daemon::ModelRegistry registry;
+  registry.add(models::make_tmr(), "tmr");
+  daemon::CheckService service(registry);
+
+  daemon::CheckRequest request;
+  request.model = "tmr";
+  request.formulas = {"P(>0.1)[Sup U[0,50][0,3000] failed]", "P(>0.1)[Sup U[1,2][0,5] failed]",
+                      "S(<0.9) allUp", "P(>0.5)[Sup U[2,2][0,5] failed]"};
+  const daemon::CheckReply reply = service.submit(request).get();
+  ASSERT_TRUE(reply.ok) << reply.error;
+  ASSERT_EQ(reply.formulas.size(), 4u);
+  const core::Mrm model = models::make_tmr();
+  for (const std::size_t good : {0u, 2u}) {
+    SCOPED_TRACE(request.formulas[good]);
+    expect_matches_direct(reply.formulas[good], direct_result(model, request.formulas[good]));
+  }
+  for (const std::size_t bad : {1u, 3u}) {
+    SCOPED_TRACE(request.formulas[bad]);
+    EXPECT_FALSE(reply.formulas[bad].ok);
+    const std::string expected = solo_error(model, request.formulas[bad]);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(reply.formulas[bad].error, expected);
+    EXPECT_TRUE(reply.formulas[bad].verdicts.empty());
+  }
+  EXPECT_NE(reply.formulas[1].error, reply.formulas[3].error);
 }
 
 TEST(CheckService, ExpiredDeadlineDegradesToUnknownWithInterval) {
@@ -813,6 +844,41 @@ TEST(DaemonServer, RequestLineOfManyReadsGetsOneWellFormedReply) {
     const obs::JsonValue after = client.roundtrip(next);
     EXPECT_TRUE(after.at("ok").as_bool());
     EXPECT_EQ(after.at("id").as_string(), "next");
+  }
+  server.stop();
+  EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+TEST(DaemonServer, OverLongRequestLineGetsOneErrorAndOthersAreStillAnswered) {
+  // A client streaming a line past kMaxRequestLineBytes gets one error reply
+  // naming the cap and is disconnected; a client connected all along is
+  // still answered.
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       (std::string("mrmcheckd_cap_") + std::to_string(::getpid()) + ".sock"))
+          .string();
+  daemon::ServerOptions options;
+  options.socket_path = socket_path;
+  daemon::DaemonServer server(options);
+  server.start();
+  {
+    PipelinedConnection bystander(socket_path);
+    PipelinedConnection flooder(socket_path);
+    ASSERT_TRUE(bystander.connected());
+    ASSERT_TRUE(flooder.connected());
+    const std::string ping = R"({"op":"ping"})" "\n";
+    ASSERT_TRUE(bystander.send_all(ping));
+    EXPECT_NE(bystander.read_line().find("\"ok\":true"), std::string::npos);
+
+    // The server reads all kMaxRequestLineBytes + 1 bytes before it answers.
+    ASSERT_TRUE(flooder.send_all(std::string(daemon::kMaxRequestLineBytes + 1, 'x')));
+    const std::string error = flooder.read_line();
+    EXPECT_NE(error.find("\"ok\":false"), std::string::npos);
+    EXPECT_NE(error.find(std::to_string(daemon::kMaxRequestLineBytes)), std::string::npos);
+    EXPECT_TRUE(flooder.read_line().empty()) << "the connection must be closed";
+
+    ASSERT_TRUE(bystander.send_all(ping));
+    EXPECT_NE(bystander.read_line().find("\"ok\":true"), std::string::npos);
   }
   server.stop();
   EXPECT_FALSE(std::filesystem::exists(socket_path));

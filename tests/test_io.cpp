@@ -395,6 +395,42 @@ TEST_F(MrmcheckCli, FormulasBatchIsolatesPerFormulaFailures) {
   EXPECT_EQ(run(model_args_ + " NP --explain --formulas=" + mixed), 4);
 }
 
+// Failures that surface only when the plan runs fail alone too: formula 2's
+// bound shape is outside thesis sections 4.5/4.6, and formula 4's point time
+// interval breaks Theorem 4.2's Psi => Phi. Formulas 1 and 3 are answered
+// from the same execution.
+TEST_F(MrmcheckCli, FormulasBatchIsolatesSolveTimeFailures) {
+  const std::string spec = "'" + std::string(CSRLMRM_EXAMPLE_MODELS_DIR) + "/tmr.spec'";
+  const std::string batch = write_file("solve.csrl",
+                                       "P(>0.1)[Sup U[0,50][0,3000] failed]\n"
+                                       "P(>0.1)[Sup U[1,2][0,5] failed]\n"
+                                       "S(<0.9) allUp\n"
+                                       "P(>0.5)[Sup U[2,2][0,5] failed]\n");
+  std::string output;
+  EXPECT_EQ(run_capturing(spec + " NP --formulas=" + batch, output), 4);
+  std::size_t answered = 0;
+  for (std::size_t at = output.find("satisfying states"); at != std::string::npos;
+       at = output.find("satisfying states", at + 1)) {
+    ++answered;
+  }
+  EXPECT_EQ(answered, 2u);
+  const std::size_t second = output.find("[2/4]");
+  const std::size_t third = output.find("[3/4]");
+  const std::size_t fourth = output.find("[4/4]");
+  ASSERT_NE(fourth, std::string::npos);
+  EXPECT_NE(output.find("  error: until: time bounds must have the form", second),
+            std::string::npos);
+  EXPECT_LT(output.find("  error: ", second), third);
+  EXPECT_NE(output.find("  error: until with point time interval [t,t] requires Psi => Phi",
+                        fourth),
+            std::string::npos);
+  // Each error is the one the formula exits with alone.
+  for (const char* formula :
+       {"P(>0.1)[Sup U[1,2][0,5] failed]", "P(>0.5)[Sup U[2,2][0,5] failed]"}) {
+    EXPECT_EQ(run(spec + " NP '" + formula + "'"), 1) << formula;
+  }
+}
+
 // A formula nested past the parser's depth cap is one more malformed batch
 // line: reported in its slot while the formulas around it are answered.
 TEST_F(MrmcheckCli, FormulasBatchReportsOverDeepFormulaAsPerFormulaError) {

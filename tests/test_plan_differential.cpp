@@ -7,15 +7,22 @@
 // often the checker/operator_eval.hpp functions run, and the cache only
 // whether a transform is rebuilt; this suite is the proof that neither
 // changes a bit of verdicts, value enclosures or raw values. A second test
-// pins every accessor of the ModelChecker facade to the same reference.
+// pins every accessor of the ModelChecker facade to the same reference, and
+// a third splices formulas that fail at solve time into the batch: they fail
+// alone, with their solo failure, and leave the other roots' bits alone.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <exception>
 #include <string>
+#include <typeindex>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "checker/sat.hpp"
 #include "core/transform.hpp"
+#include "logic/parser.hpp"
 #include "logic/printer.hpp"
 #include "models/random_formula.hpp"
 #include "models/random_mrm.hpp"
@@ -160,6 +167,79 @@ TEST_P(PlanDifferentialSuite, PassesOffStillMatchesDirectChecker) {
     }
     if (formula->kind == logic::FormulaKind::kExpectedReward) {
       expect_bitwise_equal(expected.values, direct.expected_rewards(formula));
+    }
+  }
+}
+
+/// The dynamic type and message of a recorded failure.
+std::pair<std::type_index, std::string> describe(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& failure) {
+    return {typeid(failure), failure.what()};
+  } catch (...) {
+    return {typeid(void), "not a std::exception"};
+  }
+}
+
+// Formulas that fail only when the plan runs, spliced into the random batch:
+// an until bound shape outside thesis sections 4.5/4.6, a point-time until
+// whose Psi-states break Theorem 4.2's Psi => Phi, a disjunction of the two
+// (a plan of it alone throws its left operand's failure first), and a random
+// formula conjoined with the unsupported one. Every other root must stay
+// bitwise its reference, and each failed root must hold the exception type
+// and message its solo ModelChecker call throws.
+TEST_P(PlanDifferentialSuite, SolveTimeFailuresFailAloneAtEveryThreadCount) {
+  const std::uint32_t seed = GetParam();
+  const core::Mrm model = models::make_random_mrm(seed * 11 + 2, calm_model());
+  const logic::FormulaPtr unsupported = logic::parse_formula("P(>0.5)[TT U[1,2][0,5] TT]");
+  const logic::FormulaPtr psi_not_phi = logic::parse_formula("P(<0.5)[FF U[1,1][0,5] TT]");
+  std::vector<logic::FormulaPtr> batch = make_batch(seed);
+  batch.insert(batch.begin() + 1, unsupported);
+  batch.push_back(psi_not_phi);
+  batch.push_back(logic::make_or(psi_not_phi, unsupported));
+  batch.push_back(logic::make_and(batch.front(), unsupported));
+
+  std::vector<std::exception_ptr> solo_failures(batch.size());
+  std::vector<plan::FormulaResult> expected(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    checker::CheckerOptions options = base_options();
+    options.threads = 1;
+    checker::ModelChecker solo(model, options);
+    try {
+      solo.verdicts(batch[i]);
+      expected[i] = reference(model, batch[i]);
+    } catch (...) {
+      solo_failures[i] = std::current_exception();
+    }
+  }
+  for (const std::size_t failing : {std::size_t{1}, batch.size() - 3, batch.size() - 2,
+                                    batch.size() - 1}) {
+    ASSERT_TRUE(solo_failures[failing]) << logic::to_string(batch[failing]);
+  }
+
+  core::TransformCache transforms(model);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    checker::CheckerOptions options = base_options();
+    options.threads = threads;
+    const plan::PlanResult planned =
+        plan::execute(plan::compile(model, batch, options), model, transforms);
+    ASSERT_EQ(planned.formulas.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " formula[" + std::to_string(i) +
+                   "]=" + logic::to_string(batch[i]));
+      const plan::FormulaResult& result = planned.formulas[i];
+      if (solo_failures[i]) {
+        ASSERT_TRUE(result.error);
+        EXPECT_TRUE(result.verdicts.empty());
+        const auto [type, message] = describe(result.error);
+        const auto [solo_type, solo_message] = describe(solo_failures[i]);
+        EXPECT_TRUE(type == solo_type) << type.name() << " vs " << solo_type.name();
+        EXPECT_EQ(message, solo_message);
+      } else {
+        EXPECT_FALSE(result.error);
+        expect_bitwise_equal(expected[i], result);
+      }
     }
   }
 }

@@ -51,10 +51,10 @@ void FileContext::classify_path() {
   is_header_ = p.ends_with(".hpp") || p.ends_with(".h");
 
   auto segment_after = [&p](std::string_view dir) -> std::string {
-    const std::string needle = "/" + std::string(dir) + "/";
+    const std::string needle = std::string("/").append(dir).append("/");
     std::size_t at = p.find(needle);
     if (at == std::string::npos) {
-      if (p.rfind(std::string(dir) + "/", 0) == 0) {
+      if (p.rfind(std::string(dir).append("/"), 0) == 0) {
         at = 0;
       } else {
         return {};
@@ -87,8 +87,8 @@ void FileContext::classify_path() {
                                                       {"examples", Tree::kExamples},
                                                       {"tools", Tree::kTools}}};
   for (const auto& [dir, tree] : kTrees) {
-    const std::string needle = "/" + std::string(dir) + "/";
-    if (p.find(needle) != std::string::npos || p.rfind(std::string(dir) + "/", 0) == 0) {
+    const std::string needle = std::string("/").append(dir).append("/");
+    if (p.find(needle) != std::string::npos || p.rfind(std::string(dir).append("/"), 0) == 0) {
       tree_ = tree;
       if (tree == Tree::kSrc) subsystem_ = segment_after(dir);
       return;
