@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks for the numerical kernels: Omega
-// recursion, the class-DP level fold's ordering, Poisson masses, Gauss-Seidel sweeps, BSCC detection, the DFPG
+// recursion and its forward-flow chain over an absorbed tail, the class-DP
+// level fold's ordering, Poisson masses, Gauss-Seidel sweeps, BSCC detection, the DFPG
 // path explorer, one discretization step-sweep, serial-vs-parallel scaling
 // cases for the thread-pool layer (Arg = thread count; run `bench_parallel`
 // for the JSON scaling record), and the observability-layer overhead
@@ -65,6 +66,41 @@ void BM_OmegaRequery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OmegaRequery);
+
+void BM_OmegaAbsorbedTail(benchmark::State& state) {
+  // One absorbed class-DP tail of 30 levels: Omega(r', k + m * 1_last) for
+  // m = 0..29, the zero-coefficient class gaining one unit per level.
+  // Arg 0 evaluates every level with the wavefront, as the harvest fold did
+  // for absorbed rows; Arg 1 runs the forward-flow chain (one flow_start,
+  // then one flow_extend per level), as the tails do.
+  const numeric::OmegaEvaluator evaluator({5.0, 3.0, 1.0, 0.0}, 1.7);
+  const numeric::SpacingCounts start{8, 8, 8, 8};
+  const bool chain = state.range(0) == 1;
+  numeric::OmegaScratch scratch;
+  numeric::OmegaWork work;
+  std::vector<double> column(evaluator.flow_length(start));
+  numeric::SpacingCounts counts;
+  for (auto _ : state) {
+    counts = start;
+    double sum = 0.0;
+    if (chain) {
+      double value = evaluator.flow_start(counts, column.data(), work);
+      sum += value;
+      for (int level = 1; level < 30; ++level) {
+        ++counts.back();
+        value = evaluator.flow_extend(counts, column.data(), value, work);
+        sum += value;
+      }
+    } else {
+      for (int level = 0; level < 30; ++level) {
+        sum += evaluator.evaluate(counts, scratch);
+        ++counts.back();
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_OmegaAbsorbedTail)->Arg(0)->Arg(1);
 
 /// The (state, signature) keys of one class-DP level's raw successor rows
 /// on the variable-rate 11-module NMR, as class_explorer.cpp lays them out:

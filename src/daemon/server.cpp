@@ -4,6 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -154,13 +155,44 @@ void DaemonServer::accept_loop() {
       }
       continue;  // transient accept failure
     }
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connection_fds_.push_back(fd);
-    connections_.emplace_back([this, fd] { serve_connection(fd); });
+    std::vector<std::thread> finished;
+    {
+      const std::lock_guard<std::mutex> lock(connections_mutex_);
+      finished = take_finished_connections_locked();
+      const std::uint64_t id = next_connection_id_++;
+      connection_fds_.push_back(fd);
+      connections_.push_back({id, std::thread([this, fd, id] { serve_connection(fd, id); })});
+    }
+    // Reap the threads of connections that have closed since the last
+    // accept; each has already left serve_connection's loop.
+    for (std::thread& thread : finished) thread.join();
   }
 }
 
-void DaemonServer::serve_connection(int fd) {
+std::vector<std::thread> DaemonServer::take_finished_connections_locked() {
+  std::vector<std::thread> finished;
+  for (const std::uint64_t id : finished_) {
+    const auto it = std::find_if(connections_.begin(), connections_.end(),
+                                 [id](const Connection& c) { return c.id == id; });
+    if (it == connections_.end()) continue;
+    finished.push_back(std::move(it->thread));
+    connections_.erase(it);
+  }
+  finished_.clear();
+  return finished;
+}
+
+std::size_t DaemonServer::connection_threads() {
+  const std::lock_guard<std::mutex> lock(connections_mutex_);
+  return connections_.size();
+}
+
+std::size_t DaemonServer::open_connections() {
+  const std::lock_guard<std::mutex> lock(connections_mutex_);
+  return connection_fds_.size();
+}
+
+void DaemonServer::serve_connection(int fd, std::uint64_t id) {
   obs::counter_add("daemon.connections");
   std::string buffer;
   // Bytes of `buffer` known to hold no newline: a long line is scanned once.
@@ -196,7 +228,8 @@ void DaemonServer::serve_connection(int fd) {
     }
   }
   {
-    // Deregister before closing so stop() never shutdown()s a recycled fd.
+    // Deregister before closing so stop() never shutdown()s a recycled fd,
+    // and offer the thread for joining at the next accept.
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     for (std::size_t i = 0; i < connection_fds_.size(); ++i) {
       if (connection_fds_[i] == fd) {
@@ -204,6 +237,7 @@ void DaemonServer::serve_connection(int fd) {
         break;
       }
     }
+    finished_.push_back(id);
   }
   ::close(fd);
 }
@@ -223,7 +257,7 @@ void DaemonServer::stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  std::vector<std::thread> connections;
+  std::vector<Connection> connections;
   {
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     // SHUT_RD only: the blocking read() returns 0 and the thread winds down,
@@ -231,8 +265,9 @@ void DaemonServer::stop() {
     // written before the thread closes its own fd.
     for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RD);
     connections.swap(connections_);
+    finished_.clear();
   }
-  for (std::thread& connection : connections) connection.join();
+  for (Connection& connection : connections) connection.thread.join();
   ::unlink(options_.socket_path.c_str());
   {
     const std::lock_guard<std::mutex> lock(shutdown_mutex_);

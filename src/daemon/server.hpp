@@ -15,6 +15,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -56,13 +57,30 @@ class DaemonServer {
   /// terminated). Never throws: protocol errors become {"ok":false,...}.
   std::string handle_line(const std::string& line);
 
+  /// Connection threads started and not yet joined. A thread that has
+  /// finished is joined when the next connection is accepted (or by
+  /// stop()), so a long-lived daemon holds at most the threads of its open
+  /// connections plus those that closed since the last accept.
+  std::size_t connection_threads();
+  /// Connections whose thread is still serving them (it has not yet
+  /// deregistered its socket).
+  std::size_t open_connections();
+
   ModelRegistry& registry() { return registry_; }
   CheckService& service() { return service_; }
   const std::string& socket_path() const { return options_.socket_path; }
 
  private:
   void accept_loop();
-  void serve_connection(int fd);
+  void serve_connection(int fd, std::uint64_t id);
+  /// Takes the finished connection threads out of connections_ (caller
+  /// holds connections_mutex_), for joining outside the lock.
+  std::vector<std::thread> take_finished_connections_locked();
+
+  struct Connection {
+    std::uint64_t id;
+    std::thread thread;
+  };
 
   ServerOptions options_;
   ModelRegistry registry_;
@@ -71,7 +89,10 @@ class DaemonServer {
   int listen_fd_ = -1;
   std::thread accept_thread_;
   std::mutex connections_mutex_;
-  std::vector<std::thread> connections_;  // lint:guarded_by(connections_mutex_)
+  std::vector<Connection> connections_;  // lint:guarded_by(connections_mutex_)
+  /// Ids of connections whose thread has left serve_connection's loop.
+  std::vector<std::uint64_t> finished_;  // lint:guarded_by(connections_mutex_)
+  std::uint64_t next_connection_id_ = 0;  // lint:guarded_by(connections_mutex_)
   /// Open connection fds, so stop() can shutdown() blocked readers before
   /// joining. A thread removes its fd (under the mutex) before closing it.
   std::vector<int> connection_fds_;  // lint:guarded_by(connections_mutex_)

@@ -36,6 +36,26 @@
 // p + error_bound and the two engines agree within the sum of their
 // reported bounds.
 //
+// Absorbed tails: on M[!Phi v Psi] every Psi-state is absorbing with zero
+// reward (Def. 4.1, Thm. 4.1), so once a class reaches one its future is
+// fixed — every later epoch is the probability-1 self-loop, which leaves
+// weights and counts alone and adds one unit of the last reward class (d =
+// 0) to k. Such an absorbed row leaves the frontier at the level it
+// arrives: it is kept in a sorted side list (an arrival whose key a tail
+// already holds folds into it, as the level fold would have merged the
+// two), pruned by the same per-slot rule each level, and harvested in
+// place — PoissonPmf(level) * weight * Omega(r', k) goes straight into the
+// slot's probability. Omega runs as a forward-flow chain
+// (OmegaEvaluator::flow_start, then one O(||k_G||) flow_extend per level;
+// see omega.hpp) instead of a full evaluation per (k, r') group, and the
+// tails are never expanded or folded. They still count as classes of
+// their level — nodes, one raw and one folded row each — so the node
+// budget, the fold ratio and the hand-off trigger are those of the plain
+// sweep. The harvest fold at the end now serves only non-absorbed
+// Psi-rows (performability queries, where Psi is every state of an
+// untransformed model). "classdp.tail_merges" counts arrivals folded into
+// a tail; "omega.chain_steps" the flow extensions.
+//
 // Multi-start batching: the checker's until fan-out queries the same formula
 // from every Phi-state. Instead of one engine run per start, compute_batch
 // carries one weight slot per queried start through a single frontier sweep;
@@ -45,9 +65,10 @@
 // bitwise identical to the corresponding single-start runs as long as the
 // hybrid hand-off below does not fire.
 //
-// Retained workspace: the frontier and its two scratch copies, the fold
-// order and the buffers that compute it, the expansion offsets, the harvest
-// arrays and the hand-off chunk buffers live in one workspace per calling
+// Retained workspace: the frontier and its two scratch copies, the tails
+// with their chains and flow columns, the fold order and the buffers that
+// compute it, the expansion offsets, the harvest arrays and the hand-off
+// chunk buffers live in one workspace per calling
 // thread, kept across compute_batch calls (their capacity only: every call
 // clears the workspace on entry, so a call that threw leaves nothing for
 // the next one to see, and results are bitwise those of a fresh thread). A call that nests inside
@@ -74,7 +95,8 @@
 // successor rows where folding kept >= 7/10 of them, finishes every
 // remaining class with a depth-first continuation (the sweep's own prune
 // and harvest routines, the same budget and error semantics, no further
-// merge attempts), run once for the whole batch. The hand-off preserves
+// merge attempts; a path entering an absorbed state finishes as a tail),
+// run once for the whole batch. The hand-off preserves
 // thread-count determinism (the trigger sees thread-invariant row counts;
 // the continuation's chunking is fixed), but a batch whose trigger fires is
 // not bitwise equal to per-start single runs (the trigger sees different
@@ -100,10 +122,12 @@ namespace csrlmrm::numeric {
 /// Result-field semantics differ slightly from the DFS engine because the
 /// unit of work is a frontier class, not a path:
 ///   - probability / error_bound   per queried start (exact analogue);
-///   - paths_stored                harvested (class, level) pairs;
+///   - paths_stored                harvested (class, level) pairs, tail
+///                                 levels included;
 ///   - paths_truncated             per-slot pruning events;
-///   - signature_classes           distinct harvested (k, canonical r')
-///                                 groups (the Omega-evaluation granularity);
+///   - signature_classes           Omega-evaluation granularity: distinct
+///                                 (k, canonical r') groups of the harvest
+///                                 fold plus one per harvesting tail;
 ///   - nodes_expanded              frontier classes processed across levels;
 ///   - max_depth                   deepest level (epoch count) reached.
 /// In a batch, the diagnostic counts are shared across all slots (every
@@ -140,6 +164,11 @@ class SignatureClassUntilEngine {
   /// adjacency: the DFS cuts at dead states exactly (no error contribution),
   /// the DP never generates the class in the first place.
   SignatureModel sig_;
+  /// absorbed_[s]: s is a live state whose only uniformized transition is a
+  /// probability-1 self-loop without impulse and whose reward is the
+  /// smallest (coefficient d = 0) — every Psi-state of M[!Phi v Psi]. Its
+  /// rows run as tails (see the header comment).
+  std::vector<bool> absorbed_;
 };
 
 }  // namespace csrlmrm::numeric

@@ -139,14 +139,17 @@ double RewardStructureContext::conditional_probability_for_threshold(const Spaci
   if (k.size() != state_rewards_.size()) {
     throw std::invalid_argument("RewardStructureContext: state count vector size mismatch");
   }
-  obs::counter_add("omega.evaluations");
+  return evaluator_for_threshold(r_prime).evaluate(k, omega_scratch_);
+}
+
+const OmegaEvaluator& RewardStructureContext::evaluator_for_threshold(double r_prime) {
   const double canonical = canonical_threshold(r_prime);
   auto it = evaluators_.find(canonical);
   if (it == evaluators_.end()) {
     it = evaluators_.emplace(canonical, SharedOmegaCache::global().evaluator(coefficients_, canonical))
              .first;
   }
-  return it->second->evaluate(k, omega_scratch_);
+  return *it->second;
 }
 
 }  // namespace csrlmrm::numeric

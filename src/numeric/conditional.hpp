@@ -118,6 +118,16 @@ class RewardStructureContext {
   /// evaluate each group once instead of once per distinct j.
   double conditional_probability_for_threshold(const SpacingCounts& k, double r_prime);
 
+  /// The evaluator for threshold r' (canonicalized internally), as
+  /// conditional_probability_for_threshold uses it. It stays valid for the
+  /// context's lifetime; callers that run its forward flow
+  /// (OmegaEvaluator::flow_start / flow_extend) keep their own column.
+  const OmegaEvaluator& evaluator_for_threshold(double r_prime);
+
+  /// The Omega work of this context's evaluations so far, for the caller to
+  /// record once per run (OmegaWork::record); callers may add their own.
+  OmegaWork& omega_work() { return omega_scratch_.work; }
+
   /// The threshold r' = r/t - r_{K+1} - (1/t) sum_i i_i j_i of eq. (4.9).
   double threshold(const SpacingCounts& j, double t, double r) const;
 

@@ -24,10 +24,35 @@
 // vectors into a memo table. Cell values are bit-identical to the memoized
 // recursion (same expression, same operands, each cell computed once); only
 // the traversal order changed.
+//
+// Forward flow. The same lattice read the other way round: start one unit
+// of flow at (0, 0) and let every interior cell pass its flow on with the
+// recursion's factors — A = (c_i - r)/(c_i - c_j) to (g, l+1), B =
+// (r - c_j)/(c_i - c_j) to (g+1, l). The flow F(g, l) reaching a cell is the
+// sum over lattice paths of their factor products, and Omega is the flow
+// that leaves across the greater-side boundary:
+//
+//   Omega(r, k) = sum_{l < ||k_L||} F(||k_G|| - 1, l) * B(||k_G|| - 1, l).
+//
+// Computed column by column (one column per lesser unit, in staircase
+// order), column l needs only column l - 1 and the pivots of its own
+// lesser unit. Appending one unit of the last class — the zero coefficient
+// d_{K+1} of eq. (4.10), which sits at the end of the lesser staircase —
+// therefore adds exactly one column of ||k_G|| cells, and Omega grows by
+// that column's outflow. An absorbed class of the class-DP engine gains
+// such a unit at every Poisson epoch (class_explorer.hpp), so its Omega
+// runs as a chain: one ||k_G|| * ||k_L|| first value, then O(||k_G||) per
+// level, where evaluate() would redo the whole lattice each time. Every
+// factor and product lies in [0, 1], so the flow is as stable as the
+// wavefront; the two forms sum the same positive path products in a
+// different association and agree to rounding (test_omega.cpp states the
+// bound). A chain's value is a pure function of the counts: starting afresh
+// at k + m * 1_last gives bitwise the value of m extensions from k.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace csrlmrm::numeric {
@@ -35,16 +60,38 @@ namespace csrlmrm::numeric {
 /// Count vector type: counts_[l] spacings carry coefficient c_l.
 using SpacingCounts = std::vector<std::uint32_t>;
 
+/// Omega work done by one caller, kept in plain counters and recorded to
+/// the stats registry once per engine run instead of once per evaluation
+/// (a registry update is a map lookup when statistics are on):
+/// "omega.evaluations" (full Omega values: evaluate() and flow_start()),
+/// "omega.dp_cells" (lattice cells computed by either form) and
+/// "omega.chain_steps" (flow_extend() calls).
+struct OmegaWork {
+  std::uint64_t evaluations = 0;
+  std::uint64_t cells = 0;
+  std::uint64_t chain_steps = 0;
+
+  void add(const OmegaWork& other) {
+    evaluations += other.evaluations;
+    cells += other.cells;
+    chain_steps += other.chain_steps;
+  }
+  /// Adds the non-zero counts to the stats registry and zeroes them.
+  void record();
+};
+
 /// Working storage of OmegaEvaluator::evaluate: the two pivot staircases
-/// and the wavefront row. The caller owns it and passes it to every call, so
-/// a scratch reused across calls grows to the largest count shape it has
-/// seen and then stops allocating. Its contents between calls carry no
-/// meaning: a reused scratch gives bitwise the value a fresh one gives. One
-/// scratch must not be used by two calls at once.
+/// and the wavefront row, plus the work counters of the calls made with it.
+/// The caller owns it and passes it to every call, so a scratch reused
+/// across calls grows to the largest count shape it has seen and then stops
+/// allocating. Its buffers between calls carry no meaning: a reused scratch
+/// gives bitwise the value a fresh one gives. One scratch must not be used
+/// by two calls at once.
 struct OmegaScratch {
   std::vector<double> greater_pivots;     // c_i of the (g+1)-th greater-side unit
   std::vector<double> lesser_pivots_rev;  // lesser-side staircase, reversed
   std::vector<double> wavefront;          // one anti-diagonal of the lattice
+  OmegaWork work;                         // what evaluate() has done with this scratch
 };
 
 /// Wavefront-DP evaluator for one fixed threshold r and coefficient vector
@@ -64,10 +111,37 @@ class OmegaEvaluator {
   /// memory; allocates only when `scratch` is smaller than this shape needs.
   double evaluate(const SpacingCounts& counts, OmegaScratch& scratch) const;
 
+  /// The forward-flow column length of `counts`: its greater-side unit
+  /// count ||k_G||. counts must have one entry per coefficient.
+  std::size_t flow_length(std::span<const std::uint32_t> counts) const;
+
+  /// Omega(r, counts) in forward-flow form (see the header comment), with
+  /// the base cases of evaluate(). `column` must hold flow_length(counts)
+  /// doubles; it receives the flow's last column, which flow_extend()
+  /// continues. Costs ||k_G|| * ||k_L|| cells and allocates nothing.
+  double flow_start(std::span<const std::uint32_t> counts, double* column,
+                    OmegaWork& work) const;
+
+  /// Omega(r, counts), where `counts` has exactly one more unit of the last
+  /// coefficient than the counts of the flow that produced `column` and
+  /// `omega` (flow_start or a previous flow_extend), which had at least one
+  /// already; advances `column` in place. The last coefficient must not
+  /// exceed r (its units are lesser-side, appended at the end of the
+  /// staircase). Costs ||k_G|| cells; bitwise equal to flow_start(counts).
+  double flow_extend(std::span<const std::uint32_t> counts, double* column, double omega,
+                     OmegaWork& work) const;
+
   double threshold() const { return r_; }
   const std::vector<double>& coefficients() const { return c_; }
 
  private:
+  /// One forward-flow column: F(., l) from F(., l - 1) in `column`, for a
+  /// lesser unit of coefficient `cj` whose predecessor had `cj_prev`;
+  /// `inflow` enters at (0, l) (1 for the first column, whose `column` is
+  /// zero). Returns the column's outflow F(tg - 1, l) * B(tg - 1, l).
+  double flow_column(std::span<const std::uint32_t> counts, double* column, double cj_prev,
+                     double cj, double inflow) const;
+
   std::vector<double> c_;
   double r_;
   std::vector<bool> greater_;  // greater_[l] <=> c_l > r

@@ -171,6 +171,7 @@ UntilUniformizationResult UniformizationUntilEngine::compute(
   }
   result.nodes_expanded = nodes;
 
+  context.omega_work().record();
   obs::counter_add("uniformization.paths_visited", visited);
   obs::counter_add("uniformization.nodes_expanded", result.nodes_expanded);
   obs::counter_add("uniformization.paths_stored", result.paths_stored);

@@ -370,6 +370,102 @@ INSTANTIATE_TEST_SUITE_P(ImpulseValues, ClassExplorerEqualTotals,
                          ::testing::Values(std::vector<double>{1.0, 2.0},
                                            std::vector<double>{0.1, 0.2, 0.3}));
 
+// ---------------------------------------------------------- absorbed tails
+
+/// A random model in which states 0 .. psi_states - 1 form Psi (made
+/// absorbing with zero reward by the transform, so their rows run as
+/// tails) and state psi_states is a Phi-state with reward 0, the absorbed
+/// states' reward class: a path that waits there one more epoch before it
+/// enters Psi meets, under one key, a path that entered Psi an epoch
+/// earlier and has since taken its self-loop.
+struct TailCase {
+  std::uint32_t seed;
+  std::size_t num_states;
+  std::size_t psi_states;
+  double t;
+  double r;
+  double w;
+  bool handoff;  // the batch's frontier fires the depth-first hand-off
+};
+
+core::Mrm make_tail_model(const TailCase& c) {
+  models::RandomMrmConfig config;
+  config.num_states = c.num_states;
+  config.max_rate = 1.0;
+  config.edge_probability = c.handoff ? 0.5 : 0.35;
+  const core::Mrm base = models::make_random_mrm(c.seed, config);
+  std::vector<double> rewards = base.state_rewards();
+  rewards[c.psi_states] = 0.0;
+  return core::Mrm(base.ctmc(), std::move(rewards), base.impulse_rewards());
+}
+
+class ClassExplorerTails : public ::testing::TestWithParam<TailCase> {};
+
+TEST_P(ClassExplorerTails, AgreeWithDfpgAndAreBitwiseEqualAcrossThreadCounts) {
+  // Several absorbing Psi-states, arrivals colliding with tails of their
+  // key, impulses past r (a threshold r' < 0, so Omega is 0 for good) and,
+  // in the larger cases, a frontier that hands off to the depth-first
+  // continuation, whose paths finish as tails too. Every start — one of
+  // them in Psi, a tail from level 0 — agrees with the DFPG oracle within
+  // the two engines' summed error bounds, and the batch is bitwise the
+  // same at 1, 2 and 8 threads.
+  const TailCase& c = GetParam();
+  const core::Mrm model = make_tail_model(c);
+  std::vector<bool> psi(model.num_states(), false);
+  for (std::size_t s = 0; s < c.psi_states; ++s) psi[s] = true;
+  const std::vector<bool> dead(model.num_states(), false);
+  const core::Mrm transformed = core::make_absorbing(model, psi);
+  const numeric::SignatureClassUntilEngine classdp(transformed, psi, dead);
+  std::vector<core::StateIndex> starts{0};
+  for (core::StateIndex s = c.psi_states; s < model.num_states(); ++s) starts.push_back(s);
+  numeric::PathExplorerOptions options;
+  options.truncation_probability = c.w;
+
+  obs::set_stats_enabled(true);
+  std::vector<numeric::UntilUniformizationResult> reference;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    obs::StatsRegistry::global().reset();
+    options.threads = threads;
+    const auto batch = classdp.compute_batch(starts, c.t, c.r, options);
+    const auto& registry = obs::StatsRegistry::global();
+    EXPECT_EQ(registry.counter("classdp.hybrid_handoffs"), c.handoff ? 1u : 0u)
+        << "threads=" << threads;
+    EXPECT_GT(registry.counter("classdp.tail_merges"), 0u) << "threads=" << threads;
+    EXPECT_EQ(registry.counter("omega.evaluations"),
+              registry.counter("classdp.conditional_evals"));
+    if (threads == 1) {
+      reference = batch;
+      continue;
+    }
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      EXPECT_EQ(batch[i].probability, reference[i].probability)
+          << "threads=" << threads << " start=" << starts[i];  // bitwise
+      EXPECT_EQ(batch[i].error_bound, reference[i].error_bound)
+          << "threads=" << threads << " start=" << starts[i];
+      EXPECT_EQ(batch[i].nodes_expanded, reference[i].nodes_expanded);
+    }
+  }
+  obs::StatsRegistry::global().reset();
+  obs::set_stats_enabled(false);
+
+  const numeric::UniformizationUntilEngine dfpg(transformed, psi, dead);
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    const auto oracle = dfpg.compute(starts[i], c.t, c.r, options);
+    EXPECT_NEAR(reference[i].probability, oracle.probability,
+                reference[i].error_bound + oracle.error_bound + 1e-12)
+        << "start=" << starts[i];
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomModels, ClassExplorerTails,
+    ::testing::Values(TailCase{3, 8, 3, 1.5, 1.0, 1e-10, false},
+                      TailCase{7, 8, 2, 2.0, 3.0, 1e-10, false},
+                      TailCase{11, 9, 4, 1.0, 0.5, 1e-10, false},
+                      TailCase{19, 8, 3, 1.5, 6.0, 1e-10, false},
+                      TailCase{24, 9, 3, 1.5, 4.0, 1e-6, true},
+                      TailCase{22, 9, 3, 2.0, 4.0, 1e-6, true}));
+
 // ---------------------------------------------------- retained workspace
 
 /// One compute_batch call and what it returned: the per-start results, or

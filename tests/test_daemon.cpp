@@ -884,6 +884,42 @@ TEST(DaemonServer, OverLongRequestLineGetsOneErrorAndOthersAreStillAnswered) {
   EXPECT_FALSE(std::filesystem::exists(socket_path));
 }
 
+TEST(DaemonServer, ClosedConnectionThreadsAreJoinedOnTheNextAccept) {
+  // 20 sequential connect / ping / close cycles, one client at a time: each
+  // accept joins the threads of the connections closed before it, so the
+  // server never holds more than the live connection's thread and one
+  // that has just finished.
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       (std::string("mrmcheckd_reap_") + std::to_string(::getpid()) + ".sock"))
+          .string();
+  daemon::ServerOptions options;
+  options.socket_path = socket_path;
+  daemon::DaemonServer server(options);
+  server.start();
+  const std::string ping = R"({"op":"ping"})" "\n";
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    {
+      PipelinedConnection client(socket_path);
+      ASSERT_TRUE(client.connected()) << "cycle " << cycle;
+      ASSERT_TRUE(client.send_all(ping));
+      EXPECT_NE(client.read_line().find("\"ok\":true"), std::string::npos);
+      // Answered, so accepted: the reap for this accept has run.
+      EXPECT_LE(server.connection_threads(), 2u) << "cycle " << cycle;
+    }
+    // Let the closed connection's thread finish before the next connect,
+    // so the bound above does not depend on scheduling.
+    for (int wait = 0; wait < 5000 && server.open_connections() > 0; ++wait) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server.open_connections(), 0u) << "cycle " << cycle;
+  }
+  EXPECT_LE(server.connection_threads(), 2u);
+  server.stop();
+  EXPECT_EQ(server.connection_threads(), 0u);
+  EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
 /// CPU time (user + system, all threads) this process has used, in ms.
 double process_cpu_ms() {
   rusage usage{};

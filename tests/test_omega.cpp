@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <random>
+#include <stdexcept>
+#include <vector>
 
 namespace csrlmrm::numeric {
 namespace {
@@ -216,6 +219,117 @@ TEST(OmegaEvaluator, ReusedScratchMatchesFreshScratchBitwise) {
     EXPECT_EQ(evaluator.evaluate(counts, reused), evaluator.evaluate(counts, fresh))
         << "trial=" << trial;
   }
+}
+
+// ------------------------------------------------------------ forward flow
+
+/// The rounding bound between the forward flow and the wavefront. Both
+/// forms use the same per-cell factors, bitwise, and sum the same positive
+/// path products; they differ only in the rounding of those products and
+/// sums, at most one multiplication and one addition per lattice step on
+/// each side. A path has ||k_G|| + ||k_L|| steps, so the two values agree
+/// to 4 * (||k_G|| + ||k_L||) units in the last place of the larger, plus
+/// an absolute floor for values that underflow.
+double flow_rounding_bound(const SpacingCounts& counts, double value) {
+  double units = 0.0;
+  for (const std::uint32_t count : counts) units += count;
+  return 4.0 * units * 0x1p-53 * value + 1e-300;
+}
+
+/// Coefficient sets, each ending in the zero coefficient of eq. (4.10).
+const std::vector<std::vector<double>>& flow_coefficient_sets() {
+  static const std::vector<std::vector<double>> sets = {
+      {2.0, 0.0}, {5.0, 3.0, 1.0, 0.0}, {7.5, 4.0, 2.25, 1.0, 0.0}};
+  return sets;
+}
+
+TEST(OmegaFlow, StartMatchesWavefrontWithinTheRoundingBoundOnAGridOfShapes) {
+  const std::vector<std::uint32_t> grid{0, 1, 3, 8};
+  std::size_t compared = 0;
+  for (const std::vector<double>& c : flow_coefficient_sets()) {
+    for (const double r : {0.0, 0.3, 1.0, 1.7, 2.5, 4.9, 7.6}) {
+      const OmegaEvaluator evaluator(c, r);
+      SpacingCounts counts(c.size(), 0);
+      // Every count vector over `grid` (an odometer over the classes).
+      for (bool more = true; more;) {
+        std::vector<double> column(evaluator.flow_length(counts));
+        OmegaScratch scratch;
+        OmegaWork work;
+        const double expected = evaluator.evaluate(counts, scratch);
+        const double flow = evaluator.flow_start(counts, column.data(), work);
+        EXPECT_LE(std::fabs(flow - expected),
+                  flow_rounding_bound(counts, std::max(flow, expected)))
+            << "r=" << r << " classes=" << c.size() << " flow=" << flow
+            << " wavefront=" << expected;
+        EXPECT_EQ(work.evaluations, 1u);
+        ++compared;
+        more = false;
+        for (std::size_t l = 0; l < counts.size() && !more; ++l) {
+          const auto at = std::find(grid.begin(), grid.end(), counts[l]);
+          if (at + 1 != grid.end()) {
+            counts[l] = *(at + 1);
+            more = true;
+          } else {
+            counts[l] = 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 7u * (16u + 256u));
+}
+
+TEST(OmegaFlow, ExtensionsAreBitwiseFreshStartsAndTrackTheWavefront) {
+  // A chain of 30 last-class extensions from random counts: each value is
+  // bitwise the flow started afresh at the extended counts, so a chain's
+  // value does not depend on where it started, and stays within the
+  // rounding bound of the wavefront.
+  std::mt19937_64 rng(20261020);
+  std::uniform_int_distribution<std::uint32_t> count_dist(0, 6);
+  std::uniform_real_distribution<double> threshold_dist(0.0, 8.0);
+  OmegaScratch scratch;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::vector<double>& c = flow_coefficient_sets()[trial % 3];
+    const OmegaEvaluator evaluator(c, threshold_dist(rng));
+    SpacingCounts counts(c.size());
+    for (auto& v : counts) v = count_dist(rng);
+    counts.back() = std::max<std::uint32_t>(counts.back(), 1);
+    std::vector<double> chain_column(evaluator.flow_length(counts));
+    std::vector<double> fresh_column(chain_column.size());
+    OmegaWork work;
+    double chain = evaluator.flow_start(counts, chain_column.data(), work);
+    for (int step = 0; step < 30; ++step) {
+      ++counts.back();
+      chain = evaluator.flow_extend(counts, chain_column.data(), chain, work);
+      OmegaWork fresh_work;
+      EXPECT_EQ(chain, evaluator.flow_start(counts, fresh_column.data(), fresh_work))
+          << "trial=" << trial << " step=" << step;
+      EXPECT_EQ(chain_column, fresh_column) << "trial=" << trial << " step=" << step;
+      const double expected = evaluator.evaluate(counts, scratch);
+      EXPECT_LE(std::fabs(chain - expected),
+                flow_rounding_bound(counts, std::max(chain, expected)))
+          << "trial=" << trial << " step=" << step;
+    }
+    EXPECT_EQ(work.evaluations, 1u);
+    EXPECT_EQ(work.chain_steps, 30u);
+  }
+}
+
+TEST(OmegaFlow, ExtensionNeedsALesserSideLastCoefficientWithAUnit) {
+  // With r < 0 the zero coefficient is greater-side: its units do not
+  // extend the lesser staircase, so a chain cannot run there (Omega is 0).
+  const OmegaEvaluator below({3.0, 0.0}, -0.5);
+  std::vector<double> column(4);
+  OmegaWork work;
+  EXPECT_EQ(below.flow_start(SpacingCounts{2, 2}, column.data(), work), 0.0);
+  EXPECT_THROW(below.flow_extend(SpacingCounts{2, 3}, column.data(), 0.0, work),
+               std::invalid_argument);
+  // A chain extends a flow that already has a last-class unit: counts
+  // (2, 1) after the step means the flow had none.
+  const OmegaEvaluator above({3.0, 0.0}, 1.0);
+  EXPECT_EQ(above.flow_start(SpacingCounts{2, 0}, column.data(), work), 0.0);
+  EXPECT_THROW(above.flow_extend(SpacingCounts{2, 1}, column.data(), 0.0, work),
+               std::invalid_argument);
 }
 
 TEST(Omega, DeepCountsStayInUnitInterval) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <random>
@@ -108,17 +109,30 @@ TEST(ClassExplorerRunMerge, BucketSorterReturnsTheStableSortPermutation) {
   }
 }
 
-/// One P2 query with its per-state (probability, error bound), recorded
-/// with the comparison-sort fold this one replaced.
+/// One P2 query with its per-state (probability, error bound): `values`
+/// as the engine computes them now, pinned bitwise, and `previous` as
+/// recorded before absorbed Psi-classes ran as closed-form tails (with the
+/// comparison-sort fold the run-merge one replaced). The tails sum the
+/// same terms in another order and compute Omega by its forward flow, so
+/// they keep `previous` to within 1e-12 relative.
 struct PinnedQuery {
   const char* model;
   const char* formula;
   std::vector<std::pair<double, double>> values;
+  std::vector<std::pair<double, double>> previous;
 };
+
+/// |a - b| <= 1e-12 * |b|.
+bool within_1e12_relative(double a, double b) { return std::fabs(a - b) <= 1e-12 * std::fabs(b); }
 
 const std::vector<PinnedQuery>& pinned_queries() {
   static const std::vector<PinnedQuery> queries = {
     {"cellphone", "P(>0.5)[(Call_Idle || Doze) U[0,24][0,400] Call_Initiated]",
+     {{0x1.7cf264c79bf3bp-2, 0x1.64975b8558aacp-11},
+      {0x1.de4ce54885eeep-2, 0x1.2c3ff023a6398p-11},
+      {0x1.30ab63a8f2219p-1, 0x1.f78d1ba2526ffp-12},
+      {0x1p+0, 0x0p+0},
+      {0x0p+0, 0x0p+0}},
      {{0x1.7cf264c79bf38p-2, 0x1.64975b8558aacp-11},
       {0x1.de4ce54885ef3p-2, 0x1.2c3ff023a6398p-11},
       {0x1.30ab63a8f221ap-1, 0x1.f78d1ba2526ffp-12},
@@ -129,8 +143,18 @@ const std::vector<PinnedQuery>& pinned_queries() {
       {0x0p+0, 0x0p+0},
       {0x1.aa3a087dca8d4p-4, 0x1.6f82b3ad79436p-26},
       {0x1p+0, 0x0p+0},
+      {0x1p+0, 0x0p+0}},
+     {{0x0p+0, 0x0p+0},
+      {0x0p+0, 0x0p+0},
+      {0x1.aa3a087dca8d4p-4, 0x1.6f82b3ad79436p-26},
+      {0x1p+0, 0x0p+0},
       {0x1p+0, 0x0p+0}}},
     {"tmr", "P(>0.1)[Sup U[0,100][0,3000] failed]",
+     {{0x1.4e2b3d661f1f1p-7, 0x1.80712fd611f47p-18},
+      {0x1.25fff33cac7c4p-6, 0x1.2d51d42154cc6p-18},
+      {0x1p+0, 0x0p+0},
+      {0x1p+0, 0x0p+0},
+      {0x1p+0, 0x0p+0}},
      {{0x1.4e2b3d661f1fp-7, 0x1.80712fd611f47p-18},
       {0x1.25fff33cac7bdp-6, 0x1.2d51d42154cc6p-18},
       {0x1p+0, 0x0p+0},
@@ -138,11 +162,29 @@ const std::vector<PinnedQuery>& pinned_queries() {
       {0x1p+0, 0x0p+0}}},
     {"tmr", "P(>0.1)[Sup U[0,300][0,3000] failed]",
      {{0x1.cd27211715a95p-6, 0x1.370cd1ae79117p-9},
+      {0x1.261e941762e02p-5, 0x1.1e360dbc9523ap-9},
+      {0x1p+0, 0x0p+0},
+      {0x1p+0, 0x0p+0},
+      {0x1p+0, 0x0p+0}},
+     {{0x1.cd27211715a95p-6, 0x1.370cd1ae79117p-9},
       {0x1.261e941762e09p-5, 0x1.1e360dbc9523ap-9},
       {0x1p+0, 0x0p+0},
       {0x1p+0, 0x0p+0},
       {0x1p+0, 0x0p+0}}},
     {"nmr_variable", "P(>0.1)[TT U[0,20][0,400] allUp]",
+     {{0x1p+0, 0x0p+0},
+      {0x1.13986f68d1b3cp-1, 0x1.a80cb3ddcb49dp-20},
+      {0x1.6e7eb49312accp-3, 0x1.eb59919ec28f3p-19},
+      {0x1.52317e76b4841p-5, 0x1.787729fffe43cp-18},
+      {0x1.e0c441d668f43p-8, 0x1.d6355ac240b0fp-18},
+      {0x1.51a533b64c15cp-10, 0x1.fe7bcaf670a9ap-18},
+      {0x1.d81a6db4a82d8p-12, 0x1.eec8d8126f8f1p-18},
+      {0x1.6d3996fe80f7p-12, 0x1.e88cc8a4c717ap-18},
+      {0x1.596e4e5685537p-12, 0x1.fcf6aedcdf86p-18},
+      {0x1.4e3f01d4fce24p-12, 0x1.e780a6f5ef64p-18},
+      {0x1.444b9f298ed9bp-12, 0x1.ad137d66ea3c2p-18},
+      {0x1.3af635d3e460fp-12, 0x1.52ab0d49a869cp-18},
+      {0x1.e6f69ba21ae54p-2, 0x1.a824fc8p-28}},
      {{0x1p+0, 0x0p+0},
       {0x1.13986f68d1b3dp-1, 0x1.a80cb3ddcb49fp-20},
       {0x1.6e7eb49312accp-3, 0x1.eb59919ec28efp-19},
@@ -158,6 +200,19 @@ const std::vector<PinnedQuery>& pinned_queries() {
       {0x1.e6f69ba21ae54p-2, 0x1.a824fc8p-28}}},
     {"nmr_variable", "P(>0.1)[TT U[0,40][0,800] allUp]",
      {{0x1p+0, 0x0p+0},
+      {0x1.8db10562b8a14p-1, 0x1.6bd514a4759b7p-18},
+      {0x1.c684037410db2p-2, 0x1.b14212bd6c257p-17},
+      {0x1.84bbfc725241ep-3, 0x1.69fa2c5e1b242p-16},
+      {0x1.03547e776a8d3p-4, 0x1.faed69049ea16p-16},
+      {0x1.1f1e1cbcb24aap-6, 0x1.2f084a1b7afabp-15},
+      {0x1.338b7f75804f7p-8, 0x1.5017827aff2ap-15},
+      {0x1.d1c354d938a73p-10, 0x1.5bce2fa9a9ec1p-15},
+      {0x1.3bcba6b6457c8p-10, 0x1.50ab26d41e837p-15},
+      {0x1.1cbde28938e8bp-10, 0x1.3ea36682b9cf2p-15},
+      {0x1.115440359d6f2p-10, 0x1.1c54fb440c11cp-15},
+      {0x1.090d4631a24cfp-10, 0x1.d611d01b71713p-16},
+      {0x1.73a1aeb6cb513p-1, 0x1.a3c285p-28}},
+     {{0x1p+0, 0x0p+0},
       {0x1.8db10562b8a0fp-1, 0x1.6bd514a4759b6p-18},
       {0x1.c684037410db2p-2, 0x1.b14212bd6c254p-17},
       {0x1.84bbfc7252425p-3, 0x1.69fa2c5e1b241p-16},
@@ -171,6 +226,19 @@ const std::vector<PinnedQuery>& pinned_queries() {
       {0x1.090d4631a24ccp-10, 0x1.d611d01b71717p-16},
       {0x1.73a1aeb6cb511p-1, 0x1.a3c285p-28}}},
     {"nmr_constant", "P(>0.1)[TT U[0,50][0,1000] allUp]",
+     {{0x1p+0, 0x0p+0},
+      {0x1.b95f4f210e7dap-1, 0x1.231b80c0eb612p-19},
+      {0x1.28d0ad8c57bb5p-1, 0x1.ab24b756baa91p-18},
+      {0x1.334c6a9ba2c92p-2, 0x1.90d5abd96f573p-17},
+      {0x1.f58c0f844a7fap-4, 0x1.5888731cf2077p-16},
+      {0x1.4fdd6f8b66aacp-5, 0x1.e98663df11f52p-16},
+      {0x1.902f769aafa69p-7, 0x1.31b8603af63fdp-15},
+      {0x1.06feed70eb6ep-8, 0x1.86971ecaf8517p-15},
+      {0x1.0ce34b081f04p-9, 0x1.a97855d67002bp-15},
+      {0x1.a996c2608c92fp-10, 0x1.d7012e461ac0fp-15},
+      {0x1.8c7580ca3d9afp-10, 0x1.d9a7534980a16p-15},
+      {0x1.7e7469baf2627p-10, 0x1.ae47e5166b0d1p-15},
+      {0x1.9a82ec859d2afp-1, 0x1.eadecbp-29}},
      {{0x1p+0, 0x0p+0},
       {0x1.b95f4f210e7d9p-1, 0x1.231b80c0eb613p-19},
       {0x1.28d0ad8c57bbbp-1, 0x1.ab24b756baa95p-18},
@@ -208,10 +276,15 @@ TEST(ClassDpBitPin, P2BoundsMatchRecordedHexFloatsAtEveryThreadCount) {
       checker::ModelChecker checker(model, options);
       const auto values = checker.path_probabilities(formula);
       ASSERT_EQ(values.size(), query.values.size()) << query.model;
+      ASSERT_EQ(values.size(), query.previous.size()) << query.model;
       for (std::size_t s = 0; s < values.size(); ++s) {
         EXPECT_EQ(values[s].probability, query.values[s].first)
             << query.model << " " << query.formula << " state " << s << " threads " << threads;
         EXPECT_EQ(values[s].error_bound, query.values[s].second)
+            << query.model << " " << query.formula << " state " << s << " threads " << threads;
+        EXPECT_TRUE(within_1e12_relative(values[s].probability, query.previous[s].first))
+            << query.model << " " << query.formula << " state " << s << " threads " << threads;
+        EXPECT_TRUE(within_1e12_relative(values[s].error_bound, query.previous[s].second))
             << query.model << " " << query.formula << " state " << s << " threads " << threads;
       }
     }

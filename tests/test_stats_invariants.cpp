@@ -11,6 +11,7 @@
 #include "core/transform.hpp"
 #include "linalg/gauss_seidel.hpp"
 #include "models/random_mrm.hpp"
+#include "numeric/class_explorer.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
 #include "oracle/path_explorer.hpp"
@@ -136,6 +137,43 @@ TEST_P(StatsInvariants, SolverCountersMatchSolverResult) {
   EXPECT_EQ(registry.counter("solver.gauss_seidel.iterations"), outcome.iterations);
   EXPECT_EQ(registry.counter("solver.gauss_seidel.calls"), 1u);
   EXPECT_LE(outcome.iterations, options.max_iterations);
+}
+
+TEST_P(StatsInvariants, OmegaCountersMatchTheEnginesEvaluations) {
+  // The Omega counters are recorded once per engine run, from counts kept
+  // during the run: the totals must still be the evaluations the engines
+  // report. The DFPG oracle evaluates one conditional probability per
+  // signature class; the class DP one per non-trivial harvest group and
+  // one per flow chain of its absorbed tails, each of which then steps
+  // once per further harvested level.
+  const core::Mrm model = make_model();
+  std::vector<bool> psi = model.labels().states_with("b");
+  bool any = false;
+  for (auto v : psi) any = any || v;
+  if (!any) psi[GetParam() % model.num_states()] = true;
+  std::vector<bool> dead(model.num_states(), false);
+  const core::Mrm transformed = core::make_absorbing(model, psi);
+  numeric::PathExplorerOptions options;
+  options.truncation_probability = 1e-6;
+  std::vector<core::StateIndex> starts(model.num_states());
+  for (core::StateIndex s = 0; s < model.num_states(); ++s) starts[s] = s;
+  const auto& registry = obs::StatsRegistry::global();
+
+  numeric::UniformizationUntilEngine dfpg(transformed, psi, dead);
+  std::uint64_t classes = 0;
+  for (core::StateIndex start : starts) {
+    classes += dfpg.compute(start, 1.5, 4.0, options).signature_classes;
+  }
+  EXPECT_EQ(registry.counter("omega.evaluations"), classes);
+  EXPECT_EQ(registry.counter("omega.chain_steps"), 0u);
+  obs::StatsRegistry::global().reset();
+
+  const numeric::SignatureClassUntilEngine classdp(transformed, psi, dead);
+  const auto batch = classdp.compute_batch(starts, 1.5, 4.0, options);
+  EXPECT_EQ(registry.counter("omega.evaluations"), registry.counter("classdp.conditional_evals"));
+  EXPECT_LE(registry.counter("omega.evaluations") + registry.counter("omega.chain_steps"),
+            batch.front().paths_stored);
+  EXPECT_LE(registry.counter("omega.chain_steps"), registry.counter("omega.dp_cells"));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomModels, StatsInvariants, ::testing::Range(1u, 31u));
