@@ -10,15 +10,15 @@
 //     per query costs;
 //   warm — the same queries through one resident daemon::CheckService: the
 //     model is parsed once, absorbing transforms stay in the per-model
-//     TransformCache, and the Poisson/Omega tables stay warm across queries
+//     TransformCache, and the Poisson tail tables stay warm across queries
 //     (one untimed round first — a long-lived daemon is measured at its
 //     steady state);
 //   concurrent — the warm sweep issued by 8 client threads at once, to
 //     record multi-client throughput through the batching dispatcher.
 //
-// Daemon replies are checked bitwise against a fresh-process-state direct
-// check (SharedOmegaCache cleared first) — "bitwise_identical" lands in the
-// JSON; the speedup buys identical answers or it does not count.
+// Daemon replies are checked bitwise against a direct check through a fresh
+// plan and transform cache — "bitwise_identical" lands in the JSON; the
+// speedup buys identical answers or it does not count.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -35,7 +35,6 @@
 #include "daemon/service.hpp"
 #include "logic/parser.hpp"
 #include "models/tmr.hpp"
-#include "numeric/conditional.hpp"
 #include "plan/compiler.hpp"
 #include "plan/executor.hpp"
 
@@ -109,9 +108,8 @@ int main(int argc, char** argv) {
   const std::size_t queries_per_round = texts.size();
   const std::size_t total_queries = queries_per_round * static_cast<std::size_t>(g_rounds);
 
-  // Fresh-process-state reference results for the bitwise check.
+  // Fresh-plan reference results for the bitwise check.
   const core::Mrm model = models::make_tmr();
-  numeric::SharedOmegaCache::global().clear();
   std::vector<plan::FormulaResult> expected;
   for (const std::string& text : texts) {
     const auto formula = logic::parse_formula(text);

@@ -4,9 +4,10 @@
 // path explorer, one discretization step-sweep, serial-vs-parallel scaling
 // cases for the thread-pool layer (Arg = thread count; run `bench_parallel`
 // for the JSON scaling record), and the observability-layer overhead
-// benches (BM_Stats*, Arg = stats enabled). After the benchmark run, main()
-// re-runs one representative DFPG + discretization workload with statistics
-// collection on and writes the registry to BENCH_kernels_stats.json.
+// benches (BM_Stats*, Arg = stats enabled). After an unfiltered benchmark
+// run, main() re-runs one representative DFPG + discretization workload with
+// statistics collection on and writes the registry to
+// BENCH_kernels_stats.json; a run with --benchmark_filter writes nothing.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "checker/steady.hpp"
@@ -44,25 +46,26 @@ void BM_OmegaEvaluate(benchmark::State& state) {
   const auto count = static_cast<std::uint32_t>(state.range(0));
   const numeric::SpacingCounts counts{count, count, count, count};
   for (auto _ : state) {
-    // Fresh evaluator and scratch per iteration: the full wavefront DP plus
+    // Fresh evaluator and column per iteration: the full forward flow plus
     // its construction and first allocation.
     numeric::OmegaEvaluator evaluator({5.0, 3.0, 1.0, 0.0}, 1.7);
-    numeric::OmegaScratch scratch;
-    benchmark::DoNotOptimize(evaluator.evaluate(counts, scratch));
+    std::vector<double> column(evaluator.flow_length(counts));
+    numeric::OmegaWork work;
+    benchmark::DoNotOptimize(evaluator.flow_start(counts, column.data(), work));
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_OmegaEvaluate)->RangeMultiplier(2)->Range(4, 64)->Complexity();
 
 void BM_OmegaRequery(benchmark::State& state) {
-  // One evaluator and one scratch reused: the steady state of a class-DP
+  // One evaluator and one column reused: the steady state of a class-DP
   // harvest fold, which allocates nothing per evaluation.
   const numeric::OmegaEvaluator evaluator({5.0, 3.0, 1.0, 0.0}, 1.7);
   const numeric::SpacingCounts counts{32, 32, 32, 32};
-  numeric::OmegaScratch scratch;
-  evaluator.evaluate(counts, scratch);
+  std::vector<double> column(evaluator.flow_length(counts));
+  numeric::OmegaWork work;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate(counts, scratch));
+    benchmark::DoNotOptimize(evaluator.flow_start(counts, column.data(), work));
   }
 }
 BENCHMARK(BM_OmegaRequery);
@@ -70,14 +73,14 @@ BENCHMARK(BM_OmegaRequery);
 void BM_OmegaAbsorbedTail(benchmark::State& state) {
   // One absorbed class-DP tail of 30 levels: Omega(r', k + m * 1_last) for
   // m = 0..29, the zero-coefficient class gaining one unit per level.
-  // Arg 0 evaluates every level with the wavefront, as the harvest fold did
-  // for absorbed rows; Arg 1 runs the forward-flow chain (one flow_start,
-  // then one flow_extend per level), as the tails do.
+  // Arg 0 runs a full flow_start at every level, as the harvest fold did
+  // for absorbed rows; Arg 1 runs the chain (one flow_start, then one
+  // flow_extend per level), as the tails do.
   const numeric::OmegaEvaluator evaluator({5.0, 3.0, 1.0, 0.0}, 1.7);
   const numeric::SpacingCounts start{8, 8, 8, 8};
   const bool chain = state.range(0) == 1;
-  numeric::OmegaScratch scratch;
   numeric::OmegaWork work;
+  // The greater side (5, 3) does not grow along the tail.
   std::vector<double> column(evaluator.flow_length(start));
   numeric::SpacingCounts counts;
   for (auto _ : state) {
@@ -93,7 +96,7 @@ void BM_OmegaAbsorbedTail(benchmark::State& state) {
       }
     } else {
       for (int level = 0; level < 30; ++level) {
-        sum += evaluator.evaluate(counts, scratch);
+        sum += evaluator.flow_start(counts, column.data(), work);
         ++counts.back();
       }
     }
@@ -464,8 +467,10 @@ void write_stats_record(const char* path) {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const std::string filter = benchmark::GetBenchmarkFilter();
+  const bool unfiltered = filter.empty() || filter == "." || filter == ".*" || filter == "all";
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  write_stats_record("BENCH_kernels_stats.json");
+  if (unfiltered) write_stats_record("BENCH_kernels_stats.json");
   return 0;
 }

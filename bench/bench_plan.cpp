@@ -5,20 +5,20 @@
 // on the TMR model, one formula per t = 50..500 step 50. Two lanes:
 //
 //   singleton — each formula checked like a separate mrmcheck run: fresh
-//     ModelChecker, numeric::SharedOmegaCache cleared first (a new process
-//     has no warm cache), and both the per-state probabilities and the
-//     verdicts requested. The checker serves both from one execution of a
-//     one-root plan, so each formula costs one until solve;
+//     ModelChecker (so a fresh transform cache), and both the per-state
+//     probabilities and the verdicts requested. The checker serves both
+//     from one execution of a one-root plan, so each formula costs one
+//     until solve;
 //   batch — every formula through ONE compiled plan: one solve per formula
 //     as well, but the until solves draw their transform from one shared
-//     TransformCache and the Omega cache stays warm across the batch.
+//     TransformCache.
 //
 // Verdicts and probabilities must agree BITWISE between the lanes (checked
 // here; "bitwise_identical" lands in the JSON) — the speedup buys identical
 // answers or it does not count. Timings are best-of-g_repeats wall clock
-// after one untimed warmup per lane (both lanes clear the shared Omega
-// cache inside the timed region, so warmup only stabilises the allocator
-// and instruction caches, not the measured cache behaviour).
+// after one untimed warmup per lane (every solve builds its own Omega
+// evaluators, so warmup only stabilises the allocator, the process-wide
+// Poisson tail tables and the instruction caches).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -29,7 +29,6 @@
 #include "core/transform.hpp"
 #include "logic/parser.hpp"
 #include "models/tmr.hpp"
-#include "numeric/conditional.hpp"
 #include "plan/compiler.hpp"
 #include "plan/executor.hpp"
 
@@ -111,7 +110,6 @@ int main(int argc, char** argv) {
   std::vector<FormulaOutcome> singleton_results(n_formulas);
   const double singleton_ms = best_of([&] {
     for (std::size_t i = 0; i < n_formulas; ++i) {
-      numeric::SharedOmegaCache::global().clear();  // emulate a new process
       checker::ModelChecker direct(model, options);
       singleton_results[i].probabilities = direct.path_probabilities(batch[i]);
       singleton_results[i].verdicts = direct.verdicts(batch[i]);
@@ -121,7 +119,6 @@ int main(int argc, char** argv) {
   // --- batch lane ---------------------------------------------------------
   std::vector<FormulaOutcome> batch_results(n_formulas);
   const double batch_ms = best_of([&] {
-    numeric::SharedOmegaCache::global().clear();
     const plan::Plan compiled = plan::compile(model, batch, options);
     core::TransformCache transforms(model);
     const plan::PlanResult result = plan::execute(compiled, model, transforms);

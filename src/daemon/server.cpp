@@ -1,5 +1,6 @@
 #include "daemon/server.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -38,16 +39,33 @@ std::string required_string(const JsonValue& request, const char* key) {
   return member->as_string();
 }
 
-/// Writes all of `bytes`; false once the client is gone.
-bool send_all(int fd, const std::string& bytes) {
+/// How long a reply waits for a full socket to drain before it looks again
+/// at whether the server is stopping.
+constexpr int kSendWaitMs = 50;
+
+/// Writes all of `bytes`; false once the client is gone, or once the server
+/// stops while the client is not reading (its socket stays full). A client
+/// that pipelines requests and never reads its replies would otherwise hold
+/// its connection thread in send() for good, and stop() joins that thread.
+bool send_all(int fd, const std::string& bytes, const std::atomic<bool>& running) {
   std::size_t written = 0;
   while (written < bytes.size()) {
     // MSG_NOSIGNAL: a client that hung up (or a stop() racing a shutdown
     // reply) must surface as a failed send, not a SIGPIPE that kills the
     // whole daemon mid-teardown with the socket file still on disk.
-    const ssize_t sent = ::send(fd, bytes.data() + written, bytes.size() - written, MSG_NOSIGNAL);
-    if (sent <= 0) return false;
-    written += static_cast<std::size_t>(sent);
+    const ssize_t sent = ::send(fd, bytes.data() + written, bytes.size() - written,
+                                MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (sent > 0) {
+      written += static_cast<std::size_t>(sent);
+      continue;
+    }
+    if (sent < 0 && errno == EINTR) continue;
+    if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) && running.load()) {
+      pollfd writable{fd, POLLOUT, 0};
+      ::poll(&writable, 1, kSendWaitMs);
+      continue;
+    }
+    return false;
   }
   return true;
 }
@@ -199,7 +217,9 @@ void DaemonServer::serve_connection(int fd, std::uint64_t id) {
   std::size_t scanned = 0;
   char chunk[4096];
   bool open = true;
-  while (open) {
+  // A stopping server reads and answers nothing more: after stop()'s
+  // SHUT_RD, read() still returns what the client had queued.
+  while (open && running_.load()) {
     const ssize_t got = ::read(fd, chunk, sizeof(chunk));
     if (got < 0 && errno == EINTR) continue;  // interrupted, not hung up: retry
     if (got <= 0) break;
@@ -208,22 +228,24 @@ void DaemonServer::serve_connection(int fd, std::uint64_t id) {
     std::size_t consumed = 0;
     std::size_t newline;
     bool too_long = false;
-    while (open && (newline = buffer.find('\n', scanned)) != std::string::npos) {
+    while (open && running_.load() &&
+           (newline = buffer.find('\n', scanned)) != std::string::npos) {
       too_long = newline - consumed > kMaxRequestLineBytes;
       if (too_long) break;
       const std::string line = buffer.substr(consumed, newline - consumed);
       consumed = newline + 1;
       scanned = consumed;
-      if (!line.empty()) open = send_all(fd, handle_line(line));
+      if (!line.empty()) open = send_all(fd, handle_line(line), running_);
     }
     buffer.erase(0, consumed);
     scanned = buffer.size();
     if (open && (too_long || buffer.size() > kMaxRequestLineBytes)) {
       // A line past the cap, finished or not: answer once, then hang up
       // rather than buffer without bound for one client.
-      send_all(fd, frame(error_json("request line exceeds " +
-                                    std::to_string(kMaxRequestLineBytes) +
-                                    " bytes; closing the connection")));
+      send_all(fd,
+               frame(error_json("request line exceeds " + std::to_string(kMaxRequestLineBytes) +
+                                " bytes; closing the connection")),
+               running_);
       open = false;
     }
   }
@@ -262,7 +284,8 @@ void DaemonServer::stop() {
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     // SHUT_RD only: the blocking read() returns 0 and the thread winds down,
     // but an in-flight reply — the shutdown ack in particular — can still be
-    // written before the thread closes its own fd.
+    // written before the thread closes its own fd. A reply the client does
+    // not read gives up within kSendWaitMs (send_all), so every join ends.
     for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RD);
     connections.swap(connections_);
     finished_.clear();

@@ -50,7 +50,9 @@ class DaemonServer {
   void wait_for_shutdown();
 
   /// Closes the listener, joins every connection thread, unlinks the socket.
-  /// Idempotent.
+  /// Idempotent. Returns in bounded time even while a client leaves its
+  /// replies unread: once stopping, a connection answers no further line
+  /// and gives up a reply its client does not drain within a 50 ms wait.
   void stop();
 
   /// Handles one request line and returns the reply line (newline-

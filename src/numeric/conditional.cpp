@@ -1,11 +1,11 @@
 #include "numeric/conditional.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 
 #include "core/approx.hpp"
-#include "obs/stats.hpp"
 
 namespace csrlmrm::numeric {
 
@@ -21,48 +21,6 @@ double canonical_threshold(double r_prime) {
   const double mantissa = std::frexp(r_prime, &exponent);
   constexpr double kScale = 1099511627776.0;  // 2^40
   return std::ldexp(std::nearbyint(mantissa * kScale) / kScale, exponent);
-}
-
-SharedOmegaCache& SharedOmegaCache::global() {
-  static SharedOmegaCache cache;
-  return cache;
-}
-
-std::shared_ptr<const OmegaEvaluator> SharedOmegaCache::evaluator(
-    const std::vector<double>& coefficients, double canonical_r_prime) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++tick_;
-  const auto it = entries_.find(Key{coefficients, canonical_r_prime});
-  if (it != entries_.end()) {
-    it->second.last_use = tick_;
-    obs::counter_add("omega.shared_cache_hits");
-    return it->second.evaluator;
-  }
-  obs::counter_add("omega.shared_cache_misses");
-  obs::counter_add("omega.evaluators_built");
-  if (capacity_ > 0 && entries_.size() >= capacity_) {
-    // O(n) LRU scan; the capacity is small and misses are rare once warm.
-    auto victim = entries_.begin();
-    for (auto cand = entries_.begin(); cand != entries_.end(); ++cand) {
-      if (cand->second.last_use < victim->second.last_use) victim = cand;
-    }
-    entries_.erase(victim);
-    obs::counter_add("omega.shared_cache_evictions");
-  }
-  auto built = std::make_shared<const OmegaEvaluator>(coefficients, canonical_r_prime);
-  entries_.emplace(Key{coefficients, canonical_r_prime}, Entry{built, tick_});
-  return built;
-}
-
-std::size_t SharedOmegaCache::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-void SharedOmegaCache::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  tick_ = 0;
 }
 
 namespace {
@@ -139,17 +97,15 @@ double RewardStructureContext::conditional_probability_for_threshold(const Spaci
   if (k.size() != state_rewards_.size()) {
     throw std::invalid_argument("RewardStructureContext: state count vector size mismatch");
   }
-  return evaluator_for_threshold(r_prime).evaluate(k, omega_scratch_);
+  const OmegaEvaluator& evaluator = evaluator_for_threshold(r_prime);
+  const std::size_t length = evaluator.flow_length(k);
+  if (column_.size() < length) column_.resize(length);
+  return evaluator.flow_start(k, column_.data(), omega_work_);
 }
 
 const OmegaEvaluator& RewardStructureContext::evaluator_for_threshold(double r_prime) {
   const double canonical = canonical_threshold(r_prime);
-  auto it = evaluators_.find(canonical);
-  if (it == evaluators_.end()) {
-    it = evaluators_.emplace(canonical, SharedOmegaCache::global().evaluator(coefficients_, canonical))
-             .first;
-  }
-  return *it->second;
+  return evaluators_.try_emplace(canonical, coefficients_, canonical).first->second;
 }
 
 }  // namespace csrlmrm::numeric

@@ -9,18 +9,15 @@
 // i_1 > ... > i_J its distinct impulse rewards, k counts Poisson-epoch
 // residences per state-reward class along a uniformized path, and j counts
 // transition occurrences per impulse class. The context below owns the
-// distinct-reward bookkeeping and caches one OmegaEvaluator per distinct
+// distinct-reward bookkeeping and keeps one OmegaEvaluator per distinct
 // threshold r' (paths with the same impulse signature share an evaluator, so
 // its coefficient split is derived once; the evaluator itself is a stateless
-// wavefront DP, see omega.hpp).
+// forward flow, see omega.hpp). A context is built per solve, so its
+// evaluators live exactly as long as the solve that uses them.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "numeric/omega.hpp"
@@ -34,57 +31,9 @@ namespace csrlmrm::numeric {
 /// equal — map to one representative. Idempotent; preserves 0 and infinities.
 double canonical_threshold(double r_prime);
 
-/// Process-wide, capacity-bounded, thread-safe cache of Omega evaluators
-/// keyed by (coefficient vector, canonical threshold). The coefficient
-/// vector IS the model's reward fingerprint — two models with identical
-/// distinct-reward spacings share evaluators soundly because an evaluator is
-/// a pure function of (coefficients, threshold). RewardStructureContext
-/// keeps a small per-context map in front of this cache, so the shared map
-/// (and its mutex) is only consulted the first time a context sees a
-/// threshold; across checker fan-outs and multi-start batches the same
-/// evaluator is then reused instead of re-derived per run. Eviction is LRU
-/// by lookup order; handed-out evaluators stay valid after eviction.
-/// Observability: "omega.shared_cache_hits" / "omega.shared_cache_misses" /
-/// "omega.shared_cache_evictions".
-class SharedOmegaCache {
- public:
-  static constexpr std::size_t kDefaultCapacity = 1024;
-
-  explicit SharedOmegaCache(std::size_t capacity = kDefaultCapacity) : capacity_(capacity) {}
-
-  /// The process-wide instance every RewardStructureContext consults.
-  static SharedOmegaCache& global();
-
-  /// The evaluator for (coefficients, canonical_r_prime), building and
-  /// caching it on first request. `canonical_r_prime` must already be
-  /// canonicalized (callers go through canonical_threshold).
-  std::shared_ptr<const OmegaEvaluator> evaluator(const std::vector<double>& coefficients,
-                                                  double canonical_r_prime);
-
-  std::size_t size() const;
-
-  /// Drops every cached evaluator (handed-out shared_ptrs stay valid).
-  /// Benchmarks use this to emulate a cold process between runs; production
-  /// code has no reason to call it.
-  void clear();
-
- private:
-  using Key = std::pair<std::vector<double>, double>;
-  struct Entry {
-    std::shared_ptr<const OmegaEvaluator> evaluator;
-    std::uint64_t last_use = 0;
-  };
-
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::uint64_t tick_ = 0;       // lint:guarded_by(mutex_)
-  std::map<Key, Entry> entries_;  // lint:guarded_by(mutex_)
-};
-
 /// Precomputed reward bookkeeping for conditional-probability queries. A
-/// context caches evaluators and owns the scratch its Omega evaluations run
-/// in, so it serves one thread at a time; the evaluators it shares through
-/// SharedOmegaCache stay safe to use from every thread.
+/// context keeps its evaluators and owns the flow column its Omega
+/// evaluations run in, so it serves one thread at a time.
 class RewardStructureContext {
  public:
   /// `state_rewards_desc` must be strictly decreasing (the distinct rho
@@ -120,13 +69,13 @@ class RewardStructureContext {
 
   /// The evaluator for threshold r' (canonicalized internally), as
   /// conditional_probability_for_threshold uses it. It stays valid for the
-  /// context's lifetime; callers that run its forward flow
+  /// context's lifetime; callers that run its flow themselves
   /// (OmegaEvaluator::flow_start / flow_extend) keep their own column.
   const OmegaEvaluator& evaluator_for_threshold(double r_prime);
 
   /// The Omega work of this context's evaluations so far, for the caller to
   /// record once per run (OmegaWork::record); callers may add their own.
-  OmegaWork& omega_work() { return omega_scratch_.work; }
+  OmegaWork& omega_work() { return omega_work_; }
 
   /// The threshold r' = r/t - r_{K+1} - (1/t) sum_i i_i j_i of eq. (4.9).
   double threshold(const SpacingCounts& j, double t, double r) const;
@@ -143,21 +92,21 @@ class RewardStructureContext {
   /// has d_i <= r' — without paying for an evaluator lookup.
   const std::vector<double>& coefficients() const { return coefficients_; }
 
-  /// Number of distinct Omega thresholds this context has touched (ablation
-  /// metric; the evaluators themselves live in SharedOmegaCache).
+  /// Number of distinct Omega thresholds this context has touched.
   std::size_t evaluator_count() const { return evaluators_.size(); }
 
  private:
   std::vector<double> state_rewards_;    // r_1 > ... > r_{K+1}
   std::vector<double> impulse_rewards_;  // i_1 > ... > i_J (possibly empty)
   std::vector<double> coefficients_;     // d_i = r_i - r_{K+1}
-  // Per-context front cache over SharedOmegaCache, keyed by canonical
-  // threshold: lock-free repeat lookups within one engine run.
-  std::map<double, std::shared_ptr<const OmegaEvaluator>> evaluators_;
-  // Working storage for every evaluation this context makes, so repeated
-  // conditional probabilities allocate only when a larger count shape
-  // appears. Like evaluators_, it makes a context single-threaded.
-  OmegaScratch omega_scratch_;
+  // One evaluator per canonical threshold. std::map nodes never move, so
+  // the references evaluator_for_threshold hands out stay valid.
+  std::map<double, OmegaEvaluator> evaluators_;
+  // The flow column of every evaluation this context makes, so repeated
+  // conditional probabilities allocate only when a longer column appears.
+  // Like evaluators_, it makes a context single-threaded.
+  std::vector<double> column_;
+  OmegaWork omega_work_;
 };
 
 }  // namespace csrlmrm::numeric

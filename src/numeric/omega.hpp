@@ -14,40 +14,31 @@
 // thesis adopts it for, replacing the unstable Weisberg/Matsunawa methods.
 //
 // Because the pivots i and j are always the first nonzero class on each
-// side, every reachable sub-problem is determined by the pair
-// (g, l) = (decrements taken from G so far, decrements taken from L so far):
-// the counts left on each side are the original staircase with its first g
-// (resp. l) units removed in class-index order. The evaluator therefore
-// solves the recursion as a dense wavefront DP over the (||k_G||+1) x
-// (||k_L||+1) lattice — one anti-diagonal at a time, in place, with the
-// inner sweep vectorized via core/simd.hpp — instead of hashing count
-// vectors into a memo table. Cell values are bit-identical to the memoized
-// recursion (same expression, same operands, each cell computed once); only
-// the traversal order changed.
-//
-// Forward flow. The same lattice read the other way round: start one unit
-// of flow at (0, 0) and let every interior cell pass its flow on with the
-// recursion's factors — A = (c_i - r)/(c_i - c_j) to (g, l+1), B =
-// (r - c_j)/(c_i - c_j) to (g+1, l). The flow F(g, l) reaching a cell is the
-// sum over lattice paths of their factor products, and Omega is the flow
-// that leaves across the greater-side boundary:
+// side, every reachable sub-problem is determined by the pair (g, l) =
+// (decrements taken from G so far, decrements taken from L so far): a
+// ||k_G|| x ||k_L|| lattice over the two staircases of units in
+// class-index order. The evaluator runs the recursion as a forward flow
+// over that lattice: start one unit of flow at (0, 0) and let every
+// interior cell pass its flow on with the recursion's factors —
+// A = (c_i - r)/(c_i - c_j) to (g, l+1), B = (r - c_j)/(c_i - c_j) to
+// (g+1, l). The flow F(g, l) reaching a cell is the sum over lattice paths
+// of their factor products, and Omega is the flow that leaves across the
+// greater-side boundary:
 //
 //   Omega(r, k) = sum_{l < ||k_L||} F(||k_G|| - 1, l) * B(||k_G|| - 1, l).
 //
 // Computed column by column (one column per lesser unit, in staircase
 // order), column l needs only column l - 1 and the pivots of its own
-// lesser unit. Appending one unit of the last class — the zero coefficient
-// d_{K+1} of eq. (4.10), which sits at the end of the lesser staircase —
-// therefore adds exactly one column of ||k_G|| cells, and Omega grows by
-// that column's outflow. An absorbed class of the class-DP engine gains
-// such a unit at every Poisson epoch (class_explorer.hpp), so its Omega
-// runs as a chain: one ||k_G|| * ||k_L|| first value, then O(||k_G||) per
-// level, where evaluate() would redo the whole lattice each time. Every
-// factor and product lies in [0, 1], so the flow is as stable as the
-// wavefront; the two forms sum the same positive path products in a
-// different association and agree to rounding (test_omega.cpp states the
-// bound). A chain's value is a pure function of the counts: starting afresh
-// at k + m * 1_last gives bitwise the value of m extensions from k.
+// lesser unit, so a value costs ||k_G|| * ||k_L|| cells in one column of
+// ||k_G|| doubles the caller owns. Every factor and product lies in [0, 1],
+// so the flow keeps the recursion's stability. Appending one unit of the
+// last class — the zero coefficient d_{K+1} of eq. (4.10), which sits at
+// the end of the lesser staircase — adds exactly one column, and Omega
+// grows by that column's outflow. An absorbed class of the class-DP engine
+// gains such a unit at every Poisson epoch (class_explorer.hpp), so its
+// Omega runs as a chain: one flow_start, then one O(||k_G||) flow_extend
+// per level. A chain's value is a pure function of the counts: starting
+// afresh at k + m * 1_last gives bitwise the value of m extensions from k.
 #pragma once
 
 #include <cstddef>
@@ -63,9 +54,9 @@ using SpacingCounts = std::vector<std::uint32_t>;
 /// Omega work done by one caller, kept in plain counters and recorded to
 /// the stats registry once per engine run instead of once per evaluation
 /// (a registry update is a map lookup when statistics are on):
-/// "omega.evaluations" (full Omega values: evaluate() and flow_start()),
-/// "omega.dp_cells" (lattice cells computed by either form) and
-/// "omega.chain_steps" (flow_extend() calls).
+/// "omega.evaluations" (flow_start() calls: full Omega values),
+/// "omega.dp_cells" (lattice cells computed) and "omega.chain_steps"
+/// (flow_extend() calls).
 struct OmegaWork {
   std::uint64_t evaluations = 0;
   std::uint64_t cells = 0;
@@ -80,24 +71,10 @@ struct OmegaWork {
   void record();
 };
 
-/// Working storage of OmegaEvaluator::evaluate: the two pivot staircases
-/// and the wavefront row, plus the work counters of the calls made with it.
-/// The caller owns it and passes it to every call, so a scratch reused
-/// across calls grows to the largest count shape it has seen and then stops
-/// allocating. Its buffers between calls carry no meaning: a reused scratch
-/// gives bitwise the value a fresh one gives. One scratch must not be used
-/// by two calls at once.
-struct OmegaScratch {
-  std::vector<double> greater_pivots;     // c_i of the (g+1)-th greater-side unit
-  std::vector<double> lesser_pivots_rev;  // lesser-side staircase, reversed
-  std::vector<double> wavefront;          // one anti-diagonal of the lattice
-  OmegaWork work;                         // what evaluate() has done with this scratch
-};
-
-/// Wavefront-DP evaluator for one fixed threshold r and coefficient vector
-/// c. Stateless after construction: evaluate() is const, and one shared
-/// instance serves concurrent callers as long as each passes its own
-/// OmegaScratch.
+/// Forward-flow evaluator for one fixed threshold r and coefficient vector
+/// c. Stateless after construction: its members are const, and one
+/// instance serves concurrent callers as long as each passes its own column
+/// and OmegaWork.
 class OmegaEvaluator {
  public:
   /// `coefficients` are the distinct c_l (any order, need not be sorted);
@@ -105,20 +82,15 @@ class OmegaEvaluator {
   /// empty, non-finite, or contain duplicates.
   OmegaEvaluator(std::vector<double> coefficients, double r);
 
-  /// Omega(r, counts). counts must have one entry per coefficient.
-  /// With all counts zero the sum is empty and the result is 1 if r >= 0
-  /// else 0. Costs O(||k_G|| * ||k_L||) cell updates and O(||k||) scratch
-  /// memory; allocates only when `scratch` is smaller than this shape needs.
-  double evaluate(const SpacingCounts& counts, OmegaScratch& scratch) const;
-
-  /// The forward-flow column length of `counts`: its greater-side unit
-  /// count ||k_G||. counts must have one entry per coefficient.
+  /// The flow's column length for `counts`: its greater-side unit count
+  /// ||k_G||. counts must have one entry per coefficient.
   std::size_t flow_length(std::span<const std::uint32_t> counts) const;
 
-  /// Omega(r, counts) in forward-flow form (see the header comment), with
-  /// the base cases of evaluate(). `column` must hold flow_length(counts)
-  /// doubles; it receives the flow's last column, which flow_extend()
-  /// continues. Costs ||k_G|| * ||k_L|| cells and allocates nothing.
+  /// Omega(r, counts), counts with one entry per coefficient. With all
+  /// counts zero the sum is empty and the result is 1 if r >= 0 else 0.
+  /// `column` must hold flow_length(counts) doubles; it receives the flow's
+  /// last column, which flow_extend() continues. Costs ||k_G|| * ||k_L||
+  /// cells and allocates nothing.
   double flow_start(std::span<const std::uint32_t> counts, double* column,
                     OmegaWork& work) const;
 
@@ -147,7 +119,8 @@ class OmegaEvaluator {
   std::vector<bool> greater_;  // greater_[l] <=> c_l > r
 };
 
-/// One-shot convenience wrapper around OmegaEvaluator.
+/// One-shot convenience wrapper around OmegaEvaluator::flow_start; records
+/// its work to the stats registry.
 double omega(double r, const std::vector<double>& coefficients, const SpacingCounts& counts);
 
 }  // namespace csrlmrm::numeric

@@ -15,9 +15,9 @@
 //   - absorbing transforms come from the caller's model-bound
 //     core::TransformCache, so the until solves of a batch (and of every
 //     batch the caller runs against the same cache) build each once;
-//   - Omega/Poisson setup behind the uniformization engines is shared via
-//     numeric::SharedOmegaCache, which ops hitting the same transformed
-//     model reach with identical keys.
+//   - the Poisson tail tables behind the uniformization engines are shared
+//     process-wide (numeric::PoissonTailCache); Omega evaluators are built
+//     per solve, since one costs less to build than a shared lookup.
 //
 // A formula fails alone. An op that throws — an until bound shape outside
 // thesis sections 4.5/4.6, a point-time until whose Psi-states break

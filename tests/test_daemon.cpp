@@ -1028,6 +1028,78 @@ TEST(DaemonServer, AcceptBacksOffWhileOutOfDescriptors) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
+/// The body of StopReturnsWhileAClientLeavesItsRepliesUnread, run in a
+/// forked child so that a stop() that never returns is killed by an alarm
+/// instead of hanging the suite. Returns 0 on success, otherwise the number
+/// of the failed step.
+int unread_replies_child(const std::string& socket_path) {
+  daemon::ServerOptions options;
+  options.socket_path = socket_path;
+  daemon::DaemonServer server(options);
+  try {
+    server.start();
+  } catch (const std::exception&) {
+    return 1;
+  }
+  const int client = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  std::memcpy(address.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  if (client < 0 ||
+      ::connect(client, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) != 0) {
+    return 1;
+  }
+
+  // Pipeline pings and read nothing until the socket has stayed full for
+  // 200 ms: the server's replies have filled what the client does not
+  // drain, so its connection thread waits to write and reads no more.
+  std::string burst;
+  for (int i = 0; i < 1024; ++i) burst += "{\"op\":\"ping\"}\n";
+  std::size_t pipelined = 0;
+  pollfd writable{client, POLLOUT, 0};
+  while (::poll(&writable, 1, 200) == 1) {
+    const ssize_t sent =
+        ::send(client, burst.data(), burst.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (sent > 0) pipelined += static_cast<std::size_t>(sent);
+    if (pipelined > (std::size_t{64} << 20)) return 2;  // the replies never backed up
+  }
+  if (pipelined < burst.size()) return 2;
+
+  const auto begin = std::chrono::steady_clock::now();
+  server.stop();
+  const auto waited = std::chrono::steady_clock::now() - begin;
+  ::close(client);
+  if (waited > std::chrono::seconds(2)) {
+    std::fprintf(stderr, "stop() took %lld ms\n",
+                 static_cast<long long>(
+                     std::chrono::duration_cast<std::chrono::milliseconds>(waited).count()));
+    return 3;
+  }
+  return 0;
+}
+
+TEST(DaemonServer, StopReturnsWhileAClientLeavesItsRepliesUnread) {
+  // One client pipelines requests and never reads a reply. stop() must
+  // still return promptly: exit code 3 of unread_replies_child, or the
+  // alarm's signal when it does not return at all. Codes 1 and 2 are setup
+  // failures (no connection; the client's sends never backed up).
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       (std::string("mrmcheckd_unread_") + std::to_string(::getpid()) + ".sock"))
+          .string();
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::alarm(10);  // a stop() that never returns is killed here
+    ::_exit(unread_replies_child(socket_path));
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  std::filesystem::remove(socket_path);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
 TEST(DaemonServer, SocketRoundTripLoadCheckStatsShutdown) {
   const std::string socket_path =
       (std::filesystem::temp_directory_path() /

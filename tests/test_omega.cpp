@@ -112,15 +112,17 @@ TEST(OmegaEvaluator, RejectsEmptyCoefficients) {
 
 TEST(OmegaEvaluator, RejectsCountSizeMismatch) {
   OmegaEvaluator evaluator({1.0, 0.0}, 0.5);
-  OmegaScratch scratch;
-  EXPECT_THROW(evaluator.evaluate({1}, scratch), std::invalid_argument);
+  std::vector<double> column(2);
+  OmegaWork work;
+  EXPECT_THROW(evaluator.flow_length(SpacingCounts{1}), std::invalid_argument);
+  EXPECT_THROW(evaluator.flow_start(SpacingCounts{1}, column.data(), work), std::invalid_argument);
 }
 
 namespace {
-// The pre-wavefront memoized recursion, kept as the bitwise ground truth for
-// the DP rewrite: same pivot choice (first nonzero class on each side), same
-// combination expression, so the wavefront evaluator must agree to the last
-// bit on every instance.
+// The memoized recursion of Algorithm 4.8 as written: same pivot choice
+// (first nonzero class on each side) and the same per-cell factors as the
+// forward flow, so the two sum the same positive path products and differ
+// only in rounding (flow_rounding_bound below).
 class ReferenceOmega {
  public:
   ReferenceOmega(std::vector<double> c, double r) : c_(std::move(c)), r_(r) {
@@ -176,7 +178,27 @@ class ReferenceOmega {
 };
 }  // namespace
 
-TEST(OmegaEvaluator, WavefrontMatchesMemoizedRecursionBitwise) {
+/// The rounding bound between the forward flow and the memoized recursion.
+/// Both use the same per-cell factors, bitwise, and sum the same positive
+/// path products; they differ only in the rounding of those products and
+/// sums, at most one multiplication and one addition per lattice step on
+/// each side. A path has ||k_G|| + ||k_L|| steps, so the two values agree
+/// to 4 * (||k_G|| + ||k_L||) units in the last place of the larger, plus
+/// an absolute floor for values that underflow.
+double flow_rounding_bound(const SpacingCounts& counts, double value) {
+  double units = 0.0;
+  for (const std::uint32_t count : counts) units += count;
+  return 4.0 * units * 0x1p-53 * value + 1e-300;
+}
+
+/// Omega(r, counts) from a fresh flow column.
+double flow_value(const OmegaEvaluator& evaluator, const SpacingCounts& counts) {
+  std::vector<double> column(evaluator.flow_length(counts));
+  OmegaWork work;
+  return evaluator.flow_start(counts, column.data(), work);
+}
+
+TEST(OmegaEvaluator, FlowMatchesMemoizedRecursionWithinTheRoundingBound) {
   std::mt19937_64 rng(20260808);
   std::uniform_int_distribution<int> num_classes(1, 5);
   std::uniform_int_distribution<std::uint32_t> count_dist(0, 6);
@@ -194,47 +216,36 @@ TEST(OmegaEvaluator, WavefrontMatchesMemoizedRecursionBitwise) {
     const double r = threshold_dist(rng);
     OmegaEvaluator evaluator(c, r);
     ReferenceOmega reference(c, r);
-    OmegaScratch scratch;
-    EXPECT_EQ(evaluator.evaluate(counts, scratch), reference.evaluate(counts))
-        << "trial=" << trial << " r=" << r;
+    const double flow = flow_value(evaluator, counts);
+    const double expected = reference.evaluate(counts);
+    EXPECT_LE(std::fabs(flow - expected), flow_rounding_bound(counts, std::max(flow, expected)))
+        << "trial=" << trial << " r=" << r << " flow=" << flow << " recursion=" << expected;
   }
 }
 
 TEST(OmegaEvaluator, ReusedScratchMatchesFreshScratchBitwise) {
-  // One scratch carried across count shapes that grow, shrink and flip
-  // which side dominates: every value must be bitwise the fresh-scratch one,
-  // whatever the previous call left in the buffers.
+  // One flow column carried across count shapes that grow, shrink and flip
+  // which side dominates: every value must be bitwise the fresh-column one,
+  // whatever the previous call left in the buffer.
   std::mt19937_64 rng(20261019);
   std::uniform_int_distribution<std::uint32_t> small(0, 3);
   std::uniform_int_distribution<std::uint32_t> large(0, 40);
   std::uniform_real_distribution<double> threshold_dist(-0.5, 5.5);
   const std::vector<double> c{5.0, 3.0, 1.0, 0.0};
-  OmegaScratch reused;
+  std::vector<double> reused;
+  OmegaWork work;
   for (int trial = 0; trial < 300; ++trial) {
     auto& dist = trial % 3 == 0 ? large : small;
     SpacingCounts counts(c.size());
     for (auto& v : counts) v = dist(rng);
     const OmegaEvaluator evaluator(c, threshold_dist(rng));
-    OmegaScratch fresh;
-    EXPECT_EQ(evaluator.evaluate(counts, reused), evaluator.evaluate(counts, fresh))
+    reused.resize(std::max(reused.size(), evaluator.flow_length(counts)));
+    EXPECT_EQ(evaluator.flow_start(counts, reused.data(), work), flow_value(evaluator, counts))
         << "trial=" << trial;
   }
 }
 
 // ------------------------------------------------------------ forward flow
-
-/// The rounding bound between the forward flow and the wavefront. Both
-/// forms use the same per-cell factors, bitwise, and sum the same positive
-/// path products; they differ only in the rounding of those products and
-/// sums, at most one multiplication and one addition per lattice step on
-/// each side. A path has ||k_G|| + ||k_L|| steps, so the two values agree
-/// to 4 * (||k_G|| + ||k_L||) units in the last place of the larger, plus
-/// an absolute floor for values that underflow.
-double flow_rounding_bound(const SpacingCounts& counts, double value) {
-  double units = 0.0;
-  for (const std::uint32_t count : counts) units += count;
-  return 4.0 * units * 0x1p-53 * value + 1e-300;
-}
 
 /// Coefficient sets, each ending in the zero coefficient of eq. (4.10).
 const std::vector<std::vector<double>>& flow_coefficient_sets() {
@@ -243,24 +254,24 @@ const std::vector<std::vector<double>>& flow_coefficient_sets() {
   return sets;
 }
 
-TEST(OmegaFlow, StartMatchesWavefrontWithinTheRoundingBoundOnAGridOfShapes) {
+TEST(OmegaFlow, StartMatchesTheRecursionWithinTheRoundingBoundOnAGridOfShapes) {
   const std::vector<std::uint32_t> grid{0, 1, 3, 8};
   std::size_t compared = 0;
   for (const std::vector<double>& c : flow_coefficient_sets()) {
     for (const double r : {0.0, 0.3, 1.0, 1.7, 2.5, 4.9, 7.6}) {
       const OmegaEvaluator evaluator(c, r);
+      ReferenceOmega reference(c, r);
       SpacingCounts counts(c.size(), 0);
       // Every count vector over `grid` (an odometer over the classes).
       for (bool more = true; more;) {
         std::vector<double> column(evaluator.flow_length(counts));
-        OmegaScratch scratch;
         OmegaWork work;
-        const double expected = evaluator.evaluate(counts, scratch);
+        const double expected = reference.evaluate(counts);
         const double flow = evaluator.flow_start(counts, column.data(), work);
         EXPECT_LE(std::fabs(flow - expected),
                   flow_rounding_bound(counts, std::max(flow, expected)))
             << "r=" << r << " classes=" << c.size() << " flow=" << flow
-            << " wavefront=" << expected;
+            << " recursion=" << expected;
         EXPECT_EQ(work.evaluations, 1u);
         ++compared;
         more = false;
@@ -279,18 +290,19 @@ TEST(OmegaFlow, StartMatchesWavefrontWithinTheRoundingBoundOnAGridOfShapes) {
   EXPECT_GT(compared, 7u * (16u + 256u));
 }
 
-TEST(OmegaFlow, ExtensionsAreBitwiseFreshStartsAndTrackTheWavefront) {
+TEST(OmegaFlow, ExtensionsAreBitwiseFreshStartsAndTrackTheRecursion) {
   // A chain of 30 last-class extensions from random counts: each value is
   // bitwise the flow started afresh at the extended counts, so a chain's
   // value does not depend on where it started, and stays within the
-  // rounding bound of the wavefront.
+  // rounding bound of the memoized recursion.
   std::mt19937_64 rng(20261020);
   std::uniform_int_distribution<std::uint32_t> count_dist(0, 6);
   std::uniform_real_distribution<double> threshold_dist(0.0, 8.0);
-  OmegaScratch scratch;
   for (int trial = 0; trial < 60; ++trial) {
     const std::vector<double>& c = flow_coefficient_sets()[trial % 3];
-    const OmegaEvaluator evaluator(c, threshold_dist(rng));
+    const double r = threshold_dist(rng);
+    const OmegaEvaluator evaluator(c, r);
+    ReferenceOmega reference(c, r);
     SpacingCounts counts(c.size());
     for (auto& v : counts) v = count_dist(rng);
     counts.back() = std::max<std::uint32_t>(counts.back(), 1);
@@ -305,7 +317,7 @@ TEST(OmegaFlow, ExtensionsAreBitwiseFreshStartsAndTrackTheWavefront) {
       EXPECT_EQ(chain, evaluator.flow_start(counts, fresh_column.data(), fresh_work))
           << "trial=" << trial << " step=" << step;
       EXPECT_EQ(chain_column, fresh_column) << "trial=" << trial << " step=" << step;
-      const double expected = evaluator.evaluate(counts, scratch);
+      const double expected = reference.evaluate(counts);
       EXPECT_LE(std::fabs(chain - expected),
                 flow_rounding_bound(counts, std::max(chain, expected)))
           << "trial=" << trial << " step=" << step;

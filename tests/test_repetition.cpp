@@ -1,8 +1,8 @@
 // In-process repetition: a long-lived process (mrmcheckd) answers the same
 // queries hundreds of times with progressively warmer process-lifetime
-// caches (PoissonTailCache::global(), SharedOmegaCache::global(), per-run
-// TransformCaches). Every repetition must be bitwise-identical to the first,
-// cold-cache run — cache warmth is a speed effect, never a numeric one.
+// caches (PoissonTailCache::global(), per-run TransformCaches). Every
+// repetition must be bitwise-identical to the first, cold-cache run — cache
+// warmth is a speed effect, never a numeric one.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,7 +16,6 @@
 #include "models/cellphone.hpp"
 #include "models/mm1k.hpp"
 #include "models/tmr.hpp"
-#include "numeric/conditional.hpp"
 #include "plan/compiler.hpp"
 #include "plan/executor.hpp"
 
@@ -92,8 +91,6 @@ TEST(Repetition, FiveHundredChecksAreBitwiseStable) {
   add(models::make_mm1k(), "P(>0.05)[busy U[0,4][0,40] full]");
   add(models::make_mm1k(), "S(>0.01) full");
 
-  // Fresh-process state: no Omega evaluator predates the baselines.
-  numeric::SharedOmegaCache::global().clear();
   for (Workload& workload : workloads) {
     workload.baseline = run_once(workload.model, workload.formula);
   }
