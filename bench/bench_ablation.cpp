@@ -11,7 +11,9 @@
 #include "linalg/dense_solve.hpp"
 #include "linalg/gauss_seidel.hpp"
 #include "models/tmr.hpp"
+#include "oracle/ctmc_measures.hpp"
 #include "oracle/jacobi.hpp"
+#include "oracle/linalg_reference.hpp"
 
 namespace {
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -62,7 +64,7 @@ int main() {
 
     // Jacobi / dense ablations solve the same irreducible system directly:
     // replace the last balance equation with the normalization constraint.
-    const auto generator = model.rates().generator();
+    const auto generator = core::generator(model.rates());
     const std::size_t n = model.num_states();
     auto dense_system = [&] {
       auto a = generator.transposed().to_dense();
@@ -93,7 +95,7 @@ int main() {
       const auto m = builder.build();  // pi' = pi (I + Q/Lambda) fixpoint
       std::vector<double> pi(n, 1.0 / static_cast<double>(n));
       for (int iteration = 0; iteration < 200000; ++iteration) {
-        auto next = m.multiply(pi);
+        auto next = multiply(m, pi);
         double delta = 0.0;
         for (std::size_t s = 0; s < n; ++s) {
           next[s] += pi[s];

@@ -25,7 +25,7 @@
 #include "graph/scc.hpp"
 #include "linalg/gauss_seidel.hpp"
 #include "models/mm1k.hpp"
-#include "models/random_mrm.hpp"
+#include "oracle/random_mrm.hpp"
 #include "models/tmr.hpp"
 #include "numeric/conditional.hpp"
 #include "numeric/discretization.hpp"

@@ -36,6 +36,7 @@
 #include "models/mm1k.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
+#include "oracle/linalg_reference.hpp"
 #include "oracle/transient_forward.hpp"
 
 namespace {
@@ -100,7 +101,7 @@ SpmvRecord measure_spmv(const linalg::CsrMatrix& gather, int iters) {
                 static_cast<double>(gather.non_zeros());
   const std::vector<double> x = random_vector(gather.cols(), 7);
   std::vector<double> reference(gather.rows(), 0.0);
-  gather.multiply_into(x, reference, 1);
+  multiply_into(gather, x, reference, 1);
   std::vector<double> y(gather.rows(), 0.0);
   for (const unsigned threads : {1u, 2u, 8u}) {
     blocked.multiply_into(x, y, threads);
@@ -109,10 +110,10 @@ SpmvRecord measure_spmv(const linalg::CsrMatrix& gather, int iters) {
     }
   }
   record.csr_ms_1t = best_of([&] {
-    for (int i = 0; i < iters; ++i) gather.multiply_into(x, y, 1);
+    for (int i = 0; i < iters; ++i) multiply_into(gather, x, y, 1);
   });
   record.csr_ms_8t = best_of([&] {
-    for (int i = 0; i < iters; ++i) gather.multiply_into(x, y, 8);
+    for (int i = 0; i < iters; ++i) multiply_into(gather, x, y, 8);
   });
   record.blocked_ms_1t = best_of([&] {
     for (int i = 0; i < iters; ++i) blocked.multiply_into(x, y, 1);

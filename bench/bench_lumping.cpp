@@ -7,7 +7,7 @@
 
 #include "bench_support.hpp"
 #include "checker/steady.hpp"
-#include "models/explicit_nmr.hpp"
+#include "oracle/explicit_nmr.hpp"
 #include "oracle/lumping.hpp"
 
 namespace {

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench_support.hpp"
-#include "models/cellphone.hpp"
+#include "oracle/cellphone.hpp"
 
 int main() {
   using namespace csrlmrm;

@@ -343,9 +343,12 @@ int main(int argc, char** argv) {
       } else if (token.rfind("--max-nodes=", 0) == 0) {
         const std::string value = token.substr(12);
         try {
-          std::size_t consumed = 0;
-          const unsigned long long nodes = std::stoull(value, &consumed);
-          if (consumed != value.size() || nodes == 0) throw std::invalid_argument(value);
+          // Digits only: stoull would wrap "-5" to 2^64 - 5.
+          if (value.find_first_not_of("0123456789") != std::string::npos) {
+            throw std::invalid_argument(value);
+          }
+          const unsigned long long nodes = std::stoull(value);
+          if (nodes == 0) throw std::invalid_argument(value);
           options.uniformization.max_nodes = static_cast<std::size_t>(nodes);
         } catch (const std::exception&) {
           std::fprintf(stderr, "mrmcheck: --max-nodes= expects a positive integer, got '%s'\n",

@@ -14,9 +14,11 @@
 // formula's verdict string ('Y'/'N'/'?' per state, 1-based) and numeric
 // values, mirroring mrmcheck's output. Exit codes: 0 ok, 1 daemon-side or
 // connection error, 2 usage (checked before connecting, so an unknown
-// option or fallback name fails the same with or without a daemon), 4 batch
-// completed but some formulas failed.
+// option, fallback name or malformed number fails the same with or without a
+// daemon), 4 batch completed but some formulas failed.
+#include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -43,6 +45,43 @@ bool ends_with(const std::string& text, const char* suffix) {
   return text.size() >= s.size() && text.compare(text.size() - s.size(), s.size(), s) == 0;
 }
 
+/// Parses the value of w= / --deadline-ms= strictly: the whole token must be
+/// a finite, positive number, so `w=1e-8x` fails naming its flag instead of
+/// being sent half-parsed.
+bool parse_positive_number(const std::string& text, const char* flag, double& out) {
+  try {
+    std::size_t consumed = 0;
+    const double value = std::stod(text, &consumed);
+    if (consumed != text.size() || !(value > 0.0) || !std::isfinite(value)) {
+      throw std::invalid_argument(text);
+    }
+    out = value;
+    return true;
+  } catch (const std::exception&) {
+    std::fprintf(stderr, "mrmcheckc: %s expects a positive number, got '%s'\n", flag,
+                 text.c_str());
+    return false;
+  }
+}
+
+/// Parses the value of --max-nodes= strictly: digits only (stoull would
+/// wrap a leading '-'), and positive; stoull rejects an empty value.
+bool parse_positive_count(const std::string& text, const char* flag, std::size_t& out) {
+  try {
+    if (text.find_first_not_of("0123456789") != std::string::npos) {
+      throw std::invalid_argument(text);
+    }
+    const unsigned long long value = std::stoull(text);
+    if (value == 0) throw std::invalid_argument(text);
+    out = static_cast<std::size_t>(value);
+    return true;
+  } catch (const std::exception&) {
+    std::fprintf(stderr, "mrmcheckc: %s expects a positive integer, got '%s'\n", flag,
+                 text.c_str());
+    return false;
+  }
+}
+
 /// Parses `check <model> [options] <formula>...` into `check`; false (after
 /// a diagnostic) on a usage error.
 bool parse_check(const std::vector<std::string>& args, csrlmrm::daemon::CheckRequest& check) {
@@ -51,11 +90,17 @@ bool parse_check(const std::vector<std::string>& args, csrlmrm::daemon::CheckReq
   for (std::size_t i = 2; i < args.size(); ++i) {
     const std::string& token = args[i];
     if (token.rfind("w=", 0) == 0) {
-      check.options.w = std::stod(token.substr(2));
+      double w = 0.0;
+      if (!parse_positive_number(token.substr(2), "w=", w)) return false;
+      check.options.w = w;
     } else if (token.rfind("--max-nodes=", 0) == 0) {
-      check.options.max_nodes = static_cast<std::size_t>(std::stoull(token.substr(12)));
+      std::size_t nodes = 0;
+      if (!parse_positive_count(token.substr(12), "--max-nodes=", nodes)) return false;
+      check.options.max_nodes = nodes;
     } else if (token.rfind("--deadline-ms=", 0) == 0) {
-      check.options.deadline_ms = std::stod(token.substr(14));
+      double deadline = 0.0;
+      if (!parse_positive_number(token.substr(14), "--deadline-ms=", deadline)) return false;
+      check.options.deadline_ms = deadline;
     } else if (token.rfind("--fallback=", 0) == 0) {
       check.options.fallback = token.substr(11);
       if (*check.options.fallback != "throw" && *check.options.fallback != "discretize") {

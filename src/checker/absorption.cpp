@@ -68,12 +68,8 @@ void first_step_solve(const core::Mrm& model, const std::vector<bool>& unknown,
   for (std::size_t i = 0; i < states.size(); ++i) x[states[i]] = y[i];
 }
 
-namespace {
-
-/// Zero on targets, +infinity where the hitting probability is below 1
-/// (determined exactly by graph analysis: P(s, Diamond target) = 1 iff s
-/// cannot reach any state from which the target is unreachable), and the
-/// first-step solution everywhere else.
+// The hitting probability is below 1 exactly where graph analysis finds a
+// path to a state from which the target is unreachable.
 std::vector<double> expected_cost_to_hit(const core::Mrm& model,
                                          const std::vector<bool>& target,
                                          const std::vector<double>& sojourn_rate,
@@ -99,15 +95,6 @@ std::vector<double> expected_cost_to_hit(const core::Mrm& model,
   }
   first_step_solve(model, unknown, sojourn_rate, with_impulses, result, solver);
   return result;
-}
-
-}  // namespace
-
-std::vector<double> expected_time_to_hit(const core::Mrm& model,
-                                         const std::vector<bool>& target,
-                                         const linalg::IterativeOptions& solver) {
-  return expected_cost_to_hit(model, target, std::vector<double>(model.num_states(), 1.0),
-                              /*with_impulses=*/false, solver);
 }
 
 std::vector<double> expected_reward_to_hit(const core::Mrm& model,

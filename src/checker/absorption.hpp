@@ -31,18 +31,22 @@ void first_step_solve(const core::Mrm& model, const std::vector<bool>& unknown,
                       const std::vector<double>& sojourn_rate, bool with_impulses,
                       std::vector<double>& x, const linalg::IterativeOptions& solver);
 
-/// E[ time until first hitting `target` ] per starting state; +infinity for
-/// states whose hitting probability is below 1 (including states from which
-/// the target is unreachable: every state when the target is empty). Throws
-/// std::invalid_argument on mask size mismatch.
-std::vector<double> expected_time_to_hit(const core::Mrm& model,
+/// E[ cost accumulated until first hitting `target` ] per starting state,
+/// with cost rate sojourn_rate(s) while in s and, when `with_impulses`, the
+/// impulse reward of every transition taken (including the final one into
+/// the target): 0 on target states, +infinity for states whose hitting
+/// probability is below 1 (including states from which the target is
+/// unreachable: every state when the target is empty), and the
+/// first_step_solve solution everywhere else. Throws std::invalid_argument
+/// on mask size mismatch.
+std::vector<double> expected_cost_to_hit(const core::Mrm& model,
                                          const std::vector<bool>& target,
-                                         const linalg::IterativeOptions& solver = {});
+                                         const std::vector<double>& sojourn_rate,
+                                         bool with_impulses,
+                                         const linalg::IterativeOptions& solver);
 
-/// E[ reward accumulated until first hitting `target` ], counting state
-/// rewards over the sojourn and impulse rewards of every transition taken
-/// (including the final one into the target). Same infinity semantics as
-/// expected_time_to_hit.
+/// E[ reward accumulated until first hitting `target` ]: expected_cost_to_hit
+/// of the state rewards, with impulses.
 std::vector<double> expected_reward_to_hit(const core::Mrm& model,
                                            const std::vector<bool>& target,
                                            const linalg::IterativeOptions& solver = {});

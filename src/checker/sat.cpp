@@ -38,10 +38,6 @@ const std::vector<bool>& ModelChecker::satisfaction_set(const logic::FormulaPtr&
   return result(formula).sat;
 }
 
-const std::vector<bool>& ModelChecker::unknown_set(const logic::FormulaPtr& formula) {
-  return result(formula).unknown;
-}
-
 std::vector<Verdict> ModelChecker::verdicts(const logic::FormulaPtr& formula) {
   return result(formula).verdicts;
 }
@@ -73,22 +69,6 @@ std::vector<ProbabilityBound> ModelChecker::value_bounds(const logic::FormulaPtr
       throw std::invalid_argument(
           "ModelChecker::value_bounds: formula is not an S/P/R-operator node");
   }
-}
-
-std::vector<double> ModelChecker::steady_probabilities(const logic::FormulaPtr& formula) {
-  if (require_kind(formula) != logic::FormulaKind::kSteady) {
-    throw std::invalid_argument(
-        "ModelChecker::steady_probabilities: formula is not an S-operator node");
-  }
-  return result(formula).values;
-}
-
-std::vector<double> ModelChecker::expected_rewards(const logic::FormulaPtr& formula) {
-  if (require_kind(formula) != logic::FormulaKind::kExpectedReward) {
-    throw std::invalid_argument(
-        "ModelChecker::expected_rewards: formula is not an R-operator node");
-  }
-  return result(formula).values;
 }
 
 }  // namespace csrlmrm::checker

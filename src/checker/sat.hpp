@@ -42,17 +42,22 @@ class ModelChecker {
  public:
   explicit ModelChecker(const core::Mrm& model, CheckerOptions options = {});
 
+  /// The executed one-root plan of `formula`, memoized per formula node
+  /// identity: every accessor below reads it. Its `unknown` set holds the
+  /// states where the configured accuracy (truncation probability w,
+  /// transient epsilon, discretization step d) cannot decide the formula,
+  /// and `values` the raw steady-state probabilities or expected rewards
+  /// behind an S or R root. Throws std::invalid_argument for a null
+  /// formula, and rethrows the plan's recorded failure (kept out of the
+  /// memo).
+  const plan::FormulaResult& result(const logic::FormulaPtr& formula);
+
   /// Sat(Phi): the states *provably* satisfying the formula (Algorithm 4.1).
-  /// UNKNOWN states are not included — check unknown_set / verdicts when the
-  /// distinction matters. Results are memoized per formula node identity.
+  /// UNKNOWN states are not included — check verdicts when the distinction
+  /// matters.
   const std::vector<bool>& satisfaction_set(const logic::FormulaPtr& formula);
 
-  /// The states where the configured accuracy (truncation probability w,
-  /// transient epsilon, discretization step d) cannot decide the formula:
-  /// some threshold comparison's value interval straddles its bound.
-  const std::vector<bool>& unknown_set(const logic::FormulaPtr& formula);
-
-  /// Per-state three-valued verdicts (combines the two sets above).
+  /// Per-state three-valued verdicts: SAT, UNSAT or UNKNOWN.
   std::vector<Verdict> verdicts(const logic::FormulaPtr& formula);
 
   /// Convenience: does one state provably satisfy the formula?
@@ -71,22 +76,10 @@ class ModelChecker {
   /// Throws std::invalid_argument for non-operator nodes.
   std::vector<ProbabilityBound> value_bounds(const logic::FormulaPtr& formula);
 
-  /// The per-state steady-state probabilities behind an S-operator node.
-  std::vector<double> steady_probabilities(const logic::FormulaPtr& formula);
-
-  /// The per-state expected-reward values behind an R-operator node
-  /// (cumulative, reachability — possibly +infinity —, or long-run rate).
-  std::vector<double> expected_rewards(const logic::FormulaPtr& formula);
-
   const core::Mrm& model() const { return *model_; }
   const CheckerOptions& options() const { return options_; }
 
  private:
-  /// The executed one-root plan of `formula`; throws std::invalid_argument
-  /// for a null formula, and rethrows the plan's recorded failure (kept out
-  /// of the memo).
-  const plan::FormulaResult& result(const logic::FormulaPtr& formula);
-
   /// One memo entry. `formula` owns the node the entry is keyed by, so the
   /// key stays valid even if the caller drops its FormulaPtr.
   struct Entry {

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "checker/absorption.hpp"
-#include "checker/until.hpp"
 #include "graph/reachability.hpp"
 #include "graph/scc.hpp"
 #include "linalg/dense_solve.hpp"
@@ -15,12 +14,6 @@
 #include "core/approx.hpp"
 
 namespace csrlmrm::checker {
-
-namespace {
-
-/// Every bottom strongly connected component with its internal steady-state
-/// vector pi^B (aligned with the component's states).
-using Bsccs = std::vector<std::pair<std::vector<core::StateIndex>, std::vector<double>>>;
 
 Bsccs bottom_components(const core::Mrm& model, const linalg::IterativeOptions& solver) {
   Bsccs bsccs;
@@ -63,8 +56,6 @@ Bsccs bottom_components(const core::Mrm& model, const linalg::IterativeOptions& 
   obs::counter_add("checker.steady.bsccs", bsccs.size());
   return bsccs;
 }
-
-}  // namespace
 
 std::vector<double> steady_state_expectation(const core::Mrm& model,
                                              const std::vector<double>& value,
@@ -109,27 +100,6 @@ std::vector<double> steady_state_probability_of_set(const core::Mrm& model,
   // the same terms in the same order as a sum over B ∩ target alone.
   return steady_state_expectation(model, std::vector<double>(target.begin(), target.end()),
                                   solver);
-}
-
-std::vector<double> steady_state_distribution(const core::Mrm& model, core::StateIndex start,
-                                              const linalg::IterativeOptions& solver) {
-  if (start >= model.num_states()) {
-    throw std::invalid_argument("steady_state_distribution: start out of range");
-  }
-  const std::size_t n = model.num_states();
-  const std::vector<bool> everywhere(n, true);
-  std::vector<double> result(n, 0.0);
-  for (const auto& [states, pi] : bottom_components(model, solver)) {
-    // P(start, Diamond B) = P(start, tt U atB) (eq. 3.8, via the
-    // extra-proposition trick of section 4.2).
-    std::vector<bool> in_component(n, false);
-    for (const core::StateIndex s : states) in_component[s] = true;
-    const double reach =
-        unbounded_until_probabilities(model, everywhere, in_component, solver)[start];
-    if (core::exactly_zero(reach)) continue;
-    for (std::size_t i = 0; i < states.size(); ++i) result[states[i]] += reach * pi[i];
-  }
-  return result;
 }
 
 }  // namespace csrlmrm::checker

@@ -13,12 +13,21 @@
 // the same way, which is how R[S] gets the expected gain for every start.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "checker/options.hpp"
 #include "core/mrm.hpp"
 
 namespace csrlmrm::checker {
+
+/// Every bottom strongly connected component B with its internal
+/// steady-state vector pi^B (aligned with the component's states).
+using Bsccs = std::vector<std::pair<std::vector<core::StateIndex>, std::vector<double>>>;
+
+/// The BSCCs of `model` and their pi^B (Gauss-Seidel, with a dense solve
+/// for a stubborn component of at most 4096 states).
+Bsccs bottom_components(const core::Mrm& model, const linalg::IterativeOptions& solver = {});
 
 /// sum_B P(s, Diamond B) * sum_{s' in B} pi^B(s') * value(s') for every
 /// starting state s: the long-run expectation of `value` (one entry per
@@ -36,11 +45,5 @@ std::vector<double> steady_state_expectation(const core::Mrm& model,
 std::vector<double> steady_state_probability_of_set(const core::Mrm& model,
                                                     const std::vector<bool>& target,
                                                     const linalg::IterativeOptions& solver = {});
-
-/// The full long-run distribution started from `start`:
-/// result[s'] = pi(start, {s'}), summed per BSCC with one unbounded-until
-/// solve each — the tests' independent oracle; the checker never calls it.
-std::vector<double> steady_state_distribution(const core::Mrm& model, core::StateIndex start,
-                                              const linalg::IterativeOptions& solver = {});
 
 }  // namespace csrlmrm::checker

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 
 namespace csrlmrm::checker {
 
@@ -11,27 +10,11 @@ ProbabilityBound ProbabilityBound::from_point_error(double p, double below, doub
   return {std::max(0.0, p - below), std::min(1.0, p + above)};
 }
 
-ProbabilityBound ProbabilityBound::hull(const ProbabilityBound& other) const {
-  return {std::min(lower, other.lower), std::max(upper, other.upper)};
-}
-
 std::string ProbabilityBound::to_string() const {
   std::ostringstream out;
   out.precision(12);
   out << '[' << lower << ", " << upper << ']';
   return out.str();
-}
-
-std::string to_string(Verdict verdict) {
-  switch (verdict) {
-    case Verdict::kSat:
-      return "SAT";
-    case Verdict::kUnsat:
-      return "UNSAT";
-    case Verdict::kUnknown:
-      return "UNKNOWN";
-  }
-  throw std::logic_error("to_string: invalid verdict");
 }
 
 Verdict compare_bound(const ProbabilityBound& value, logic::Comparison op, double bound) {

@@ -49,10 +49,6 @@ struct ProbabilityBound {
   bool overlaps(const ProbabilityBound& other) const {
     return lower <= other.upper && other.lower <= upper;
   }
-  /// The smallest interval containing both (used when combining the runs of
-  /// a two-sided mask evaluation).
-  ProbabilityBound hull(const ProbabilityBound& other) const;
-
   /// "[lo, hi]" with enough digits to read the width.
   std::string to_string() const;
 
@@ -61,9 +57,6 @@ struct ProbabilityBound {
 
 /// Three-valued answer of one threshold comparison.
 enum class Verdict { kUnsat, kSat, kUnknown };
-
-/// Printable form ("SAT", "UNSAT", "UNKNOWN").
-std::string to_string(Verdict verdict);
 
 /// Compares a value interval against `op bound` three-valued: kSat/kUnsat
 /// when every/no value in the interval satisfies the comparison, kUnknown

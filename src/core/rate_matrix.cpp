@@ -37,29 +37,4 @@ RateMatrix::RateMatrix(linalg::CsrMatrix rates) : rates_(std::move(rates)) {
   }
 }
 
-double RateMatrix::jump_probability(StateIndex from, StateIndex to) const {
-  const double e = exit_rate(from);
-  if (exactly_zero(e)) return 0.0;
-  return rate(from, to) / e;
-}
-
-linalg::CsrMatrix RateMatrix::generator() const {
-  linalg::CsrBuilder builder(num_states(), num_states());
-  for (StateIndex s = 0; s < num_states(); ++s) {
-    for (const auto& e : rates_.row(s)) builder.add(s, e.col, e.value);
-    builder.add(s, s, -exit_rates_[s]);
-  }
-  return builder.build();
-}
-
-linalg::CsrMatrix RateMatrix::embedded_dtmc() const {
-  linalg::CsrBuilder builder(num_states(), num_states());
-  for (StateIndex s = 0; s < num_states(); ++s) {
-    const double e = exit_rates_[s];
-    if (exactly_zero(e)) continue;
-    for (const auto& entry : rates_.row(s)) builder.add(s, entry.col, entry.value / e);
-  }
-  return builder.build();
-}
-
 }  // namespace csrlmrm::core

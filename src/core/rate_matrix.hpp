@@ -1,9 +1,8 @@
 // The rate matrix R : S x S -> R>=0 of a CTMC (Definition 2.1).
 //
 // Wraps a sparse CSR matrix and caches the total exit rates
-// E(s) = sum_s' R(s,s'). Also exposes the embedded (jump-chain) transition
-// probabilities P(s,s') = R(s,s') / E(s) used throughout chapter 3/4, and the
-// infinitesimal generator Q = R - Diag(E) needed by steady-state analysis.
+// E(s) = sum_s' R(s,s'), from which the embedded (jump-chain) probabilities
+// P(s,s') = R(s,s') / E(s) of chapters 3/4 follow.
 //
 // Following the thesis (2.5), self-loops R(s,s) > 0 are allowed.
 #pragma once
@@ -64,18 +63,8 @@ class RateMatrix {
   /// Outgoing transitions of s as (target, rate) entries, ascending target.
   std::span<const linalg::Entry> transitions(StateIndex s) const { return rates_.row(s); }
 
-  /// Embedded-DTMC probability P(s,s') = R(s,s')/E(s); 0 from absorbing
-  /// states (no transition ever fires there).
-  double jump_probability(StateIndex from, StateIndex to) const;
-
   /// The underlying sparse matrix (for graph algorithms and solvers).
   const linalg::CsrMatrix& matrix() const { return rates_; }
-
-  /// Infinitesimal generator Q = R - Diag(E) as a sparse matrix.
-  linalg::CsrMatrix generator() const;
-
-  /// Embedded-DTMC transition matrix (rows of absorbing states are empty).
-  linalg::CsrMatrix embedded_dtmc() const;
 
  private:
   linalg::CsrMatrix rates_;

@@ -16,8 +16,8 @@
 //
 // Check options override the daemon's base CheckerOptions per request:
 // "w" (uniformization truncation probability), "max_nodes" (node budget),
-// "deadline_ms" (admission deadline: a request still queued when it expires
-// is answered degraded instead of checked) and "fallback"
+// "deadline_ms" (admission deadline, positive: a request still queued when
+// it expires is answered degraded instead of checked) and "fallback"
 // ("throw"|"discretize"). Any other key is rejected with an error reply that
 // names it, so a typo never runs silently with the base options.
 //

@@ -109,6 +109,15 @@ std::future<CheckReply> CheckService::submit(CheckRequest request) {
   obs::counter_add("daemon.requests");
   std::promise<CheckReply> promise;
   std::future<CheckReply> future = promise.get_future();
+  // A deadline of 0 or less has expired before the request arrives; name it
+  // as an invalid option rather than answer degraded without checking.
+  if (request.options.deadline_ms && !(*request.options.deadline_ms > 0.0)) {
+    CheckReply reply;
+    reply.ok = false;
+    reply.error = "check option 'deadline_ms' must be a positive number";
+    promise.set_value(std::move(reply));
+    return future;
+  }
   bool shed = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -20,7 +20,9 @@
 //      blocking the connection thread — overload sheds load as honest
 //      UNKNOWNs, it never stalls.
 //   2. Deadline: a request whose deadline_ms elapsed while queued is
-//      answered degraded at dispatch time, before any numeric work.
+//      answered degraded at dispatch time, before any numeric work. A
+//      deadline_ms that is not positive is an invalid option: submit()
+//      answers it with a request-level error, as it does w <= 0.
 //   3. Node budget: per-request max_nodes/w overrides ride the existing
 //      checker::BudgetPolicy degradation (discretize fallback), so a
 //      too-expensive query inside its deadline still returns a wider

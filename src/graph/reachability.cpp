@@ -16,27 +16,6 @@ void require_square_and_sized(const linalg::CsrMatrix& adjacency, const std::vec
 }
 }  // namespace
 
-std::vector<bool> forward_reachable(const linalg::CsrMatrix& adjacency,
-                                    const std::vector<bool>& sources) {
-  require_square_and_sized(adjacency, sources, "forward_reachable");
-  std::vector<bool> seen = sources;
-  std::vector<std::size_t> worklist;
-  for (std::size_t v = 0; v < seen.size(); ++v) {
-    if (seen[v]) worklist.push_back(v);
-  }
-  while (!worklist.empty()) {
-    const std::size_t v = worklist.back();
-    worklist.pop_back();
-    for (const auto& e : adjacency.row(v)) {
-      if (!seen[e.col]) {
-        seen[e.col] = true;
-        worklist.push_back(e.col);
-      }
-    }
-  }
-  return seen;
-}
-
 std::vector<bool> backward_reachable(const linalg::CsrMatrix& adjacency,
                                      const std::vector<bool>& targets) {
   std::vector<bool> allowed(adjacency.rows(), true);

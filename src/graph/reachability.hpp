@@ -11,14 +11,9 @@
 
 namespace csrlmrm::graph {
 
-/// States reachable from any state in `sources` by following edges forward
-/// (every source is reachable from itself). `sources` and the result are
-/// membership masks of length adjacency.rows().
-std::vector<bool> forward_reachable(const linalg::CsrMatrix& adjacency,
-                                    const std::vector<bool>& sources);
-
 /// States from which some state in `targets` is reachable (every target can
-/// reach itself).
+/// reach itself). `targets` and the result are membership masks of length
+/// adjacency.rows().
 std::vector<bool> backward_reachable(const linalg::CsrMatrix& adjacency,
                                      const std::vector<bool>& targets);
 

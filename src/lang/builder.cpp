@@ -63,13 +63,6 @@ const std::vector<std::string> kNoVariables;
 
 }  // namespace
 
-core::StateIndex BuiltModel::state_of(const std::vector<long>& valuation) const {
-  for (std::size_t s = 0; s < valuations.size(); ++s) {
-    if (valuations[s] == valuation) return s;
-  }
-  return valuations.size();
-}
-
 BuiltModel build_model(const ModelSpec& spec, const BuildOptions& options) {
   // Resolve constants in declaration order (later ones may use earlier ones).
   std::map<std::string, Value> constants;

@@ -30,9 +30,6 @@ struct BuiltModel {
   /// The constructed MRM. Held by optional so BuiltModel stays
   /// default-constructible while Mrm (deliberately) is not.
   std::optional<core::Mrm> model;
-
-  /// The state index of a valuation, or num_states() when unreachable.
-  core::StateIndex state_of(const std::vector<long>& valuation) const;
 };
 
 /// Explores and builds. Raises SpecError for: unknown identifiers, type

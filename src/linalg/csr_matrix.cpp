@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/stats.hpp"
-#include "parallel/thread_pool.hpp"
 #include "core/approx.hpp"
 
 namespace csrlmrm::linalg {
@@ -94,53 +92,6 @@ double CsrMatrix::at(std::size_t r, std::size_t c) const {
   const auto it = std::lower_bound(entries.begin(), entries.end(), c,
                                    [](const Entry& e, std::size_t col) { return e.col < col; });
   return (it != entries.end() && it->col == c) ? it->value : 0.0;
-}
-
-std::vector<double> CsrMatrix::multiply(const std::vector<double>& x) const {
-  if (x.size() != cols_) throw std::invalid_argument("CsrMatrix::multiply: size mismatch");
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (const Entry& e : row(r)) acc += e.value * x[e.col];
-    y[r] = acc;
-  }
-  return y;
-}
-
-std::vector<double> CsrMatrix::left_multiply(const std::vector<double>& x) const {
-  if (x.size() != rows_) throw std::invalid_argument("CsrMatrix::left_multiply: size mismatch");
-  std::vector<double> y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double xr = x[r];
-    if (core::exactly_zero(xr)) continue;
-    for (const Entry& e : row(r)) y[e.col] += xr * e.value;
-  }
-  return y;
-}
-
-void CsrMatrix::multiply_into(const std::vector<double>& x, std::vector<double>& y,
-                              unsigned threads) const {
-  if (x.size() != cols_) throw std::invalid_argument("CsrMatrix::multiply_into: size mismatch");
-  if (y.size() != rows_) throw std::invalid_argument("CsrMatrix::multiply_into: output size mismatch");
-  if (&x == &y) throw std::invalid_argument("CsrMatrix::multiply_into: x and y must not alias");
-  obs::counter_add("spmv.calls");
-  obs::counter_add("spmv.rows", rows_);
-  const unsigned effective = parallel::choose_thread_count(threads, non_zeros());
-  parallel::parallel_for(rows_, effective, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      const Entry* entry = entries_.data() + row_ptr_[r];
-      const Entry* stop = entries_.data() + row_ptr_[r + 1];
-      double acc = 0.0;
-      for (; entry != stop; ++entry) acc += entry->value * x[entry->col];
-      y[r] = acc;
-    }
-  });
-}
-
-double CsrMatrix::row_sum(std::size_t r) const {
-  double acc = 0.0;
-  for (const Entry& e : row(r)) acc += e.value;
-  return acc;
 }
 
 CsrMatrix CsrMatrix::transposed() const {

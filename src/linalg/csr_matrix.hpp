@@ -82,23 +82,6 @@ class CsrMatrix {
   /// Value at (r, c); 0.0 when the entry is not stored. O(log nnz(row)).
   double at(std::size_t r, std::size_t c) const;
 
-  /// y = A * x (matrix times column vector). Sizes are checked.
-  std::vector<double> multiply(const std::vector<double>& x) const;
-
-  /// y = x^T * A (row vector times matrix). Sizes are checked.
-  std::vector<double> left_multiply(const std::vector<double>& x) const;
-
-  /// y = A * x written into a caller-owned buffer (no allocation). Each
-  /// output row is a gather over one CSR row, so with `threads` > 1 the rows
-  /// fan out over the shared pool; every y[r] is still produced by exactly
-  /// one accumulation in stored-entry order, so the result is identical at
-  /// every thread count. `y` must not alias `x`. Sizes are checked.
-  void multiply_into(const std::vector<double>& x, std::vector<double>& y,
-                     unsigned threads = 1) const;
-
-  /// Sum of the entries of row r.
-  double row_sum(std::size_t r) const;
-
   /// The transposed matrix (stored entries re-bucketed by column with one
   /// counting pass; stored zeros are dropped). O(rows + cols + nnz).
   CsrMatrix transposed() const;

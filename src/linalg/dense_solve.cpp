@@ -46,8 +46,4 @@ std::vector<double> dense_solve(std::vector<std::vector<double>> A, std::vector<
   return x;
 }
 
-std::vector<double> dense_solve(const CsrMatrix& A, const std::vector<double>& b) {
-  return dense_solve(A.to_dense(), b);
-}
-
 }  // namespace csrlmrm::linalg

@@ -8,17 +8,11 @@
 
 #include <vector>
 
-#include "linalg/csr_matrix.hpp"
-
 namespace csrlmrm::linalg {
 
 /// Solves the dense system A x = b by Gaussian elimination with partial
 /// pivoting. A is row-major, square. Throws std::invalid_argument on shape
 /// mismatch and std::domain_error when A is (numerically) singular.
 std::vector<double> dense_solve(std::vector<std::vector<double>> A, std::vector<double> b);
-
-/// Convenience overload converting a sparse matrix to dense first. Intended
-/// for small systems only.
-std::vector<double> dense_solve(const CsrMatrix& A, const std::vector<double>& b);
 
 }  // namespace csrlmrm::linalg

@@ -14,24 +14,6 @@ void require_same_size(const std::vector<double>& a, const std::vector<double>& 
 }
 }  // namespace
 
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  require_same_size(a, b);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y) {
-  require_same_size(x, y);
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-double linf_norm(const std::vector<double>& v) {
-  double m = 0.0;
-  for (double e : v) m = std::max(m, std::abs(e));
-  return m;
-}
-
 double linf_distance(const std::vector<double>& a, const std::vector<double>& b) {
   require_same_size(a, b);
   double m = 0.0;
@@ -52,12 +34,4 @@ void normalize_to_distribution(std::vector<double>& v) {
   }
   for (double& e : v) e /= s;
 }
-
-bool is_distribution(const std::vector<double>& v, double tolerance) {
-  for (double e : v) {
-    if (e < -tolerance || e > 1.0 + tolerance) return false;
-  }
-  return std::abs(sum(v) - 1.0) <= tolerance;
-}
-
 }  // namespace csrlmrm::linalg

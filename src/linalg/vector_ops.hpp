@@ -8,16 +8,6 @@
 
 namespace csrlmrm::linalg {
 
-/// Dot product of two equally sized vectors. Throws std::invalid_argument on
-/// size mismatch.
-double dot(const std::vector<double>& a, const std::vector<double>& b);
-
-/// y += alpha * x (in place). Throws std::invalid_argument on size mismatch.
-void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y);
-
-/// Maximum absolute entry (L-infinity norm); 0 for an empty vector.
-double linf_norm(const std::vector<double>& v);
-
 /// Maximum absolute difference between two equally sized vectors.
 double linf_distance(const std::vector<double>& a, const std::vector<double>& b);
 
@@ -27,9 +17,5 @@ double sum(const std::vector<double>& v);
 /// Scales v so its entries sum to 1. Throws std::domain_error if the sum is
 /// not positive (an all-zero vector cannot be normalized to a distribution).
 void normalize_to_distribution(std::vector<double>& v);
-
-/// True iff every entry is within `tolerance` of being a probability
-/// (in [0,1]) and the entries sum to 1 within `tolerance`.
-bool is_distribution(const std::vector<double>& v, double tolerance = 1e-9);
 
 }  // namespace csrlmrm::linalg

@@ -160,13 +160,6 @@ struct ExpectedRewardFormula final : Formula {
   const FormulaPtr operand;    // Phi for kReachability; null otherwise
 };
 
-/// Structural equality of two formulas: same shape, same proposition names,
-/// and bitwise-equal numeric parameters (thresholds, interval endpoints,
-/// time horizons). Null pointers are equal only to each other. This is the
-/// relation the printer round-trip guarantees (parse(print(f)) equals f) and
-/// the plan compiler's common-subformula dedup works up to.
-bool equal(const FormulaPtr& lhs, const FormulaPtr& rhs);
-
 // --- Factory helpers (the preferred way to build formulas in code) --------
 
 FormulaPtr make_true();

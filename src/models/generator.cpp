@@ -273,6 +273,4 @@ core::Mrm make_generated_mrm(const std::string& spec, const ExploreOptions& opti
   return explore(*make_generator(spec), options);
 }
 
-std::vector<std::string> generator_families() { return {"crowd", "grid", "virus"}; }
-
 }  // namespace csrlmrm::models

@@ -86,7 +86,4 @@ std::unique_ptr<StateGenerator> make_generator(const std::string& spec);
 /// make_generator + explore in one call (the mrmcheck --model-gen= path).
 core::Mrm make_generated_mrm(const std::string& spec, const ExploreOptions& options = {});
 
-/// The known family names, sorted ("crowd", "grid", "virus").
-std::vector<std::string> generator_families();
-
 }  // namespace csrlmrm::models

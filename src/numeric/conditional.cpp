@@ -1,8 +1,6 @@
 #include "numeric/conditional.hpp"
 
 #include <cmath>
-#include <cstdint>
-#include <numeric>
 #include <stdexcept>
 
 #include "core/approx.hpp"
@@ -52,21 +50,6 @@ RewardStructureContext::RewardStructureContext(std::vector<double> state_rewards
   for (double ri : state_rewards_) coefficients_.push_back(ri - smallest);
 }
 
-double RewardStructureContext::threshold(const SpacingCounts& j, double t, double r) const {
-  if (j.size() != impulse_rewards_.size()) {
-    throw std::invalid_argument("RewardStructureContext: impulse count vector size mismatch");
-  }
-  if (!(t > 0.0)) throw std::invalid_argument("RewardStructureContext: t must be positive");
-  if (!std::isfinite(r) || r < 0.0) {
-    throw std::invalid_argument("RewardStructureContext: reward bound must be finite and >= 0");
-  }
-  double impulse_total = 0.0;
-  for (std::size_t i = 0; i < j.size(); ++i) {
-    impulse_total += impulse_rewards_[i] * static_cast<double>(j[i]);
-  }
-  return threshold_for_total(impulse_total, t, r);
-}
-
 double RewardStructureContext::threshold_for_total(double impulse_total, double t,
                                                    double r) const {
   if (!(t > 0.0)) throw std::invalid_argument("RewardStructureContext: t must be positive");
@@ -74,22 +57,6 @@ double RewardStructureContext::threshold_for_total(double impulse_total, double 
     throw std::invalid_argument("RewardStructureContext: reward bound must be finite and >= 0");
   }
   return r / t - state_rewards_.back() - impulse_total / t;
-}
-
-double RewardStructureContext::conditional_probability(const SpacingCounts& k,
-                                                       const SpacingCounts& j, double t,
-                                                       double r) {
-  if (k.size() != state_rewards_.size()) {
-    throw std::invalid_argument("RewardStructureContext: state count vector size mismatch");
-  }
-  const std::uint64_t residences =
-      std::accumulate(k.begin(), k.end(), std::uint64_t{0},
-                      [](std::uint64_t acc, std::uint32_t v) { return acc + v; });
-  if (residences == 0) {
-    throw std::invalid_argument("RewardStructureContext: a path visits at least one state");
-  }
-
-  return conditional_probability_for_threshold(k, threshold(j, t, r));
 }
 
 double RewardStructureContext::conditional_probability_for_threshold(const SpacingCounts& k,

@@ -49,22 +49,16 @@ class RewardStructureContext {
   const std::vector<double>& state_rewards() const { return state_rewards_; }
   const std::vector<double>& impulse_rewards() const { return impulse_rewards_; }
 
-  /// Pr{ Y(t) <= r | n, k, j }. k must have one count per state-reward class
-  /// (sum = n+1 >= 1), j one count per impulse class (sum = n). t must be
-  /// positive, r finite and >= 0.
+  /// Pr{ Y(t) <= r | n, k, j } = Omega(r', k) for the threshold r' of
+  /// eq. (4.9); k must have one count per state-reward class. The
+  /// conditional probability depends on j only through r', so callers that
+  /// group their signature classes by (k, r') — the signature-class DP
+  /// engine does — evaluate each group once instead of once per distinct j.
   ///
   /// Evaluator caching uses a canonicalized threshold (mantissa snapped to 40
   /// bits, relative perturbation <= 2^-41): impulse signatures whose
   /// thresholds agree mathematically but differ by floating-point rounding
   /// share one evaluator instead of building one each.
-  double conditional_probability(const SpacingCounts& k, const SpacingCounts& j, double t,
-                                 double r);
-
-  /// As conditional_probability, but with the threshold r' of eq. (4.9)
-  /// already computed (and canonicalized internally). The conditional
-  /// probability depends on j only through r', so callers that group their
-  /// signature classes by (k, r') — the signature-class DP engine does —
-  /// evaluate each group once instead of once per distinct j.
   double conditional_probability_for_threshold(const SpacingCounts& k, double r_prime);
 
   /// The evaluator for threshold r' (canonicalized internally), as
@@ -77,13 +71,10 @@ class RewardStructureContext {
   /// record once per run (OmegaWork::record); callers may add their own.
   OmegaWork& omega_work() { return omega_work_; }
 
-  /// The threshold r' = r/t - r_{K+1} - (1/t) sum_i i_i j_i of eq. (4.9).
-  double threshold(const SpacingCounts& j, double t, double r) const;
-
-  /// As threshold(), but with the impulse total sum_i i_i j_i already
-  /// accumulated — the class DP engine's signatures carry that total
-  /// (snapped to its canonical_threshold representative) instead of
-  /// per-class counts. Matches threshold() bitwise for equal totals.
+  /// The threshold r' = r/t - r_{K+1} - (1/t) sum_i i_i j_i of eq. (4.9),
+  /// from the impulse total sum_i i_i j_i — the class DP engine's signatures
+  /// carry that total (snapped to its canonical_threshold representative)
+  /// instead of per-class counts. t must be positive, r finite and >= 0.
   double threshold_for_total(double impulse_total, double t, double r) const;
 
   /// The Omega coefficients d_i = r_i - r_{K+1} (descending, last entry 0).

@@ -159,8 +159,8 @@ UntilDiscretizationResult until_probability_discretization(
   // becomes nonzero by receiving mass from a nonzero row, so propagating one
   // boolean per state along the same residence/incoming structure (O(degree)
   // per row, not O(levels)) lets the sweep skip every shifted-add sourced
-  // from a still-empty row — the analogue of the xr == 0.0 skip in
-  // CsrMatrix::left_multiply. All grid entries are non-negative, so skipping
+  // from a still-empty row — the analogue of skipping a zero entry of x in
+  // a sparse x^T A. All grid entries are non-negative, so skipping
   // an empty source only omits += 0.0 terms and the result stays
   // bitwise-identical. Until the probability mass reaches a state (graph
   // distance many steps), its whole row sweep collapses to a fill.

@@ -110,13 +110,4 @@ void OmegaWork::record() {
   *this = OmegaWork{};
 }
 
-double omega(double r, const std::vector<double>& coefficients, const SpacingCounts& counts) {
-  const OmegaEvaluator evaluator(coefficients, r);
-  std::vector<double> column(evaluator.flow_length(counts));
-  OmegaWork work;
-  const double value = evaluator.flow_start(counts, column.data(), work);
-  work.record();
-  return value;
-}
-
 }  // namespace csrlmrm::numeric

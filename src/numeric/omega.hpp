@@ -119,8 +119,4 @@ class OmegaEvaluator {
   std::vector<bool> greater_;  // greater_[l] <=> c_l > r
 };
 
-/// One-shot convenience wrapper around OmegaEvaluator::flow_start; records
-/// its work to the stats registry.
-double omega(double r, const std::vector<double>& coefficients, const SpacingCounts& counts);
-
 }  // namespace csrlmrm::numeric

@@ -67,13 +67,6 @@ double poisson_pmf(std::size_t n, double mean) {
   return std::exp(dn * std::log(mean) - mean - log_gamma(dn + 1.0));
 }
 
-double poisson_cdf(std::size_t n, double mean) {
-  require_valid_mean(mean);
-  double acc = 0.0;
-  for (std::size_t i = 0; i <= n; ++i) acc += poisson_pmf(i, mean);
-  return std::min(acc, 1.0);
-}
-
 std::vector<double> poisson_pmf_sequence(std::size_t n_max, double mean) {
   require_valid_mean(mean);
   std::vector<double> pmf;

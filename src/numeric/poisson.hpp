@@ -28,9 +28,6 @@ inline constexpr double kMaxPoissonWindowEnd = 9007199254740992.0;
 /// std::invalid_argument otherwise); mean == 0 gives the point mass at 0.
 double poisson_pmf(std::size_t n, double mean);
 
-/// Pr{N <= n}.
-double poisson_cdf(std::size_t n, double mean);
-
 /// The masses Pr{N = 0} .. Pr{N = n_max} as a vector of length n_max + 1.
 std::vector<double> poisson_pmf_sequence(std::size_t n_max, double mean);
 

@@ -1,8 +1,9 @@
 // The plan compiler: lowers a CSRL formula batch into the plan IR by
 // lowering with common-subformula dedup — every structurally equal
-// subformula (logic::equal) becomes one op, and numeric solves are keyed
-// *without* their threshold, so P(>0.1)[phi] and P(>0.5)[phi] share the
-// entire solve and differ only in their compare op.
+// subformula (same shape, propositions and bitwise-equal numbers) becomes
+// one op, and numeric solves are keyed *without* their threshold, so
+// P(>0.1)[phi] and P(>0.5)[phi] share the entire solve and differ only in
+// their compare op.
 //
 // Compilation runs no numeric solves and builds no transform; it is
 // O(batch size).

@@ -1,4 +1,4 @@
-#include "models/cellphone.hpp"
+#include "oracle/cellphone.hpp"
 
 namespace csrlmrm::models {
 

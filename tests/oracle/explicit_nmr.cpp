@@ -1,4 +1,4 @@
-#include "models/explicit_nmr.hpp"
+#include "oracle/explicit_nmr.hpp"
 
 #include <bit>
 #include <stdexcept>

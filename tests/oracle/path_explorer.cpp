@@ -8,6 +8,7 @@
 #include "numeric/conditional.hpp"
 #include "obs/stats.hpp"
 #include "core/approx.hpp"
+#include "oracle/numeric_reference.hpp"
 
 namespace csrlmrm::numeric {
 
@@ -125,7 +126,7 @@ UntilUniformizationResult UniformizationUntilEngine::compute(
       } else {
         const SpacingCounts k(signature.begin(), signature.begin() + num_k);
         const SpacingCounts j(signature.begin() + num_k, signature.end());
-        result.probability += p * context.conditional_probability(k, j, t, r);
+        result.probability += p * conditional_probability(context, k, j, t, r);
       }
     }
 
@@ -164,7 +165,7 @@ UntilUniformizationResult UniformizationUntilEngine::compute(
     for (const auto& [sig, p] : ordered) {
       const SpacingCounts k(sig.begin(), sig.begin() + num_k);
       const SpacingCounts j(sig.begin() + num_k, sig.end());
-      result.probability += p * context.conditional_probability(k, j, t, r);
+      result.probability += p * conditional_probability(context, k, j, t, r);
     }
   } else {
     result.signature_classes = result.paths_stored;

@@ -1,4 +1,4 @@
-#include "models/random_formula.hpp"
+#include "oracle/random_formula.hpp"
 
 #include <random>
 

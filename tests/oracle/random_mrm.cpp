@@ -1,4 +1,4 @@
-#include "models/random_mrm.hpp"
+#include "oracle/random_mrm.hpp"
 
 #include <random>
 

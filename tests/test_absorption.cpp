@@ -8,6 +8,7 @@
 
 #include "models/tmr.hpp"
 #include "models/wavelan.hpp"
+#include "oracle/ctmc_measures.hpp"
 
 namespace csrlmrm::checker {
 namespace {

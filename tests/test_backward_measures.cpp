@@ -41,7 +41,10 @@
 #include "linalg/gauss_seidel.hpp"
 #include "logic/parser.hpp"
 #include "models/generator.hpp"
-#include "models/random_mrm.hpp"
+#include "oracle/checker_accessors.hpp"
+#include "oracle/ctmc_measures.hpp"
+#include "oracle/linalg_reference.hpp"
+#include "oracle/random_mrm.hpp"
 #include "numeric/poisson.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
@@ -145,7 +148,7 @@ double forward_accumulated_reward(const core::Mrm& model, core::StateIndex s, do
     const double weight = tail_table.tail(k + 1) / lambda;
     if (weight <= 0.0) break;
     for (std::size_t v = 0; v < n; ++v) occupation[v] += weight * term[v];
-    term = P.left_multiply(term);
+    term = left_multiply(P, term);
   }
   double reward = 0.0;
   for (std::size_t v = 0; v < n; ++v) reward += occupation[v] * gain[v];
@@ -377,8 +380,8 @@ Measures compute_measures(const core::Mrm& model, const std::vector<bool>& phi,
   checker::ModelChecker checker(model, options);
   const auto cumulative = logic::parse_formula("R(<1)[C[0,3]]");
   m.cumulative = checker.value_bounds(cumulative);
-  m.cumulative_values = checker.expected_rewards(cumulative);
-  m.long_run = checker.expected_rewards(logic::parse_formula("R(<1)[S]"));
+  m.cumulative_values = expected_rewards(checker, cumulative);
+  m.long_run = expected_rewards(checker, logic::parse_formula("R(<1)[S]"));
   m.steady = checker::steady_state_probability_of_set(model, psi, options.solver);
   return m;
 }
@@ -459,7 +462,7 @@ TEST_P(BackwardMeasures, CumulativeRewardIsWithinItsSlackOfTheForwardOccupationS
   const auto options = make_options(seed, 1);
   checker::ModelChecker checker(model, options);
   const auto formula = logic::parse_formula("R(<1)[C[0,3]]");
-  const auto values = checker.expected_rewards(formula);
+  const auto values = expected_rewards(checker, formula);
   const auto bounds = checker.value_bounds(formula);
   const auto gain = checker::per_state_gain_rates(model);
   const double slack =
@@ -664,8 +667,8 @@ TEST_F(BackwardMeasureCalls, WeightedLongRunMeasuresRunOneFirstStepSolve) {
   EXPECT_EQ(registry.counter("checker.steady.bsccs"), 12u);
   EXPECT_EQ(registry.counter("solver.gauss_seidel.calls"), 1u);
   registry.reset();
-  const auto rates =
-      checker::ModelChecker(unit).expected_rewards(logic::parse_formula("R(<2)[S]"));
+  checker::ModelChecker unit_checker(unit);
+  const auto rates = expected_rewards(unit_checker, logic::parse_formula("R(<2)[S]"));
   EXPECT_EQ(registry.counter("solver.gauss_seidel.calls"), 1u);
   for (const double rate : rates) EXPECT_NEAR(rate, 1.0, 1e-12);
 }
@@ -673,8 +676,8 @@ TEST_F(BackwardMeasureCalls, WeightedLongRunMeasuresRunOneFirstStepSolve) {
 TEST_F(BackwardMeasureCalls, ZeroWeightLongRunMeasuresRunNoSolveAndAreExactlyZero) {
   const core::Mrm crowd = crowd_twelve();
   checker::ModelChecker checker(crowd);
-  const auto outbreak = checker.steady_probabilities(logic::parse_formula("S(>0.2) outbreak"));
-  const auto rates = checker.expected_rewards(logic::parse_formula("R(<2)[S]"));
+  const auto outbreak = steady_probabilities(checker, logic::parse_formula("S(>0.2) outbreak"));
+  const auto rates = expected_rewards(checker, logic::parse_formula("R(<2)[S]"));
   EXPECT_EQ(obs::StatsRegistry::global().counter("solver.gauss_seidel.calls"), 0u);
   const std::vector<double> zeros(crowd.num_states(), 0.0);
   EXPECT_TRUE(bitwise_equal(outbreak, zeros));

@@ -20,7 +20,8 @@
 #include "core/simd.hpp"
 #include "linalg/blocked_csr.hpp"
 #include "linalg/csr_matrix.hpp"
-#include "models/random_mrm.hpp"
+#include "oracle/linalg_reference.hpp"
+#include "oracle/random_mrm.hpp"
 #include "numeric/fox_glynn.hpp"
 #include "numeric/poisson.hpp"
 #include "numeric/transient.hpp"
@@ -54,7 +55,7 @@ void expect_blocked_matches(const linalg::CsrMatrix& matrix, std::uint64_t seed)
 
   const std::vector<double> x = random_vector(matrix.cols(), seed);
   std::vector<double> reference(matrix.rows(), 0.0);
-  matrix.multiply_into(x, reference, 1);
+  multiply_into(matrix, x, reference, 1);
   for (const unsigned threads : {1u, 2u, 8u}) {
     std::vector<double> y(matrix.rows(), -1.0);
     blocked.multiply_into(x, y, threads);
@@ -178,7 +179,7 @@ std::vector<double> reference_series(
 /// y = P * x through the CSR gather.
 std::vector<double> csr_gather(const linalg::CsrMatrix& P, const std::vector<double>& x) {
   std::vector<double> y(P.rows(), 0.0);
-  P.multiply_into(x, y, 1);
+  multiply_into(P, x, y, 1);
   return y;
 }
 
@@ -245,7 +246,7 @@ TEST(BlockedSpmvSeries, ForwardEqualsCsrScatterSeriesBelow2048States) {
     const auto window = numeric::fox_glynn(lambda * kHorizon, defaults.epsilon);
     const std::vector<double> initial = random_distribution(model.num_states(), seed++);
     const auto reference = reference_series(
-        window, initial, [&](const std::vector<double>& x) { return P.left_multiply(x); });
+        window, initial, [&](const std::vector<double>& x) { return left_multiply(P, x); });
     for (const unsigned threads : {1u, 2u, 8u}) {
       numeric::TransientOptions options;
       options.threads = threads;

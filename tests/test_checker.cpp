@@ -5,6 +5,7 @@
 
 #include "logic/parser.hpp"
 #include "models/wavelan.hpp"
+#include "oracle/checker_accessors.hpp"
 
 namespace csrlmrm::checker {
 namespace {
@@ -106,7 +107,7 @@ TEST_F(CheckerOnWavelan, SatisfiesChecksSingleState) {
 TEST_F(CheckerOnWavelan, PathProbabilitiesRejectsNonPathNode) {
   EXPECT_THROW(checker_.path_probabilities(logic::parse_formula("busy")),
                std::invalid_argument);
-  EXPECT_THROW(checker_.steady_probabilities(logic::parse_formula("busy")),
+  EXPECT_THROW(steady_probabilities(checker_, logic::parse_formula("busy")),
                std::invalid_argument);
 }
 

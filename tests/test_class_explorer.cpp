@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,8 +21,8 @@
 #include "checker/options.hpp"
 #include "checker/until.hpp"
 #include "core/transform.hpp"
-#include "models/cellphone.hpp"
-#include "models/random_mrm.hpp"
+#include "oracle/cellphone.hpp"
+#include "oracle/random_mrm.hpp"
 #include "models/tmr.hpp"
 #include "numeric/class_explorer.hpp"
 #include "obs/stats.hpp"
@@ -387,6 +388,13 @@ struct TailCase {
   double w;
   bool handoff;  // the batch's frontier fires the depth-first hand-off
 };
+
+// Names the instances: gtest would otherwise print the struct's raw bytes,
+// padding included, which differ from build to build. The seed tells the
+// cases below apart; the name stays short and free of spaces.
+void PrintTo(const TailCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << (c.handoff ? ",handoff" : "");
+}
 
 core::Mrm make_tail_model(const TailCase& c) {
   models::RandomMrmConfig config;

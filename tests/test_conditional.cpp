@@ -6,6 +6,8 @@
 
 #include <cmath>
 
+#include "oracle/numeric_reference.hpp"
+
 namespace csrlmrm::numeric {
 namespace {
 
@@ -13,34 +15,34 @@ TEST(Conditional, ThresholdMatchesExample44) {
   // Example 4.4: rewards 5>3>1>0, impulses 2>1>0, j = <4,2,0>, t = 5, r = 15
   // gives r' = 15/5 - 0 - (2*4 + 1*2)/5 = 1.
   RewardStructureContext context({5.0, 3.0, 1.0, 0.0}, {2.0, 1.0, 0.0});
-  EXPECT_DOUBLE_EQ(context.threshold({4, 2, 0}, 5.0, 15.0), 1.0);
+  EXPECT_DOUBLE_EQ(threshold(context, {4, 2, 0}, 5.0, 15.0), 1.0);
 }
 
 TEST(Conditional, Example44ConditionalProbability) {
   RewardStructureContext context({5.0, 3.0, 1.0, 0.0}, {2.0, 1.0, 0.0});
-  EXPECT_NEAR(context.conditional_probability({1, 2, 2, 2}, {4, 2, 0}, 5.0, 15.0),
+  EXPECT_NEAR(conditional_probability(context, {1, 2, 2, 2}, {4, 2, 0}, 5.0, 15.0),
               47.0 / 675.0, 1e-12);
 }
 
 TEST(Conditional, SmallestRewardShiftsThreshold) {
   // With r_{K+1} = 2 the baseline accumulation is 2t, subtracted from r/t.
   RewardStructureContext context({5.0, 2.0}, {});
-  EXPECT_DOUBLE_EQ(context.threshold({}, 4.0, 20.0), 20.0 / 4.0 - 2.0);
+  EXPECT_DOUBLE_EQ(threshold(context, {}, 4.0, 20.0), 20.0 / 4.0 - 2.0);
 }
 
 TEST(Conditional, SingleRewardClassIsDeterministic) {
   // All states share reward 3: Y(t) = 3t (+ impulses), so the conditional is
   // an indicator.
   RewardStructureContext context({3.0}, {});
-  EXPECT_DOUBLE_EQ(context.conditional_probability({5}, {}, 2.0, 6.0), 1.0);   // 3*2 <= 6
-  EXPECT_DOUBLE_EQ(context.conditional_probability({5}, {}, 2.0, 5.9), 0.0);   // 3*2 > 5.9
+  EXPECT_DOUBLE_EQ(conditional_probability(context, {5}, {}, 2.0, 6.0), 1.0);   // 3*2 <= 6
+  EXPECT_DOUBLE_EQ(conditional_probability(context, {5}, {}, 2.0, 5.9), 0.0);   // 3*2 > 5.9
 }
 
 TEST(Conditional, ImpulsesConsumeBudgetDeterministically) {
   // Zero state rewards: Y(t) = sum of impulses.
   RewardStructureContext context({0.0}, {4.0, 1.0});
-  EXPECT_DOUBLE_EQ(context.conditional_probability({3}, {2, 1}, 1.0, 9.0), 1.0);  // 9 <= 9
-  EXPECT_DOUBLE_EQ(context.conditional_probability({3}, {2, 1}, 1.0, 8.9), 0.0);  // 9 > 8.9
+  EXPECT_DOUBLE_EQ(conditional_probability(context, {3}, {2, 1}, 1.0, 9.0), 1.0);  // 9 <= 9
+  EXPECT_DOUBLE_EQ(conditional_probability(context, {3}, {2, 1}, 1.0, 8.9), 0.0);  // 9 > 8.9
 }
 
 TEST(Conditional, TwoClassPathMatchesUniformClosedForm) {
@@ -54,17 +56,17 @@ TEST(Conditional, TwoClassPathMatchesUniformClosedForm) {
   const unsigned k = 4;
   const double u = r / (a * t);
   const double expected = 1.0 - std::pow(1.0 - u, static_cast<double>(k));
-  EXPECT_NEAR(context.conditional_probability({1, k}, {}, t, r), expected, 1e-12);
+  EXPECT_NEAR(conditional_probability(context, {1, k}, {}, t, r), expected, 1e-12);
 }
 
 TEST(Conditional, EvaluatorsAreSharedPerThreshold) {
   RewardStructureContext context({2.0, 0.0}, {1.0, 0.0});
   // Same impulse signature -> same r' -> one evaluator.
-  context.conditional_probability({1, 1}, {1, 0}, 1.0, 1.5);
-  context.conditional_probability({2, 1}, {1, 0}, 1.0, 1.5);
+  conditional_probability(context, {1, 1}, {1, 0}, 1.0, 1.5);
+  conditional_probability(context, {2, 1}, {1, 0}, 1.0, 1.5);
   EXPECT_EQ(context.evaluator_count(), 1u);
   // Different impulse count changes r' -> second evaluator.
-  context.conditional_probability({1, 1}, {0, 1}, 1.0, 1.5);
+  conditional_probability(context, {1, 1}, {0, 1}, 1.0, 1.5);
   EXPECT_EQ(context.evaluator_count(), 2u);
 }
 
@@ -73,10 +75,10 @@ TEST(Conditional, RejectsMalformedInput) {
   EXPECT_THROW(RewardStructureContext({1.0, 2.0}, {}), std::invalid_argument);  // ascending
   EXPECT_THROW(RewardStructureContext({2.0, 2.0}, {}), std::invalid_argument);  // duplicate
   RewardStructureContext context({1.0, 0.0}, {});
-  EXPECT_THROW(context.conditional_probability({1}, {}, 1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(context.conditional_probability({0, 0}, {}, 1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(context.conditional_probability({1, 1}, {}, 0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(context.conditional_probability({1, 1}, {}, 1.0, -1.0), std::invalid_argument);
+  EXPECT_THROW(conditional_probability(context, {1}, {}, 1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(conditional_probability(context, {0, 0}, {}, 1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(conditional_probability(context, {1, 1}, {}, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(conditional_probability(context, {1, 1}, {}, 1.0, -1.0), std::invalid_argument);
 }
 
 TEST(Conditional, CanonicalThresholdSnapsRoundingNoise) {
@@ -102,7 +104,7 @@ TEST(Conditional, EvaluatorCacheIsRobustToThresholdRoundingNoise) {
   // probability.
   RewardStructureContext context({2.0, 1.0, 0.0}, {1.0, 0.0});
   const SpacingCounts k{1, 2, 1};
-  const double r_prime = context.threshold({2, 1}, 3.0, 4.0);
+  const double r_prime = threshold(context, {2, 1}, 3.0, 4.0);
   const double exact = context.conditional_probability_for_threshold(k, r_prime);
   EXPECT_EQ(context.evaluator_count(), 1u);
   const double jittered =
@@ -126,10 +128,10 @@ TEST(Conditional, ThresholdFormGroupsEquivalentImpulseSignatures) {
   // evaluation for both signatures.
   const SpacingCounts j_voter{1, 0, 2};
   const SpacingCounts j_modules{0, 2, 1};
-  const double via_j = context.conditional_probability(k, j_voter, t, r);
-  EXPECT_EQ(context.conditional_probability(k, j_modules, t, r), via_j);
+  const double via_j = conditional_probability(context, k, j_voter, t, r);
+  EXPECT_EQ(conditional_probability(context, k, j_modules, t, r), via_j);
   EXPECT_EQ(context.conditional_probability_for_threshold(
-                k, context.threshold(j_voter, t, r)),
+                k, threshold(context, j_voter, t, r)),
             via_j);
   EXPECT_EQ(context.evaluator_count(), 1u);
 }
@@ -138,7 +140,7 @@ TEST(Conditional, MonotoneInRewardBound) {
   RewardStructureContext context({4.0, 1.0, 0.0}, {2.0, 0.0});
   double prev = 0.0;
   for (double r = 0.0; r <= 14.0; r += 0.5) {
-    const double p = context.conditional_probability({2, 3, 2}, {1, 2}, 3.0, r);
+    const double p = conditional_probability(context, {2, 3, 2}, {1, 2}, 3.0, r);
     EXPECT_GE(p, prev - 1e-12) << "r=" << r;
     prev = p;
   }

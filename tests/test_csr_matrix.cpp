@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "oracle/linalg_reference.hpp"
+
 namespace csrlmrm::linalg {
 namespace {
 
@@ -94,7 +96,7 @@ TEST(CsrMatrix, RowRejectsOutOfRange) {
 }
 
 TEST(CsrMatrix, MultiplyComputesMatrixVectorProduct) {
-  const auto y = example_matrix().multiply({1.0, 2.0, 3.0});
+  const auto y = multiply(example_matrix(), {1.0, 2.0, 3.0});
   ASSERT_EQ(y.size(), 3u);
   EXPECT_DOUBLE_EQ(y[0], 5.0);   // 1 + 4
   EXPECT_DOUBLE_EQ(y[1], 9.0);   // 3*3
@@ -102,7 +104,7 @@ TEST(CsrMatrix, MultiplyComputesMatrixVectorProduct) {
 }
 
 TEST(CsrMatrix, LeftMultiplyComputesVectorMatrixProduct) {
-  const auto y = example_matrix().left_multiply({1.0, 2.0, 3.0});
+  const auto y = left_multiply(example_matrix(), {1.0, 2.0, 3.0});
   ASSERT_EQ(y.size(), 3u);
   EXPECT_DOUBLE_EQ(y[0], 13.0);  // 1 + 12
   EXPECT_DOUBLE_EQ(y[1], 2.0);
@@ -110,15 +112,15 @@ TEST(CsrMatrix, LeftMultiplyComputesVectorMatrixProduct) {
 }
 
 TEST(CsrMatrix, MultiplyRejectsSizeMismatch) {
-  EXPECT_THROW(example_matrix().multiply({1.0}), std::invalid_argument);
-  EXPECT_THROW(example_matrix().left_multiply({1.0}), std::invalid_argument);
+  EXPECT_THROW(multiply(example_matrix(), {1.0}), std::invalid_argument);
+  EXPECT_THROW(left_multiply(example_matrix(), {1.0}), std::invalid_argument);
 }
 
 TEST(CsrMatrix, RowSumAddsRowEntries) {
   const CsrMatrix m = example_matrix();
-  EXPECT_DOUBLE_EQ(m.row_sum(0), 3.0);
-  EXPECT_DOUBLE_EQ(m.row_sum(1), 3.0);
-  EXPECT_DOUBLE_EQ(m.row_sum(2), 9.0);
+  EXPECT_DOUBLE_EQ(row_sum(m, 0), 3.0);
+  EXPECT_DOUBLE_EQ(row_sum(m, 1), 3.0);
+  EXPECT_DOUBLE_EQ(row_sum(m, 2), 9.0);
 }
 
 TEST(CsrMatrix, TransposeSwapsIndices) {

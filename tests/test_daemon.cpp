@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,7 +34,7 @@
 #include "daemon/server.hpp"
 #include "daemon/service.hpp"
 #include "logic/parser.hpp"
-#include "models/cellphone.hpp"
+#include "oracle/cellphone.hpp"
 #include "models/generator.hpp"
 #include "models/mm1k.hpp"
 #include "models/tmr.hpp"
@@ -396,7 +397,10 @@ TEST(CheckService, ExpiredDeadlineDegradesToUnknownWithInterval) {
   daemon::CheckRequest request;
   request.model = "tmr";
   request.formulas = {"P(>0.1)[Sup U[0,10][0,300] failed]"};
-  request.options.deadline_ms = -1.0;  // expired at submission, deterministically
+  // The smallest positive deadline: expired once any time at all passes
+  // between submission and dispatch, which the hand-off to the dispatcher
+  // thread always takes.
+  request.options.deadline_ms = std::numeric_limits<double>::denorm_min();
   const daemon::CheckReply reply = service.submit(request).get();
   ASSERT_TRUE(reply.ok);
   EXPECT_TRUE(reply.degraded);
@@ -406,6 +410,25 @@ TEST(CheckService, ExpiredDeadlineDegradesToUnknownWithInterval) {
   for (std::size_t s = 0; s < 5; ++s) {
     EXPECT_TRUE(core::exactly_equal(reply.formulas[0].bound_lower[s], 0.0));
     EXPECT_TRUE(core::exactly_equal(reply.formulas[0].bound_upper[s], 1.0));
+  }
+}
+
+TEST(CheckService, NonPositiveDeadlineIsANamedError) {
+  // No request can meet a deadline of 0 ms or less (or NaN): like w <= 0, it
+  // is an invalid option that gets an error naming it, not a degraded
+  // answer given without checking.
+  daemon::ModelRegistry registry;
+  registry.add(models::make_tmr(), "tmr");
+  daemon::CheckService service(registry);
+  for (const double deadline : {0.0, -5.0, std::numeric_limits<double>::quiet_NaN()}) {
+    daemon::CheckRequest request;
+    request.model = "tmr";
+    request.formulas = {"S(<0.9) allUp"};
+    request.options.deadline_ms = deadline;
+    const daemon::CheckReply reply = service.submit(request).get();
+    EXPECT_FALSE(reply.ok) << deadline;
+    EXPECT_FALSE(reply.degraded) << deadline;
+    EXPECT_NE(reply.error.find("'deadline_ms'"), std::string::npos) << reply.error;
   }
 }
 
@@ -518,7 +541,7 @@ TEST(DaemonSoak, ConcurrentClientsMatchColdChecksBitwise) {
         // Every 10th query carries an already-expired deadline: it must come
         // back degraded immediately, never hang, and never perturb others.
         const bool expired = q % 10 == 9;
-        if (expired) request.options.deadline_ms = -1.0;
+        if (expired) request.options.deadline_ms = std::numeric_limits<double>::denorm_min();
         const daemon::CheckReply reply = service.submit(request).get();
         if (!reply.ok || reply.formulas.size() != 1) {
           ++mismatches[c];
@@ -564,6 +587,21 @@ TEST(DaemonServer, HandleLineSpeaksTheProtocol) {
   const std::string pong = server.handle_line(R"({"op":"ping","id":"42"})");
   EXPECT_NE(pong.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(pong.find("\"id\":\"42\""), std::string::npos);
+}
+
+TEST(DaemonServer, NonPositiveDeadlineOnTheWireGetsANamedError) {
+  daemon::ServerOptions options;
+  options.socket_path = "/unused";  // handle_line needs no socket
+  daemon::DaemonServer server(options);
+  server.registry().add(models::make_tmr(), "tmr");
+  for (const char* deadline : {"-5", "0"}) {
+    const std::string reply = server.handle_line(
+        std::string(R"({"op":"check","model":"tmr","formulas":["S(<0.9) allUp"],)") +
+        R"("options":{"deadline_ms":)" + deadline + "}}");
+    EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("deadline_ms"), std::string::npos) << reply;
+    EXPECT_EQ(reply.find("\"degraded\":true"), std::string::npos) << reply;
+  }
 }
 
 TEST(DaemonServer, DeeplyNestedLineGetsAnErrorAndTheServerKeepsAnswering) {
@@ -915,6 +953,93 @@ TEST(DaemonServer, ClosedConnectionThreadsAreJoinedOnTheNextAccept) {
     ASSERT_EQ(server.open_connections(), 0u) << "cycle " << cycle;
   }
   EXPECT_LE(server.connection_threads(), 2u);
+  server.stop();
+  EXPECT_EQ(server.connection_threads(), 0u);
+  EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+TEST(DaemonServer, ManyConnectionsAreEachAnsweredInOrder) {
+  // Six clients are connected at once, and each pipelines pings and checks
+  // in one send before any of them reads. Every connection gets every
+  // reply, in its own request order, with checks bitwise equal to the
+  // direct result, while the dispatcher batches across connections. Once
+  // all six have closed, the next accept joins their threads. The test
+  // starts no thread itself: the server runs its accept loop, dispatcher
+  // and one thread per connection, eight at most.
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       (std::string("mrmcheckd_many_") + std::to_string(::getpid()) + ".sock"))
+          .string();
+  daemon::ServerOptions options;
+  options.socket_path = socket_path;
+  daemon::DaemonServer server(options);
+  server.registry().add(models::make_tmr(), "tmr");
+  server.start();
+  const std::vector<std::string> formulas = {"P(>0.1)[Sup U[0,10][0,300] failed]",
+                                             "S(<0.9) allUp"};
+  std::vector<plan::FormulaResult> expected;
+  for (const std::string& text : formulas) {
+    expected.push_back(direct_result(models::make_tmr(), text));
+  }
+  constexpr std::size_t kClients = 6;
+  constexpr std::size_t kLines = 6;  // ping, check, ping, check, ...
+  const auto id_of = [](std::size_t client, std::size_t line) {
+    return std::to_string(client) + "." + std::to_string(line);
+  };
+  {
+    std::vector<std::unique_ptr<PipelinedConnection>> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.push_back(std::make_unique<PipelinedConnection>(socket_path));
+      ASSERT_TRUE(clients.back()->connected()) << "client " << c;
+    }
+    for (std::size_t c = 0; c < kClients; ++c) {
+      std::string pipelined;
+      for (std::size_t i = 0; i < kLines; ++i) {
+        obs::JsonValue json = obs::JsonValue::object();
+        if (i % 2 == 0) {
+          json.set("op", obs::JsonValue(std::string("ping")));
+        } else {
+          daemon::CheckRequest request;
+          request.model = "tmr";
+          request.formulas = {formulas[(c + i / 2) % formulas.size()]};
+          json = daemon::check_request_to_json(request);
+        }
+        json.set("id", obs::JsonValue(id_of(c, i)));
+        pipelined += daemon::frame(json);
+      }
+      ASSERT_TRUE(clients[c]->send_all(pipelined)) << "client " << c;
+    }
+    for (std::size_t c = 0; c < kClients; ++c) {
+      for (std::size_t i = 0; i < kLines; ++i) {
+        SCOPED_TRACE("client " + std::to_string(c) + ", line " + std::to_string(i));
+        const std::string line = clients[c]->read_line();
+        ASSERT_FALSE(line.empty());
+        const obs::JsonValue wire = obs::parse_json(line);
+        EXPECT_EQ(wire.at("id").as_string(), id_of(c, i));
+        if (i % 2 == 0) {
+          EXPECT_TRUE(wire.at("ok").as_bool());
+          continue;
+        }
+        const daemon::CheckReply reply = daemon::check_reply_from_json(wire);
+        ASSERT_TRUE(reply.ok) << reply.error;
+        ASSERT_EQ(reply.formulas.size(), 1u);
+        expect_matches_direct(reply.formulas[0], expected[(c + i / 2) % formulas.size()]);
+      }
+    }
+    EXPECT_EQ(server.open_connections(), kClients);
+  }
+  for (int wait = 0; wait < 5000 && server.open_connections() > 0; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.open_connections(), 0u);
+  {
+    PipelinedConnection next(socket_path);
+    ASSERT_TRUE(next.connected());
+    ASSERT_TRUE(next.send_all(R"({"op":"ping"})" "\n"));
+    EXPECT_NE(next.read_line().find("\"ok\":true"), std::string::npos);
+    // Answered, so accepted: that accept joined the six closed threads.
+    EXPECT_LE(server.connection_threads(), 1u);
+  }
   server.stop();
   EXPECT_EQ(server.connection_threads(), 0u);
   EXPECT_FALSE(std::filesystem::exists(socket_path));

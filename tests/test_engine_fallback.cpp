@@ -11,6 +11,7 @@
 #include "checker/until.hpp"
 #include "logic/ast.hpp"
 #include "obs/stats.hpp"
+#include "oracle/checker_accessors.hpp"
 #include "oracle/path_explorer.hpp"
 
 namespace csrlmrm::checker {
@@ -247,7 +248,7 @@ TEST(VerdictStability, ThresholdInsideTheErrorBandIsUnknownOnBothEngines) {
   // And UNKNOWN states are never reported as satisfying.
   EXPECT_FALSE(by_uni.satisfaction_set(straddling)[s]);
   EXPECT_FALSE(by_disc.satisfaction_set(straddling)[s]);
-  EXPECT_TRUE(by_uni.unknown_set(straddling)[s]);
+  EXPECT_TRUE(unknown_set(by_uni, straddling)[s]);
 }
 
 TEST(VerdictStability, KleenePropagationThroughConnectives) {

@@ -1,5 +1,5 @@
 // The explicit-state NMR model and its lumping to the counter abstraction.
-#include "models/explicit_nmr.hpp"
+#include "oracle/explicit_nmr.hpp"
 
 #include <gtest/gtest.h>
 

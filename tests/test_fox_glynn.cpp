@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "numeric/poisson.hpp"
+#include "oracle/numeric_reference.hpp"
 
 namespace csrlmrm::numeric {
 namespace {

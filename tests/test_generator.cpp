@@ -150,13 +150,5 @@ TEST(Generator, RejectsUnknownAndMalformedParameters) {
   EXPECT_THROW(models::make_generated_mrm(""), std::invalid_argument);
 }
 
-TEST(Generator, FamilyListIsSorted) {
-  const auto families = models::generator_families();
-  ASSERT_EQ(families.size(), 3u);
-  EXPECT_EQ(families[0], "crowd");
-  EXPECT_EQ(families[1], "grid");
-  EXPECT_EQ(families[2], "virus");
-}
-
 }  // namespace
 }  // namespace csrlmrm

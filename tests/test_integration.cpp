@@ -4,7 +4,7 @@
 #include "checker/sat.hpp"
 #include "io/model_files.hpp"
 #include "logic/parser.hpp"
-#include "models/cellphone.hpp"
+#include "oracle/cellphone.hpp"
 #include "models/tmr.hpp"
 
 #include <filesystem>

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #ifndef _WIN32
 #include <sys/wait.h>
@@ -294,6 +295,7 @@ TEST_F(MrmcheckCli, RejectsMalformedFallbackPolicyAndNodeBudget) {
   EXPECT_EQ(run(model_args_ + " --fallback=bogus 'TT'"), 2);
   EXPECT_EQ(run(model_args_ + " --max-nodes=0 'TT'"), 2);
   EXPECT_EQ(run(model_args_ + " --max-nodes=abc 'TT'"), 2);
+  EXPECT_EQ(run(model_args_ + " --max-nodes=-5 'TT'"), 2);
 }
 
 TEST_F(MrmcheckCli, RejectsEngineSelectorAndWidenWAsUsageErrors) {
@@ -499,6 +501,54 @@ TEST_F(MrmcheckCli, StatsFileIsSchemaValidJson) {
 }
 
 #endif  // MRMCHECK_BINARY && !_WIN32
+
+#if defined(MRMCHECKC_BINARY) && !defined(_WIN32)
+
+// mrmcheckc reads its numbers before it connects: a malformed or
+// non-positive one is a usage error (status 2) naming its flag, never a
+// half-parsed value sent to the daemon. No daemon runs here, so a check
+// whose numbers parse fails later, connecting (status 1).
+TEST(MrmcheckcCli, MalformedNumbersAreUsageErrorsNamingTheFlag) {
+  const std::filesystem::path errors =
+      std::filesystem::temp_directory_path() /
+      (std::string("csrlmrm_cli_c_") + std::to_string(::getpid()) + ".txt");
+  const auto run = [&](const std::string& option, std::string& message) {
+    const std::string command = std::string("'") + MRMCHECKC_BINARY +
+                                "' --socket=/nonexistent/mrmcheckd.sock check m " + option +
+                                " 'S(<0.5) a' >/dev/null 2>'" + errors.string() + "'";
+    const int status = std::system(command.c_str());
+    std::ifstream in(errors);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    message = buffer.str();
+    return status == -1 || !WIFEXITED(status) ? -1 : WEXITSTATUS(status);
+  };
+  const std::pair<const char*, const char*> malformed[] = {
+      {"w=1e-8x", "w="},
+      {"w=0.5garbage", "w="},
+      {"w=abc", "w="},
+      {"w=0", "w="},
+      {"w=-1e-8", "w="},
+      {"w=inf", "w="},
+      {"--max-nodes=12abc", "--max-nodes="},
+      {"--max-nodes=0", "--max-nodes="},
+      {"--max-nodes=-5", "--max-nodes="},
+      {"--max-nodes=", "--max-nodes="},
+      {"--deadline-ms=5ms", "--deadline-ms="},
+      {"--deadline-ms=0", "--deadline-ms="},
+      {"--deadline-ms=-5", "--deadline-ms="}};
+  std::string message;
+  for (const auto& [option, flag] : malformed) {
+    EXPECT_EQ(run(option, message), 2) << option;
+    EXPECT_NE(message.find(std::string("mrmcheckc: ") + flag + " expects a positive"),
+              std::string::npos)
+        << option << ": " << message;
+  }
+  EXPECT_EQ(run("w=1e-8 --max-nodes=12 --deadline-ms=250", message), 1) << message;
+  std::filesystem::remove(errors);
+}
+
+#endif  // MRMCHECKC_BINARY && !_WIN32
 
 }  // namespace
 }  // namespace csrlmrm::io

@@ -8,6 +8,7 @@
 #include "models/mm1k.hpp"
 #include "models/tmr.hpp"
 #include "oracle/lumping.hpp"
+#include "oracle/spec_states.hpp"
 
 namespace csrlmrm::lang {
 namespace {
@@ -55,8 +56,8 @@ TEST(LangBuilder, ValuationBookkeeping) {
   const BuiltModel built = build_model_from_text(kQueueSpec);
   EXPECT_EQ(built.variable_names, std::vector<std::string>{"jobs"});
   EXPECT_EQ(built.initial_state, 0u);
-  EXPECT_EQ(built.state_of({3}), 3u);
-  EXPECT_EQ(built.state_of({99}), built.valuations.size());  // unreachable
+  EXPECT_EQ(state_of(built, {3}), 3u);
+  EXPECT_EQ(state_of(built, {99}), built.valuations.size());  // unreachable
 }
 
 TEST(LangBuilder, TmrSpecMatchesCounterModel) {
@@ -96,7 +97,7 @@ TEST(LangBuilder, TmrSpecMatchesCounterModel) {
   const auto formula = logic::parse_formula("P(>0.1)[Sup U[0,50][0,3000] failed]");
   const auto spec_values = spec_checker.path_probabilities(formula);
   const auto reference_values = reference_checker.path_probabilities(formula);
-  EXPECT_NEAR(spec_values[built.state_of({0, 0})].probability,
+  EXPECT_NEAR(spec_values[state_of(built, {0, 0})].probability,
               reference_values[0].probability, 1e-12);
 }
 

@@ -9,6 +9,7 @@
 #include "checker/sat.hpp"
 #include "checker/steady.hpp"
 #include "logic/parser.hpp"
+#include "oracle/ctmc_measures.hpp"
 
 namespace csrlmrm::models {
 namespace {

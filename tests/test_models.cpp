@@ -3,8 +3,8 @@
 
 #include <cmath>
 
-#include "models/cellphone.hpp"
-#include "models/random_mrm.hpp"
+#include "oracle/cellphone.hpp"
+#include "oracle/random_mrm.hpp"
 #include "models/tmr.hpp"
 #include "models/wavelan.hpp"
 

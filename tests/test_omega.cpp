@@ -12,6 +12,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "oracle/numeric_reference.hpp"
+
 namespace csrlmrm::numeric {
 namespace {
 

@@ -18,7 +18,7 @@
 
 #include "checker/until.hpp"
 #include "core/transform.hpp"
-#include "models/random_mrm.hpp"
+#include "oracle/random_mrm.hpp"
 #include "numeric/discretization.hpp"
 #include "numeric/transient.hpp"
 #include "oracle/transient_forward.hpp"

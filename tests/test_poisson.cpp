@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "oracle/numeric_reference.hpp"
+
 namespace csrlmrm::numeric {
 namespace {
 

@@ -4,7 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "logic/parser.hpp"
-#include "models/random_formula.hpp"
+#include "oracle/formula_equality.hpp"
+#include "oracle/random_formula.hpp"
 
 namespace csrlmrm::logic {
 namespace {

@@ -9,7 +9,7 @@
 #include "checker/until.hpp"
 #include "checker/verdict.hpp"
 #include "core/transform.hpp"
-#include "models/random_mrm.hpp"
+#include "oracle/random_mrm.hpp"
 #include "numeric/discretization.hpp"
 #include "obs/stats.hpp"
 #include "oracle/path_explorer.hpp"

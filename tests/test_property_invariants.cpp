@@ -8,7 +8,9 @@
 #include "core/transform.hpp"
 #include "graph/scc.hpp"
 #include "linalg/vector_ops.hpp"
-#include "models/random_mrm.hpp"
+#include "oracle/ctmc_measures.hpp"
+#include "oracle/linalg_reference.hpp"
+#include "oracle/random_mrm.hpp"
 #include "oracle/transient_forward.hpp"
 
 namespace csrlmrm {

@@ -5,8 +5,8 @@
 #include "checker/sat.hpp"
 #include "logic/parser.hpp"
 #include "logic/printer.hpp"
-#include "models/random_formula.hpp"
-#include "models/random_mrm.hpp"
+#include "oracle/random_formula.hpp"
+#include "oracle/random_mrm.hpp"
 
 namespace csrlmrm {
 namespace {

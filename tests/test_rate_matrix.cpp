@@ -1,8 +1,11 @@
-// RateMatrix: exit rates, embedded DTMC, generator — checked against the
+// RateMatrix: exit rates and the generator — checked against the
 // WaveLAN example of the thesis (Example 2.4 / 4.2).
 #include "core/rate_matrix.hpp"
 
 #include <gtest/gtest.h>
+
+#include "oracle/ctmc_measures.hpp"
+#include "oracle/linalg_reference.hpp"
 
 namespace csrlmrm::core {
 namespace {
@@ -31,44 +34,20 @@ TEST(RateMatrix, ExitRatesMatchExample24) {
   EXPECT_DOUBLE_EQ(rates.max_exit_rate(), 15.0);
 }
 
-TEST(RateMatrix, JumpProbabilitiesAreRaceOdds) {
-  const RateMatrix rates = wavelan_rates();
-  EXPECT_DOUBLE_EQ(rates.jump_probability(2, 3), 1.5 / 14.25);
-  EXPECT_DOUBLE_EQ(rates.jump_probability(2, 4), 0.75 / 14.25);
-  EXPECT_DOUBLE_EQ(rates.jump_probability(2, 1), 12.0 / 14.25);
-  EXPECT_DOUBLE_EQ(rates.jump_probability(0, 3), 0.0);  // no transition
-}
-
 TEST(RateMatrix, AbsorbingStateDetected) {
   RateMatrixBuilder builder(2);
   builder.add(0, 1, 1.0);
   const RateMatrix rates = builder.build();
   EXPECT_FALSE(rates.is_absorbing(0));
   EXPECT_TRUE(rates.is_absorbing(1));
-  EXPECT_DOUBLE_EQ(rates.jump_probability(1, 0), 0.0);
 }
 
 TEST(RateMatrix, GeneratorRowsSumToZero) {
-  const auto generator = wavelan_rates().generator();
+  const auto generator = core::generator(wavelan_rates());
   for (std::size_t s = 0; s < 5; ++s) {
-    EXPECT_NEAR(generator.row_sum(s), 0.0, 1e-12) << "state " << s;
+    EXPECT_NEAR(row_sum(generator, s), 0.0, 1e-12) << "state " << s;
   }
   EXPECT_DOUBLE_EQ(generator.at(2, 2), -14.25);
-}
-
-TEST(RateMatrix, EmbeddedDtmcRowsAreStochastic) {
-  const auto embedded = wavelan_rates().embedded_dtmc();
-  for (std::size_t s = 0; s < 5; ++s) {
-    EXPECT_NEAR(embedded.row_sum(s), 1.0, 1e-12) << "state " << s;
-  }
-}
-
-TEST(RateMatrix, EmbeddedDtmcOfAbsorbingStateIsEmptyRow) {
-  RateMatrixBuilder builder(2);
-  builder.add(0, 1, 2.0);
-  const auto embedded = builder.build().embedded_dtmc();
-  EXPECT_DOUBLE_EQ(embedded.row_sum(1), 0.0);
-  EXPECT_DOUBLE_EQ(embedded.at(0, 1), 1.0);
 }
 
 TEST(RateMatrix, SelfLoopsAreAllowedAndCounted) {
@@ -77,7 +56,6 @@ TEST(RateMatrix, SelfLoopsAreAllowedAndCounted) {
   builder.add(0, 0, 3.0);
   const RateMatrix rates = builder.build();
   EXPECT_DOUBLE_EQ(rates.exit_rate(0), 3.0);
-  EXPECT_DOUBLE_EQ(rates.jump_probability(0, 0), 1.0);
 }
 
 TEST(RateMatrixBuilder, RejectsNegativeRates) {

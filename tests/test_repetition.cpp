@@ -13,7 +13,7 @@
 #include "core/mrm.hpp"
 #include "core/transform.hpp"
 #include "logic/parser.hpp"
-#include "models/cellphone.hpp"
+#include "oracle/cellphone.hpp"
 #include "models/mm1k.hpp"
 #include "models/tmr.hpp"
 #include "plan/compiler.hpp"

@@ -12,6 +12,7 @@
 #include "models/mm1k.hpp"
 #include "models/tmr.hpp"
 #include "models/wavelan.hpp"
+#include "oracle/checker_accessors.hpp"
 
 namespace csrlmrm {
 namespace {
@@ -77,7 +78,7 @@ TEST(RewardOperator, CumulativeCheckMatchesMeasure) {
   const auto high = logic::parse_formula("R(<=" + std::to_string(expected - 0.01) + ")[C[0,5]]");
   EXPECT_TRUE(checker.satisfies(0, low));
   EXPECT_FALSE(checker.satisfies(0, high));
-  const auto values = checker.expected_rewards(low);
+  const auto values = expected_rewards(checker, low);
   EXPECT_NEAR(values[0], expected, 1e-12);
 }
 
@@ -117,7 +118,7 @@ TEST(RewardOperator, NestsInsideBooleanFormulas) {
 TEST(RewardOperator, ExpectedRewardsRejectsWrongNode) {
   const core::Mrm model = models::make_wavelan();
   checker::ModelChecker checker(model);
-  EXPECT_THROW(checker.expected_rewards(logic::parse_formula("busy")),
+  EXPECT_THROW(expected_rewards(checker, logic::parse_formula("busy")),
                std::invalid_argument);
 }
 

@@ -18,7 +18,7 @@
 
 #include "checker/sat.hpp"
 #include "logic/parser.hpp"
-#include "models/cellphone.hpp"
+#include "oracle/cellphone.hpp"
 #include "models/tmr.hpp"
 #include "models/wavelan.hpp"
 

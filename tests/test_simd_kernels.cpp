@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "core/simd.hpp"
-#include "models/random_mrm.hpp"
+#include "oracle/random_mrm.hpp"
 
 namespace csrlmrm {
 namespace {

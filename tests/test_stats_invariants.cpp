@@ -10,7 +10,7 @@
 #include "checker/until.hpp"
 #include "core/transform.hpp"
 #include "linalg/gauss_seidel.hpp"
-#include "models/random_mrm.hpp"
+#include "oracle/random_mrm.hpp"
 #include "numeric/class_explorer.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"

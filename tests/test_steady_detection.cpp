@@ -15,7 +15,7 @@
 #include "core/approx.hpp"
 #include "models/generator.hpp"
 #include "models/mm1k.hpp"
-#include "models/random_mrm.hpp"
+#include "oracle/random_mrm.hpp"
 #include "numeric/transient.hpp"
 #include "oracle/transient_forward.hpp"
 

@@ -9,6 +9,7 @@
 
 #include "core/rate_matrix.hpp"
 #include "linalg/vector_ops.hpp"
+#include "oracle/linalg_reference.hpp"
 
 namespace csrlmrm::numeric {
 namespace {
