@@ -10,8 +10,8 @@
 //     per query costs;
 //   warm — the same queries through one resident daemon::CheckService: the
 //     model is parsed once, absorbing transforms stay in the per-model
-//     TransformCache, and the Poisson tail tables stay warm across queries
-//     (one untimed round first — a long-lived daemon is measured at its
+//     TransformCache across queries (each solve builds its own Poisson
+//     table; one untimed round first — a long-lived daemon is measured at its
 //     steady state);
 //   concurrent — the warm sweep issued by 8 client threads at once, to
 //     record multi-client throughput through the batching dispatcher.

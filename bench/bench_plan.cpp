@@ -17,8 +17,8 @@
 // here; "bitwise_identical" lands in the JSON) — the speedup buys identical
 // answers or it does not count. Timings are best-of-g_repeats wall clock
 // after one untimed warmup per lane (every solve builds its own Omega
-// evaluators, so warmup only stabilises the allocator, the process-wide
-// Poisson tail tables and the instruction caches).
+// evaluators and Poisson table, so warmup only stabilises the allocator and
+// the instruction caches).
 #include <chrono>
 #include <cstdio>
 #include <cstring>

@@ -58,7 +58,7 @@ void usage() {
                "            per-state fan-out (default: CSRLMRM_THREADS env var,\n"
                "            else hardware concurrency; 1 = serial)\n"
                "  --stats[=file.json]  collect engine statistics (solver iterations,\n"
-               "            Fox-Glynn windows, path counts, per-operator timings) and\n"
+               "            Poisson windows, path counts, per-operator timings) and\n"
                "            write them as JSON to the file (or stdout). The\n"
                "            CSRLMRM_STATS env var enables collection as well.\n"
                "  --strict  exit with status 3 when any state's verdict is UNKNOWN\n"

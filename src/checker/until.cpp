@@ -334,19 +334,22 @@ std::vector<UntilValue> until_probabilities(const core::Mrm& model,
       const auto upper = phase_one_series([](const UntilValue& v) { return v.bound.upper; });
 
       // Interval arithmetic over the convex combination: the phase-one weights
-      // underestimate by at most epsilon of total mass (Fox-Glynn truncation
-      // only loses terms), each residual contributes its own enclosure, and a
-      // steady-state fold moves each series by at most its steady_error, so
-      // [P lo - steady, P hi + epsilon + steady] contains the truth.
+      // underestimate by at most epsilon of total mass (truncation only loses
+      // terms), each residual contributes its own enclosure, and mass
+      // rounding and a steady-state fold move each series by at most its
+      // rounding_error + steady_error, so
+      // [P lo - moved, P hi + epsilon + moved] contains the truth.
       const double epsilon = options.transient.epsilon;
+      const auto moved = [](const numeric::TransientResult& series) {
+        return series.rounding_error + series.steady_error;
+      };
       std::vector<UntilValue> values(n);
       for (core::StateIndex s = 0; s < n; ++s) {
         if (!sat_phi[s]) continue;
-        values[s] = {probability.values[s],
-                     epsilon + error.values[s] + error.steady_error + probability.steady_error,
-                     ProbabilityBound{
-                         std::max(0.0, lower.values[s] - lower.steady_error),
-                         std::min(1.0, upper.values[s] + epsilon + upper.steady_error)}};
+        values[s] = {std::clamp(probability.values[s], 0.0, 1.0),
+                     epsilon + error.values[s] + moved(error) + moved(probability),
+                     ProbabilityBound{std::max(0.0, lower.values[s] - moved(lower)),
+                                      std::min(1.0, upper.values[s] + epsilon + moved(upper))}};
       }
       return values;
     }
@@ -366,19 +369,18 @@ std::vector<UntilValue> until_probabilities(const core::Mrm& model,
       }
       const auto hit = numeric::transient_backward(
           transformed.rates(), std::move(psi_indicator), time_bound.upper(), options.transient);
-      const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
-      const double steady = hit.steady_error;         // two-sided fold error
+      const double lost = options.transient.epsilon;                // one-sided
+      const double moved = hit.rounding_error + hit.steady_error;  // two-sided
       std::vector<UntilValue> values(n);
       for (core::StateIndex s = 0; s < n; ++s) {
         if (sat_psi[s]) {
           values[s] = exact_until_value(1.0);  // absorbed Psi start: case 1 of eq. (3.6)
           continue;
         }
-        const double p = hit.values[s];
-        // True value lies in [p - steady, p + lost + steady]; with detection
-        // off (steady == 0) this is the usual truncation enclosure.
-        values[s] = {p, lost + steady,
-                     ProbabilityBound::from_point_error(p, steady, lost + steady)};
+        // The truth lies in [p - moved, p + lost + moved]; rounding may put
+        // p itself past 1, which the truth never is.
+        const double p = std::clamp(hit.values[s], 0.0, 1.0);
+        values[s] = {p, lost + moved, ProbabilityBound::from_point_error(p, moved, lost + moved)};
       }
       return values;
     }

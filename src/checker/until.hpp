@@ -36,14 +36,14 @@ namespace csrlmrm::checker {
 /// query, with a rigorous interval enclosing the true probability.
 struct UntilValue {
   double probability = 0.0;
-  /// A-priori bound on the one-sided error: for the truncating engines
-  /// (Fox-Glynn transient, uniformization) the probability mass lost
-  /// below the reported value; for discretization the half-width of the
-  /// derived O(d) error band. 0 for exact graph/linear-algebra methods.
+  /// A-priori error bound: for the truncating engines the probability mass
+  /// lost below the reported value (for the series plus its mass rounding);
+  /// for discretization the half-width of the derived O(d) error band. 0 for
+  /// exact graph/linear-algebra methods.
   double error_bound = 0.0;
-  /// Rigorous enclosure of the true probability. Truncating engines yield
-  /// [p, p + error_bound]; discretization yields [p - e, p + e] with the
-  /// derived step-error e; exact methods the point [p, p].
+  /// Rigorous enclosure of the true probability: [p, p + e] for class-DP,
+  /// [p - rho, p + eps + rho] for the series with mass rounding rho,
+  /// [p - e, p + e] for discretization, the point [p, p] for exact methods.
   ProbabilityBound bound = ProbabilityBound::point(0.0);
 };
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <string>
+
+#include "logic/number_format.hpp"
 
 namespace csrlmrm::checker {
 
@@ -10,11 +12,16 @@ ProbabilityBound ProbabilityBound::from_point_error(double p, double below, doub
   return {std::max(0.0, p - below), std::min(1.0, p + above)};
 }
 
+namespace {
+/// Shortest round-trip digits, so two endpoints print apart whenever they
+/// differ; +infinity (an unreachable target's reward) prints as "inf".
+std::string endpoint(double value) {
+  return std::isfinite(value) ? logic::format_number(value) : std::to_string(value);
+}
+}  // namespace
+
 std::string ProbabilityBound::to_string() const {
-  std::ostringstream out;
-  out.precision(12);
-  out << '[' << lower << ", " << upper << ']';
-  return out.str();
+  return '[' + endpoint(lower) + ", " + endpoint(upper) + ']';
 }
 
 Verdict compare_bound(const ProbabilityBound& value, logic::Comparison op, double bound) {

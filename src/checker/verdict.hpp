@@ -1,8 +1,8 @@
 // Error-aware results: rigorous value intervals and three-valued verdicts.
 //
 // Every numerical method behind the S/P/R operators is approximate in a
-// *quantified* way — Fox-Glynn truncation loses at most epsilon of the
-// Poisson mass (eq. 3.5), the DFPG explorer loses at most the accumulated
+// *quantified* way — truncating the Poisson window loses at most epsilon of
+// the Poisson mass (eq. 3.5), the DFPG explorer loses at most the accumulated
 // truncated-path mass (eq. 4.6), and the discretization scheme converges
 // with rate O(d) (section 4.5). Collapsing such a value to a bare double
 // and comparing it against the threshold of P(>= p)[...] silently flips
@@ -40,8 +40,9 @@ struct ProbabilityBound {
 
   /// A probability computed as `p` with up to `below` mass possibly missing
   /// underneath and `above` possibly missing on top, clamped to [0, 1].
-  /// Truncating engines (Fox-Glynn, DFPG) only *lose* mass, so they pass
-  /// below = 0; two-sided schemes (discretization) pass both.
+  /// Truncating engines (class-DP, DFPG) only *lose* mass, so they pass
+  /// below = 0; the transient series passes the rounding of its Poisson
+  /// masses as below, and two-sided schemes (discretization) pass both.
   static ProbabilityBound from_point_error(double p, double below, double above);
 
   double width() const { return upper - lower; }
@@ -49,7 +50,7 @@ struct ProbabilityBound {
   bool overlaps(const ProbabilityBound& other) const {
     return lower <= other.upper && other.lower <= upper;
   }
-  /// "[lo, hi]" with enough digits to read the width.
+  /// "[lo, hi]", each end in shortest round-trip digits.
   std::string to_string() const;
 
   friend bool operator==(const ProbabilityBound&, const ProbabilityBound&) = default;

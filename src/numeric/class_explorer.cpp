@@ -457,8 +457,8 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
 
   const double mean = sig_.lambda * t;
   const double w = options.truncation_probability;
-  const auto poisson_tail =
-      PoissonTailCache::global().table(mean, poisson_truncation_point(mean, w) + 2);
+  // Every level's Poisson mass and tail, for the sweep and the hand-off.
+  const SharedPoissonTail poisson(mean, poisson_hard_cap(mean) + 2);
 
   const std::size_t num_k = sig_.distinct_state_rewards.size();
   const std::vector<double>& impulse_values = sig_.distinct_impulse_rewards;
@@ -676,8 +676,8 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     ++levels;
     frontier_peak = std::max(frontier_peak, frontier.size() + tails.size());
 
-    const double pmf = poisson_pmf(level, mean);
-    const double tail = poisson_tail->tail(level);
+    const double pmf = poisson.pmf(level);
+    const double tail = poisson.tail(level);
     std::size_t write = 0;
     for (std::size_t idx = 0; idx < frontier.size(); ++idx) {
       if (!prune(frontier.weights.data() + idx * slots, frontier.counts.data() + idx * slots, pmf,
@@ -805,12 +805,6 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   const bool handoff = !frontier.empty() || !tails.empty();  // the sweep stops on live rows only to hand off
   if (handoff) {
     const std::size_t roots = frontier.size() + tails.size();
-    // Poisson pmf per level over the tail table's range (bitwise the same
-    // values as the sweep's per-level poisson_pmf calls); the rare deeper
-    // probe falls back to a direct call.
-    const std::vector<double> pmf_by_level =
-        poisson_pmf_sequence(poisson_tail->table_size() - 1, mean);
-
     const std::size_t chunk_count = std::min(kHandoffChunks, roots);
     const auto chunks = std::span(workspace.chunks).first(chunk_count);
     workspace.chunk_error.assign(chunk_count * slots, 0.0);
@@ -845,9 +839,6 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
       std::vector<double> w_stack(slots);
       std::vector<double> c_stack(slots);
 
-      const auto pmf_at = [&](std::size_t level) {
-        return level < pmf_by_level.size() ? pmf_by_level[level] : poisson_pmf(level, mean);
-      };
       // A path in an absorbed state from `level` on: the sweep's tail
       // treatment, one level per iteration, until every slot is cut.
       const auto run_tail = [&](std::size_t level, core::StateIndex state, double* wrow,
@@ -858,8 +849,8 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
           tail_column.resize(chain.evaluator->flow_length(std::span(tail_sig.data(), num_k)));
         }
         for (;; ++level) {
-          const double pmf = pmf_at(level);
-          if (!prune(wrow, crow, pmf, poisson_tail->tail(level), chunk_error, cs.truncated)) {
+          const double pmf = poisson.pmf(level);
+          if (!prune(wrow, crow, pmf, poisson.tail(level), chunk_error, cs.truncated)) {
             return;
           }
           ++cs.nodes;
@@ -881,8 +872,8 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
           run_tail(level, state, wrow, crow);
           return false;  // the tail has run the path's whole future
         }
-        const double pmf = pmf_at(level);
-        if (!prune(wrow, crow, pmf, poisson_tail->tail(level), chunk_error, cs.truncated)) {
+        const double pmf = poisson.pmf(level);
+        if (!prune(wrow, crow, pmf, poisson.tail(level), chunk_error, cs.truncated)) {
           return false;
         }
         ++cs.nodes;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/approx.hpp"
 #include "core/simd.hpp"
@@ -31,31 +33,26 @@ double log_gamma(double x) {
 #endif
 }
 
-// Index past which Poisson mass is negligible for any tolerance the engines
-// use; poisson_truncation_point bounds its scan with the same expression, and
-// PoissonTailCache sizes its tables to it so tail() queries never leave the
-// precomputed range. A cap beyond kMaxPoissonWindowEnd is rejected before the
-// conversion to std::size_t, which would be undefined past 2^64.
-std::size_t poisson_hard_cap(double mean) {
-  const double cap = mean + 40.0 * std::sqrt(mean + 1.0);
-  if (!(cap + 64.0 <= kMaxPoissonWindowEnd)) {
-    throw std::invalid_argument(
-        "poisson: mean too large, its truncation window ends beyond 2^53");
+void require_valid_epsilon(double epsilon, const char* caller) {
+  if (!(epsilon > 0.0) || !(epsilon < 1.0)) {
+    throw std::invalid_argument(std::string(caller) + ": epsilon must be in (0,1)");
   }
-  return static_cast<std::size_t>(cap) + 64;
 }
 
-// The masses Pr{N = 0}..Pr{N = count-1} for a strictly positive mean, via a
+// The masses Pr{N = first}..Pr{N = first+count-1}, written to `mass`, via a
 // two-pass log-domain fill: the affine part dn*log(mean) - mean is
 // vectorized (core::simd::fill_affine matches poisson_pmf's
 // `dn * std::log(mean) - mean` bit for bit, since x + (-m) == x - m in IEEE
 // arithmetic), then a scalar lgamma/exp pass. Each entry equals
-// poisson_pmf(i, mean) exactly.
-void fill_poisson_masses(std::vector<double>& mass, std::size_t count, double mean) {
-  mass.resize(count);
-  core::simd::fill_affine(mass.data(), count, 0, std::log(mean), -mean);
+// poisson_pmf(first + i, mean) exactly.
+void fill_poisson_masses(double* mass, std::size_t first, std::size_t count, double mean) {
+  if (core::exactly_zero(mean)) {  // the point mass at 0; the log form would give 0*log(0)
+    for (std::size_t i = 0; i < count; ++i) mass[i] = first + i == 0 ? 1.0 : 0.0;
+    return;
+  }
+  core::simd::fill_affine(mass, count, first, std::log(mean), -mean);
   for (std::size_t i = 0; i < count; ++i) {
-    mass[i] = std::exp(mass[i] - log_gamma(static_cast<double>(i) + 1.0));
+    mass[i] = std::exp(mass[i] - log_gamma(static_cast<double>(first + i) + 1.0));
   }
 }
 }  // namespace
@@ -67,23 +64,21 @@ double poisson_pmf(std::size_t n, double mean) {
   return std::exp(dn * std::log(mean) - mean - log_gamma(dn + 1.0));
 }
 
-std::vector<double> poisson_pmf_sequence(std::size_t n_max, double mean) {
+// A cap beyond kMaxPoissonWindowEnd is rejected before the conversion to
+// std::size_t, which would be undefined past 2^64.
+std::size_t poisson_hard_cap(double mean) {
   require_valid_mean(mean);
-  std::vector<double> pmf;
-  if (core::exactly_zero(mean)) {
-    pmf.assign(n_max + 1, 0.0);
-    pmf[0] = 1.0;
-    return pmf;
+  const double cap = mean + 40.0 * std::sqrt(mean + 1.0);
+  if (!(cap + 64.0 <= kMaxPoissonWindowEnd)) {
+    throw std::invalid_argument(
+        "poisson: mean too large, its truncation window ends beyond 2^53");
   }
-  fill_poisson_masses(pmf, n_max + 1, mean);
-  return pmf;
+  return static_cast<std::size_t>(cap) + 64;
 }
 
 std::size_t poisson_truncation_point(double mean, double epsilon) {
   require_valid_mean(mean);
-  if (!(epsilon > 0.0) || !(epsilon < 1.0)) {
-    throw std::invalid_argument("poisson_truncation_point: epsilon must be in (0,1)");
-  }
+  require_valid_epsilon(epsilon, "poisson_truncation_point");
   double cumulative = 0.0;
   std::size_t n = 0;
   // Accumulate until the captured mass reaches 1 - epsilon. The loop is
@@ -96,27 +91,87 @@ std::size_t poisson_truncation_point(double mean, double epsilon) {
   }
 }
 
+PoissonWindow poisson_window(double mean, double epsilon) {
+  obs::counter_add("poisson.window.calls");
+  require_valid_mean(mean);
+  require_valid_epsilon(epsilon, "poisson_window");
+
+  // For small means a direct scan with the stable pmf is cheapest; for large
+  // means use Bernstein-type tail bounds
+  //   P(X >= mean + x) <= exp(-x^2 / (2(mean + x/3))),
+  //   P(X <= mean - x) <= exp(-x^2 / (2 mean)),
+  // each budgeted epsilon/2 (conservative, so coverage is guaranteed). The
+  // scan of poisson_truncation_point is no substitute above 32: its rounded
+  // running sum leaves 9.6e-12 beyond its point at mean 1e4, epsilon 1e-12,
+  // and never reaches 1 - epsilon at larger means.
+  PoissonWindow window;
+  if (mean <= 32.0) {
+    const double tail_budget = epsilon / 2.0;
+    double cumulative = 0.0;
+    std::size_t k = 0;
+    // Left edge: last k whose preceding mass is still within budget.
+    while (cumulative + poisson_pmf(k, mean) < tail_budget) {
+      cumulative += poisson_pmf(k, mean);
+      ++k;
+    }
+    window.left = k;
+    window.right = std::max(window.left, poisson_truncation_point(mean, tail_budget));
+  } else {
+    const double log_budget = std::log(2.0 / epsilon);
+    const double x_left = std::sqrt(2.0 * mean * log_budget);
+    // Solve x^2 / (2(mean + x/3)) = log_budget for the right offset.
+    const double b = log_budget / 3.0;
+    const double x_right = b + std::sqrt(b * b + 2.0 * mean * log_budget);
+    const double right_end = std::ceil(mean + x_right + 1.0);
+    if (!(right_end <= kMaxPoissonWindowEnd)) {
+      throw std::invalid_argument(
+          "poisson_window: mean too large, its truncation window ends beyond 2^53");
+    }
+    window.left = static_cast<std::size_t>(std::max(0.0, std::floor(mean - x_left - 1.0)));
+    window.right = static_cast<std::size_t>(right_end);
+  }
+
+  window.masses.resize(window.right - window.left + 1);
+  fill_poisson_masses(window.masses.data(), window.left, window.masses.size(), mean);
+  // Each mass is exp(n ln m - m - lgamma(n+1)): ln, the product, each
+  // subtraction and exp round by an ulp, lgamma by a few, so ten units of
+  // roundoff times the largest addends over the window bound every mass's
+  // relative error, hence the error of their sum (the true masses sum to at
+  // most 1). A zero mean's point mass is exact.
+  const double right = static_cast<double>(window.right);
+  window.rounding = core::exactly_zero(mean)
+                        ? 0.0
+                        : 5.0 * std::numeric_limits<double>::epsilon() *
+                              (right * std::abs(std::log(mean)) + mean +
+                               log_gamma(right + 1.0) + 1.0);
+  // Max-merge keeps right >= left across threads: each thread's own pair
+  // satisfies it, and max(right_i) >= max(left_i) follows.
+  obs::gauge_max("poisson.window.left", static_cast<double>(window.left));
+  obs::gauge_max("poisson.window.right", static_cast<double>(window.right));
+  return window;
+}
+
 SharedPoissonTail::SharedPoissonTail(double mean, std::size_t n_max) : mean_(mean) {
   require_valid_mean(mean);
   const std::size_t count = n_max + 1;
-  if (core::exactly_zero(mean_)) {  // point mass at 0; log-domain fill would form 0*log(0)
-    cdf_.assign(count, 1.0);
-    return;
-  }
   // Vectorized mass fill (each mass equals poisson_pmf bit for bit), then
   // the sequential clamped prefix sum.
-  std::vector<double> mass;
-  fill_poisson_masses(mass, count, mean_);
+  mass_.resize(count);
+  fill_poisson_masses(mass_.data(), 0, count, mean_);
   cdf_.resize(count);
-  cdf_[0] = mass[0];
-  for (std::size_t i = 1; i < count; ++i) cdf_[i] = std::min(cdf_[i - 1] + mass[i], 1.0);
+  cdf_[0] = mass_[0];
+  for (std::size_t i = 1; i < count; ++i) cdf_[i] = std::min(cdf_[i - 1] + mass_[i], 1.0);
+}
+
+double SharedPoissonTail::pmf(std::size_t n) const {
+  return n < mass_.size() ? mass_[n] : poisson_pmf(n, mean_);
 }
 
 double SharedPoissonTail::cdf(std::size_t n) const {
   if (n < cdf_.size()) return cdf_[n];
-  // Beyond the precomputed range (possible only when the caller's sizing
-  // hint was too small): sum the remaining masses on the fly. No mutation,
-  // so concurrent readers stay race-free.
+  // Beyond the precomputed range (possible only when the caller's size was
+  // too small): sum the remaining masses on the fly. No mutation, so
+  // concurrent readers stay race-free.
   double acc = cdf_.back();
   for (std::size_t i = cdf_.size(); i <= n; ++i) acc += poisson_pmf(i, mean_);
   return std::min(acc, 1.0);
@@ -125,41 +180,6 @@ double SharedPoissonTail::cdf(std::size_t n) const {
 double SharedPoissonTail::tail(std::size_t n) const {
   if (n == 0) return 1.0;
   return std::max(0.0, 1.0 - cdf(n - 1));
-}
-
-PoissonTailCache& PoissonTailCache::global() {
-  static PoissonTailCache cache;
-  return cache;
-}
-
-std::shared_ptr<const SharedPoissonTail> PoissonTailCache::table(double mean,
-                                                                std::size_t n_max) const {
-  require_valid_mean(mean);
-  // Build out to the hard truncation cap regardless of the caller's hint:
-  // the explorers query tail() at every depth they visit, and depths past
-  // the caller's truncation point would otherwise fall into
-  // SharedPoissonTail::cdf's per-call summation fallback on every query.
-  const std::size_t sized = std::max(n_max, poisson_hard_cap(mean) + 2);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++tick_;
-  for (auto& slot : tables_) {
-    if (!core::exactly_equal(slot.table->mean(), mean)) continue;
-    slot.last_use = tick_;
-    if (slot.table->table_size() > sized) return slot.table;
-    slot.table = std::make_shared<const SharedPoissonTail>(mean, sized);
-    return slot.table;
-  }
-  if (tables_.size() >= kCapacity) {
-    std::size_t victim = 0;
-    for (std::size_t i = 1; i < tables_.size(); ++i) {
-      if (tables_[i].last_use < tables_[victim].last_use) victim = i;
-    }
-    tables_.erase(tables_.begin() + static_cast<std::ptrdiff_t>(victim));
-    obs::counter_add("poisson.tail_cache_evictions");
-  }
-  tables_.push_back(Slot{std::make_shared<const SharedPoissonTail>(mean, sized), tick_});
-  obs::gauge_max("poisson.tail_cache_occupancy", tables_.size());
-  return tables_.back().table;
 }
 
 }  // namespace csrlmrm::numeric

@@ -8,7 +8,6 @@
 #include "core/approx.hpp"
 #include "core/simd.hpp"
 #include "linalg/blocked_csr.hpp"
-#include "numeric/fox_glynn.hpp"
 #include "numeric/poisson.hpp"
 #include "obs/stats.hpp"
 #include "parallel/thread_pool.hpp"
@@ -54,12 +53,11 @@ struct SeriesOperator {
   unsigned threads;
 };
 
-/// Body of the backward series: accumulate the Fox-Glynn-weighted terms,
-/// optionally cutting the series once successive iterates have stabilized in
-/// the max norm (the column-vector iteration is non-expansive there). With
-/// detection off the operation sequence is exactly the historical one, so
-/// results are bitwise unchanged.
-TransientResult accumulate_series(const SeriesOperator& op, const FoxGlynnWeights& window,
+/// Body of the backward series: accumulate the terms weighted by the
+/// window's Poisson masses, optionally cutting the series once successive
+/// iterates have stabilized in the max norm (the column-vector iteration is
+/// non-expansive there).
+TransientResult accumulate_series(const SeriesOperator& op, const PoissonWindow& window,
                                   std::vector<double> initial, const TransientOptions& options) {
   TransientResult out;
   std::vector<double> term = std::move(initial);  // P^i * u0
@@ -68,8 +66,8 @@ TransientResult accumulate_series(const SeriesOperator& op, const FoxGlynnWeight
   for (std::size_t i = 0; i <= window.right; ++i) {
     ++out.series_terms;
     if (i >= window.left) {
-      const double weight = window.probability(i - window.left);
-      core::simd::axpy(out.values.data(), term.data(), out.values.size(), weight);
+      core::simd::axpy(out.values.data(), term.data(), out.values.size(),
+                       window.masses[i - window.left]);
     }
     if (i == window.right) break;
     op.advance(term, scratch);
@@ -84,12 +82,12 @@ TransientResult accumulate_series(const SeriesOperator& op, const FoxGlynnWeight
       if (delta * static_cast<double>(remaining) <= options.steady_epsilon) {
         // The uniformized step is non-expansive in the max norm, so every
         // future iterate stays within remaining * delta of the current one;
-        // folding the whole remaining (normalized) Poisson mass onto the
+        // folding the window's whole remaining Poisson mass onto the
         // current iterate therefore closes the series with a per-state error
         // of at most steady_error — accounted into the caller's interval.
         double tail_mass = 0.0;
         for (std::size_t k = std::max(window.left, i + 1); k <= window.right; ++k) {
-          tail_mass += window.probability(k - window.left);
+          tail_mass += window.masses[k - window.left];
         }
         core::simd::axpy(out.values.data(), term.data(), out.values.size(), tail_mass);
         out.steady_error = delta * static_cast<double>(remaining);
@@ -152,9 +150,13 @@ TransientResult transient_backward(const core::RateMatrix& rates, std::vector<do
 
   double lambda = 0.0;
   const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
-  const auto window = fox_glynn(lambda * t, options.epsilon);
+  const auto window = poisson_window(lambda * t, options.epsilon);
+  double u0_max = 0.0;
+  for (const double v : u0) u0_max = std::max(u0_max, std::abs(v));
   const SeriesOperator op(P, window.right + 1, options.threads);
-  return accumulate_series(op, window, std::move(u0), options);
+  out = accumulate_series(op, window, std::move(u0), options);
+  out.rounding_error = window.rounding * u0_max;
+  return out;
 }
 
 std::vector<double> occupation_backward(const core::RateMatrix& rates,

@@ -1,6 +1,7 @@
 // Transient analysis of a CTMC by uniformization (eq. 2.2), with
 // P = I + Q/Lambda the uniformized one-step matrix and the Poisson series
-// truncated at the point capturing mass 1 - epsilon.
+// truncated to numeric::poisson_window: each term weighted by its
+// unnormalized Poisson mass, at most epsilon of mass left outside.
 //
 // The checker labels every state, so its measures run the *backward* series:
 // one column-vector iteration u_{k+1} = P u_k answers every start state at
@@ -38,7 +39,7 @@ struct TransientOptions {
   /// successive series terms differ by delta with
   /// delta * (terms remaining) <= steady_epsilon, the remaining Poisson mass
   /// is folded into the current term in one axpy instead of advancing the
-  /// series to the Fox-Glynn right edge, so depth stops scaling with
+  /// series to the window's right edge, so depth stops scaling with
   /// Lambda*t on stiff models. The cut is sound — the contraction of the
   /// uniformized iteration bounds the per-state error by the reported
   /// TransientResult::steady_error <= steady_epsilon — but the folded result
@@ -56,9 +57,12 @@ struct TransientResult {
   std::vector<double> values;
   /// Bound on the additional two-sided per-state error introduced by the
   /// steady-state fold; 0.0 when detection is off or never fired. The
-  /// one-sided Fox-Glynn truncation budget `epsilon` is accounted separately
-  /// by callers, as before.
+  /// one-sided truncation budget `epsilon` is accounted separately by
+  /// callers.
   double steady_error = 0.0;
+  /// Bound on the additional two-sided per-state error from the rounding of
+  /// the Poisson masses: the window's rounding bound times max |u0|.
+  double rounding_error = 0.0;
   /// True iff the series was cut by steady-state detection.
   bool steady_state_detected = false;
   /// Series terms actually accumulated (1 + the number of matrix products).
@@ -78,11 +82,11 @@ linalg::CsrMatrix uniformized_transition_matrix(const core::RateMatrix& rates,
 /// state s, from one column-vector series u_{k+1} = P u_k started at `u0`
 /// (one entry per state). With u0 the indicator of a target set that is
 /// absorbing (the P1 until transform M[!Phi v Psi]) this is the probability
-/// of reaching the target within t. For u0 with entries in [0, 1] the lost
-/// Fox-Glynn mass is at most options.epsilon per state (one-sided); the
-/// reported steady_error (two-sided) adds to it when detection fires — the
-/// backward iteration contracts in the max norm, which makes the
-/// steady-state criterion sound for any u0.
+/// of reaching the target within t. For u0 with entries in [0, 1] the
+/// unnormalized window masses lose at most options.epsilon per state
+/// (one-sided); the reported rounding_error and steady_error (two-sided)
+/// add to it — the backward iteration contracts in the max norm, which
+/// makes the steady-state criterion sound for any u0.
 TransientResult transient_backward(const core::RateMatrix& rates, std::vector<double> u0,
                                    double t, const TransientOptions& options = {});
 

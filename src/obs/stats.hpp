@@ -2,7 +2,7 @@
 // feeding a process-wide StatsRegistry that serializes to JSON.
 //
 // Every numeric engine, solver, and checker operator reports what it did —
-// solver sweeps, Fox-Glynn truncation windows, DFS paths generated and cut,
+// solver sweeps, Poisson truncation windows, DFS paths generated and cut,
 // SpMV rows touched, thread-pool tasks — so accuracy/cost trade-offs (the
 // truncation probability w, the discretization step d) can be read off a
 // run instead of guessed. `mrmcheck --stats` and the bench harnesses dump
@@ -27,7 +27,7 @@
 //
 // Naming convention: dotted lower-case paths, "<layer>.<component>.<what>",
 // e.g. "solver.gauss_seidel.iterations", "uniformization.paths_truncated",
-// "fox_glynn.right". The JSON schema is documented in README.md
+// "poisson.window.right". The JSON schema is documented in README.md
 // ("Observability").
 #pragma once
 

@@ -15,9 +15,8 @@
 //   - absorbing transforms come from the caller's model-bound
 //     core::TransformCache, so the until solves of a batch (and of every
 //     batch the caller runs against the same cache) build each once;
-//   - the Poisson tail tables behind the uniformization engines are shared
-//     process-wide (numeric::PoissonTailCache); Omega evaluators are built
-//     per solve, since one costs less to build than a shared lookup.
+//   - Poisson tables and Omega evaluators are built per solve: one costs
+//     microseconds, less than a shared lookup's locking and bookkeeping.
 //
 // A formula fails alone. An op that throws — an until bound shape outside
 // thesis sections 4.5/4.6, a point-time until whose Psi-states break

@@ -71,9 +71,7 @@ UntilUniformizationResult UniformizationUntilEngine::compute(
   const double mean = sig_.lambda * t;
   const double log_mean = std::log(mean);
   const double log_w = std::log(options.truncation_probability);
-  const auto poisson_tail =
-      PoissonTailCache::global().table(
-          mean, poisson_truncation_point(mean, options.truncation_probability) + 2);
+  const SharedPoissonTail poisson_tail(mean, poisson_hard_cap(mean) + 2);
 
   const std::size_t num_k = sig_.distinct_state_rewards.size();
   const std::size_t num_j = sig_.distinct_impulse_rewards.size();
@@ -108,7 +106,7 @@ UntilUniformizationResult UniformizationUntilEngine::compute(
       // account the whole discarded sub-tree per eq. (4.6). The last state
       // satisfies Phi v Psi here (dead states returned above).
       ++result.paths_truncated;
-      result.error_bound += std::exp(frame.log_weight) * poisson_tail->tail(frame.depth);
+      result.error_bound += std::exp(frame.log_weight) * poisson_tail.tail(frame.depth);
       return;
     }
     if (++nodes > options.max_nodes) {

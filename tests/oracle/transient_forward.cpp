@@ -7,7 +7,7 @@
 #include "core/approx.hpp"
 #include "core/simd.hpp"
 #include "linalg/blocked_csr.hpp"
-#include "numeric/fox_glynn.hpp"
+#include "numeric/poisson.hpp"
 #include "obs/stats.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -50,10 +50,10 @@ TransientResult transient_distribution_checked(const core::RateMatrix& rates,
 
   double lambda = 0.0;
   const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
-  // Fox-Glynn window and weights: only the [left, right] Poisson terms carry
-  // mass above the tolerance; normalizing by the weight total keeps the
-  // result an (eps-accurate) distribution.
-  const auto window = fox_glynn(lambda * t, options.epsilon);
+  // The backward series' window: only the [left, right] Poisson terms are
+  // summed, each with its unnormalized mass, so the result is a
+  // sub-distribution missing at most epsilon of mass.
+  const auto window = poisson_window(lambda * t, options.epsilon);
   const linalg::BlockedCsrMatrix gather(P.transposed());
   const unsigned threads =
       parallel::choose_thread_count(options.threads, gather.non_zeros() * (window.right + 1));
@@ -64,8 +64,8 @@ TransientResult transient_distribution_checked(const core::RateMatrix& rates,
   for (std::size_t i = 0; i <= window.right; ++i) {
     ++out.series_terms;
     if (i >= window.left) {
-      const double weight = window.probability(i - window.left);
-      core::simd::axpy(out.values.data(), term.data(), out.values.size(), weight);
+      core::simd::axpy(out.values.data(), term.data(), out.values.size(),
+                       window.masses[i - window.left]);
     }
     if (i == window.right) break;
     gather.multiply_into(term, scratch, threads);
@@ -77,7 +77,7 @@ TransientResult transient_distribution_checked(const core::RateMatrix& rates,
       if (delta * static_cast<double>(remaining) <= options.steady_epsilon) {
         double tail_mass = 0.0;
         for (std::size_t k = std::max(window.left, i + 1); k <= window.right; ++k) {
-          tail_mass += window.probability(k - window.left);
+          tail_mass += window.masses[k - window.left];
         }
         core::simd::axpy(out.values.data(), term.data(), out.values.size(), tail_mass);
         out.steady_error = delta * static_cast<double>(remaining);

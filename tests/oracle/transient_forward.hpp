@@ -1,9 +1,9 @@
 // Forward transient series p(t) = p(0) * sum_i PoissonPmf(i; Lambda t) P^i,
 // the per-distribution oracle of the backward series in numeric/transient.hpp
-// (same P, same Fox-Glynn window). Terms advance with the blocked gather over
-// P^T, bitwise equal to a serial CSR gather at any thread count. The
-// steady-state fold measures successive terms in the 1-norm, in which the
-// forward iteration is non-expansive.
+// (same P, same Poisson window and masses). Terms advance with the blocked
+// gather over P^T, bitwise equal to a serial CSR gather at any thread count.
+// The steady-state fold measures successive terms in the 1-norm, in which
+// the forward iteration is non-expansive.
 #pragma once
 
 #include <vector>

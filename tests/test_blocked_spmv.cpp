@@ -22,7 +22,6 @@
 #include "linalg/csr_matrix.hpp"
 #include "oracle/linalg_reference.hpp"
 #include "oracle/random_mrm.hpp"
-#include "numeric/fox_glynn.hpp"
 #include "numeric/poisson.hpp"
 #include "numeric/transient.hpp"
 #include "oracle/transient_forward.hpp"
@@ -159,16 +158,16 @@ std::vector<double> random_distribution(std::size_t n, std::uint64_t seed) {
   return p;
 }
 
-/// The Fox-Glynn-weighted series sum_i w_i step^i(term), accumulated with the
+/// The window-weighted series sum_i pmf(i) step^i(term), accumulated with the
 /// same axpy as numeric/transient.cpp and advanced by `step`.
 std::vector<double> reference_series(
-    const numeric::FoxGlynnWeights& window, std::vector<double> term,
+    const numeric::PoissonWindow& window, std::vector<double> term,
     const std::function<std::vector<double>(const std::vector<double>&)>& step) {
   std::vector<double> values(term.size(), 0.0);
   for (std::size_t i = 0; i <= window.right; ++i) {
     if (i >= window.left) {
       core::simd::axpy(values.data(), term.data(), values.size(),
-                       window.probability(i - window.left));
+                       window.masses[i - window.left]);
     }
     if (i == window.right) break;
     term = step(term);
@@ -192,7 +191,7 @@ TEST(BlockedSpmvSeries, BackwardEqualsCsrGatherSeriesBelow2048States) {
     const linalg::CsrMatrix P = numeric::uniformized_transition_matrix(model.rates(), lambda);
     ASSERT_GT(model.rates().max_exit_rate(), 0.0);
     const numeric::TransientOptions defaults;
-    const auto window = numeric::fox_glynn(lambda * kHorizon, defaults.epsilon);
+    const auto window = numeric::poisson_window(lambda * kHorizon, defaults.epsilon);
     const std::vector<double> u0 = signed_vector(model.num_states(), seed++);
     const auto reference = reference_series(
         window, u0, [&](const std::vector<double>& x) { return csr_gather(P, x); });
@@ -243,7 +242,7 @@ TEST(BlockedSpmvSeries, ForwardEqualsCsrScatterSeriesBelow2048States) {
     const linalg::CsrMatrix P = numeric::uniformized_transition_matrix(model.rates(), lambda);
     ASSERT_GT(model.rates().max_exit_rate(), 0.0);
     const numeric::TransientOptions defaults;
-    const auto window = numeric::fox_glynn(lambda * kHorizon, defaults.epsilon);
+    const auto window = numeric::poisson_window(lambda * kHorizon, defaults.epsilon);
     const std::vector<double> initial = random_distribution(model.num_states(), seed++);
     const auto reference = reference_series(
         window, initial, [&](const std::vector<double>& x) { return left_multiply(P, x); });

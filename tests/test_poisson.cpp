@@ -61,9 +61,17 @@ TEST(Poisson, CdfIsMonotone) {
 }
 
 TEST(Poisson, SequenceMatchesPointwisePmf) {
-  const auto seq = poisson_pmf_sequence(20, 4.2);
-  ASSERT_EQ(seq.size(), 21u);
-  for (std::size_t i = 0; i <= 20; ++i) EXPECT_DOUBLE_EQ(seq[i], poisson_pmf(i, 4.2));
+  // The tail table's masses are the sequence the class-DP sweep reads level
+  // by level: bit for bit the pointwise pmf, inside and past the table.
+  for (const double mean : {0.0, 4.2, 1e4}) {
+    const SharedPoissonTail table(mean, 20);
+    for (std::size_t i = 0; i <= 40; ++i) {
+      const double entry = table.pmf(i);
+      const double pointwise = poisson_pmf(i, mean);
+      EXPECT_EQ(std::memcmp(&entry, &pointwise, sizeof(double)), 0)
+          << "mean " << mean << " n " << i << ": " << entry << " vs " << pointwise;
+    }
+  }
 }
 
 TEST(Poisson, TruncationPointCapturesMass) {
@@ -85,7 +93,7 @@ TEST(Poisson, TruncationPointRejectsAMeanWhoseCapPasses2To53) {
   // At mean 1e30 the cap used to be converted to std::size_t out of range.
   EXPECT_THROW(poisson_truncation_point(1e30, 1e-10), std::invalid_argument);
   EXPECT_THROW(poisson_truncation_point(kMaxPoissonWindowEnd, 1e-10), std::invalid_argument);
-  EXPECT_THROW(PoissonTailCache::global().table(1e30, 4), std::invalid_argument);
+  EXPECT_THROW(poisson_hard_cap(1e30), std::invalid_argument);
 }
 
 TEST(PoissonTail, MatchesDirectCdf) {

@@ -1,8 +1,9 @@
 // In-process repetition: a long-lived process (mrmcheckd) answers the same
 // queries hundreds of times with progressively warmer process-lifetime
-// caches (PoissonTailCache::global(), per-run TransformCaches). Every
-// repetition must be bitwise-identical to the first, cold-cache run — cache
-// warmth is a speed effect, never a numeric one.
+// state (the class-DP workspace each thread retains, the allocator's free
+// lists; each run builds its own TransformCache, Poisson table and Omega
+// evaluators). Every repetition must be bitwise-identical to the first,
+// cold run — warmth is a speed effect, never a numeric one.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -74,10 +75,9 @@ void expect_bitwise_equal(const plan::FormulaResult& got, const plan::FormulaRes
   }
 }
 
-/// 500 checks over mixed models in one process. Baselines are computed with
-/// the shared Omega cache cleared (the fresh-process state); every later
-/// repetition — including the ones served entirely from warm Poisson/Omega
-/// tables — must reproduce them double for double.
+/// 500 checks over mixed models in one process. Baselines are computed first
+/// (the fresh-process state); every later repetition, on retained
+/// workspaces, must reproduce them double for double.
 TEST(Repetition, FiveHundredChecksAreBitwiseStable) {
   std::vector<Workload> workloads;
   const auto add = [&workloads](core::Mrm model, const std::string& text) {

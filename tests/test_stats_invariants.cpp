@@ -1,6 +1,6 @@
 // Property test: the statistics the engines report must satisfy the
 // structural invariants they advertise, on a family of random MRMs — visited
-// paths dominate truncated paths, Fox-Glynn windows are ordered, and solver
+// paths dominate truncated paths, Poisson windows are ordered, and solver
 // iteration counters match the solver's own result. Suites are named Stats*
 // so the tsan suite picks them up.
 #include <gtest/gtest.h>
@@ -84,15 +84,15 @@ TEST_P(StatsInvariants, FoxGlynnWindowIsOrdered) {
   psi[GetParam() % model.num_states()] = true;
 
   // Time-bounded until without a reward bound runs the P1 backward series,
-  // which selects its Poisson window with Fox-Glynn.
+  // which selects its Poisson window with numeric::poisson_window.
   const auto values = checker::until_probabilities(model, phi, psi, logic::up_to(2.0),
                                                    logic::Interval{});
   ASSERT_EQ(values.size(), model.num_states());
 
   const auto& registry = obs::StatsRegistry::global();
-  ASSERT_GE(registry.counter("fox_glynn.calls"), 1u);
-  const double left = registry.gauge("fox_glynn.left");
-  const double right = registry.gauge("fox_glynn.right");
+  ASSERT_GE(registry.counter("poisson.window.calls"), 1u);
+  const double left = registry.gauge("poisson.window.left");
+  const double right = registry.gauge("poisson.window.right");
   EXPECT_GE(left, 0.0);
   EXPECT_GE(right, left);
   ASSERT_GE(registry.counter("transient.hit_calls"), 1u);

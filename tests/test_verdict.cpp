@@ -119,5 +119,14 @@ TEST(Verdict, PrintableForms) {
   EXPECT_EQ(ProbabilityBound::point(1.0).to_string().front(), '[');
 }
 
+TEST(Verdict, IntervalEndsPrintApartWhenTheyDiffer) {
+  // At twelve significant digits both ends read 1, so a warning that the
+  // interval straddles the threshold 1 would print [1, 1].
+  const ProbabilityBound near_one{0.99999999999960743, 1.0};
+  EXPECT_EQ(near_one.to_string(), "[0.9999999999996074, 1]");
+  EXPECT_EQ((ProbabilityBound{0.25, std::numeric_limits<double>::infinity()}).to_string(),
+            "[0.25, inf]");
+}
+
 }  // namespace
 }  // namespace csrlmrm::checker
